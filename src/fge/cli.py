@@ -33,14 +33,15 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-def _add_common(parser, mu_mode=True):
+def _add_common(parser, mu_mode=True, tol=True):
     parser.add_argument("--regime", choices=["nonrel", "rel"], default="nonrel",
                         help="dispersion regime (default nonrel)")
     if mu_mode:
         parser.add_argument("--mu-mode", choices=["fermi", "exact"], default="exact",
                             help="chemical-potential policy at finite temperature")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="quadrature tolerance (default 1e-10, or FGE_QUAD_TOL)")
+    if tol:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="quadrature tolerance (default 1e-10, or FGE_QUAD_TOL)")
 
 
 def _build_parser():
@@ -89,18 +90,18 @@ def _build_parser():
     p.add_argument("--A", type=int, default=12, help="nucleons per nucleus")
     p.add_argument("--zeta", type=float, default=None,
                    help="distance constant (default: zero-temperature value)")
-    _add_common(p, mu_mode=False)
+    _add_common(p, mu_mode=False, tol=False)
 
     p = sub.add_parser("avg", help="mean entanglement over separations in [0, zeta]")
     p.add_argument("--t", type=float, default=0.0, help="reduced temperature T/T_F")
     p.add_argument("--measure", choices=["concurrence", "eof"], default="concurrence")
-    _add_common(p)
+    _add_common(p, tol=False)
 
     return parser
 
 
 def _resolve_tol(args):
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     if tol is None:
         raw = os.environ.get("FGE_QUAD_TOL")
         if raw is not None:
@@ -216,7 +217,7 @@ def _cmd_figure1(args, tol):
     return 0
 
 
-def _cmd_dwarf(args, tol):
+def _cmd_dwarf(args):
     c = constants()
     if args.M is not None:
         mass = args.M
@@ -254,7 +255,7 @@ def _cmd_dwarf(args, tol):
     return 0
 
 
-def _cmd_avg(args, tol):
+def _cmd_avg(args):
     regime, mu_mode = _regime(args), _mu_mode(args)
     measure = Measure(args.measure)
     value = average_entanglement(args.t, regime, measure, mu_mode)
@@ -281,9 +282,12 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _DISPATCH[args.command]
     try:
-        tol = _resolve_tol(args)
-        return _DISPATCH[args.command](args, tol)
+        # only the commands whose results depend on the quadrature take --tol
+        if "tol" in vars(args):
+            return command(args, _resolve_tol(args))
+        return command(args)
     except _UsageError as exc:
         print(f"fge: usage error: {exc}", file=sys.stderr)
         return 2

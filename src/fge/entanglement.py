@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import DomainError
 from .exchange import (
-    ReducedCoordinates,
-    f_finite_temperature,
     f_from_pressure,
     f_zero_temperature,
     solve_zeta,
+    thermal_amplitude,
 )
 from .fermi import (
     GasRegime,
@@ -215,7 +214,8 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
 
     Integration uses high-order panels with a geometric cascade toward
     the upper endpoint, where the entropy of formation has a mild
-    C^2 log C singularity in its higher derivatives.
+    C^2 log C singularity in its higher derivatives.  At finite t each
+    panel's abscissas are one batched ``thermal_amplitude`` call.
     """
     if measure not in _MEASURE_MAPS:
         raise DomainError(f"unknown entanglement measure {measure!r}")
@@ -229,12 +229,7 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
         def integrand(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            values = np.empty_like(xs)
-            for i, xv in enumerate(xs):
-                coords = ReducedCoordinates(x=float(xv), t=t, mu_tilde=mu_tilde, regime=regime)
-                values[i] = f_finite_temperature(coords, 1e-10).value
-            return measure_of(values)
+            return measure_of(thermal_amplitude(xs, t, mu_tilde, regime, 1e-10)[0])
 
     edges = [zeta * (1.0 - 0.5 ** k) for k in range(31)] + [zeta]
     value, _ = integrate_refined(

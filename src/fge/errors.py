@@ -13,8 +13,9 @@ class SolverError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration exhausted its panel budget before reaching
-    the requested tolerance.  The achieved estimate is attached."""
+    """Integration exhausted its panel budget (or its refinement levels)
+    before reaching the requested tolerance.  The achieved estimate is
+    attached."""
 
     def __init__(self, message: str, error_estimate: float):
         super().__init__(message)

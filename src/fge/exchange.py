@@ -2,10 +2,11 @@
 
 The amplitude f is the normalized pair-correlation overlap that drives
 every entanglement quantity in this package.  At zero temperature it
-has a closed form; at finite temperature it is an oscillatory
-Fermi-Dirac integral evaluated in reduced variables (u = k/k_F,
-x = k_F r, t = T/T_F) by adaptive panel quadrature.  The distance
-constant zeta is the smallest x where f^2 crosses 1/2.
+has a closed form f0; at finite temperature, in reduced variables
+(u = k/k_F, x = k_F r, t = T/T_F), it is the kernel average
+f(x,t) = int u^3 f0(u x) (-dn/du) du, evaluated for a whole array of x
+at once on a fixed Fermi-kernel rule.  The distance constant zeta is the
+smallest x where f^2 crosses 1/2.
 """
 
 import math
@@ -16,31 +17,31 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, QuadratureError, SolverError
 from .fermi import (
+    CACHE_SIZE,
     GasRegime,
     MuMode,
     fermi_momentum_from_pressure,
     fermi_temperature,
-    occupancy_cutoff,
-    occupancy_edge_points,
+    kernel_rule,
     reduced_chemical_potential,
-    reduced_occupancy,
 )
-from .quadrature import integrate_refined
 
 # switch from the closed form 3(sin x - x cos x)/x^3 to its power series
 # below this point; the closed form loses ~5 digits to cancellation near
 # x ~ 1e-3, while the series at 0.25 is converged to ~1e-17
 _SERIES_CROSSOVER = 0.25
-# below this x the oscillatory factor is replaced by its x -> 0 limit
-_X_SMALL = 1e-6
 # k-th series coefficient of f(x,0) in powers of x^2
 _SERIES_COEFFS = np.array(
     [(-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(9)]
 )
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
+# kernel-rule refinement levels tried before the thermal amplitude gives up
+_MAX_LEVEL = 6
+# f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
+_BLOCK = 8192
 
 
 def _validate_quad_tol(tol: float) -> None:
@@ -60,10 +61,12 @@ class ReducedCoordinates:
     regime: GasRegime
 
     def __post_init__(self):
-        if not (self.x >= 0):
-            raise DomainError(f"reduced separation must be nonnegative, got {self.x!r}")
-        if not (self.t >= 0):
-            raise DomainError(f"reduced temperature must be nonnegative, got {self.t!r}")
+        if not (0 <= self.x < math.inf):
+            raise DomainError(f"reduced separation must be finite and nonnegative, got {self.x!r}")
+        if not (0 <= self.t < math.inf):
+            raise DomainError(f"reduced temperature must be finite and nonnegative, got {self.t!r}")
+        if not math.isfinite(self.mu_tilde):
+            raise DomainError(f"reduced chemical potential must be finite, got {self.mu_tilde!r}")
         if self.t == 0 and self.mu_tilde != 1.0:
             raise DomainError(
                 "at zero reduced temperature the reduced chemical potential must be "
@@ -110,40 +113,69 @@ def f_zero_temperature(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def f_finite_temperature(coords: ReducedCoordinates, tol: float = 1e-10) -> ExchangeAmplitude:
-    """Thermal exchange amplitude (3/x) int_0^inf u n(u) sin(ux) du.
+def _kernel_sum(xs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j f0(x nodes_j) for every x, in blocks of at most _BLOCK entries."""
+    out = np.zeros(len(xs))
+    cols = min(len(nodes), _BLOCK)
+    rows = _BLOCK // cols
+    for j in range(0, len(nodes), cols):
+        u, w = nodes[j:j + cols], weights[j:j + cols]
+        for i in range(0, len(xs), rows):
+            out[i:i + rows] += f_zero_temperature(np.multiply.outer(xs[i:i + rows], u)) @ w
+    return out
 
-    Panel seeds sit on half-periods of the sine factor and in a graded
-    cluster around the thermal occupancy edge; adaptive bisection then
-    drives the high/low-order discrepancy below ``tol`` (absolute, with
-    a relative criterion of the same size; the amplitude is O(1)).
-    For x below 1e-6 the sine factor is replaced by its limit and the
-    integral becomes 3 int u^2 n(u) du, which equals 1 exactly when
-    mu_tilde comes from the particle-number equation.
+
+def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
+                      tol: float = 1e-10) -> tuple:
+    """Thermal amplitude f(x, t) for a scalar or an array of x, and its error estimate.
+
+    f(x, t) = int u^3 f0(u x) (-dn/du) du (integration by parts of
+    (3/x) int u n(u) sin(ux) du) is a positively weighted average of the
+    ground-state amplitude, so every x is one dot product of f0(x u_j) with
+    the weights of a Fermi-kernel rule.  The estimate is the largest gap,
+    over the x given, between the rule and its lower-order companion on the
+    same panels; the panels are halved until it is at most ``tol``
+    (absolute; the amplitude is O(1)).  At x = 0 the sum is
+    3 int u^2 n(u) du, which equals 1 when mu_tilde solves the
+    particle-number equation.
     """
     _validate_quad_tol(tol)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    x_max = float(flat.max(initial=0.0))
+    if not (flat.min(initial=0.0) >= 0.0 and x_max < math.inf):
+        raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
+    for level in range(_MAX_LEVEL + 1):
+        rule = kernel_rule(mu_tilde, t, regime, x_max, level)
+        value = _kernel_sum(flat, rule.nodes, rule.weights)
+        err = float(np.max(np.abs(value - _kernel_sum(flat, rule.nodes_lo, rule.weights_lo)),
+                           initial=0.0))
+        if not math.isfinite(err):
+            raise QuadratureError(
+                f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
+                error_estimate=err,
+            )
+        if err <= tol:
+            return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
+    raise QuadratureError(
+        f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
+        f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
+        error_estimate=err,
+    )
+
+
+def f_finite_temperature(coords: ReducedCoordinates, tol: float = 1e-10) -> ExchangeAmplitude:
+    """Thermal exchange amplitude (3/x) int_0^inf u n(u) sin(ux) du at one point.
+
+    Evaluated by ``thermal_amplitude`` as the Fermi-kernel average of the
+    ground-state amplitude; ``tol`` bounds the gap between the rule and its
+    lower-order companion, which is returned as the error estimate.
+    """
     if not (coords.t > 0):
         raise DomainError(
             f"the thermal path needs a positive reduced temperature, got {coords.t!r}"
         )
-    x, t, mu_tilde, regime = coords.x, coords.t, coords.mu_tilde, coords.regime
-    u_max = occupancy_cutoff(mu_tilde, t, regime)
-    edges = set(np.linspace(0.0, u_max, 9).tolist())
-    edges.update(p for p in occupancy_edge_points(mu_tilde, t, regime) if 0.0 < p < u_max)
-
-    if x < _X_SMALL:
-        def integrand(u):
-            return 3.0 * u * u * reduced_occupancy(u, mu_tilde, t, regime)
-    else:
-        step = max(math.pi / x, 1.0 / 64.0)
-        edges.update(np.arange(step, u_max, step).tolist())
-
-        def integrand(u):
-            return (3.0 / x) * u * reduced_occupancy(u, mu_tilde, t, regime) * np.sin(u * x)
-
-    value, err = integrate_refined(
-        integrand, sorted(edges), tol_abs=tol, tol_rel=tol, max_panels=4000
-    )
+    value, err = thermal_amplitude(coords.x, coords.t, coords.mu_tilde, coords.regime, tol)
     return ExchangeAmplitude(value=value, coords=coords, quadrature_error_estimate=err)
 
 
@@ -156,12 +188,12 @@ def f_from_pressure(separation: float, pressure: float, temperature: float,
     pressure -> Fermi momentum inversion; the amplitude depends on the
     inputs only through those reduced numbers.
     """
-    if not (separation > 0):
-        raise DomainError(f"separation must be positive, got {separation!r}")
-    if not (pressure > 0):
-        raise DomainError(f"pressure must be positive, got {pressure!r}")
-    if not (temperature >= 0):
-        raise DomainError(f"temperature must be nonnegative, got {temperature!r}")
+    if not (0 < separation < math.inf):
+        raise DomainError(f"separation must be finite and positive, got {separation!r}")
+    if not (0 < pressure < math.inf):
+        raise DomainError(f"pressure must be finite and positive, got {pressure!r}")
+    if not (0 <= temperature < math.inf):
+        raise DomainError(f"temperature must be finite and nonnegative, got {temperature!r}")
     k_f = fermi_momentum_from_pressure(pressure, regime)
     x = k_f * separation
     if temperature == 0.0:
@@ -174,33 +206,35 @@ def f_from_pressure(separation: float, pressure: float, temperature: float,
     return f_finite_temperature(coords, tol)
 
 
-_SCAN_GRID = np.concatenate(([1e-3], np.arange(0.1, 3.05, 0.1)))
+# x = 0 (the origin check) followed by the scan grid of the bracket search
+_SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
                tol: float = 1e-12) -> ZetaResult:
     """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Brent.
 
-    The inner quadrature runs at min(tol, 1e-12) so the returned residual
-    stays below the 1e-10 contract regardless of the caller's tolerance.
+    The origin and the whole scan grid x in {1e-3, 0.1, ..., 3} are one
+    batched amplitude call; Brent's steps then reuse the cached kernel
+    rule of the same (mu, t).  The inner quadrature runs at
+    min(tol, 1e-12) so the returned residual stays below the 1e-10
+    contract regardless of the caller's tolerance.
     """
-    if not (t >= 0):
-        raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
+    if not (0 <= t < math.inf):
+        raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     quad_tol = min(max(tol, _TOL_MIN), 1e-12)
 
     if t == 0.0:
-        def amplitude(xv):
-            return f_zero_temperature(xv)
+        amplitude = f_zero_temperature
     else:
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
         def amplitude(xv):
-            coords = ReducedCoordinates(x=xv, t=t, mu_tilde=mu_tilde, regime=regime)
-            return f_finite_temperature(coords, quad_tol).value
+            return thermal_amplitude(xv, t, mu_tilde, regime, quad_tol)[0]
 
-    f_origin = 1.0 if t == 0.0 else amplitude(0.0)
+    f_origin, *scan = amplitude(_SCAN_X)
     if not (f_origin ** 2 > 0.5):
         raise SolverError(
             f"no root exists: the amplitude at zero separation is {f_origin!r}, "
@@ -210,30 +244,20 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     def gap(xv):
         return amplitude(xv) ** 2 - 0.5
 
-    bracket = None
-    prev_x = float(_SCAN_GRID[0])
-    prev_gap = gap(prev_x)
-    for xk in _SCAN_GRID[1:]:
-        xk = float(xk)
-        if prev_gap == 0.0:
-            bracket = (prev_x, prev_x)
-            break
-        gk = gap(xk)
-        if prev_gap * gk < 0.0:
-            bracket = (prev_x, xk)
-            break
-        prev_x, prev_gap = xk, gk
-    if bracket is None:
+    grid = _SCAN_X[1:]
+    gaps = np.square(scan) - 0.5
+    crossings = np.flatnonzero((gaps[:-1] == 0.0) | (gaps[:-1] * gaps[1:] < 0.0))
+    if not crossings.size:
         raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{_SCAN_GRID[0]:g}, {_SCAN_GRID[-1]:g}] "
+            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
             f"at t={t!r}: the crossing either sits below the scan window "
             "(bracket too small) or the amplitude never reaches 1/2"
         )
-
-    if bracket[0] == bracket[1]:
-        root = bracket[0]
+    k = crossings[0]
+    if gaps[k] == 0.0:
+        root = float(grid[k])
     else:
-        root = brentq(gap, bracket[0], bracket[1], xtol=1e-13,
+        root = brentq(gap, float(grid[k]), float(grid[k + 1]), xtol=1e-13,
                       rtol=4.0 * np.finfo(float).eps, maxiter=200)
     residual = abs(amplitude(root) ** 2 - 0.5)
     if not (residual < 1e-10):

@@ -11,6 +11,7 @@ reduced coordinates shares one dimensionless solve; the reduced helpers
 are the backbone of the exchange-amplitude module.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,17 +20,31 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import constants
-from .errors import DomainError, SolverError
-from .quadrature import integrate_refined
+from .errors import DomainError, QuadratureError, SolverError
+from .quadrature import gauss_legendre
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
 
-# edge-cluster multipliers for panel seeds around the thermal occupancy edge
-_EDGE_CLUSTER = (30.0, 15.0, 8.0, 4.0, 2.0, 1.0)
+# maxsize of every per-temperature cache: chemical potential, distance
+# constant and kernel rules (a few rules per temperature)
+CACHE_SIZE = 1024
 # e-foldings of occupancy decay kept before the integration range is truncated
 _THERMAL_DECADES = 45.0
+# offsets in s of the level-0 kernel panel edges from the kernel centre
+_KERNEL_OFFSETS = np.array(
+    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 29.0, 37.0, 45.0]
+)
+# Gauss-Legendre orders of the kernel rule and of its comparison rule
+_ORDER_HI, _ORDER_LO = 12, 6
+# largest phase x * (panel width in u) of f0(x u) over one panel, in radians
+_PHASE_PER_PANEL = 1.0
+# most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
+_MAX_KERNEL_NODES = 2 ** 20
 # below this reduced temperature the normalization correction to mu is < 1 ulp
 _MU_SHIFT_FLOOR = 1e-9
+# Newton steps below this (times max(1, t)) end the chemical-potential solve
+_MU_STEP_TOL = 1e-13
+_MU_ITERATIONS = 100
 
 
 class GasRegime(Enum):
@@ -196,77 +211,214 @@ def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
     return d_max
 
 
-def occupancy_edge_points(mu_tilde: float, t: float, regime: GasRegime) -> list:
-    """Quadrature breakpoints clustered around the thermal edge of the occupancy."""
-    if t <= 0.0 or mu_tilde <= 0.0:
-        return []
-    if regime is GasRegime.NONRELATIVISTIC:
-        u_edge = math.sqrt(mu_tilde)
-        width = t / (2.0 * u_edge)
+# === Fermi-kernel quadrature rule ===
+#
+# Integrating by parts, every thermal integral of this package takes the
+# form int u^3 g(u) (-dn/du) du: the occupancy enters only through the
+# logistic kernel -dn/du = k(s) ds/du, k(s) = e^s/(1+e^s)^2, in the variable
+# s = (d(u) - mu_tilde)/t.  In s the kernel is the same bump for every t, so
+# one fixed composite Gauss rule in s serves every temperature.
+
+
+@dataclass(frozen=True, eq=False)
+class KernelRule:
+    """Composite Gauss rule with int u^3 g(u) (-dn/du) du ~ sum_j weights_j g(nodes_j).
+
+    ``nodes_lo``/``weights_lo`` are a lower-order rule on the same panels;
+    the difference between the two sums is the error estimate.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    nodes_lo: np.ndarray
+    weights_lo: np.ndarray
+
+
+def _kernel_density(s: np.ndarray) -> np.ndarray:
+    decay = np.exp(-np.abs(s))
+    return decay / (1.0 + decay) ** 2
+
+
+def _kernel_panels(mu_tilde: float, t: float, regime: GasRegime):
+    """Panel edges of the level-0 rule in s and in u, and whether nodes are spaced in u.
+
+    The window is s in [max(s_lo, -45), max(s_lo, 0) + 45], with s_lo = -mu/t
+    the band bottom u = 0, so the kernel is cut where it is below e^-45.
+    The nonrelativistic u(s) = sqrt(mu + t s) has a branch point at s_lo;
+    when s_lo lies inside the window the nodes are spaced in u instead.
+    """
+    s_lo = -mu_tilde / t
+    s_first = max(s_lo, -_THERMAL_DECADES)
+    centre = max(s_lo, 0.0)
+    left = centre - _KERNEL_OFFSETS[::-1]
+    s_edges = np.concatenate(([s_first], left[left > s_first], centre + _KERNEL_OFFSETS[1:]))
+    u_edges = _kernel_u(mu_tilde + t * s_edges, regime)
+    in_u = regime is GasRegime.NONRELATIVISTIC and s_lo > -_THERMAL_DECADES
+    return s_edges, u_edges, in_u
+
+
+def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
+    """Inverse reduced dispersion u(d), clipped at the band bottom."""
+    d = np.maximum(d, 0.0)
+    return np.sqrt(d) if regime is GasRegime.NONRELATIVISTIC else d
+
+
+def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
+                   level: int = 0) -> np.ndarray:
+    """Pieces each level-0 panel is cut into so that the rule resolves f0(x u), x <= x_max.
+
+    A piece spans at most _PHASE_PER_PANEL radians of f0(x_max u).  With
+    nodes spaced in u, a piece is also at most 1/pi of its distance to the
+    kernel pole u = sqrt(mu + i pi t), the ratio that unit panels have to
+    the poles s = +-i pi in s.  Each level then halves every piece.
+    """
+    _, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
+    widths = np.diff(u_edges)
+    pieces = x_max * widths / _PHASE_PER_PANEL
+    if in_u:
+        pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
+        nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
+        pieces = np.maximum(pieces, math.pi * widths / np.abs(pole - nearest))
+    pieces = np.maximum(np.ceil(pieces), 1.0) * 2.0 ** level
+    nodes = float(pieces.sum()) * _ORDER_HI
+    if not (nodes <= _MAX_KERNEL_NODES):
+        raise QuadratureError(
+            f"the kernel rule at t={t!r} would need {nodes:.3g} nodes to resolve "
+            f"f0(x u) up to x={x_max!r} at level {level}, more than {_MAX_KERNEL_NODES}",
+            error_estimate=math.inf,
+        )
+    return pieces.astype(np.int64)
+
+
+def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, order: int,
+                  splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_j and weights u_j^3 k(s_j) ds of an ``order``-point rule.
+
+    Panel p of the level-0 rule is cut into ``splits[p]`` equal pieces.
+    """
+    s_edges, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
+    edges = u_edges if in_u else s_edges
+    panel = np.repeat(np.arange(len(splits)), splits)
+    piece = np.arange(len(panel)) - np.repeat(np.cumsum(splits) - splits, splits)
+    half = 0.5 * np.diff(edges)[panel] / splits[panel]
+    mid = edges[panel] + (2 * piece + 1) * half
+    y, w = gauss_legendre(order)
+    z = (mid[:, None] + half[:, None] * y).ravel()
+    dz = (half[:, None] * w).ravel()
+    if in_u:
+        u = z
+        weights = dz * _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t)
     else:
-        u_edge = mu_tilde
-        width = t
-    points = [u_edge]
-    for m in _EDGE_CLUSTER:
-        points.append(u_edge - m * width)
-        points.append(u_edge + m * width)
-    return points
+        u = _kernel_u(mu_tilde + t * z, regime)
+        weights = dz * _kernel_density(z)
+    return u, weights * u ** 3
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
+    counts = np.frombuffer(splits, dtype=np.int64)
+    arrays = (*_kernel_nodes(mu_tilde, t, regime, _ORDER_HI, counts),
+              *_kernel_nodes(mu_tilde, t, regime, _ORDER_LO, counts))
+    for array in arrays:
+        array.flags.writeable = False  # every caller of the cache shares them
+    return KernelRule(*arrays)
+
+
+def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0,
+                level: int = 0) -> KernelRule:
+    """Fermi-kernel rule at (mu_tilde, t), resolving f0(x u) for every x up to ``x_max``.
+
+    Level 0 has up to 28 graded panels: unit width across the kernel bump,
+    whose poles sit at s = +-i pi, and widening where the kernel has
+    decayed.  ``_kernel_splits`` cuts them to resolve the oscillation of
+    f0(x u), and every further level halves all pieces.  Rules are cached;
+    one that would exceed _MAX_KERNEL_NODES raises ``QuadratureError``.
+    """
+    splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
+    return _cached_kernel_rule(mu_tilde, t, regime, splits.tobytes())
 
 
 # === chemical potential ===
 
 
+def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime) -> tuple[float, float]:
+    """Particle-number integral int_0^inf u^2 n(u) du and its mu-derivative."""
+    u, weights = _kernel_nodes(mu_tilde, t, regime, _ORDER_HI,
+                               _kernel_splits(mu_tilde, t, regime, 0.0))
+    # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / d'(u)
+    slope_factor = 0.5 / (u * u) if regime is GasRegime.NONRELATIVISTIC else 1.0 / u
+    return float(weights.sum()) / 3.0, float(weights @ slope_factor)
+
+
 def _normalization_integral(mu_tilde: float, t: float, regime: GasRegime) -> float:
     """Reduced particle-number integral, int_0^inf u^2 n(u) du; equals 1/3 on shell."""
-    u_max = occupancy_cutoff(mu_tilde, t, regime)
-    edges = set(np.linspace(0.0, u_max, 9).tolist())
-    edges.update(p for p in occupancy_edge_points(mu_tilde, t, regime) if 0.0 < p < u_max)
-
-    def integrand(u):
-        return u * u * reduced_occupancy(u, mu_tilde, t, regime)
-
-    # tol_rel keeps far-off-shell probes (integral >> 1/3 at large t) from
-    # demanding sub-rounding accuracy; on shell the absolute term dominates.
-    value, _ = integrate_refined(
-        integrand, sorted(edges), tol_abs=5e-15, tol_rel=5e-15, max_panels=2000, order_hi=32, order_lo=16
-    )
-    return value
+    return _number_and_slope(mu_tilde, t, regime)[0]
 
 
-@lru_cache(maxsize=None)
+def _mu_seed(t: float, regime: GasRegime) -> float:
+    """Sommerfeld chemical potential for t <= 1, else the classical (Boltzmann) one."""
+    if regime is GasRegime.NONRELATIVISTIC:
+        if t <= 1.0:
+            return 1.0 - (math.pi * t) ** 2 / 12.0
+        return t * (math.log(4.0 / (3.0 * math.sqrt(math.pi))) - 1.5 * math.log(t))
+    if t <= 1.0:
+        # mu^3 + pi^2 t^2 mu = 1 holds up to 6 t^3 |Li_3(-e^(-mu/t))| (DLMF 25.12)
+        p = (math.pi * t) ** 2
+        a = (0.5 + math.sqrt(0.25 + p ** 3 / 27.0)) ** (1.0 / 3.0)
+        return a - p / (3.0 * a)
+    return -t * (math.log(6.0) + 3.0 * math.log(t))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMode.EXACT_NORMALIZATION) -> float:
     """Chemical potential over Fermi energy at reduced temperature ``t``.
 
     EXACT_NORMALIZATION solves the particle-number equation
-    int u^2 n(u) du = 1/3 by bisection on the bracket [-50 t, 2]; the
-    bracket is refined to the last representable midpoint, well past the
-    1e-10 relative tolerance this function promises.  The deep refinement
-    keeps mu reproducible to ~1e-14 across last-ulp changes in ``t``,
-    which downstream scaling-invariance guarantees rely on.
+    int u^2 n(u) du = 1/3 by Newton's method on its logarithm, from the
+    Sommerfeld (for t > 1, the classical) seed.  The number integral and
+    its mu-derivative come from the same Fermi-kernel nodes.  Each iterate
+    narrows the bracket [-50 t, 2]; a step that leaves it is replaced by
+    bisection.  The solve stops once a Newton step is below
+    1e-13 max(1, t) and returns that last step applied, so the result is
+    converged to rounding (quadratic convergence) by a rule that depends
+    on ``t`` alone; mu is reproducible to ~1e-14 across last-ulp changes
+    in ``t``, which downstream scaling-invariance guarantees rely on.
     """
-    if not (t >= 0.0):
-        raise DomainError(f"reduced temperature must be nonnegative, got {t!r}")
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     if mode is MuMode.FERMI_ENERGY_APPROX or t < _MU_SHIFT_FLOOR:
         return 1.0
     lo, hi = -50.0 * t, 2.0
-    target = 1.0 / 3.0
-    residual_lo = _normalization_integral(lo, t, regime) - target
-    residual_hi = _normalization_integral(hi, t, regime) - target
-    if residual_lo > 0.0 or residual_hi < 0.0:
-        raise SolverError(
-            "particle-number equation has no sign change on the bracket "
-            f"[{lo:.6g}, {hi:.6g}]: endpoint residuals {residual_lo:.3e} and "
-            f"{residual_hi:.3e} at reduced temperature {t!r}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _normalization_integral(mid, t, regime) < target:
-            lo = mid
+    step_tol = _MU_STEP_TOL * max(1.0, t)
+    mu = min(max(_mu_seed(t, regime), lo), hi)
+    for _ in range(_MU_ITERATIONS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            number, slope = _number_and_slope(mu, t, regime)
+        if not (number > 0.0 and 0.0 < slope < math.inf):
+            raise DomainError(
+                f"reduced temperature {t!r} is too large: the particle-number "
+                f"integral overflows at mu_tilde={mu!r}"
+            )
+        if number < 1.0 / 3.0:
+            lo = mu
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = mu
+        step = math.log(3.0 * number) * number / slope
+        if abs(step) <= step_tol:
+            return mu - step
+        mu -= step
+        if not (lo < mu < hi):
+            if hi - lo <= step_tol:
+                raise SolverError(
+                    "particle-number equation has no root on the bracket "
+                    f"[{-50.0 * t:.6g}, 2]: the iterates close on its end at "
+                    f"{0.5 * (lo + hi):.6g} at reduced temperature {t!r}"
+                )
+            mu = 0.5 * (lo + hi)
+    raise SolverError(
+        f"particle-number equation did not converge at reduced temperature {t!r}: "
+        f"last iterate {mu!r} on the bracket [{lo:.6g}, {hi:.6g}]"
+    )
 
 
 def chemical_potential(density: float, temperature: float, regime: GasRegime,

@@ -1,12 +1,12 @@
 """Composite Gauss-Legendre integration with adaptive panel refinement.
 
-The integrands in this package are smooth apart from two localized
-features: a thermal occupation edge whose width shrinks linearly with
-temperature, and a sine factor whose period shrinks with the separation
-variable.  Both are handled by seeding the panel list with breakpoints
-at the known feature locations and then bisecting whichever panel
+The adaptive integrator serves the outer average over separations, whose
+integrand has an endpoint feature at the distance constant.  Panel seeds
+go at the known features; refinement then bisects whichever panel
 reports the worst high-order versus low-order discrepancy until the
-summed estimate meets the budget.
+summed estimate meets the budget.  The thermal integrals over momentum
+use fixed composite rules built from ``gauss_legendre`` instead (see
+``fermi.kernel_rule``).
 """
 
 import heapq
@@ -19,7 +19,8 @@ from .errors import QuadratureError
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1]."""
     if order not in _RULES:
         _RULES[order] = leggauss(order)
     return _RULES[order]
@@ -27,8 +28,8 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel(f, a: float, b: float, order_hi: int, order_lo: int) -> tuple[float, float]:
     """Integrate one panel at two orders; the difference is the error estimate."""
-    yh, wh = _rule(order_hi)
-    yl, wl = _rule(order_lo)
+    yh, wh = gauss_legendre(order_hi)
+    yl, wl = gauss_legendre(order_lo)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     hi = half * float(np.dot(wh, f(mid + half * yh)))

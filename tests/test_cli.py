@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -197,6 +198,29 @@ def test_domain_and_io_failures_exit_1(argv, fragment, capsys):
 @pytest.mark.parametrize(
     "argv, fragment",
     [
+        (["eval", "--r", "1e-10", "--P", "1e9", "--T", "inf"], "temperature"),
+        (["eval", "--r", "1e-10", "--P", "1e9", "--T", "nan"], "temperature"),
+        (["eval", "--r", "inf", "--P", "1e9"], "separation"),
+        (["eval", "--r", "nan", "--P", "1e9", "--T", "1e4"], "separation"),
+        (["eval", "--r", "1e-10", "--P", "inf"], "pressure"),
+        (["eval", "--r", "1e-10", "--P", "nan", "--T", "1e4"], "pressure"),
+        (["zeta", "--t", "inf"], "temperature"),
+        (["avg", "--t", "nan"], "temperature"),
+    ],
+)
+def test_non_finite_inputs_exit_1(argv, fragment, capsys):
+    # rejected where they enter, before any NaN or numpy warning can arise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fge: error:")
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
         (["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11",
           "--out", "x.csv"], "--r is required"),
         (["sweep", "--var", "distance", "--min", "1e-11", "--max", "1e-9",
@@ -234,6 +258,14 @@ def test_argparse_failures_exit_2(argv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["avg", "--tol", "1e-6"], ["dwarf", "--tol", "1e-6"]])
+def test_tolerance_flag_rejected_where_unused(argv, capsys):
+    # avg and dwarf run no tolerance-controlled quadrature, so --tol is unknown there
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "--tol" in err
+
+
 # === quadrature tolerance resolution ===
 
 
@@ -253,6 +285,12 @@ def test_env_tolerance_must_be_in_range(monkeypatch, capsys):
     monkeypatch.setenv("FGE_QUAD_TOL", "1e-3")
     code, _, err = run_cli(["eval", "--r", "1e-10", "--P", "1e9"], capsys)
     assert code == 1 and "tolerance" in err
+
+
+def test_env_tolerance_not_read_where_unused(monkeypatch, capsys):
+    monkeypatch.setenv("FGE_QUAD_TOL", "not-a-number")
+    assert run_cli(["avg"], capsys)[0] == 0
+    assert run_cli(["dwarf"], capsys)[0] == 0
 
 
 def test_flag_overrides_env(monkeypatch, capsys):

@@ -226,6 +226,17 @@ def test_eos_evaluate_rejects_bad_inputs():
         eos_evaluate(1e-10, 0.0, 0.0, NR)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position, fragment", [
+    (0, "separation"), (1, "pressure"), (2, "temperature"),
+])
+def test_eos_evaluate_rejects_non_finite_inputs(position, fragment, bad):
+    args = [1e-10, 1e9, 1e4]
+    args[position] = bad
+    with pytest.raises(DomainError, match=fragment):
+        eos_evaluate(*args, NR)
+
+
 # === averaging ===
 
 
@@ -242,6 +253,19 @@ def test_average_entanglement_thermal():
     value = average_entanglement(0.05, NR, Measure.CONCURRENCE)
     assert value == pytest.approx(0.5705433710402114, rel=1e-6)
     assert 0.0 < value < 1.0
+
+
+def test_average_entanglement_vanishing_temperature():
+    # the kernel rule stays exact as t -> 0: the average meets the ground state
+    for regime in (NR, GasRegime.EXTREME_RELATIVISTIC):
+        value = average_entanglement(1e-9, regime, Measure.CONCURRENCE)
+        assert value == pytest.approx(0.57068737010830709, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_average_entanglement_rejects_non_finite_temperature(bad):
+    with pytest.raises(DomainError, match="temperature"):
+        average_entanglement(bad, NR)
 
 
 def test_average_entanglement_unknown_measure():

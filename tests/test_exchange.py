@@ -26,7 +26,10 @@ from fge import (
     reduced_chemical_potential,
     solve_zeta,
 )
-from fge.fermi import chemical_potential, fermi_momentum_from_density
+from fge import QuadratureError, reduced_occupancy
+from fge import exchange
+from fge.exchange import thermal_amplitude
+from fge.fermi import chemical_potential, fermi_momentum_from_density, occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -88,6 +91,17 @@ def test_coordinates_validation():
         ReducedCoordinates(x=1.0, t=0.0, mu_tilde=0.9, regime=NR)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field, fragment", [
+    ("x", "separation"), ("t", "temperature"), ("mu_tilde", "chemical potential"),
+])
+def test_coordinates_reject_non_finite(field, fragment, bad):
+    values = {"x": 1.0, "t": 0.1, "mu_tilde": 0.9, "regime": NR}
+    values[field] = bad
+    with pytest.raises(DomainError, match=fragment):
+        ReducedCoordinates(**values)
+
+
 # === thermal amplitude ===
 
 
@@ -146,6 +160,68 @@ def test_thermal_amplitude_stays_within_unit_bound():
         for x in np.arange(0.0, 50.1, 2.5):
             value = f_finite_temperature(ReducedCoordinates(float(x), t, mu, NR)).value
             assert abs(value) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("x, t", [(50.0, 0.5), (20.0, 1.0)])
+def test_thermal_amplitude_against_sine_weighted_quadpack(regime, x, t):
+    # x t >> 1: QUADPACK's Fourier-weighted rule (QAWO) on the original
+    # oscillatory integral (3/x) int u n(u) sin(ux) du, no integration by parts
+    mu = reduced_chemical_potential(t, regime)
+    integral, _ = quad(
+        lambda u: u * reduced_occupancy(u, mu, t, regime),
+        0.0, occupancy_cutoff(mu, t, regime),
+        weight="sin", wvar=x, epsabs=1e-15, epsrel=1e-13, limit=400,
+    )
+    got = f_finite_temperature(ReducedCoordinates(x, t, mu, regime), tol=1e-12)
+    assert abs(got.value - 3.0 / x * integral) < 1e-14
+    assert got.quadrature_error_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_thermal_amplitude_at_vanishing_temperature(regime):
+    # at t = 1e-9 the kernel is a spike of width ~1e-9 around u = 1, so the
+    # amplitude is the ground state up to O(t^2)
+    t = 1e-9
+    xs = np.linspace(0.0, 50.0, 201)
+    values, err = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime), regime)
+    assert np.max(np.abs(values - f_zero_temperature(xs))) < 1e-13
+    assert err <= 1e-10
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_thermal_amplitude_batch_matches_points(regime):
+    t = 0.3
+    mu = reduced_chemical_potential(t, regime)
+    xs = np.array([[0.0, 0.5, 1.8], [3.0, 6.0, 12.0]])
+    values, err = thermal_amplitude(xs, t, mu, regime)
+    assert values.shape == xs.shape and err <= 1e-10
+    for x, value in zip(xs.ravel(), values.ravel()):
+        point = f_finite_temperature(ReducedCoordinates(float(x), t, mu, regime))
+        assert abs(point.value - value) < 1e-13
+    scalar, _ = thermal_amplitude(1.8, t, mu, regime)
+    assert isinstance(scalar, float)
+
+
+def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
+    # the estimate is the gap to the lower-order rule on the same panels;
+    # a tight tolerance refines the panels, and without refinement it fails
+    mu = reduced_chemical_potential(0.05, NR)
+    coords = ReducedCoordinates(1.0, 0.05, mu, NR)
+    for tol in (1e-6, 1e-10, 1e-14):
+        assert f_finite_temperature(coords, tol=tol).quadrature_error_estimate <= tol
+    monkeypatch.setattr(exchange, "_MAX_LEVEL", 0)
+    assert f_finite_temperature(coords, tol=1e-10).quadrature_error_estimate <= 1e-10
+    with pytest.raises(QuadratureError, match="stalled") as excinfo:
+        f_finite_temperature(coords, tol=1e-14)
+    assert excinfo.value.error_estimate > 1e-14
+
+
+def test_thermal_amplitude_rejects_non_finite_separation():
+    mu = reduced_chemical_potential(0.05, NR)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError, match="separation"):
+            thermal_amplitude(np.array([1.0, bad]), 0.05, mu, NR)
 
 
 def test_thermal_amplitude_tolerance_validation():
@@ -218,6 +294,17 @@ def test_from_pressure_rejects_bad_inputs():
         f_from_pressure(1e-10, 1e9, -1.0, NR)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("position, fragment", [
+    (0, "separation"), (1, "pressure"), (2, "temperature"),
+])
+def test_from_pressure_rejects_non_finite_inputs(position, fragment, bad):
+    args = [1e-10, 1e9, 1e4]
+    args[position] = bad
+    with pytest.raises(DomainError, match=fragment):
+        f_from_pressure(*args, NR)
+
+
 # === distance constant ===
 
 
@@ -264,3 +351,9 @@ def test_zeta_reports_missing_bracket():
 def test_zeta_rejects_negative_temperature():
     with pytest.raises(DomainError, match="temperature"):
         solve_zeta(-0.1, NR)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_zeta_rejects_non_finite_temperature(bad):
+    with pytest.raises(DomainError, match="temperature"):
+        solve_zeta(bad, NR)

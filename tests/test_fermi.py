@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -31,15 +32,31 @@ from fge import (
     reduced_occupancy,
     validity,
 )
+from fge.exchange import solve_zeta
 from fge.fermi import (
+    CACHE_SIZE,
+    _cached_kernel_rule,
     _normalization_integral,
     ideality_threshold_density,
     occupancy_cutoff,
-    occupancy_edge_points,
 )
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
+
+
+def edge_points(mu, t, regime):
+    """The half-occupancy edge u_edge and a cluster of points around it.
+
+    u_edge solves d(u) = mu; the cluster sits at u_edge +- m t/d'(u_edge)
+    for m in (30, 15, 8, 4, 2, 1), i.e. at s = +-m in the kernel variable.
+    """
+    u_edge = math.sqrt(mu) if regime is NR else mu
+    width = t / (2.0 * u_edge) if regime is NR else t
+    points = [u_edge]
+    for m in (30.0, 15.0, 8.0, 4.0, 2.0, 1.0):
+        points += [u_edge - m * width, u_edge + m * width]
+    return points
 
 
 # === conversions ===
@@ -187,8 +204,7 @@ def test_occupancy_cutoff_bounds_the_tail():
             assert reduced_occupancy(u_max, mu, t, regime) < 1e-18
             # the cluster is centered on the half-occupancy edge; callers
             # clip whatever falls outside the integration window
-            points = occupancy_edge_points(mu, t, regime)
-            u_edge = points[0]
+            u_edge = edge_points(mu, t, regime)[0]
             assert 0.0 < u_edge < u_max
             assert reduced_occupancy(u_edge, mu, t, regime) == pytest.approx(0.5, abs=1e-12)
 
@@ -236,7 +252,7 @@ def test_normalization_against_scipy():
     for regime, t in ((NR, 0.05), (ER, 0.1)):
         mu = reduced_chemical_potential(t, regime)
         u_max = occupancy_cutoff(mu, t, regime)
-        pts = sorted(p for p in occupancy_edge_points(mu, t, regime) if 0 < p < u_max)
+        pts = sorted(p for p in edge_points(mu, t, regime) if 0 < p < u_max)
         value, _ = quad(
             lambda u: u * u * reduced_occupancy(u, mu, t, regime),
             0.0,
@@ -245,6 +261,52 @@ def test_normalization_against_scipy():
             limit=200,
         )
         assert value == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
+def number_integral(mu, t, regime):
+    """3 int u^2 n(u) du in closed form at 40 digits: Fermi-Dirac integrals as polylogs.
+
+    Nonrelativistic -(3 sqrt(pi)/4) t^(3/2) Li_{3/2}(-e^(mu/t)); relativistic
+    -6 t^3 Li_3(-e^(mu/t)) (DLMF 25.12).  Equals 1 on shell.
+    """
+    with mpmath.workdps(40):
+        z = -mpmath.exp(mpmath.mpf(mu) / t)
+        if regime is NR:
+            value = -3 * mpmath.sqrt(mpmath.pi) / 4 * mpmath.mpf(t) ** 1.5 * mpmath.polylog(1.5, z)
+        else:
+            value = -6 * mpmath.mpf(t) ** 3 * mpmath.polylog(3, z)
+        return float(mpmath.re(value))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.3, 1.0])
+def test_relativistic_chemical_potential_against_polylog(t):
+    assert abs(number_integral(reduced_chemical_potential(t, ER), t, ER) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [1e4, 4e6])
+def test_chemical_potential_far_above_degeneracy(regime, t):
+    # mu/t ~ -1.5 ln t: the classical seed and the safeguarded Newton steps
+    # must land inside the bracket [-50 t, 2] and converge there
+    mu = reduced_chemical_potential(t, regime)
+    assert -50.0 * t < mu < 0.0
+    assert abs(number_integral(mu, t, regime) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3])
+def test_reduced_chemical_potential_rejects_bad_temperature(bad):
+    with pytest.raises(DomainError, match="reduced temperature"):
+        reduced_chemical_potential(bad, NR)
+
+
+def test_per_temperature_caches_are_bounded():
+    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    # a hundred temperatures, each with a few kernel rules, fit without eviction
+    assert CACHE_SIZE > 300
+    for t in np.linspace(0.01, 0.5, CACHE_SIZE + 5):
+        reduced_chemical_potential(float(t), ER)
+    assert reduced_chemical_potential.cache_info().currsize == CACHE_SIZE
 
 
 def test_chemical_potential_dimensional():
