@@ -2,11 +2,14 @@
 
 Subcommands: eval (one point), zeta (distance constant), sweep (CSV grid),
 figure1 (preset pressure sweep), dwarf (white-dwarf report), avg (mean
-entanglement over the entangled window).  JSON goes to stdout, CSV to
+entanglement over the entangled window).  A sweep or figure1 is one
+``eos_grid`` call over its whole grid.  JSON goes to stdout, CSV to
 --out.  Exit codes: 0 success, 1 domain/numerical/IO error, 2 usage.
+The argument parser is built once, at the first ``main`` call.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -14,15 +17,10 @@ import sys
 import numpy as np
 
 from .constants import constants
-from .entanglement import Measure, average_entanglement, eos_evaluate
+from .entanglement import Measure, average_entanglement, eos_evaluate, eos_grid
 from .errors import DomainError, QuadratureError, SolverError
-from .exchange import solve_zeta
-from .fermi import (
-    GasRegime,
-    MuMode,
-    fermi_momentum_from_pressure,
-    pressure_from_entanglement_distance,
-)
+from .exchange import _validate_quad_tol, solve_zeta
+from .fermi import GasRegime, MuMode, pressure_from_entanglement_distance
 from .whitedwarf import WhiteDwarf, dwarf_report
 
 _CSV_HEADER = "r_m,P_Pa,T_K,x,f,C,EF_bits,entangled,re_m"
@@ -44,6 +42,7 @@ def _add_common(parser, mu_mode=True, tol=True):
                             help="quadrature tolerance (default 1e-10, or FGE_QUAD_TOL)")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fge",
@@ -59,7 +58,7 @@ def _build_parser():
 
     p = sub.add_parser("zeta", help="distance constant zeta(t)")
     p.add_argument("--t", type=float, default=0.0, help="reduced temperature T/T_F")
-    _add_common(p)
+    _add_common(p, tol=False)
 
     p = sub.add_parser("sweep", help="CSV sweep over pressure, distance, or temperature")
     p.add_argument("--var", choices=["pressure", "distance", "temperature"], required=True)
@@ -113,8 +112,7 @@ def _resolve_tol(args):
                 ) from None
     if tol is None:
         return _DEFAULT_TOL
-    if not (1e-14 <= tol <= 1e-6):
-        raise DomainError(f"quadrature tolerance must lie in [1e-14, 1e-06], got {tol!r}")
+    _validate_quad_tol(tol)
     return tol
 
 
@@ -126,27 +124,13 @@ def _mu_mode(args):
     return MuMode(args.mu_mode)
 
 
-def _format_value(value):
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path, rows):
+def _write_csv(path, grid):
+    columns = (grid.r, grid.p, grid.t, grid.x, grid.f, grid.concurrence,
+               grid.entropy_of_formation, grid.entangled.astype(int), grid.r_e)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CSV_HEADER + "\n")
-        for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
-
-
-def _rows_for(points, regime, mu_mode, tol):
-    rows = []
-    for r, p, temp in points:
-        report = eos_evaluate(r, p, temp, regime, mu_mode, tol)
-        x = fermi_momentum_from_pressure(p, regime) * r
-        rows.append((report.r, report.p, report.t, x, report.f, report.concurrence,
-                     report.entropy_of_formation, int(report.entangled), report.r_e))
-    return rows
+        for row in zip(*(column.tolist() for column in columns)):
+            handle.write(",".join(map(repr, row)) + "\n")
 
 
 def _grid(lo, hi, count, spacing):
@@ -157,8 +141,8 @@ def _grid(lo, hi, count, spacing):
     if spacing == "log":
         if not (lo > 0):
             raise _UsageError(f"log spacing requires --min > 0, got {lo!r}")
-        return [float(v) for v in np.geomspace(lo, hi, count)]
-    return [float(v) for v in np.linspace(lo, hi, count)]
+        return np.geomspace(lo, hi, count)
+    return np.linspace(lo, hi, count)
 
 
 def _cmd_eval(args, tol):
@@ -177,8 +161,8 @@ def _cmd_eval(args, tol):
     return 0
 
 
-def _cmd_zeta(args, tol):
-    result = solve_zeta(args.t, _regime(args), _mu_mode(args), tol)
+def _cmd_zeta(args):
+    result = solve_zeta(args.t, _regime(args), _mu_mode(args))
     print(json.dumps({
         "zeta": result.zeta,
         "t": result.t,
@@ -193,16 +177,16 @@ def _cmd_sweep(args, tol):
     if args.var == "pressure":
         if args.r is None:
             raise _UsageError("--r is required for a pressure sweep")
-        points = [(args.r, v, args.T) for v in grid]
+        points = (args.r, grid, args.T)
     elif args.var == "distance":
         if args.P is None:
             raise _UsageError("--P is required for a distance sweep")
-        points = [(v, args.P, args.T) for v in grid]
+        points = (grid, args.P, args.T)
     else:
         if args.r is None or args.P is None:
             raise _UsageError("--r and --P are required for a temperature sweep")
-        points = [(args.r, args.P, v) for v in grid]
-    _write_csv(args.out, _rows_for(points, _regime(args), _mu_mode(args), tol))
+        points = (args.r, args.P, grid)
+    _write_csv(args.out, eos_grid(*points, _regime(args), _mu_mode(args), tol))
     return 0
 
 
@@ -212,8 +196,7 @@ def _cmd_figure1(args, tol):
     p_lo = pressure_from_entanglement_distance(1e-8, regime, zeta0)
     p_hi = 4.0 * pressure_from_entanglement_distance(1e-10, regime, zeta0)
     grid = _grid(p_lo, p_hi, args.count, "log")
-    points = [(1e-10, v, 0.0) for v in grid]
-    _write_csv(args.out, _rows_for(points, regime, MuMode.EXACT_NORMALIZATION, tol))
+    _write_csv(args.out, eos_grid(1e-10, grid, 0.0, regime, MuMode.EXACT_NORMALIZATION, tol))
     return 0
 
 
@@ -284,7 +267,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = _DISPATCH[args.command]
     try:
-        # only the commands whose results depend on the quadrature take --tol
+        # only the commands whose results depend on the quadrature tolerance take --tol
         if "tol" in vars(args):
             return command(args, _resolve_tol(args))
         return command(args)

@@ -2,12 +2,14 @@
 
 The two-spin reduced state of a randomly chosen electron pair is a
 Werner mixture controlled by f^2 alone.  Closed forms give the
-separability predicate, concurrence, and entropy of formation; the
-matrix-level Wootters and partial-transpose routines are independent
-oracles for those closed forms, not alternative fast paths.
+separability predicate, concurrence, and entropy of formation, each for
+a scalar or an array of f; the matrix-level Wootters and
+partial-transpose routines are independent oracles for those closed
+forms, not alternative fast paths.  ``eos_grid`` evaluates the whole
+pipeline (r, P, T) -> f -> measures on arrays, one amplitude call per
+distinct reduced temperature; ``eos_evaluate`` is its one-point view.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exchange import (
-    f_from_pressure,
+    _validate_quad_tol,
     f_zero_temperature,
     solve_zeta,
     thermal_amplitude,
@@ -24,8 +26,8 @@ from .fermi import (
     GasRegime,
     MuMode,
     entanglement_distance,
-    fermi_momentum_from_pressure,
     reduced_chemical_potential,
+    reduced_inputs,
 )
 from .quadrature import integrate_refined
 
@@ -60,6 +62,27 @@ class TwoSpinState:
     f_source: float
 
 
+@dataclass(frozen=True, eq=False)
+class EosGrid:
+    """The equation of state on a grid of points, one array per quantity.
+
+    Every field has the broadcast shape of the (r, P, T) inputs: ``r`` in
+    m, ``p`` in Pa, ``t`` in K, ``x`` = k_F r, the amplitude ``f``, the
+    measures (``entropy_of_formation`` in bits) and the entanglement
+    distance ``r_e`` in m.
+    """
+
+    f: np.ndarray
+    entangled: np.ndarray
+    concurrence: np.ndarray
+    entropy_of_formation: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    r_e: np.ndarray
+
+
 @dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement summary at one evaluation point.
@@ -80,47 +103,59 @@ class EntanglementReport:
     r_e: float
 
 
-def _validate_amplitude(f: float) -> None:
-    if not (abs(f) <= 1.0):
-        raise DomainError(f"exchange amplitude must satisfy |f| <= 1, got {f!r}")
+def _amplitudes(f) -> np.ndarray:
+    """``f`` as a float array, after checking |f| <= 1 everywhere."""
+    arr = np.asarray(f, dtype=float)
+    ok = np.abs(arr) <= 1.0
+    if not ok.all():
+        bad = arr[~ok].flat[0]
+        raise DomainError(f"exchange amplitude must satisfy |f| <= 1, got {float(bad)!r}")
+    return arr
+
+
+def _scalar_or_array(values, like: np.ndarray):
+    """``values`` as a Python scalar when the input ``like`` was 0-d."""
+    return values.item() if like.ndim == 0 else values
 
 
 def werner_state_from_f(f: float) -> TwoSpinState:
     """Unit-trace two-spin state (I - f^2 SWAP) / (4 - 2 f^2)."""
-    _validate_amplitude(f)
+    f = _amplitudes(f).item()
     f2 = f * f
     matrix = (np.eye(4, dtype=complex) - f2 * _SWAP) / (4.0 - 2.0 * f2)
-    return TwoSpinState(matrix=matrix, f_source=float(f))
+    return TwoSpinState(matrix=matrix, f_source=f)
 
 
-def is_entangled(f: float) -> bool:
-    """Separability predicate: entangled iff f^2 exceeds 1/2 strictly."""
-    _validate_amplitude(f)
-    return bool(f * f > 0.5)
+def is_entangled(f):
+    """Separability predicate: entangled iff f^2 exceeds 1/2 strictly (scalar or array)."""
+    arr = _amplitudes(f)
+    return _scalar_or_array(arr * arr > 0.5, arr)
 
 
-def concurrence_closed_form(f: float) -> float:
-    """Concurrence of the induced state, max{(2 f^2 - 1)/(2 - f^2), 0}."""
-    _validate_amplitude(f)
-    f2 = f * f
-    return max((2.0 * f2 - 1.0) / (2.0 - f2), 0.0)
+def concurrence_closed_form(f):
+    """Concurrence of the induced state, max{(2 f^2 - 1)/(2 - f^2), 0} (scalar or array)."""
+    arr = _amplitudes(f)
+    f2 = arr * arr
+    return _scalar_or_array(np.maximum((2.0 * f2 - 1.0) / (2.0 - f2), 0.0), arr)
 
 
-def _binary_entropy(y: float) -> float:
-    total = 0.0
-    for p in (y, 1.0 - y):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+def entropy_of_formation(f):
+    """Entropy of formation in bits, h((1 + sqrt(1 - C^2))/2) (scalar or array).
+
+    h(y) = -y log2 y - (1 - y) log2(1 - y) is the binary entropy; where
+    C = 0, y = 1 and the value is exactly 0.
+    """
+    c = np.asarray(concurrence_closed_form(f))
+    return _scalar_or_array(_entropy_of_concurrence(c), c)
 
 
-def entropy_of_formation(f: float) -> float:
-    """Entropy of formation in bits, h((1 + sqrt(1 - C^2))/2)."""
-    c = concurrence_closed_form(f)
-    if c == 0.0:
-        return 0.0
-    spread = math.sqrt(max(1.0 - c * c, 0.0))
-    return _binary_entropy(0.5 * (1.0 + spread))
+def _entropy_of_concurrence(c: np.ndarray) -> np.ndarray:
+    y = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0)))
+    rest = 1.0 - y
+    # 0 log2 0 = 0: the logarithm is 0 where rest is
+    log_rest = np.log2(rest, out=np.zeros_like(rest), where=rest > 0.0)
+    # starting from 0.0 makes the separable value +0.0 rather than -0.0
+    return 0.0 - y * np.log2(y) - rest * log_rest
 
 
 def _validate_state(state: TwoSpinState) -> np.ndarray:
@@ -159,50 +194,74 @@ def ppt_min_eigenvalue(state: TwoSpinState) -> float:
     return float(np.linalg.eigvalsh(transposed)[0])
 
 
-def eos_evaluate(separation: float, pressure: float, temperature: float,
-                 regime: GasRegime, mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
-                 tol: float = 1e-10) -> EntanglementReport:
-    """Full pipeline: (r, P, T) -> exchange amplitude -> entanglement report.
+def eos_grid(separation, pressure, temperature, regime: GasRegime,
+             mu_mode: MuMode = MuMode.EXACT_NORMALIZATION, tol: float = 1e-10) -> EosGrid:
+    """The equation of state on a grid: arrays of (r, P, T) -> amplitude and measures.
 
-    The amplitude is clamped into [-1, 1] before the closed forms; the
-    approximate-mu mode can overshoot 1 near zero separation by O(t^2),
-    which is an artifact of pinning mu to the Fermi energy.
+    ``separation``, ``pressure`` and ``temperature`` broadcast together;
+    each is checked once and reduced to x = k_F r and t = T/T_F as array
+    expressions.  The points are grouped by t, and each distinct t costs
+    one chemical-potential solve, one zeta solve and one amplitude call
+    on all of its x (``f_zero_temperature`` at t = 0, else one batched
+    ``thermal_amplitude``).  The amplitude is clamped into [-1, 1] before
+    the closed forms; the approximate-mu mode can overshoot 1 near zero
+    separation by O(t^2), which is an artifact of pinning mu to the Fermi
+    energy.
     """
-    amp = f_from_pressure(separation, pressure, temperature, regime, mu_mode, tol)
-    f_used = min(max(amp.value, -1.0), 1.0)
-    zeta = solve_zeta(amp.coords.t, regime, mu_mode)
-    k_f = fermi_momentum_from_pressure(pressure, regime)
-    return EntanglementReport(
-        f=float(amp.value),
-        entangled=is_entangled(f_used),
-        concurrence=concurrence_closed_form(f_used),
-        entropy_of_formation=entropy_of_formation(f_used),
-        r=float(separation),
-        p=float(pressure),
-        t=float(temperature),
-        regime=regime,
-        r_e=entanglement_distance(k_f, zeta.zeta),
+    _validate_quad_tol(tol)
+    r, p, temp, k_f, x, t = reduced_inputs(separation, pressure, temperature, regime)
+    xs, ts = x.reshape(-1), t.reshape(-1)
+    f = np.empty(xs.shape)
+    zeta = np.empty(xs.shape)
+    groups = sorted(set(ts.tolist()))
+    for t_group in groups:
+        # one t (every 0-d call and most sweeps) takes all points, unmasked
+        members = ts == t_group if len(groups) > 1 else slice(None)
+        if t_group == 0.0:
+            f[members] = f_zero_temperature(xs[members])
+        else:
+            mu_tilde = reduced_chemical_potential(t_group, regime, mu_mode)
+            f[members] = thermal_amplitude(xs[members], t_group, mu_tilde, regime, tol)[0]
+        zeta[members] = solve_zeta(t_group, regime, mu_mode).zeta
+    f_used = np.minimum(np.maximum(f, -1.0), 1.0)
+    concurrence = concurrence_closed_form(f_used)
+    return EosGrid(
+        f=f.reshape(x.shape),
+        entangled=is_entangled(f_used).reshape(x.shape),
+        concurrence=concurrence.reshape(x.shape),
+        entropy_of_formation=_entropy_of_concurrence(concurrence).reshape(x.shape),
+        r=r,
+        p=p,
+        t=temp,
+        x=x,
+        r_e=entanglement_distance(k_f.reshape(-1), zeta).reshape(x.shape),
     )
 
 
-def _concurrence_of_amplitudes(f: np.ndarray) -> np.ndarray:
-    f2 = f * f
-    return np.maximum((2.0 * f2 - 1.0) / (2.0 - f2), 0.0)
+def eos_evaluate(separation: float, pressure: float, temperature: float,
+                 regime: GasRegime, mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
+                 tol: float = 1e-10) -> EntanglementReport:
+    """Full pipeline at one point: (r, P, T) -> exchange amplitude -> entanglement report.
 
-
-def _eof_of_amplitudes(f: np.ndarray) -> np.ndarray:
-    c = _concurrence_of_amplitudes(f)
-    y = 0.5 * (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None)))
-    out = np.zeros_like(y)
-    interior = (y > 0.0) & (y < 1.0)
-    yi = y[interior]
-    out[interior] = -yi * np.log2(yi) - (1.0 - yi) * np.log2(1.0 - yi)
-    return out
+    The 0-d case of ``eos_grid``.
+    """
+    grid = eos_grid(separation, pressure, temperature, regime, mu_mode, tol)
+    return EntanglementReport(
+        f=grid.f.item(),
+        entangled=grid.entangled.item(),
+        concurrence=grid.concurrence.item(),
+        entropy_of_formation=grid.entropy_of_formation.item(),
+        r=grid.r.item(),
+        p=grid.p.item(),
+        t=grid.t.item(),
+        regime=regime,
+        r_e=grid.r_e.item(),
+    )
 
 
 _MEASURE_MAPS = {
-    Measure.CONCURRENCE: _concurrence_of_amplitudes,
-    Measure.ENTROPY_OF_FORMATION: _eof_of_amplitudes,
+    Measure.CONCURRENCE: concurrence_closed_form,
+    Measure.ENTROPY_OF_FORMATION: entropy_of_formation,
 }
 
 
@@ -215,7 +274,8 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     Integration uses high-order panels with a geometric cascade toward
     the upper endpoint, where the entropy of formation has a mild
     C^2 log C singularity in its higher derivatives.  At finite t each
-    panel's abscissas are one batched ``thermal_amplitude`` call.
+    panel's abscissas are one batched ``thermal_amplitude`` call.  As in
+    ``eos_grid``, the amplitude is clamped into [-1, 1] before the measure.
     """
     if measure not in _MEASURE_MAPS:
         raise DomainError(f"unknown entanglement measure {measure!r}")
@@ -223,13 +283,15 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     measure_of = _MEASURE_MAPS[measure]
 
     if t == 0.0:
-        def integrand(xs):
-            return measure_of(f_zero_temperature(xs))
+        amplitude = f_zero_temperature
     else:
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
-        def integrand(xs):
-            return measure_of(thermal_amplitude(xs, t, mu_tilde, regime, 1e-10)[0])
+        def amplitude(xs):
+            return thermal_amplitude(xs, t, mu_tilde, regime, 1e-10)[0]
+
+    def integrand(xs):
+        return measure_of(np.minimum(np.maximum(amplitude(xs), -1.0), 1.0))
 
     edges = [zeta * (1.0 - 0.5 ** k) for k in range(31)] + [zeta]
     value, _ = integrate_refined(

@@ -14,27 +14,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
-from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError, SolverError
 from .fermi import (
     CACHE_SIZE,
     GasRegime,
     MuMode,
-    fermi_momentum_from_pressure,
-    fermi_temperature,
     kernel_rule,
     reduced_chemical_potential,
+    reduced_inputs,
 )
 
 # switch from the closed form 3(sin x - x cos x)/x^3 to its power series
 # below this point; the closed form loses ~5 digits to cancellation near
-# x ~ 1e-3, while the series at 0.25 is converged to ~1e-17
+# x ~ 1e-3, while the series to x^12 is converged at 0.25 (its first
+# omitted term, k = 7, is 5e-22 there)
 _SERIES_CROSSOVER = 0.25
 # k-th series coefficient of f(x,0) in powers of x^2
-_SERIES_COEFFS = np.array(
-    [(-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(9)]
+_SERIES_COEFFS = tuple(
+    (-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(7)
 )
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
@@ -42,6 +40,8 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 _MAX_LEVEL = 6
 # f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
 _BLOCK = 8192
+# Brent refinement of zeta: absolute and relative x tolerances, iteration cap
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
 
 
 def _validate_quad_tol(tol: float) -> None:
@@ -98,24 +98,42 @@ def f_zero_temperature(x):
 
     Small arguments use the alternating series 1 - x^2/10 + x^4/280 - ...
     so the value stays accurate to full precision through the crossover.
+    Above it the closed form divides by x one factor at a time,
+    3((sin x / x - cos x)/x)/x, so no power of x is formed and every finite
+    x stays within |f0(x)| <= 3(1 + x)/x^3 without overflow.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    flat = arr.reshape(-1)
+    if (flat < 0).any():
         raise DomainError(f"reduced separation must be nonnegative, got {x!r}")
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
+    # the closed form everywhere, with small x lifted to the crossover to
+    # stay clear of 0/0; the series then replaces those entries
+    xb = np.maximum(flat, _SERIES_CROSSOVER)
+    out = np.sin(xb)
+    out /= xb
+    out -= np.cos(xb)
+    out /= xb
+    out /= xb
+    out *= 3.0
     small = flat < _SERIES_CROSSOVER
     if small.any():
-        out[small] = polyval(flat[small] ** 2, _SERIES_COEFFS)
-    if (~small).any():
-        xb = flat[~small]
-        out[~small] = 3.0 * (np.sin(xb) - xb * np.cos(xb)) / xb ** 3
+        y = flat[small]
+        y *= y
+        series = _SERIES_COEFFS[-1] * y
+        for coeff in _SERIES_COEFFS[-2:0:-1]:
+            series += coeff
+            series *= y
+        series += _SERIES_COEFFS[0]
+        out[small] = series
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _kernel_sum(xs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j f0(x nodes_j) for every x, in blocks of at most _BLOCK entries."""
-    out = np.zeros(len(xs))
+    """sum_j weights[j, c] f0(x nodes_j) for every x and weight column c.
+
+    f0 is evaluated in blocks of at most _BLOCK entries.
+    """
+    out = np.zeros((len(xs), weights.shape[1]))
     cols = min(len(nodes), _BLOCK)
     rows = _BLOCK // cols
     for j in range(0, len(nodes), cols):
@@ -147,9 +165,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
         raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
     for level in range(_MAX_LEVEL + 1):
         rule = kernel_rule(mu_tilde, t, regime, x_max, level)
-        value = _kernel_sum(flat, rule.nodes, rule.weights)
-        err = float(np.max(np.abs(value - _kernel_sum(flat, rule.nodes_lo, rule.weights_lo)),
-                           initial=0.0))
+        value, value_lo = _kernel_sum(flat, rule.nodes, rule.weights).T
+        err = float(np.max(np.abs(value - value_lo), initial=0.0))
         if not math.isfinite(err):
             raise QuadratureError(
                 f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
@@ -184,26 +201,74 @@ def f_from_pressure(separation: float, pressure: float, temperature: float,
                     tol: float = 1e-10) -> ExchangeAmplitude:
     """Exchange amplitude of the gas at the given pressure, evaluated at a pair separation.
 
-    The dimensional inputs collapse to ReducedCoordinates through the
-    pressure -> Fermi momentum inversion; the amplitude depends on the
-    inputs only through those reduced numbers.
+    The dimensional inputs collapse to ReducedCoordinates through
+    ``fermi.reduced_inputs`` (the pressure -> Fermi momentum inversion);
+    the amplitude depends on the inputs only through those reduced numbers.
     """
-    if not (0 < separation < math.inf):
-        raise DomainError(f"separation must be finite and positive, got {separation!r}")
-    if not (0 < pressure < math.inf):
-        raise DomainError(f"pressure must be finite and positive, got {pressure!r}")
-    if not (0 <= temperature < math.inf):
-        raise DomainError(f"temperature must be finite and nonnegative, got {temperature!r}")
-    k_f = fermi_momentum_from_pressure(pressure, regime)
-    x = k_f * separation
-    if temperature == 0.0:
+    *_, x, t = reduced_inputs(separation, pressure, temperature, regime)
+    x, t = x.item(), t.item()
+    if t == 0.0:
         coords = ReducedCoordinates(x=x, t=0.0, mu_tilde=1.0, regime=regime)
         return ExchangeAmplitude(value=f_zero_temperature(x), coords=coords,
                                  quadrature_error_estimate=0.0)
-    t = temperature / fermi_temperature(k_f, regime)
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
     coords = ReducedCoordinates(x=x, t=t, mu_tilde=mu_tilde, regime=regime)
     return f_finite_temperature(coords, tol)
+
+
+def _brent(fn, a: float, b: float) -> float:
+    """Root of ``fn`` on a bracket [a, b] where it changes sign, by Brent's method.
+
+    Each step takes the secant or inverse quadratic estimate through the
+    last iterates when it lies well inside the bracket and shrinks the
+    step fast enough, else bisects.  Converged once half the bracket is
+    below (_BRENT_XTOL + _BRENT_RTOL |x|)/2: the rule and the step choice
+    of ``scipy.optimize.brentq``, which the tests use as the reference.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = fn(x_pre), fn(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise SolverError(f"Brent bracket [{a!r}, {b!r}] has no sign change")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
+            # the root lies between x_cur and x_pre: x_pre becomes the far end
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            # x_cur is always the end with the smaller residual
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = fn(x_cur)
+    raise SolverError(
+        f"Brent refinement did not converge in {_BRENT_MAXITER} steps on [{a!r}, {b!r}]"
+    )
 
 
 # x = 0 (the origin check) followed by the scan grid of the bracket search
@@ -257,8 +322,7 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     if gaps[k] == 0.0:
         root = float(grid[k])
     else:
-        root = brentq(gap, float(grid[k]), float(grid[k + 1]), xtol=1e-13,
-                      rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        root = _brent(gap, float(grid[k]), float(grid[k + 1]))
     residual = abs(amplitude(root) ** 2 - 0.5)
     if not (residual < 1e-10):
         raise SolverError(

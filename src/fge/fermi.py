@@ -26,7 +26,7 @@ from .quadrature import gauss_legendre
 THREE_PI_SQ = 3.0 * math.pi ** 2
 
 # maxsize of every per-temperature cache: chemical potential, distance
-# constant and kernel rules (a few rules per temperature)
+# constant, kernel rules (a few rules per temperature) and panel widths
 CACHE_SIZE = 1024
 # e-foldings of occupancy decay kept before the integration range is truncated
 _THERMAL_DECADES = 45.0
@@ -65,14 +65,36 @@ class MuMode(Enum):
     EXACT_NORMALIZATION = "exact"
 
 
+def _require_all(name: str, values: np.ndarray, ok: np.ndarray, requirement: str) -> None:
+    """Raise a DomainError naming ``name`` and its first value where ``ok`` fails."""
+    if not ok.all():
+        bad = values[~ok].flat[0]
+        raise DomainError(f"{name} must {requirement}, got {float(bad)!r}")
+
+
 def _require_positive(name: str, value) -> None:
-    if not (value > 0):
+    if isinstance(value, np.ndarray):
+        if not (value.min(initial=math.inf) > 0):
+            _require_all(name, value, value > 0, "be positive")
+    elif not (value > 0):
         raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 def _require_nonnegative(name: str, value) -> None:
     if not (value >= 0):
         raise DomainError(f"{name} must be nonnegative, got {value!r}")
+
+
+def _pow(base, exponent: float):
+    """``base ** exponent`` through the C library's pow, entry by entry for an array.
+
+    numpy's vectorised power differs from it in the last bit for some
+    inputs, and ``float_power`` does not.  The reduced temperature keys the
+    per-temperature caches, so a point must reduce to the same bits whether
+    it comes alone, as a Python float, or inside an array.
+    """
+    out = np.float_power(base, exponent)
+    return out if isinstance(base, np.ndarray) else float(out)
 
 
 # === conversions among density, momentum, pressure, distance ===
@@ -95,7 +117,7 @@ def fermi_energy(fermi_momentum: float, regime: GasRegime) -> float:
     _require_positive("fermi momentum", fermi_momentum)
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
-        return (c.hbar * fermi_momentum) ** 2 / (2.0 * c.electron_mass)
+        return _pow(c.hbar * fermi_momentum, 2.0) / (2.0 * c.electron_mass)
     return c.hbar * c.light_speed * fermi_momentum
 
 
@@ -118,8 +140,8 @@ def fermi_momentum_from_pressure(pressure: float, regime: GasRegime) -> float:
     _require_positive("pressure", pressure)
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
-        return (15.0 * math.pi ** 2 * c.electron_mass * pressure / c.hbar ** 2) ** 0.2
-    return (12.0 * math.pi ** 2 * pressure / (c.hbar * c.light_speed)) ** 0.25
+        return _pow(15.0 * math.pi ** 2 * c.electron_mass * pressure / c.hbar ** 2, 0.2)
+    return _pow(12.0 * math.pi ** 2 * pressure / (c.hbar * c.light_speed), 0.25)
 
 
 def density_from_pressure(pressure: float, regime: GasRegime) -> float:
@@ -148,6 +170,47 @@ def pressure_from_entanglement_distance(distance: float, regime: GasRegime, zeta
     _require_positive("entanglement distance", distance)
     _require_positive("zeta", zeta)
     return pressure_from_fermi_momentum(zeta / distance, regime)
+
+
+def reduced_inputs(separation, pressure, temperature, regime: GasRegime) -> tuple:
+    """Pair separations r (m), pressures P (Pa) and temperatures T (K) in reduced form.
+
+    The inputs broadcast together and each is checked once, as a whole
+    array: the first bad value raises a DomainError that names its input,
+    and so does a finite input whose Fermi momentum, x or t leaves the
+    float range.  Returns the float arrays (r, P, T, k_F, x = k_F r,
+    t = T/T_F), all of the broadcast shape.
+    """
+    try:
+        r, p, temp = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (separation, pressure, temperature)))
+    except ValueError:
+        raise DomainError(
+            "separation, pressure and temperature must broadcast together, got shapes "
+            f"{np.shape(separation)}, {np.shape(pressure)} and {np.shape(temperature)}"
+        ) from None
+    shape = r.shape
+    # flat 1-d arrays, so that every operation below returns an array
+    r, p, temp = r.reshape(-1), p.reshape(-1), temp.reshape(-1)
+    # one pass of reductions; only a failure looks for the input to name
+    if not (r.min(initial=1.0) > 0 and p.min(initial=1.0) > 0 and temp.min(initial=0.0) >= 0
+            and max(r.max(initial=0.0), p.max(initial=0.0), temp.max(initial=0.0)) < math.inf):
+        _require_all("separation", r, (r > 0) & (r < math.inf), "be finite and positive")
+        _require_all("pressure", p, (p > 0) & (p < math.inf), "be finite and positive")
+        _require_all("temperature", temp, (temp >= 0) & (temp < math.inf),
+                     "be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        k_f = fermi_momentum_from_pressure(p, regime)
+        x = k_f * r
+        # an infinite k_F makes x infinite too
+        if not (k_f.min(initial=1.0) > 0 and x.max(initial=0.0) < math.inf):
+            _require_all("pressure", p, (k_f > 0) & (k_f < math.inf),
+                         "give a positive, finite Fermi momentum")
+            _require_all("separation", r, x < math.inf, "be small enough for a finite k_F r")
+        t = temp / fermi_temperature(k_f, regime)
+        if not (t.max(initial=0.0) < math.inf):
+            _require_all("temperature", temp, t < math.inf, "be small enough for a finite T/T_F")
+    return tuple(a.reshape(shape) for a in (r, p, temp, k_f, x, t))
 
 
 # === dispersion and occupation ===
@@ -222,16 +285,16 @@ def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KernelRule:
-    """Composite Gauss rule with int u^3 g(u) (-dn/du) du ~ sum_j weights_j g(nodes_j).
+    """Two composite Gauss rules, int u^3 g(u) (-dn/du) du ~ sum_j weights[j, c] g(nodes_j).
 
-    ``nodes_lo``/``weights_lo`` are a lower-order rule on the same panels;
-    the difference between the two sums is the error estimate.
+    Column c = 0 of ``weights`` is the rule, column 1 a lower-order rule on
+    the same panels whose gap to it is the error estimate.  The nodes of
+    both are in ``nodes``, each with weight 0 in the other column, so that
+    one evaluation of g serves both sums.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    nodes_lo: np.ndarray
-    weights_lo: np.ndarray
 
 
 def _kernel_density(s: np.ndarray) -> np.ndarray:
@@ -263,22 +326,36 @@ def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
     return np.sqrt(d) if regime is GasRegime.NONRELATIVISTIC else d
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple[np.ndarray, np.ndarray]:
+    """Widths in u of the level-0 panels, and the pieces each needs whatever x is.
+
+    With nodes spaced in u, a piece is at most 1/pi of its distance to the
+    kernel pole u = sqrt(mu + i pi t), the ratio that unit panels have to
+    the poles s = +-i pi in s; otherwise one piece per panel suffices.
+    """
+    _, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
+    widths = np.diff(u_edges)
+    floor = np.zeros_like(widths)
+    if in_u:
+        pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
+        nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
+        floor = math.pi * widths / np.abs(pole - nearest)
+    for array in (widths, floor):
+        array.flags.writeable = False  # every caller of the cache shares them
+    return widths, floor
+
+
 def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
                    level: int = 0) -> np.ndarray:
     """Pieces each level-0 panel is cut into so that the rule resolves f0(x u), x <= x_max.
 
-    A piece spans at most _PHASE_PER_PANEL radians of f0(x_max u).  With
-    nodes spaced in u, a piece is also at most 1/pi of its distance to the
-    kernel pole u = sqrt(mu + i pi t), the ratio that unit panels have to
-    the poles s = +-i pi in s.  Each level then halves every piece.
+    A piece spans at most _PHASE_PER_PANEL radians of f0(x_max u), and no
+    fewer pieces than ``_kernel_widths`` asks for near the kernel pole.
+    Each level then halves every piece.
     """
-    _, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
-    widths = np.diff(u_edges)
-    pieces = x_max * widths / _PHASE_PER_PANEL
-    if in_u:
-        pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
-        nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
-        pieces = np.maximum(pieces, math.pi * widths / np.abs(pole - nearest))
+    widths, floor = _kernel_widths(mu_tilde, t, regime)
+    pieces = np.maximum(x_max * widths / _PHASE_PER_PANEL, floor)
     pieces = np.maximum(np.ceil(pieces), 1.0) * 2.0 ** level
     nodes = float(pieces.sum()) * _ORDER_HI
     if not (nodes <= _MAX_KERNEL_NODES):
@@ -317,11 +394,15 @@ def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, order: int,
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
     counts = np.frombuffer(splits, dtype=np.int64)
-    arrays = (*_kernel_nodes(mu_tilde, t, regime, _ORDER_HI, counts),
-              *_kernel_nodes(mu_tilde, t, regime, _ORDER_LO, counts))
-    for array in arrays:
+    nodes_hi, weights_hi = _kernel_nodes(mu_tilde, t, regime, _ORDER_HI, counts)
+    nodes_lo, weights_lo = _kernel_nodes(mu_tilde, t, regime, _ORDER_LO, counts)
+    nodes = np.concatenate((nodes_hi, nodes_lo))
+    weights = np.zeros((len(nodes), 2))
+    weights[:len(nodes_hi), 0] = weights_hi
+    weights[len(nodes_hi):, 1] = weights_lo
+    for array in (nodes, weights):
         array.flags.writeable = False  # every caller of the cache shares them
-    return KernelRule(*arrays)
+    return KernelRule(nodes, weights)
 
 
 def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0,

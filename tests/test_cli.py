@@ -5,16 +5,23 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from fge import (
     GasRegime,
+    MuMode,
     concurrence_closed_form,
+    eos_evaluate,
     fermi_momentum_from_pressure,
     fermi_temperature,
+    pressure_from_fermi_momentum,
+    reduced_chemical_potential,
+    reduced_occupancy,
     solve_zeta,
 )
 from fge.cli import _CSV_HEADER, main
+from fge.fermi import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 
@@ -173,6 +180,58 @@ def test_figure1_csv(tmp_path, capsys):
     assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--count", "12"],
+    ["sweep", "--var", "pressure", "--min", "1e8", "--max", "1e13", "--r", "1.3e-10",
+     "--count", "15", "--regime", "rel"],
+    ["sweep", "--var", "distance", "--min", "1e-12", "--max", "1e-9", "--P", "3e10", "--count", "15"],
+    ["sweep", "--var", "distance", "--min", "1e-12", "--max", "1e-9", "--P", "1e9", "--T", "5e3",
+     "--count", "15"],
+    ["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e10", "--r", "1e-10", "--T", "1e4",
+     "--count", "5", "--mu-mode", "fermi"],
+    ["sweep", "--var", "temperature", "--min", "1e2", "--max", "1e5", "--r", "1e-10", "--P", "1e9",
+     "--count", "5", "--regime", "rel", "--spacing", "linear"],
+])
+def test_csv_rows_match_point_evaluations(argv, tmp_path, capsys):
+    # a sweep is one grid evaluation; each row must still be the one-point pipeline
+    out_csv = tmp_path / "grid.csv"
+    assert run_cli(argv + ["--out", str(out_csv)], capsys)[0] == 0
+    regime = GasRegime.EXTREME_RELATIVISTIC if "rel" in argv else NR
+    mu_mode = MuMode.FERMI_ENERGY_APPROX if "fermi" in argv else MuMode.EXACT_NORMALIZATION
+    _, rows = read_rows(out_csv)
+    for r_m, p_pa, t_k, x, f, c, ef, entangled, re_m in rows:
+        point = eos_evaluate(r_m, p_pa, t_k, regime, mu_mode)
+        assert x == fermi_momentum_from_pressure(p_pa, regime) * r_m
+        assert abs(f - point.f) <= 1e-13
+        assert abs(c - point.concurrence) <= 1e-13
+        assert abs(ef - point.entropy_of_formation) <= 1e-13
+        assert entangled == int(point.entangled)
+        assert re_m == point.r_e
+
+
+def test_thermal_pressure_sweep_against_dense_oracle(tmp_path, capsys):
+    # every point of a pressure sweep at fixed (r, T) has its own t, hence its
+    # own mu and kernel rule; each must meet the 1e-8 bound of a dense
+    # midpoint integration of (3/x) int u n(u) sin(ux) du
+    out_csv = tmp_path / "thermal.csv"
+    k_lo, k_hi = 4e9, 1e10
+    argv = ["sweep", "--var", "pressure", "--count", "4", "--r", repr(1.5 / k_lo),
+            "--min", repr(pressure_from_fermi_momentum(k_lo, NR)),
+            "--max", repr(pressure_from_fermi_momentum(k_hi, NR)),
+            "--T", repr(0.3 * fermi_temperature(k_lo, NR)), "--out", str(out_csv)]
+    assert run_cli(argv, capsys)[0] == 0
+    _, rows = read_rows(out_csv)
+    nodes = 2_000_000
+    for _, p_pa, t_k, x, f, *_ in rows:
+        t = t_k / fermi_temperature(fermi_momentum_from_pressure(p_pa, NR), NR)
+        mu = reduced_chemical_potential(t, NR)
+        du = occupancy_cutoff(mu + 15.0 * t, t, NR) / nodes
+        u = (np.arange(nodes) + 0.5) * du
+        oracle = 3.0 / x * float((u * reduced_occupancy(u, mu, t, NR) * du) @ np.sin(u * x))
+        assert abs(f - oracle) < 1e-8
+    assert len({row[2] for row in rows}) == 1 and len({row[1] for row in rows}) == 4
+
+
 # === exit codes ===
 
 
@@ -221,6 +280,36 @@ def test_non_finite_inputs_exit_1(argv, fragment, capsys):
 @pytest.mark.parametrize(
     "argv, fragment",
     [
+        (["eval", "--r", "1e-10", "--P", "1e300"], "pressure"),
+        (["eval", "--r", "1e-10", "--P", "1e-300", "--T", "1e3"], "pressure"),
+        (["eval", "--r", "1e300", "--P", "1e30"], "separation"),
+        (["eval", "--r", "1e-10", "--P", "1e-290", "--T", "1e308"], "temperature"),
+    ],
+)
+def test_inputs_leaving_the_float_range_exit_1(argv, fragment, capsys):
+    # finite inputs whose k_F, x or t overflows (or k_F underflows) are named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fge: error:") and fragment in err
+
+
+def test_huge_separation_is_bounded_without_warnings(capsys):
+    # f0 divides by x one factor at a time: |f| <= 3 (1 + x) / x^3, no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--r", "1e200", "--P", "1e9"], capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    x = fermi_momentum_from_pressure(1e9, NR) * 1e200
+    assert abs(payload["f"]) <= 3.0 * (1.0 + x) / x / x / x
+    assert payload["entangled"] is False and payload["concurrence"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
         (["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11",
           "--out", "x.csv"], "--r is required"),
         (["sweep", "--var", "distance", "--min", "1e-11", "--max", "1e-9",
@@ -258,9 +347,11 @@ def test_argparse_failures_exit_2(argv, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [["avg", "--tol", "1e-6"], ["dwarf", "--tol", "1e-6"]])
+@pytest.mark.parametrize("argv", [["avg", "--tol", "1e-6"], ["dwarf", "--tol", "1e-6"],
+                                  ["zeta", "--tol", "1e-6"]])
 def test_tolerance_flag_rejected_where_unused(argv, capsys):
-    # avg and dwarf run no tolerance-controlled quadrature, so --tol is unknown there
+    # avg and dwarf run no tolerance-controlled quadrature, and zeta always
+    # runs its own at 1e-12, so --tol is unknown there
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert "--tol" in err
@@ -299,7 +390,49 @@ def test_flag_overrides_env(monkeypatch, capsys):
     assert run_cli(["eval", "--r", "1e-10", "--P", "1e9", "--tol", "1e-10"], capsys)[0] == 0
 
 
+# === one parser for every call ===
+
+
+SEQUENCE = [
+    ["eval", "--r", "1e-10", "--P", "1e9", "--T", "5"],
+    ["eval", "--r", "1e-10", "--P", "1e9"],                 # --T falls back to 0
+    ["zeta", "--t", "0.05", "--regime", "rel", "--mu-mode", "fermi"],
+    ["zeta"],                                               # nonrel, exact, t = 0
+    ["avg", "--measure", "eof", "--regime", "rel"],
+    ["avg"],
+    ["dwarf", "--M-solar", "1.1", "--Z", "8", "--A", "16"],
+    ["dwarf"],
+]
+
+
+def test_calls_in_a_row_match_fresh_processes(capsys):
+    # the parser is built once; no flag of one call may leak into the next
+    in_process = []
+    for argv in SEQUENCE:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        in_process.append(out)
+    for argv, out in zip(SEQUENCE, in_process):
+        proc = subprocess.run([sys.executable, "-m", "fge", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == out
+    assert json.loads(in_process[1])["t"] == 0.0
+
+
 # === module execution ===
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fge, fge.cli; print('scipy' in sys.modules or "
+         "any(name.startswith('scipy.') for name in sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
 
 
 def test_module_invocation_succeeds():

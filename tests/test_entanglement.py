@@ -1,9 +1,12 @@
 """Two-spin state construction, entanglement measures, and the dimensional pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fge import (
     DomainError,
@@ -14,10 +17,13 @@ from fge import (
     concurrence_closed_form,
     entropy_of_formation,
     eos_evaluate,
+    eos_grid,
     f_zero_temperature,
     fermi_momentum_from_pressure,
     fermi_temperature,
     is_entangled,
+    pressure_from_fermi_momentum,
+    reduced_chemical_potential,
     ppt_min_eigenvalue,
     solve_zeta,
     werner_state_from_f,
@@ -25,6 +31,7 @@ from fge import (
 )
 
 NR = GasRegime.NONRELATIVISTIC
+ER = GasRegime.EXTREME_RELATIVISTIC
 
 BOUNDARY = math.sqrt(0.5)  # squares to 0.5 + 1 ulp, so it lands on the entangled side
 
@@ -109,6 +116,20 @@ def test_entropy_of_formation_reference_values():
     assert entropy_of_formation(0.9) == pytest.approx(0.37784224023725607, rel=1e-12)
     assert entropy_of_formation(1.0) == 1.0
     assert entropy_of_formation(0.6) == 0.0
+
+
+def test_closed_forms_take_arrays():
+    # one array function per closed form: element i of an array call is the scalar call on f[i]
+    fs = np.array([[-1.0, -0.8, 0.0], [0.5, BOUNDARY, 0.9]])
+    for closed_form in (is_entangled, concurrence_closed_form, entropy_of_formation):
+        values = closed_form(fs)
+        assert isinstance(values, np.ndarray) and values.shape == fs.shape
+        assert values.tolist() == [[closed_form(float(f)) for f in row] for row in fs]
+        assert isinstance(closed_form(0.9), bool if closed_form is is_entangled else float)
+    with pytest.raises(DomainError, match="amplitude"):
+        concurrence_closed_form(np.array([0.3, 1.0000001]))
+    # exactly 0, not -0.0, where the state is separable
+    assert math.copysign(1.0, entropy_of_formation(0.3)) == 1.0
 
 
 def test_entropy_of_formation_monotone_in_concurrence():
@@ -235,6 +256,102 @@ def test_eos_evaluate_rejects_non_finite_inputs(position, fragment, bad):
     args[position] = bad
     with pytest.raises(DomainError, match=fragment):
         eos_evaluate(*args, NR)
+
+
+# === the grid ===
+
+
+def kf_point(x, t, k_f, regime):
+    """(r, P, T) of the reduced point (x, t) in a gas with Fermi wavevector k_f."""
+    return x / k_f, pressure_from_fermi_momentum(k_f, regime), t * fermi_temperature(k_f, regime)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    xs=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=6),
+    t=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
+    log_kf=st.floats(9.0, 12.0),
+    regime=st.sampled_from([NR, ER]),
+)
+def test_eos_grid_matches_point_calls(xs, t, log_kf, regime):
+    # one t for the whole grid: one amplitude call on all x, against one call per point
+    r, p, temp = kf_point(np.array(xs), t, 10.0 ** log_kf, regime)
+    grid = eos_grid(r, p, temp, regime)
+    assert grid.f.shape == grid.r_e.shape == (len(xs),)
+    for i, (r_i, temp_i) in enumerate(zip(r, np.broadcast_to(temp, r.shape))):
+        point = eos_evaluate(float(r_i), p, float(temp_i), regime)
+        assert abs(grid.f[i] - point.f) <= 1e-13
+        assert abs(grid.concurrence[i] - point.concurrence) <= 1e-13
+        assert abs(grid.entropy_of_formation[i] - point.entropy_of_formation) <= 1e-13
+        assert grid.r_e[i] == point.r_e
+        assert (grid.r[i], grid.p[i], grid.t[i]) == (point.r, point.p, point.t)
+    # |f| <= 1: exactly at t = 0, up to the quadrature tolerance above it
+    assert np.all(np.abs(grid.f) <= (1.0 if t == 0.0 else 1.0 + 1e-10))
+    assert np.all(grid.entangled == (grid.concurrence > 0.0))
+
+
+def test_eos_grid_zero_dimensional_is_eos_evaluate():
+    k_f = fermi_momentum_from_pressure(1e9, NR)
+    temp = 0.05 * fermi_temperature(k_f, NR)
+    grid = eos_grid(1.0 / k_f, 1e9, temp, NR)
+    assert grid.f.shape == () and grid.x.shape == ()
+    report = eos_evaluate(1.0 / k_f, 1e9, temp, NR)
+    assert (grid.f.item(), grid.concurrence.item(), grid.r_e.item()) == (
+        report.f, report.concurrence, report.r_e)
+    assert grid.x.item() == k_f * (1.0 / k_f)
+
+
+def test_eos_grid_broadcasts_and_keeps_shape():
+    temps = np.array([[0.0], [300.0]])
+    r = np.geomspace(1e-11, 1e-9, 4)
+    grid = eos_grid(r, 1e9, temps, NR)
+    assert grid.f.shape == grid.entangled.shape == grid.r.shape == (2, 4)
+    assert grid.entangled.dtype == bool
+    assert np.all(grid.t[1] == 300.0) and np.all(grid.r[0] == r)
+
+
+def test_eos_grid_solves_once_per_temperature():
+    # k distinct t cost k chemical-potential solves, however many points share them
+    k_f = 3.1e10
+    temps = np.array([0.011, 0.037, 0.29]) * fermi_temperature(k_f, NR)
+    r = np.linspace(0.2, 4.0, 7)[:, None] / k_f
+    before = reduced_chemical_potential.cache_info().misses
+    eos_grid(r, pressure_from_fermi_momentum(k_f, NR), temps, NR)
+    assert reduced_chemical_potential.cache_info().misses - before == len(temps)
+
+
+@pytest.mark.parametrize("position, fragment", [
+    (0, "separation"), (1, "pressure"), (2, "temperature"),
+])
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_eos_grid_names_the_bad_input(position, fragment, bad):
+    args = [np.full(3, 1e-10), np.full(3, 1e9), np.full(3, 1e4)]
+    args[position][1] = bad
+    with pytest.raises(DomainError, match=fragment):
+        eos_grid(*args, NR)
+
+
+@pytest.mark.parametrize("args, fragment", [
+    ((1e-10, 1e300, 0.0), "pressure"),      # k_F overflows
+    ((1e-10, 1e-300, 0.0), "pressure"),     # k_F underflows to 0
+    ((1e300, 1e30, 0.0), "separation"),     # k_F r overflows
+    ((1e-10, 1e-290, 1e308), "temperature"),  # T/T_F overflows
+])
+def test_eos_grid_rejects_inputs_that_leave_the_float_range(args, fragment):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=fragment):
+            eos_grid(*args, NR)
+
+
+def test_eos_grid_rejects_shapes_that_do_not_broadcast():
+    with pytest.raises(DomainError, match="broadcast"):
+        eos_grid(np.ones(3) * 1e-10, np.ones(2) * 1e9, 0.0, NR)
+
+
+def test_eos_grid_validates_the_tolerance():
+    with pytest.raises(DomainError, match="tolerance"):
+        eos_grid(1e-10, 1e9, 0.0, NR, tol=1e-3)
 
 
 # === averaging ===

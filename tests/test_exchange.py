@@ -1,10 +1,13 @@
 """Exchange amplitude: ground state, thermal quadrature, and the distance constant."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 import fge
@@ -77,6 +80,22 @@ def test_ground_state_scalar_array_forms():
     assert out.shape == (2, 2)
     with pytest.raises(DomainError, match="nonnegative"):
         f_zero_temperature(-0.1)
+
+
+@pytest.mark.parametrize("x", [1e6, 1e100, 1e200, 1e300, np.finfo(float).max])
+def test_ground_state_bounded_for_huge_separations(x):
+    # |f0(x)| <= 3 (1 + x)/x^3 for every finite x, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = f_zero_temperature(x)
+        values = f_zero_temperature(np.array([x, 2.0]))
+    assert math.isfinite(value) and values[0] == value
+    mx = mpmath.mpf(x)
+    assert abs(value) <= 3 * (1 + mx) / mx ** 3
+    if x <= 1e100:
+        with mpmath.workdps(60):
+            exact = 3 * (mpmath.sin(mx) - mx * mpmath.cos(mx)) / mx ** 3
+        assert abs(value - float(exact)) <= 1e-14 * abs(float(exact))
 
 
 # === reduced coordinates ===
@@ -340,6 +359,39 @@ def test_zeta_classical_limit():
     assert solve_zeta(t, NR).zeta * math.sqrt(t) == pytest.approx(
         math.sqrt(2.0 * math.log(2.0)), abs=1e-3
     )
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5])
+def test_zeta_brent_matches_scipy(t, regime):
+    # the in-house Brent refinement against scipy's brentq on the same
+    # bracket and amplitude, with the same tolerances
+    if t == 0.0:
+        amplitude = f_zero_temperature
+    else:
+        mu = reduced_chemical_potential(t, regime)
+
+        def amplitude(x):
+            return thermal_amplitude(x, t, mu, regime, 1e-12)[0]
+    def gap(x):
+        return amplitude(x) ** 2 - 0.5
+
+    grid = exchange._SCAN_X[1:]
+    gaps = np.square(amplitude(grid)) - 0.5
+    k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
+    lo, hi = float(grid[k]), float(grid[k + 1])
+    reference, info = brentq(gap, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps,
+                             maxiter=200, full_output=True)
+    assert abs(solve_zeta(t, regime).zeta - reference) <= 1e-13
+    # the same steps: as many evaluations as scipy's, to the same root
+    calls = []
+    root = exchange._brent(lambda x: calls.append(x) or gap(x), lo, hi)
+    assert root == reference and len(calls) == info.function_calls
+
+
+def test_brent_reports_a_bad_bracket():
+    with pytest.raises(SolverError, match="sign change"):
+        exchange._brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_zeta_reports_missing_bracket():

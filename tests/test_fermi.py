@@ -36,9 +36,11 @@ from fge.exchange import solve_zeta
 from fge.fermi import (
     CACHE_SIZE,
     _cached_kernel_rule,
+    _kernel_widths,
     _normalization_integral,
     ideality_threshold_density,
     occupancy_cutoff,
+    reduced_inputs,
 )
 
 NR = GasRegime.NONRELATIVISTIC
@@ -121,6 +123,30 @@ def test_entanglement_distance_is_zeta_over_momentum():
 def test_conversions_reject_nonpositive_inputs(call, fragment):
     with pytest.raises(DomainError, match=fragment):
         call()
+
+
+def test_reduced_inputs_match_scalar_conversions_bit_for_bit():
+    # the reduced temperature keys the per-t caches, so an array entry must
+    # reduce exactly as the same point does alone, and as the plain Python
+    # formulas do (callers that mirror them then share cache entries)
+    c = fge.constants()
+    rng = np.random.default_rng(5)
+    p = 10.0 ** rng.uniform(-5.0, 40.0, 300)
+    temp = 10.0 ** rng.uniform(0.0, 8.0, 300)
+    r = 10.0 ** rng.uniform(-12.0, -8.0, 300)
+    for regime in (NR, ER):
+        *_, k_f, x, t = reduced_inputs(r, p, temp, regime)
+        for i in range(len(p)):
+            p_i, temp_i, r_i = float(p[i]), float(temp[i]), float(r[i])
+            if regime is NR:
+                k = (15.0 * math.pi ** 2 * c.electron_mass * p_i / c.hbar ** 2) ** 0.2
+                t_f = (c.hbar * k) ** 2 / (2.0 * c.electron_mass) / c.boltzmann
+            else:
+                k = (12.0 * math.pi ** 2 * p_i / (c.hbar * c.light_speed)) ** 0.25
+                t_f = c.hbar * c.light_speed * k / c.boltzmann
+            assert fermi_momentum_from_pressure(p_i, regime) == k
+            assert fermi_temperature(k, regime) == t_f
+            assert (k_f[i], x[i], t[i]) == (k, k * r_i, temp_i / t_f)
 
 
 # === dispersion and occupation ===
@@ -300,7 +326,7 @@ def test_reduced_chemical_potential_rejects_bad_temperature(bad):
 
 
 def test_per_temperature_caches_are_bounded():
-    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule):
+    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule, _kernel_widths):
         assert cached.cache_info().maxsize == CACHE_SIZE
     # a hundred temperatures, each with a few kernel rules, fit without eviction
     assert CACHE_SIZE > 300
