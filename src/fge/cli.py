@@ -9,10 +9,12 @@ The argument parser is built once, at the first ``main`` call.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -133,6 +135,12 @@ def _write_csv(path, grid):
             handle.write(",".join(map(repr, row)) + "\n")
 
 
+def _print_fields(report):
+    """Print a result dataclass as one JSON object: its fields in order, enums as values."""
+    print(json.dumps(dataclasses.asdict(report, dict_factory=lambda items: {
+        key: value.value if isinstance(value, Enum) else value for key, value in items})))
+
+
 def _grid(lo, hi, count, spacing):
     if count < 2:
         raise _UsageError(f"--count must be at least 2, got {count}")
@@ -146,29 +154,12 @@ def _grid(lo, hi, count, spacing):
 
 
 def _cmd_eval(args, tol):
-    report = eos_evaluate(args.r, args.P, args.T, _regime(args), _mu_mode(args), tol)
-    print(json.dumps({
-        "f": report.f,
-        "entangled": report.entangled,
-        "concurrence": report.concurrence,
-        "entropy_of_formation": report.entropy_of_formation,
-        "r": report.r,
-        "p": report.p,
-        "t": report.t,
-        "regime": report.regime.value,
-        "r_e": report.r_e,
-    }))
+    _print_fields(eos_evaluate(args.r, args.P, args.T, _regime(args), _mu_mode(args), tol))
     return 0
 
 
 def _cmd_zeta(args):
-    result = solve_zeta(args.t, _regime(args), _mu_mode(args))
-    print(json.dumps({
-        "zeta": result.zeta,
-        "t": result.t,
-        "regime": result.regime.value,
-        "residual": result.residual,
-    }))
+    _print_fields(solve_zeta(args.t, _regime(args), _mu_mode(args)))
     return 0
 
 

@@ -15,8 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .exchange import (
+    _brent,
     _validate_quad_tol,
     f_zero_temperature,
     solve_zeta,
@@ -29,7 +30,7 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import integrate_refined
+from .quadrature import composite_gauss
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -45,6 +46,16 @@ _SPIN_FLIP = np.array(
      [-1, 0, 0, 0]], dtype=complex)
 
 _STATE_TOL = 1e-10
+
+# the average over [0, zeta]: panel edges zeta (1 - 2^-k) for k below
+# _CASCADE_PANELS, then zeta; Gauss-Legendre orders of the value and of its
+# comparison rule; levels of panel halving tried before giving up; the
+# absolute floor of the error budget; the tolerance of the amplitude
+_CASCADE_PANELS = 31
+_AVERAGE_ORDER_HI, _AVERAGE_ORDER_LO = 16, 8
+_AVERAGE_MAX_LEVEL = 4
+_AVERAGE_TOL_ABS = 1e-12
+_AVERAGE_AMPLITUDE_TOL = 1e-10
 
 
 class Measure(Enum):
@@ -271,14 +282,23 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
                          tol: float = 1e-8) -> float:
     """Mean of the chosen measure over separations x in [0, zeta(t)].
 
-    Integration uses high-order panels with a geometric cascade toward
-    the upper endpoint, where the entropy of formation has a mild
-    C^2 log C singularity in its higher derivatives.  At finite t each
-    panel's abscissas are one batched ``thermal_amplitude`` call.  As in
-    ``eos_grid``, the amplitude is clamped into [-1, 1] before the measure.
+    One fixed composite rule: 16-point Gauss-Legendre panels on a
+    geometric cascade toward the upper endpoint, where the entropy of
+    formation has a mild C^2 log C singularity in its higher derivatives,
+    with an 8-point rule on the same panels for the error estimate (the
+    summed gap between the two on every panel).  The abscissas of both
+    rules are one amplitude call (one batched ``thermal_amplitude`` at
+    finite t); as in ``eos_grid``, the amplitude is clamped into [-1, 1]
+    before the measure.  In the approximate-mu mode f overshoots 1 near
+    the origin, and the point where it falls through 1, found by a root
+    solve, is one more panel edge.  Every panel is halved until the estimate is at
+    most max(1e-12, tol |integral|), and after a few levels a
+    ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
+    quadrature tolerance range.
     """
     if measure not in _MEASURE_MAPS:
         raise DomainError(f"unknown entanglement measure {measure!r}")
+    _validate_quad_tol(tol)
     zeta = solve_zeta(t, regime, mu_mode).zeta
     measure_of = _MEASURE_MAPS[measure]
 
@@ -288,14 +308,27 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
         def amplitude(xs):
-            return thermal_amplitude(xs, t, mu_tilde, regime, 1e-10)[0]
+            return thermal_amplitude(xs, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
 
-    def integrand(xs):
-        return measure_of(np.minimum(np.maximum(amplitude(xs), -1.0), 1.0))
-
-    edges = [zeta * (1.0 - 0.5 ** k) for k in range(31)] + [zeta]
-    value, _ = integrate_refined(
-        integrand, edges, tol_abs=1e-12, tol_rel=tol, max_panels=600,
-        order_hi=64, order_lo=32,
+    edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
+    if mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0 and amplitude(0.0) > 1.0:
+        # the clamp bends the integrand where f falls through 1: an edge there
+        edges = np.union1d(edges, _brent(lambda x: amplitude(x) - 1.0, 0.0, zeta))
+    for level in range(_AVERAGE_MAX_LEVEL + 1):
+        x_hi, w_hi = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_HI)
+        x_lo, w_lo = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_LO)
+        f = amplitude(np.concatenate((x_hi, x_lo)))
+        values = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))
+        # the integral over each piece, at both orders
+        pieces_hi = (values[:len(x_hi)] * w_hi).reshape(-1, _AVERAGE_ORDER_HI).sum(axis=1)
+        pieces_lo = (values[len(x_hi):] * w_lo).reshape(-1, _AVERAGE_ORDER_LO).sum(axis=1)
+        integral = float(pieces_hi.sum())
+        err = float(np.abs(pieces_hi - pieces_lo).sum())
+        budget = max(_AVERAGE_TOL_ABS, tol * abs(integral))
+        if err <= budget:
+            return integral / zeta
+    raise QuadratureError(
+        f"average over [0, zeta] stalled at estimate {err:.3e} (tolerance "
+        f"{budget:.3e}, {len(x_hi)} nodes) at t={t!r}",
+        error_estimate=err,
     )
-    return value / zeta

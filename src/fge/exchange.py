@@ -42,6 +42,8 @@ _MAX_LEVEL = 6
 _BLOCK = 8192
 # Brent refinement of zeta: absolute and relative x tolerances, iteration cap
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
+# tolerance of every amplitude the zeta solve evaluates
+_ZETA_QUAD_TOL = 1e-12
 
 
 def _validate_quad_tol(tol: float) -> None:
@@ -277,19 +279,17 @@ _SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
-               mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
-               tol: float = 1e-12) -> ZetaResult:
+               mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
     """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Brent.
 
     The origin and the whole scan grid x in {1e-3, 0.1, ..., 3} are one
     batched amplitude call; Brent's steps then reuse the cached kernel
-    rule of the same (mu, t).  The inner quadrature runs at
-    min(tol, 1e-12) so the returned residual stays below the 1e-10
-    contract regardless of the caller's tolerance.
+    rule of the same (mu, t).  The amplitude is evaluated at the fixed
+    tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays
+    below the 1e-10 contract.
     """
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
-    quad_tol = min(max(tol, _TOL_MIN), 1e-12)
 
     if t == 0.0:
         amplitude = f_zero_temperature
@@ -297,7 +297,7 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
         def amplitude(xv):
-            return thermal_amplitude(xv, t, mu_tilde, regime, quad_tol)[0]
+            return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
     f_origin, *scan = amplitude(_SCAN_X)
     if not (f_origin ** 2 > 0.5):

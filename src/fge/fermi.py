@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
-from .quadrature import gauss_legendre
+from .quadrature import composite_gauss
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
 
@@ -374,14 +374,7 @@ def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, order: int,
     Panel p of the level-0 rule is cut into ``splits[p]`` equal pieces.
     """
     s_edges, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
-    edges = u_edges if in_u else s_edges
-    panel = np.repeat(np.arange(len(splits)), splits)
-    piece = np.arange(len(panel)) - np.repeat(np.cumsum(splits) - splits, splits)
-    half = 0.5 * np.diff(edges)[panel] / splits[panel]
-    mid = edges[panel] + (2 * piece + 1) * half
-    y, w = gauss_legendre(order)
-    z = (mid[:, None] + half[:, None] * y).ravel()
-    dz = (half[:, None] * w).ravel()
+    z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
     if in_u:
         u = z
         weights = dz * _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t)

@@ -1,20 +1,16 @@
-"""Composite Gauss-Legendre integration with adaptive panel refinement.
+"""Composite Gauss-Legendre rules on given panel edges.
 
-The adaptive integrator serves the outer average over separations, whose
-integrand has an endpoint feature at the distance constant.  Panel seeds
-go at the known features; refinement then bisects whichever panel
-reports the worst high-order versus low-order discrepancy until the
-summed estimate meets the budget.  The thermal integrals over momentum
-use fixed composite rules built from ``gauss_legendre`` instead (see
-``fermi.kernel_rule``).
+Every integral of the package is a fixed composite rule built here: the
+thermal integrals over momentum on the Fermi-kernel panels (see
+``fermi.kernel_rule``) and the outer average over separations on a
+geometric cascade toward the distance constant (see
+``entanglement.average_entanglement``).  Each caller pairs the rule with a
+lower-order one on the same panels for its error estimate, and halves the
+panels itself when the estimate misses its tolerance.
 """
-
-import heapq
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .errors import QuadratureError
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -26,91 +22,29 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[order]
 
 
-def _panel(f, a: float, b: float, order_hi: int, order_lo: int) -> tuple[float, float]:
-    """Integrate one panel at two orders; the difference is the error estimate."""
-    yh, wh = gauss_legendre(order_hi)
-    yl, wl = gauss_legendre(order_lo)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    hi = half * float(np.dot(wh, f(mid + half * yh)))
-    lo = half * float(np.dot(wl, f(mid + half * yl)))
-    return hi, abs(hi - lo)
+def composite_gauss(edges, splits, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss rule on every piece of a panel grid.
 
-
-def integrate_refined(
-    f,
-    breakpoints,
-    tol_abs: float = 0.0,
-    tol_rel: float = 0.0,
-    max_panels: int = 4000,
-    order_hi: int = 16,
-    order_lo: int = 8,
-) -> tuple[float, float]:
-    """Integrate a vectorized callable over ``[breakpoints[0], breakpoints[-1]]``.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an ndarray of abscissas to an ndarray of integrand values.
-    breakpoints : sequence of float
-        Strictly increasing seed panel edges.  Put one at every known
-        feature of the integrand; refinement only bisects, it never
-        invents structure on its own.
-    tol_abs, tol_rel : float
-        Convergence when the summed estimate is at most
-        ``max(tol_abs, tol_rel * |integral|)``.
-    max_panels : int
-        Refinement budget.  Exhausting it raises ``QuadratureError``
-        carrying the achieved estimate.
-    order_hi, order_lo : int
-        Gauss-Legendre orders for the value and for the comparison pass.
-
-    Returns
-    -------
-    (value, error_estimate)
+    Panel p = [edges[p], edges[p + 1]] is cut into ``splits[p]`` equal
+    pieces (``splits`` is an integer or one integer per panel).  The nodes
+    come piece by piece, ``order`` consecutive nodes to a piece, in
+    increasing order; sum(weights * g(nodes)) approximates the integral of
+    g over [edges[0], edges[-1]], exactly for polynomials of degree up to
+    2 order - 1 on each piece.
     """
-    edges = [float(p) for p in breakpoints]
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("breakpoints must be strictly increasing with length >= 2")
-
-    heap: list[tuple[float, int, float, float, float]] = []
-    seq = 0
-    total = 0.0
-    err_live = 0.0
-    err_dead = 0.0  # panels too narrow to bisect at double precision
-    n_panels = 0
-    for a, b in zip(edges, edges[1:]):
-        value, err = _panel(f, a, b, order_hi, order_lo)
-        heapq.heappush(heap, (-err, seq, a, b, value))
-        seq += 1
-        total += value
-        err_live += err
-        n_panels += 1
-
-    while True:
-        err = err_live + err_dead
-        budget = max(tol_abs, tol_rel * abs(total))
-        if err <= budget:
-            return total, err
-        if n_panels >= max_panels or not heap:
-            raise QuadratureError(
-                f"integration stalled at estimate {err:.3e} "
-                f"(tolerance {budget:.3e}, {n_panels} panels)",
-                error_estimate=err,
-            )
-        neg_err, _, a, b, value = heapq.heappop(heap)
-        worst = -neg_err
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            err_live -= worst
-            err_dead += worst
-            continue
-        total -= value
-        err_live -= worst
-        for lo_edge, hi_edge in ((a, mid), (mid, b)):
-            v2, e2 = _panel(f, lo_edge, hi_edge, order_hi, order_lo)
-            heapq.heappush(heap, (-e2, seq, lo_edge, hi_edge, v2))
-            seq += 1
-            total += v2
-            err_live += e2
-        n_panels += 1
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not (widths := np.diff(edges)).min() > 0.0:
+        raise ValueError("edges must be strictly increasing with length >= 2")
+    counts = np.asarray(splits)
+    if counts.ndim == 0:
+        counts = np.full(widths.size, counts)
+    if counts.dtype.kind not in "iu" or counts.shape != widths.shape or counts.min() < 1:
+        raise ValueError(f"splits must be one positive integer or one per panel, got {splits!r}")
+    # piece i of panel p has half-width h_p = widths[p] / (2 splits[p]) and
+    # midpoint edges[p] + (2 i + 1) h_p
+    panel = np.repeat(np.arange(counts.size), counts)
+    piece = np.arange(panel.size) - (np.cumsum(counts) - counts)[panel]
+    half = (0.5 * widths / counts)[panel]
+    mid = edges[panel] + (2 * piece + 1) * half
+    y, w = gauss_legendre(order)
+    return (mid[:, None] + half[:, None] * y).ravel(), (half[:, None] * w).ravel()

@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, CSV contract, exit codes, and environment."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fge
 from fge import (
     GasRegime,
     MuMode,
@@ -24,6 +26,14 @@ from fge.cli import _CSV_HEADER, main
 from fge.fermi import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
+
+
+def run_python(*args):
+    """Run the interpreter on ``args`` with the tested fge package importable."""
+    package_root = os.path.dirname(os.path.dirname(fge.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(argv, capsys):
@@ -69,6 +79,21 @@ def test_zeta_json(capsys):
     payload = json.loads(out)
     assert payload["zeta"] == pytest.approx(1.7821620418424771, abs=1e-9)
     assert payload["regime"] == "rel"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "--r", "1e-10", "--P", "1e9"],
+     '{"f": 0.9576529530413929, "entangled": true, "concurrence": 0.7703368031047736, '
+     '"entropy_of_formation": 0.6826546894630017, "r": 1e-10, "p": 1000000000.0, '
+     '"t": 0.0, "regime": "nonrel", "r_e": 2.7675070343605906e-10}\n'),
+    (["zeta", "--t", "0.05", "--regime", "rel"],
+     '{"zeta": 1.7821620418424775, "t": 0.05, "regime": "rel", '
+     '"residual": 3.885780586188048e-16}\n'),
+])
+def test_eval_and_zeta_stdout_bytes(argv, expected, capsys):
+    # the report fields in declaration order, the regime as its value
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_dwarf_json_defaults(capsys):
@@ -413,8 +438,7 @@ def test_calls_in_a_row_match_fresh_processes(capsys):
         assert code == 0 and err == ""
         in_process.append(out)
     for argv, out in zip(SEQUENCE, in_process):
-        proc = subprocess.run([sys.executable, "-m", "fge", *argv],
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-m", "fge", *argv)
         assert proc.returncode == 0
         assert proc.stdout == out
     assert json.loads(in_process[1])["t"] == 0.0
@@ -425,29 +449,22 @@ def test_calls_in_a_row_match_fresh_processes(capsys):
 
 def test_import_leaves_scipy_out():
     # scipy is a test-only dependency: the package runs on numpy alone
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fge, fge.cli; print('scipy' in sys.modules or "
-         "any(name.startswith('scipy.') for name in sys.modules))"],
-        capture_output=True, text=True, timeout=120,
+    proc = run_python(
+        "-c",
+        "import sys, fge, fge.cli; print('scipy' in sys.modules or "
+        "any(name.startswith('scipy.') for name in sys.modules))",
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 
 def test_module_invocation_succeeds():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fge", "zeta", "--t", "0"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-m", "fge", "zeta", "--t", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["zeta"] == pytest.approx(1.8148229770012292, abs=1e-9)
 
 
 def test_module_invocation_reports_errors():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fge", "eval", "--r", "1e-10", "--P", "-1"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-m", "fge", "eval", "--r", "1e-10", "--P", "-1")
     assert proc.returncode == 1
     assert "fge: error:" in proc.stderr

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fge import (
     DomainError,
     GasRegime,
     Measure,
+    MuMode,
+    QuadratureError,
     TwoSpinState,
     average_entanglement,
     concurrence_closed_form,
@@ -29,6 +33,8 @@ from fge import (
     werner_state_from_f,
     wootters_concurrence,
 )
+from fge import entanglement
+from fge.exchange import thermal_amplitude
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -388,3 +394,98 @@ def test_average_entanglement_rejects_non_finite_temperature(bad):
 def test_average_entanglement_unknown_measure():
     with pytest.raises(DomainError, match="measure"):
         average_entanglement(0.0, NR, "concurrence")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.0, 1e-30])
+def test_average_entanglement_rejects_a_bad_tolerance(bad):
+    with pytest.raises(DomainError, match="tolerance"):
+        average_entanglement(0.05, NR, tol=bad)
+
+
+def average_oracle(t, regime, measure, mu_mode=MuMode.EXACT_NORMALIZATION):
+    """QUADPACK mean of the clamped measure of the thermal amplitude over [0, zeta].
+
+    The cascade edges zeta (1 - 2^-k) are the break points; in the
+    approximate-mu mode so is the point where f falls through 1.
+    """
+    zeta = solve_zeta(t, regime, mu_mode).zeta
+    mu = reduced_chemical_potential(t, regime, mu_mode)
+
+    def amplitude(x):
+        return thermal_amplitude(x, t, mu, regime, 1e-12)[0]
+
+    def integrand(x):
+        return float(entanglement._MEASURE_MAPS[measure](min(max(amplitude(x), -1.0), 1.0)))
+
+    points = [zeta * (1.0 - 0.5 ** k) for k in range(1, 31)]
+    if amplitude(0.0) > 1.0:
+        points.append(brentq(lambda x: amplitude(x) - 1.0, 0.0, zeta, xtol=1e-15))
+    value, _ = quad(integrand, 0.0, zeta, points=sorted(points), epsabs=1e-15,
+                    epsrel=1e-13, limit=400)
+    return value / zeta
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.02, 0.07, 0.5])
+def test_average_entanglement_against_quadpack(t, regime, measure):
+    expected = average_oracle(t, regime, measure)
+    assert average_entanglement(t, regime, measure) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
+    # f overshoots 1 near the origin and the clamp bends the integrand there
+    mode = MuMode.FERMI_ENERGY_APPROX
+    for measure in Measure:
+        expected = average_oracle(0.07, regime, measure, mode)
+        assert average_entanglement(0.07, regime, measure, mode) == pytest.approx(
+            expected, rel=1e-10)
+
+
+def count_amplitude_calls(monkeypatch):
+    """Record the abscissas of every amplitude call the average makes."""
+    calls = []
+    for name in ("thermal_amplitude", "f_zero_temperature"):
+        original = getattr(entanglement, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            calls.append(np.size(x))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(entanglement, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_average_entanglement_is_one_amplitude_call(monkeypatch, t):
+    solve_zeta(t, NR)  # zeta's own amplitudes are not the average's
+    calls = count_amplitude_calls(monkeypatch)
+    average_entanglement(t, NR, Measure.ENTROPY_OF_FORMATION)
+    # both Gauss orders of the 31 cascade panels in one call
+    assert calls == [31 * (16 + 8)]
+
+
+def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
+    reference = average_entanglement(0.05, NR)
+    # a 4-point rule with a 2-point companion misses the budget at level 0
+    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_HI", 4)
+    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_LO", 2)
+    calls = count_amplitude_calls(monkeypatch)
+    levels = []
+    for tol in (1e-6, 1e-8):
+        calls.clear()
+        value = average_entanglement(0.05, NR, tol=tol)
+        assert value == pytest.approx(reference, rel=tol)
+        assert calls == [31 * 6 * 2 ** level for level in range(len(calls))]
+        levels.append(len(calls) - 1)
+    # refinement engaged, and the tighter tolerance took more levels
+    assert 0 < levels[0] < levels[1]
+
+
+def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
+    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_HI", 4)
+    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_LO", 2)
+    with pytest.raises(QuadratureError, match="stalled") as excinfo:
+        average_entanglement(0.05, NR, tol=1e-12)
+    assert 0.0 < excinfo.value.error_estimate < math.inf

@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
@@ -145,6 +147,14 @@ def test_thermal_amplitude_normalized_at_origin():
         mu = reduced_chemical_potential(0.05, regime)
         got = f_finite_temperature(ReducedCoordinates(0.0, 0.05, mu, regime))
         assert got.value == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_t=st.floats(-3.0, 0.0), regime=st.sampled_from([NR, ER]))
+def test_exact_mu_normalizes_the_origin_at_every_temperature(log_t, regime):
+    t = 10.0 ** log_t
+    mu = reduced_chemical_potential(t, regime, MuMode.EXACT_NORMALIZATION)
+    assert abs(thermal_amplitude(0.0, t, mu, regime)[0] - 1.0) <= 1e-13
 
 
 def test_thermal_amplitude_small_x_branch_is_continuous():
@@ -353,6 +363,17 @@ def test_zeta_shrinks_with_temperature():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@settings(max_examples=20, deadline=None)
+@given(log_t=st.floats(-3.0, 0.0), log_step=st.floats(0.005, 1.0),
+       regime=st.sampled_from([NR, ER]))
+def test_zeta_does_not_increase_with_temperature(log_t, log_step, regime):
+    # temperatures at least 1 % apart, so that zeta moves by far more (> 1e-8)
+    # than the ~1e-13 to which each root is placed
+    assume(log_t + log_step <= 0.0)
+    t_low, t_high = 10.0 ** log_t, 10.0 ** (log_t + log_step)
+    assert solve_zeta(t_low, regime).zeta >= solve_zeta(t_high, regime).zeta
+
+
 def test_zeta_classical_limit():
     # far above degeneracy the window shrinks like sqrt(2 ln 2 / t)
     t = 1e4
@@ -398,6 +419,12 @@ def test_zeta_reports_missing_bracket():
     # at extreme temperature the crossing drops below the scan window
     with pytest.raises(SolverError, match="sign change"):
         solve_zeta(4e6, NR)
+
+
+def test_zeta_takes_no_tolerance():
+    # the amplitudes of the solve run at a fixed tolerance; no option is ignored
+    with pytest.raises(TypeError, match="tol"):
+        solve_zeta(0.05, NR, tol=1e-6)
 
 
 def test_zeta_rejects_negative_temperature():
