@@ -326,21 +326,28 @@ def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
     return np.sqrt(d) if regime is GasRegime.NONRELATIVISTIC else d
 
 
+def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
+    """Pieces each level-0 panel spaced in u needs whatever x is (not rounded up).
+
+    A piece is at most 1/pi of its distance to the kernel pole
+    u = sqrt(mu + i pi t), the ratio that unit panels have to the poles
+    s = +-i pi in s.
+    """
+    pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
+    nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
+    return math.pi * np.diff(u_edges) / np.abs(pole - nearest)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple[np.ndarray, np.ndarray]:
     """Widths in u of the level-0 panels, and the pieces each needs whatever x is.
 
-    With nodes spaced in u, a piece is at most 1/pi of its distance to the
-    kernel pole u = sqrt(mu + i pi t), the ratio that unit panels have to
-    the poles s = +-i pi in s; otherwise one piece per panel suffices.
+    With nodes spaced in u that is ``_pole_pieces``; otherwise one piece
+    per panel suffices.
     """
     _, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
     widths = np.diff(u_edges)
-    floor = np.zeros_like(widths)
-    if in_u:
-        pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
-        nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
-        floor = math.pi * widths / np.abs(pole - nearest)
+    floor = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.zeros_like(widths)
     for array in (widths, floor):
         array.flags.writeable = False  # every caller of the cache shares them
     return widths, floor
@@ -367,13 +374,16 @@ def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
     return pieces.astype(np.int64)
 
 
-def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, order: int,
-                  splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_j and weights u_j^3 k(s_j) ds of an ``order``-point rule.
+def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, panels: tuple,
+                  splits, order) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_j and weights u_j^3 k(s_j) ds of an ``order``-point rule (or rules).
 
-    Panel p of the level-0 rule is cut into ``splits[p]`` equal pieces.
+    ``panels`` is what ``_kernel_panels`` returns for (mu_tilde, t,
+    regime), and panel p of it is cut into ``splits[p]`` equal pieces.  A
+    tuple of orders gives each rule on the same pieces, one after another,
+    and maps all their nodes from s to u at once.
     """
-    s_edges, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
+    s_edges, u_edges, in_u = panels
     z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
     if in_u:
         u = z
@@ -386,13 +396,19 @@ def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, order: int,
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
+    """The rule of ``kernel_rule`` on level-0 panels cut into ``splits`` (int64 bytes) pieces.
+
+    Both orders come from one panel and piece geometry: the nodes of the
+    rule and then those of its companion go through the s -> u map, the
+    kernel density and the u^3 factor together.
+    """
     counts = np.frombuffer(splits, dtype=np.int64)
-    nodes_hi, weights_hi = _kernel_nodes(mu_tilde, t, regime, _ORDER_HI, counts)
-    nodes_lo, weights_lo = _kernel_nodes(mu_tilde, t, regime, _ORDER_LO, counts)
-    nodes = np.concatenate((nodes_hi, nodes_lo))
+    nodes, both = _kernel_nodes(mu_tilde, t, regime, _kernel_panels(mu_tilde, t, regime),
+                                counts, (_ORDER_HI, _ORDER_LO))
+    n_hi = int(counts.sum()) * _ORDER_HI
     weights = np.zeros((len(nodes), 2))
-    weights[:len(nodes_hi), 0] = weights_hi
-    weights[len(nodes_hi):, 1] = weights_lo
+    weights[:n_hi, 0] = both[:n_hi]
+    weights[n_hi:, 1] = both[n_hi:]
     for array in (nodes, weights):
         array.flags.writeable = False  # every caller of the cache shares them
     return KernelRule(nodes, weights)
@@ -416,9 +432,20 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
 
 
 def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime) -> tuple[float, float]:
-    """Particle-number integral int_0^inf u^2 n(u) du and its mu-derivative."""
-    u, weights = _kernel_nodes(mu_tilde, t, regime, _ORDER_HI,
-                               _kernel_splits(mu_tilde, t, regime, 0.0))
+    """Particle-number integral int_0^inf u^2 n(u) du and its mu-derivative.
+
+    Both are sums over the nodes of the level-0 kernel rule for x = 0, at
+    order _ORDER_HI.  Its panels are built once and its splits directly:
+    one piece per panel where the nodes are spaced in s, else
+    ``_pole_pieces`` rounded up.  Nothing is cached, because every Newton
+    iterate of mu is a new key.
+    """
+    panels = _kernel_panels(mu_tilde, t, regime)
+    _, u_edges, in_u = panels
+    splits = 1
+    if in_u:
+        splits = np.maximum(np.ceil(_pole_pieces(mu_tilde, t, u_edges)), 1.0).astype(np.int64)
+    u, weights = _kernel_nodes(mu_tilde, t, regime, panels, splits, _ORDER_HI)
     # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / d'(u)
     slope_factor = 0.5 / (u * u) if regime is GasRegime.NONRELATIVISTIC else 1.0 / u
     return float(weights.sum()) / 3.0, float(weights @ slope_factor)
@@ -443,7 +470,6 @@ def _mu_seed(t: float, regime: GasRegime) -> float:
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMode.EXACT_NORMALIZATION) -> float:
     """Chemical potential over Fermi energy at reduced temperature ``t``.
 
@@ -457,7 +483,15 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     converged to rounding (quadratic convergence) by a rule that depends
     on ``t`` alone; mu is reproducible to ~1e-14 across last-ulp changes
     in ``t``, which downstream scaling-invariance guarantees rely on.
+
+    Results are cached per (t, regime, mode), however the arguments are
+    spelled; ``cache_info`` and ``cache_clear`` reach that cache.
     """
+    return _reduced_chemical_potential(t, regime, mode)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> float:
     if not (0.0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     if mode is MuMode.FERMI_ENERGY_APPROX or t < _MU_SHIFT_FLOOR:
@@ -493,6 +527,10 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
         f"particle-number equation did not converge at reduced temperature {t!r}: "
         f"last iterate {mu!r} on the bracket [{lo:.6g}, {hi:.6g}]"
     )
+
+
+reduced_chemical_potential.cache_info = _reduced_chemical_potential.cache_info
+reduced_chemical_potential.cache_clear = _reduced_chemical_potential.cache_clear
 
 
 def chemical_potential(density: float, temperature: float, regime: GasRegime,

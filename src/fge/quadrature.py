@@ -22,7 +22,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[order]
 
 
-def composite_gauss(edges, splits, order: int) -> tuple[np.ndarray, np.ndarray]:
+def composite_gauss(edges, splits, order) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss rule on every piece of a panel grid.
 
     Panel p = [edges[p], edges[p + 1]] is cut into ``splits[p]`` equal
@@ -30,7 +30,8 @@ def composite_gauss(edges, splits, order: int) -> tuple[np.ndarray, np.ndarray]:
     come piece by piece, ``order`` consecutive nodes to a piece, in
     increasing order; sum(weights * g(nodes)) approximates the integral of
     g over [edges[0], edges[-1]], exactly for polynomials of degree up to
-    2 order - 1 on each piece.
+    2 order - 1 on each piece.  A tuple of orders gives each rule on the
+    same pieces, concatenated in the order given.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not (widths := np.diff(edges)).min() > 0.0:
@@ -46,5 +47,6 @@ def composite_gauss(edges, splits, order: int) -> tuple[np.ndarray, np.ndarray]:
     piece = np.arange(panel.size) - (np.cumsum(counts) - counts)[panel]
     half = (0.5 * widths / counts)[panel]
     mid = edges[panel] + (2 * piece + 1) * half
-    y, w = gauss_legendre(order)
-    return (mid[:, None] + half[:, None] * y).ravel(), (half[:, None] * w).ravel()
+    rules = [gauss_legendre(n) for n in (order if isinstance(order, tuple) else (order,))]
+    return (np.concatenate([(mid[:, None] + half[:, None] * y).ravel() for y, _ in rules]),
+            np.concatenate([(half[:, None] * w).ravel() for _, w in rules]))

@@ -410,6 +410,79 @@ def test_zeta_brent_matches_scipy(t, regime):
     assert root == reference and len(calls) == info.function_calls
 
 
+def whole_grid_zeta(t, regime, mu_mode):
+    """zeta and its residual from a scan of the whole grid in one call, then Brent."""
+    if t == 0.0:
+        amplitude = f_zero_temperature
+    else:
+        mu = reduced_chemical_potential(t, regime, mu_mode)
+
+        def amplitude(x):
+            return thermal_amplitude(x, t, mu, regime, exchange._ZETA_QUAD_TOL)[0]
+    def gap(x):
+        return amplitude(x) ** 2 - 0.5
+
+    grid = exchange._SCAN_X[1:]
+    gaps = np.square(amplitude(grid)) - 0.5
+    k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
+    root = exchange._brent(gap, float(grid[k]), float(grid[k + 1]))
+    return root, abs(gap(root))
+
+
+def record_amplitude_calls(monkeypatch):
+    """The abscissas of every thermal amplitude call the zeta solve makes."""
+    calls = []
+
+    def recorded(x, *args):
+        calls.append(np.atleast_1d(np.array(x, dtype=float)))
+        return thermal_amplitude(x, *args)
+
+    monkeypatch.setattr(exchange, "thermal_amplitude", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0])
+def test_zeta_equals_a_whole_grid_scan(t, regime, mu_mode):
+    # the windowed scan finds the same bracket, so Brent takes the same steps
+    result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
+    assert (result.zeta, result.residual) == whole_grid_zeta(t, regime, mu_mode)
+
+
+@pytest.mark.parametrize("window_end", [1.0, 1.85])
+def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, window_end):
+    # zeta(0.05) = 1.806 lies past the first window; with the end at 1.85 the
+    # crossing falls between the last point of one window and the first of the next
+    monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
+    calls = record_amplitude_calls(monkeypatch)
+    result = exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    assert (result.zeta, result.residual) == whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    window = exchange._SCAN_X < window_end
+    assert calls[0].tobytes() == exchange._SCAN_X[window].tobytes()
+    assert calls[1].tobytes() == exchange._SCAN_X[~window].tobytes()
+    assert all(call.size == 1 for call in calls[2:])
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_cold_zeta_scans_only_the_first_window(monkeypatch, regime):
+    calls = record_amplitude_calls(monkeypatch)
+    exchange._solve_zeta.__wrapped__(0.05, regime, MuMode.EXACT_NORMALIZATION)
+    assert max(call.max() for call in calls) < exchange._SCAN_WINDOW_END
+    # one batched scan of 21 abscissas, then one scalar call per Brent step
+    assert calls[0].size == 21 and all(call.size == 1 for call in calls[1:])
+
+
+def test_equivalent_zeta_calls_share_one_cache_entry():
+    t = 0.0432109
+    before = solve_zeta.cache_info()
+    results = [solve_zeta(t, ER), solve_zeta(t, ER, MuMode.EXACT_NORMALIZATION),
+               solve_zeta(t, regime=ER)]
+    after = solve_zeta.cache_info()
+    assert results[0] is results[1] is results[2]
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
 def test_brent_reports_a_bad_bracket():
     with pytest.raises(SolverError, match="sign change"):
         exchange._brent(lambda x: x * x + 1.0, -1.0, 1.0)

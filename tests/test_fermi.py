@@ -32,6 +32,7 @@ from fge import (
     reduced_occupancy,
     validity,
 )
+from fge import fermi
 from fge.exchange import solve_zeta
 from fge.fermi import (
     CACHE_SIZE,
@@ -42,6 +43,7 @@ from fge.fermi import (
     occupancy_cutoff,
     reduced_inputs,
 )
+from fge.quadrature import composite_gauss
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -333,6 +335,64 @@ def test_per_temperature_caches_are_bounded():
     for t in np.linspace(0.01, 0.5, CACHE_SIZE + 5):
         reduced_chemical_potential(float(t), ER)
     assert reduced_chemical_potential.cache_info().currsize == CACHE_SIZE
+
+
+def test_equivalent_mu_calls_share_one_cache_entry():
+    t = 0.0123457
+    before = reduced_chemical_potential.cache_info()
+    values = {reduced_chemical_potential(t, NR),
+              reduced_chemical_potential(t, NR, MuMode.EXACT_NORMALIZATION),
+              reduced_chemical_potential(t, regime=NR, mode=MuMode.EXACT_NORMALIZATION)}
+    after = reduced_chemical_potential.cache_info()
+    assert len(values) == 1
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+def test_cold_mu_solves_build_no_kernel_rule(monkeypatch):
+    # every Newton iterate is a new mu: nothing of its rule is worth caching
+    built = []
+    monkeypatch.setattr(fermi, "KernelRule", lambda *args: built.append(args))
+    reduced_chemical_potential.cache_clear()
+    before = _kernel_widths.cache_info()
+    for regime in (NR, ER):
+        for t in (0.011, 0.23, 0.77):
+            reduced_chemical_potential(t, regime)
+    assert reduced_chemical_potential.cache_info().misses == 6
+    assert _kernel_widths.cache_info() == before
+    assert built == []
+
+
+def reference_kernel_rule(mu, t, regime, x_max, level):
+    """The kernel rule as two separate composite_gauss rules, each mapped to u on its own."""
+    splits = fermi._kernel_splits(mu, t, regime, x_max, level)
+    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t, regime)
+    rules = []
+    for order in (fermi._ORDER_HI, fermi._ORDER_LO):
+        z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
+        if in_u:
+            u = z
+            weights = dz * fermi._kernel_density((u * u - mu) / t) * (2.0 * u / t)
+        else:
+            u = fermi._kernel_u(mu + t * z, regime)
+            weights = dz * fermi._kernel_density(z)
+        rules.append((u, weights * u ** 3))
+    (u_hi, w_hi), (u_lo, w_lo) = rules
+    weights = np.zeros((len(u_hi) + len(u_lo), 2))
+    weights[:len(u_hi), 0] = w_hi
+    weights[len(u_hi):, 1] = w_lo
+    return np.concatenate((u_hi, u_lo)), weights, splits
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [1e-9, 1e-3, 0.05, 0.5, 20.0])
+def test_kernel_rule_is_byte_identical_to_two_separate_rules(regime, t):
+    mu = reduced_chemical_potential(t, regime)
+    for x_max in (0.0, 1.8, 3.0, 12.0):
+        for level in range(3):
+            nodes, weights, splits = reference_kernel_rule(mu, t, regime, x_max, level)
+            rule = _cached_kernel_rule.__wrapped__(mu, t, regime, splits.tobytes())
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_chemical_potential_dimensional():

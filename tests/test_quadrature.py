@@ -83,3 +83,11 @@ def test_splits_must_be_positive_integers(splits):
 def test_orders_are_configurable():
     for order in (16, 32):
         assert integrate(np.exp, [0.0, 1.0], 1, order) == pytest.approx(math.e - 1.0, abs=1e-14)
+
+
+def test_tuple_of_orders_concatenates_the_rules():
+    edges, splits = [0.0, 1.0, 3.0], np.array([2, 3])
+    nodes, weights = composite_gauss(edges, splits, (12, 6))
+    alone = [composite_gauss(edges, splits, order) for order in (12, 6)]
+    assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
+    assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
