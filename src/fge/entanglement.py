@@ -10,6 +10,7 @@ pipeline (r, P, T) -> f -> measures on arrays, one amplitude call per
 distinct reduced temperature; ``eos_evaluate`` is its one-point view.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .exchange import (
-    _brent,
+    _amplitude_and_slope,
+    _root_in_bracket,
     _validate_quad_tol,
     f_zero_temperature,
     solve_zeta,
@@ -290,8 +292,10 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     rules are one amplitude call (one batched ``thermal_amplitude`` at
     finite t); as in ``eos_grid``, the amplitude is clamped into [-1, 1]
     before the measure.  In the approximate-mu mode f overshoots 1 near
-    the origin, and the point where it falls through 1, found by a root
-    solve, is one more panel edge.  Every panel is halved until the estimate is at
+    the origin, and the point where it falls through 1 is one more panel
+    edge: the root of f - 1 on [0, zeta], refined by the zeta solve's
+    safeguarded Newton steps on the analytic df/dx, with f(zeta) = 1/sqrt(2)
+    taken as known.  Every panel is halved until the estimate is at
     most max(1e-12, tol |integral|), and after a few levels a
     ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
     quadrature tolerance range.
@@ -311,9 +315,16 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
             return thermal_amplitude(xs, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
 
     edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
-    if mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0 and amplitude(0.0) > 1.0:
-        # the clamp bends the integrand where f falls through 1: an edge there
-        edges = np.union1d(edges, _brent(lambda x: amplitude(x) - 1.0, 0.0, zeta))
+    if mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0 and (f_origin := amplitude(0.0)) > 1.0:
+        # the clamp bends the integrand where f falls through 1: an edge
+        # there.  f(zeta) = 1/sqrt(2) ends the bracket without an evaluation
+        def excess_and_slope(x):
+            f, slope = _amplitude_and_slope(x, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)
+            return f - 1.0, slope
+
+        kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, f_origin - 1.0,
+                                   math.sqrt(0.5) - 1.0)
+        edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
         x_hi, w_hi = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_HI)
         x_lo, w_lo = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_LO)

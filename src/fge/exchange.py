@@ -19,6 +19,7 @@ from .errors import DomainError, QuadratureError, SolverError
 from .fermi import (
     CACHE_SIZE,
     GasRegime,
+    KernelRule,
     MuMode,
     kernel_rule,
     reduced_chemical_potential,
@@ -30,18 +31,26 @@ from .fermi import (
 # x ~ 1e-3, while the series to x^12 is converged at 0.25 (its first
 # omitted term, k = 7, is 5e-22 there)
 _SERIES_CROSSOVER = 0.25
-# k-th series coefficient of f(x,0) in powers of x^2
+# the derivative f0' switches to its series below this larger point: the
+# closed form 3(sin x / x - f0)/x loses a further factor 1/x to
+# cancellation, and the series' first omitted term is 2e-16 at 0.5
+_SLOPE_SERIES_CROSSOVER = 0.5
+# k-th series coefficient of f(x,0) in powers of x^2, and of f0'(x)/x
 _SERIES_COEFFS = tuple(
     (-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(7)
 )
+_SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if k)
+# f0 decreases on [0, Y], Y the first zero of j_2, and f0(Y) is its minimum
+_F0_MIN_AT, _F0_MIN = 5.76345919689455, -0.0861708941619074
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 # kernel-rule refinement levels tried before the thermal amplitude gives up
 _MAX_LEVEL = 6
 # f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
 _BLOCK = 8192
-# Brent refinement of zeta: absolute and relative x tolerances, iteration cap
-_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
+# root refinement (zeta and the average's clamp kink): absolute and
+# relative x tolerances, iteration cap
+_ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
 # tolerance of every amplitude the zeta solve evaluates
 _ZETA_QUAD_TOL = 1e-12
 
@@ -125,15 +134,46 @@ def _f0(flat: np.ndarray) -> np.ndarray:
     out *= 3.0
     small = flat < _SERIES_CROSSOVER
     if small.any():
-        y = flat[small]
-        y *= y
-        series = _SERIES_COEFFS[-1] * y
-        for coeff in _SERIES_COEFFS[-2:0:-1]:
-            series += coeff
-            series *= y
-        series += _SERIES_COEFFS[0]
-        out[small] = series
+        out[small] = _even_series(flat[small], _SERIES_COEFFS)
     return out
+
+
+def _even_series(y: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """sum_k coeffs[k] y^2k by Horner's rule."""
+    y2 = y * y
+    series = coeffs[-1] * y2
+    for coeff in coeffs[-2:0:-1]:
+        series += coeff
+        series *= y2
+    series += coeffs[0]
+    return series
+
+
+def _f0_and_slope(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_f0`` of a flat array, bit for bit, and its derivative f0'(y) = -3 j_2(y)/y.
+
+    Above the crossovers f0' = 3(sin y / y - f0)/y, sharing one sin and one
+    cos with f0; below _SLOPE_SERIES_CROSSOVER it is the differentiated
+    series, which keeps f0' within about 1e-14 of -3 j_2(y)/y.
+    """
+    yb = np.maximum(flat, _SERIES_CROSSOVER)
+    sinc = np.sin(yb)
+    sinc /= yb
+    out = sinc - np.cos(yb)
+    out /= yb
+    out /= yb
+    out *= 3.0
+    slope = sinc - out
+    slope *= 3.0
+    slope /= yb
+    small = flat < _SLOPE_SERIES_CROSSOVER
+    if small.any():
+        y = flat[small]
+        slope[small] = _even_series(y, _SLOPE_COEFFS) * y
+        smaller = flat < _SERIES_CROSSOVER
+        if smaller.any():
+            out[smaller] = _even_series(flat[smaller], _SERIES_COEFFS)
+    return out, slope
 
 
 def _kernel_sum(xs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -153,6 +193,49 @@ def _kernel_sum(xs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.nd
             block = xs[i:i + rows]
             out[i:i + rows] += _f0(np.multiply.outer(block, u).ravel()).reshape(len(block), len(u)) @ w
     return out
+
+
+def _kernel_sum_and_slope(x: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``_kernel_sum`` at one x >= 0, then d/dx of its first column, sum_j W_j u_j f0'(x u_j).
+
+    Returns [rule, companion, slope].  f0 and f0' are evaluated in blocks
+    of at most _BLOCK nodes.
+    """
+    out = np.zeros(3)
+    for j in range(0, len(nodes), _BLOCK):
+        u, w = nodes[j:j + _BLOCK], weights[j:j + _BLOCK]
+        values, slopes = _f0_and_slope(x * u)
+        out[:2] += values @ w
+        slopes *= u
+        out[2] += slopes @ w[:, 0]
+    return out
+
+
+def _refined_sum(kernel_sum, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
+                 tol: float) -> tuple:
+    """``kernel_sum(rule)`` on the kernel rules of levels 0, 1, ... until its estimate is within ``tol``.
+
+    The rules resolve f0(x u) for x up to ``x_max``.  The last axis of
+    what ``kernel_sum`` returns holds the rule's sum and its lower-order
+    companion first, and the estimate is their largest gap.  Returns the
+    sums and the estimate.
+    """
+    for level in range(_MAX_LEVEL + 1):
+        rule = kernel_rule(mu_tilde, t, regime, x_max, level)
+        sums = kernel_sum(rule)
+        err = float(np.abs(sums[..., 0] - sums[..., 1]).max(initial=0.0))
+        if not math.isfinite(err):
+            raise QuadratureError(
+                f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
+                error_estimate=err,
+            )
+        if err <= tol:
+            return sums, err
+    raise QuadratureError(
+        f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
+        f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
+        error_estimate=err,
+    )
 
 
 def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
@@ -175,22 +258,26 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     x_max = float(flat.max(initial=0.0))
     if not (flat.min(initial=0.0) >= 0.0 and x_max < math.inf):
         raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
-    for level in range(_MAX_LEVEL + 1):
-        rule = kernel_rule(mu_tilde, t, regime, x_max, level)
-        value, value_lo = _kernel_sum(flat, rule.nodes, rule.weights).T
-        err = float(np.abs(value - value_lo).max(initial=0.0))
-        if not math.isfinite(err):
-            raise QuadratureError(
-                f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
-                error_estimate=err,
-            )
-        if err <= tol:
-            return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
-    raise QuadratureError(
-        f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
-        f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
-        error_estimate=err,
-    )
+    sums, err = _refined_sum(lambda rule: _kernel_sum(flat, rule.nodes, rule.weights),
+                             x_max, t, mu_tilde, regime, tol)
+    value = sums[:, 0]
+    return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
+
+
+def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
+                         tol: float) -> tuple[float, float]:
+    """f(x, t) and df/dx at one x >= 0 (the ground state at t = 0).
+
+    At finite t both come from the nodes of the rule that
+    ``thermal_amplitude(x, ...)`` accepts, df/dx = sum_j W_j u_j f0'(x u_j),
+    so the value is that call's to rounding.
+    """
+    if t == 0.0:
+        value, slope = _f0_and_slope(np.array([x]))
+        return float(value[0]), float(slope[0])
+    sums, _ = _refined_sum(lambda rule: _kernel_sum_and_slope(x, rule.nodes, rule.weights),
+                           x, t, mu_tilde, regime, tol)
+    return float(sums[0]), float(sums[2])
 
 
 def f_finite_temperature(coords: ReducedCoordinates, tol: float = 1e-10) -> ExchangeAmplitude:
@@ -228,58 +315,46 @@ def f_from_pressure(separation: float, pressure: float, temperature: float,
     return f_finite_temperature(coords, tol)
 
 
-def _brent(fn, a: float, b: float) -> float:
-    """Root of ``fn`` on a bracket [a, b] where it changes sign, by Brent's method.
+def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
+    """Root of g on [lo, hi], given g(lo) = g_lo and g(hi) = g_hi of opposite signs, and g there.
 
-    Each step takes the secant or inverse quadratic estimate through the
-    last iterates when it lies well inside the bracket and shrinks the
-    step fast enough, else bisects.  Converged once half the bracket is
-    below (_BRENT_XTOL + _BRENT_RTOL |x|)/2: the rule and the step choice
-    of ``scipy.optimize.brentq``, which the tests use as the reference.
+    ``fn(x)`` returns g(x) and g'(x).  The first iterate is the secant
+    point of the bracket, and each further one a Newton step, kept inside
+    the bracket that the signs of g shrink; a step that would leave it, or
+    that is not below half the step before, is replaced by bisection (the
+    ``rtsafe`` scheme of Numerical Recipes, section 9.4).  Converged once a
+    step is at most (_ROOT_XTOL + _ROOT_RTOL |x|)/2, the rule of Brent's
+    method; the x returned is the last one evaluated, with its g.
     """
-    x_pre, x_cur = a, b
-    f_pre, f_cur = fn(x_pre), fn(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise SolverError(f"Brent bracket [{a!r}, {b!r}] has no sign change")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if f_pre != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
-            # the root lies between x_cur and x_pre: x_pre becomes the far end
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            # x_cur is always the end with the smaller residual
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+    if g_lo == 0.0:
+        return lo, g_lo
+    if g_hi == 0.0:
+        return hi, g_hi
+    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+        raise SolverError(f"root bracket [{lo!r}, {hi!r}] has no sign change")
+    x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    step = hi - lo
+    for _ in range(_ROOT_MAXITER):
+        g, slope = fn(x)
+        if g == 0.0:
+            return x, g
+        if math.copysign(1.0, g) == math.copysign(1.0, g_lo):
+            lo = x
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
+            hi = x
+        # the Newton point x - g/slope lies strictly inside (lo, hi), and
+        # the step is at most half the one before; slope = 0 fails both
+        if ((x - hi) * slope - g) * ((x - lo) * slope - g) < 0.0 and abs(2.0 * g) <= abs(step * slope):
+            step = -g / slope
+            new = x + step
         else:
-            x_cur += delta if s_bis > 0.0 else -delta
-        f_cur = fn(x_cur)
+            new = 0.5 * (lo + hi)
+            step = new - x
+        if abs(step) <= 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(x)):
+            return x, g
+        x = new
     raise SolverError(
-        f"Brent refinement did not converge in {_BRENT_MAXITER} steps on [{a!r}, {b!r}]"
+        f"root refinement did not converge in {_ROOT_MAXITER} steps on [{lo!r}, {hi!r}]"
     )
 
 
@@ -290,6 +365,11 @@ _SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
 # there.  Over t from 1e-6 to 30, both regimes and both mu modes, the
 # largest zeta was 1.866 (fermi mu, rel, t = 0.172)
 _SCAN_WINDOW_END = 1.95
+# the scan's certificate: the weight fraction of the kernel rule left beyond
+# its cut node, and the margin by which the bound must exceed 1/sqrt(2), a
+# thousand times the tolerance of the amplitudes of the solve
+_CERT_TAIL = 1e-3
+_CERT_MARGIN = 1e-9
 
 
 def _first_crossing(gaps: np.ndarray) -> int | None:
@@ -298,20 +378,46 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
     return int(crossings[0]) if crossings.size else None
 
 
+def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
+    """How many leading entries of the increasing ``xs`` the weights of ``rule`` prove entangled.
+
+    The rule's sum is f(x) = sum_j W_j f0(x u_j) with W_j >= 0 and its
+    nodes u_j nondecreasing (``composite_gauss`` builds them piece by piece,
+    and the map s -> u is monotone); the companion's nodes follow them with
+    weight 0 in this column.  Cut them at the node U beyond which at most
+    _CERT_TAIL of the weight lies, W_A the weight at or below U and W_B the
+    rest.  As f0 decreases on [0, Y] and never drops below f0(Y),
+    f(x) >= W_A f0(x U) + W_B f0(Y) for every x U <= Y, a bound that falls
+    with x.  The count is of the leading x where it exceeds 1/sqrt(2) by
+    _CERT_MARGIN, without an amplitude evaluated.
+    """
+    below = np.cumsum(rule.weights[:, 0])
+    cut = int(np.searchsorted(below, (1.0 - _CERT_TAIL) * below[-1]))
+    y = xs * rule.nodes[cut]
+    bound = below[cut] * _f0(y) + (below[-1] - below[cut]) * _F0_MIN
+    proven = (y <= _F0_MIN_AT) & (bound > math.sqrt(0.5) + _CERT_MARGIN)
+    return int(np.logical_and.accumulate(proven).sum())
+
+
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
-    """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Brent.
+    """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Newton steps.
 
     The origin and the scan grid x in {1e-3, 0.1, ..., 1.9} are one batched
     amplitude call, whose kernel rule resolves only x <= 1.9; the grid
     {2.0, ..., 3} is a second call, made only when the first window holds
     no crossing, and the crossing is then looked for on the gaps of both.
-    Brent's steps then reuse the cached kernel rules of the same (mu, t),
-    and start from the same bracket as a scan of the whole grid would give.
-    The amplitude is evaluated at the fixed tolerance _ZETA_QUAD_TOL =
-    1e-12, so that the returned residual stays below the 1e-10 contract.
-    Results are cached per (t, regime, mu_mode), however the arguments are
-    spelled; ``cache_info`` and ``cache_clear`` reach that cache.
+    At finite t the scan skips the leading grid points that the weights of
+    its own rule prove to have f^2 > 1/2 (``_certified_count``), all but
+    the last of them, which ends the bracket; the bracket is therefore the
+    one a scan of the whole grid gives.  The root is refined by
+    ``_root_in_bracket``, whose Newton steps take df/dx from the same
+    kernel nodes as f, and the residual is the gap at the last x it
+    evaluated.  The amplitude is evaluated at the fixed tolerance
+    _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays below the
+    1e-10 contract.  Results are cached per (t, regime, mu_mode), however
+    the arguments are spelled; ``cache_info`` and ``cache_clear`` reach
+    that cache.
     """
     return _solve_zeta(t, regime, mu_mode)
 
@@ -321,31 +427,28 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
 
+    window = int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END))
     if t == 0.0:
+        mu_tilde = 1.0
         amplitude = f_zero_temperature
+        first = 1
     else:
         mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
         def amplitude(xv):
             return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-    window = int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END))
-    f_origin, *scan = amplitude(_SCAN_X[:window])
+        # the level-0 rule of the scan below, which resolves the window's last point
+        rule = kernel_rule(mu_tilde, t, regime, float(_SCAN_X[window - 1]))
+        first = max(1, _certified_count(rule, _SCAN_X[1:window]))
+    f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:window])))
     if not (f_origin ** 2 > 0.5):
         raise SolverError(
             f"no root exists: the amplitude at zero separation is {f_origin!r}, "
             "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
         )
 
-    # every gap Brent evaluates, so that the residual at its root is not
-    # evaluated a second time
-    gaps_at = {}
-
-    def gap(xv):
-        gaps_at[xv] = amplitude(xv) ** 2 - 0.5
-        return gaps_at[xv]
-
-    grid = _SCAN_X[1:]
+    grid = _SCAN_X[first:]
     gaps = np.square(scan) - 0.5
     k = _first_crossing(gaps)
     if k is None:
@@ -353,20 +456,23 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         k = _first_crossing(gaps)
     if k is None:
         raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
+            f"no sign change of f^2 - 1/2 on [{_SCAN_X[1]:g}, {_SCAN_X[-1]:g}] "
             f"at t={t!r}: the crossing either sits below the scan window "
             "(bracket too small) or the amplitude never reaches 1/2"
         )
-    if gaps[k] == 0.0:
-        root = float(grid[k])
-    else:
-        root = _brent(gap, float(grid[k]), float(grid[k + 1]))
-    residual = abs(gaps_at[root] if root in gaps_at else gap(root))
+
+    def gap_and_slope(xv):
+        f, slope = _amplitude_and_slope(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)
+        return f * f - 0.5, 2.0 * f * slope
+
+    root, gap = _root_in_bracket(gap_and_slope, float(grid[k]), float(grid[k + 1]),
+                                 float(gaps[k]), float(gaps[k + 1]))
+    residual = abs(gap)
     if not (residual < 1e-10):
         raise SolverError(
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"
         )
-    return ZetaResult(zeta=float(root), t=float(t), regime=regime, residual=float(residual))
+    return ZetaResult(zeta=root, t=float(t), regime=regime, residual=residual)
 
 
 solve_zeta.cache_info = _solve_zeta.cache_info

@@ -73,11 +73,16 @@ def _require_all(name: str, values: np.ndarray, ok: np.ndarray, requirement: str
 
 
 def _require_positive(name: str, value) -> None:
+    """Raise a DomainError naming ``name`` unless ``value`` is finite and positive.
+
+    An array is checked positive only, in one reduction: the pipeline's
+    arrays come from ``reduced_inputs``, which rejects non-finite entries.
+    """
     if isinstance(value, np.ndarray):
         if not (value.min(initial=math.inf) > 0):
             _require_all(name, value, value > 0, "be positive")
-    elif not (value > 0):
-        raise DomainError(f"{name} must be positive, got {value!r}")
+    elif not (0 < value < math.inf):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _require_nonnegative(name: str, value) -> None:

@@ -85,10 +85,10 @@ def test_zeta_json(capsys):
     (["eval", "--r", "1e-10", "--P", "1e9"],
      '{"f": 0.9576529530413929, "entangled": true, "concurrence": 0.7703368031047736, '
      '"entropy_of_formation": 0.6826546894630017, "r": 1e-10, "p": 1000000000.0, '
-     '"t": 0.0, "regime": "nonrel", "r_e": 2.7675070343605906e-10}\n'),
+     '"t": 0.0, "regime": "nonrel", "r_e": 2.767507034360613e-10}\n'),
     (["zeta", "--t", "0.05", "--regime", "rel"],
-     '{"zeta": 1.7821620418424775, "t": 0.05, "regime": "rel", '
-     '"residual": 3.885780586188048e-16}\n'),
+     '{"zeta": 1.7821620418424757, "t": 0.05, "regime": "rel", '
+     '"residual": 1.1102230246251565e-16}\n'),
 ])
 def test_eval_and_zeta_stdout_bytes(argv, expected, capsys):
     # the report fields in declaration order, the regime as its value
@@ -116,6 +116,18 @@ def test_dwarf_solar_unit_flags(capsys):
     code, out, _ = run_cli(["dwarf", "--M", repr(default["mass"]), "--R", repr(default["radius"])], capsys)
     assert code == 0
     assert json.loads(out) == default
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--M", "mass"), ("--M-solar", "mass"), ("--R", "radius"), ("--R-solar", "radius"),
+    ("--T", "surface temperature"), ("--zeta", "zeta"),
+])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_dwarf_rejects_non_finite_inputs(flag, name, bad, capsys):
+    # an infinite mass once printed Infinity, which is not JSON
+    code, out, err = run_cli(["dwarf", flag, bad], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("fge: error:") and f"{name} must be finite" in err
 
 
 def test_avg_json(capsys):

@@ -58,6 +58,18 @@ def test_ground_state_against_spherical_bessel():
     assert np.max(np.abs(f_zero_temperature(xs) - expected)) < 5e-14
 
 
+def test_ground_state_slope_against_spherical_bessel():
+    # f0'(y) = -3 j_2(y)/y, through both series crossovers (0.25 for f0,
+    # 0.5 for its slope)
+    ys = np.concatenate((np.geomspace(1e-4, 50.0, 2000),
+                         0.25 + np.linspace(-1e-3, 1e-3, 41),
+                         0.5 + np.linspace(-1e-3, 1e-3, 41)))
+    values, slopes = exchange._f0_and_slope(ys)
+    assert np.max(np.abs(slopes + 3.0 * spherical_jn(2, ys) / ys)) <= 1e-13
+    assert values.tobytes() == exchange._f0(ys).tobytes()
+    assert exchange._f0_and_slope(np.array([0.0]))[1][0] == 0.0
+
+
 def test_series_meets_closed_form_at_crossover():
     # both branches must agree through the seam at x = 0.25
     xs = 0.25 - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
@@ -232,6 +244,32 @@ def test_thermal_amplitude_batch_matches_points(regime):
     assert isinstance(scalar, float)
 
 
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.01, 0.3, 3.0])
+def test_thermal_slope_matches_a_centred_difference(regime, t):
+    # df/dx = sum_j W_j u_j f0'(x u_j) against the fourth-order centred
+    # difference, its four points on one rule so that it sees a smooth f
+    mu = reduced_chemical_potential(t, regime)
+    h = 5e-4
+    for x in (0.3, 1.0, 1.8, 4.0):
+        value, slope = exchange._amplitude_and_slope(x, t, mu, regime, 1e-12)
+        assert value == pytest.approx(thermal_amplitude(x, t, mu, regime, 1e-12)[0], abs=1e-14)
+        f = thermal_amplitude(x + h * np.array([-2.0, -1.0, 1.0, 2.0]), t, mu, regime, 1e-12)[0]
+        difference = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        assert abs(slope - difference) <= 1e-9
+
+
+def test_slope_sum_in_blocks_matches_one_block(monkeypatch):
+    t = 0.3
+    mu = reduced_chemical_potential(t, ER)
+    rule = fge.fermi.kernel_rule(mu, t, ER, 4.0)
+    whole = exchange._kernel_sum_and_slope(4.0, rule.nodes, rule.weights)
+    monkeypatch.setattr(exchange, "_BLOCK", 100)
+    assert len(rule.nodes) > 100
+    blocked = exchange._kernel_sum_and_slope(4.0, rule.nodes, rule.weights)
+    assert np.allclose(blocked, whole, rtol=0.0, atol=1e-14)
+
+
 def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
     # the estimate is the gap to the lower-order rule on the same panels;
     # a tight tolerance refines the panels, and without refinement it fails
@@ -382,11 +420,34 @@ def test_zeta_classical_limit():
     )
 
 
+def classical_zeta(t, regime):
+    """zeta in the Maxwell-Boltzmann limit: f = exp(-x^2 t/4) nonrel, (1 + x^2 t^2)^-2 rel."""
+    if regime is NR:
+        return math.sqrt(2.0 * math.log(2.0) / t)
+    return math.sqrt(2.0 ** 0.25 - 1.0) / t
+
+
+def test_zeta_classical_limit_relativistic():
+    # the relativistic window shrinks like sqrt(2^(1/4) - 1)/t
+    t = 30.0
+    assert solve_zeta(t, ER).zeta * t == pytest.approx(0.434979, abs=1e-3)
+    assert classical_zeta(t, ER) * t == pytest.approx(0.434979, abs=1e-6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(log_t=st.floats(0.0, math.log10(30.0)), regime=st.sampled_from([NR, ER]))
+def test_zeta_stays_below_the_classical_limit(log_t, regime):
+    # the degenerate gas's window stays inside the Maxwell-Boltzmann one
+    # (closest today: 0.99999965 of the limit, rel at t = 30)
+    t = 10.0 ** log_t
+    assert solve_zeta(t, regime, MuMode.EXACT_NORMALIZATION).zeta <= classical_zeta(t, regime)
+
+
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5])
 def test_zeta_brent_matches_scipy(t, regime):
-    # the in-house Brent refinement against scipy's brentq on the same
-    # bracket and amplitude, with the same tolerances
+    # the Newton refinement against scipy's brentq on the same bracket and
+    # amplitude, with the same tolerances
     if t == 0.0:
         amplitude = f_zero_temperature
     else:
@@ -401,17 +462,12 @@ def test_zeta_brent_matches_scipy(t, regime):
     gaps = np.square(amplitude(grid)) - 0.5
     k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
     lo, hi = float(grid[k]), float(grid[k + 1])
-    reference, info = brentq(gap, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps,
-                             maxiter=200, full_output=True)
+    reference = brentq(gap, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
     assert abs(solve_zeta(t, regime).zeta - reference) <= 1e-13
-    # the same steps: as many evaluations as scipy's, to the same root
-    calls = []
-    root = exchange._brent(lambda x: calls.append(x) or gap(x), lo, hi)
-    assert root == reference and len(calls) == info.function_calls
 
 
 def whole_grid_zeta(t, regime, mu_mode):
-    """zeta and its residual from a scan of the whole grid in one call, then Brent."""
+    """The bracket a scan of the whole grid in one call gives, and brentq's root on it."""
     if t == 0.0:
         amplitude = f_zero_temperature
     else:
@@ -425,29 +481,65 @@ def whole_grid_zeta(t, regime, mu_mode):
     grid = exchange._SCAN_X[1:]
     gaps = np.square(amplitude(grid)) - 0.5
     k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
-    root = exchange._brent(gap, float(grid[k]), float(grid[k + 1]))
-    return root, abs(gap(root))
+    bracket = (float(grid[k]), float(grid[k + 1]))
+    root = brentq(gap, *bracket, xtol=exchange._ROOT_XTOL, rtol=exchange._ROOT_RTOL,
+                  maxiter=exchange._ROOT_MAXITER)
+    return bracket, root
 
 
 def record_amplitude_calls(monkeypatch):
-    """The abscissas of every thermal amplitude call the zeta solve makes."""
-    calls = []
+    """The abscissas of every thermal amplitude call the zeta solve makes,
+    and the x of every value-and-slope call."""
+    calls, slope_calls = [], []
 
     def recorded(x, *args):
         calls.append(np.atleast_1d(np.array(x, dtype=float)))
         return thermal_amplitude(x, *args)
 
+    def recorded_slope(x, *args):
+        slope_calls.append(x)
+        return amplitude_and_slope(x, *args)
+
+    amplitude_and_slope = exchange._amplitude_and_slope
     monkeypatch.setattr(exchange, "thermal_amplitude", recorded)
-    return calls
+    monkeypatch.setattr(exchange, "_amplitude_and_slope", recorded_slope)
+    return calls, slope_calls
+
+
+def record_brackets(monkeypatch):
+    """The (lo, hi) of every bracket the root refinement is given."""
+    brackets = []
+    root_in_bracket = exchange._root_in_bracket
+
+    def recorded(fn, lo, hi, *ends):
+        brackets.append((lo, hi))
+        return root_in_bracket(fn, lo, hi, *ends)
+
+    monkeypatch.setattr(exchange, "_root_in_bracket", recorded)
+    return brackets
+
+
+def certified_start(t, regime, mu_mode):
+    """The first grid point the scan of a cold zeta(t) evaluates."""
+    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
+    grid = exchange._SCAN_X[1:][window[1:]]
+    mu = reduced_chemical_potential(t, regime, mu_mode)
+    rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+    return grid[max(exchange._certified_count(rule, grid), 1) - 1]
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0])
-def test_zeta_equals_a_whole_grid_scan(t, regime, mu_mode):
-    # the windowed scan finds the same bracket, so Brent takes the same steps
+def test_zeta_equals_a_whole_grid_scan(monkeypatch, t, regime, mu_mode):
+    # the certified scan finds the bracket a scan of the whole grid finds,
+    # and the Newton root on it is brentq's to Brent's tolerance
+    brackets = record_brackets(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
-    assert (result.zeta, result.residual) == whole_grid_zeta(t, regime, mu_mode)
+    bracket, reference = whole_grid_zeta(t, regime, mu_mode)
+    assert brackets == [bracket]
+    assert abs(result.zeta - reference) <= 1e-13
+    assert result.residual < 1e-10
 
 
 @pytest.mark.parametrize("window_end", [1.0, 1.85])
@@ -455,22 +547,55 @@ def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, windo
     # zeta(0.05) = 1.806 lies past the first window; with the end at 1.85 the
     # crossing falls between the last point of one window and the first of the next
     monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
-    calls = record_amplitude_calls(monkeypatch)
+    brackets = record_brackets(monkeypatch)
+    calls, slope_calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
-    assert (result.zeta, result.residual) == whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    bracket, reference = whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    assert brackets == [bracket] and abs(result.zeta - reference) <= 1e-13
     window = exchange._SCAN_X < window_end
-    assert calls[0].tobytes() == exchange._SCAN_X[window].tobytes()
+    start = certified_start(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    first = calls[0]
+    assert first[0] == 0.0 and all(start <= x < window_end for x in first[1:])
     assert calls[1].tobytes() == exchange._SCAN_X[~window].tobytes()
-    assert all(call.size == 1 for call in calls[2:])
+    assert len(calls) == 2 and len(slope_calls) <= 3
 
 
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_cold_zeta_scans_only_the_first_window(monkeypatch, regime):
-    calls = record_amplitude_calls(monkeypatch)
+    calls, slope_calls = record_amplitude_calls(monkeypatch)
     exchange._solve_zeta.__wrapped__(0.05, regime, MuMode.EXACT_NORMALIZATION)
-    assert max(call.max() for call in calls) < exchange._SCAN_WINDOW_END
-    # one batched scan of 21 abscissas, then one scalar call per Brent step
-    assert calls[0].size == 21 and all(call.size == 1 for call in calls[1:])
+    start = certified_start(0.05, regime, MuMode.EXACT_NORMALIZATION)
+    # one scan call from the origin and the certified start to the window
+    # end, then at most 3 Newton evaluations
+    (scan,) = calls
+    assert scan.size <= {NR: 6, ER: 8}[regime]
+    assert scan[0] == 0.0 and all(start <= x < exchange._SCAN_WINDOW_END for x in scan[1:])
+    assert len(slope_calls) <= 3
+
+
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_certified_scan_points_are_entangled(regime, mu_mode):
+    # every grid point the scan skips has f^2 > 1/2 on the whole-grid scan,
+    # and the rule has what the certificate assumes: weights >= 0 and its
+    # own nodes nondecreasing
+    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
+    grid = exchange._SCAN_X[1:][window[1:]]
+    skipped = 0
+    for t in np.geomspace(1e-6, 3.0, 40):
+        t = float(t)
+        mu = reduced_chemical_potential(t, regime, mu_mode)
+        rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+        n_hi = len(rule.nodes) // (fge.fermi._ORDER_HI + fge.fermi._ORDER_LO) * fge.fermi._ORDER_HI
+        assert rule.weights.min() >= 0.0
+        assert np.all(np.diff(rule.nodes[:n_hi]) >= 0.0)
+        assert np.all(rule.weights[n_hi:, 0] == 0.0)
+        count = exchange._certified_count(rule, grid)
+        gaps = np.square(thermal_amplitude(exchange._SCAN_X[1:], t, mu, regime,
+                                           exchange._ZETA_QUAD_TOL)[0]) - 0.5
+        assert np.all(gaps[:count] > 0.0)
+        skipped += max(count - 1, 0)
+    assert skipped > 40 * 5
 
 
 def test_equivalent_zeta_calls_share_one_cache_entry():
@@ -483,9 +608,9 @@ def test_equivalent_zeta_calls_share_one_cache_entry():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
-def test_brent_reports_a_bad_bracket():
+def test_root_refinement_reports_a_bad_bracket():
     with pytest.raises(SolverError, match="sign change"):
-        exchange._brent(lambda x: x * x + 1.0, -1.0, 1.0)
+        exchange._root_in_bracket(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 2.0, 2.0)
 
 
 def test_zeta_reports_missing_bracket():

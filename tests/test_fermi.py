@@ -127,6 +127,25 @@ def test_conversions_reject_nonpositive_inputs(call, fragment):
         call()
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda v: fermi_momentum_from_density(v), "density"),
+        (lambda v: pressure_from_density(v, NR), "density"),
+        (lambda v: fermi_momentum_from_pressure(v, ER), "pressure"),
+        (lambda v: pressure_from_fermi_momentum(v, NR), "fermi momentum"),
+        (lambda v: entanglement_distance(1e10, v), "zeta"),
+        (lambda v: entanglement_distance(v, 1.8), "fermi momentum"),
+        (lambda v: pressure_from_entanglement_distance(v, NR, 1.8), "distance"),
+        (lambda v: pressure_from_entanglement_distance(1e-12, NR, v), "zeta"),
+    ],
+)
+def test_conversions_reject_non_finite_inputs(call, fragment, bad):
+    with pytest.raises(DomainError, match=f"{fragment} must be finite"):
+        call(bad)
+
+
 def test_reduced_inputs_match_scalar_conversions_bit_for_bit():
     # the reduced temperature keys the per-t caches, so an array entry must
     # reduce exactly as the same point does alone, and as the plain Python

@@ -138,6 +138,21 @@ def test_dwarf_validation():
         dwarf_report(sirius_b(), zeta=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["mass", "radius", "surface_temperature"])
+def test_dwarf_rejects_non_finite_parameters(field, bad):
+    values = dict(mass=1e30, radius=1e7, surface_temperature=1e4, protons=6, nucleons=12)
+    values[field] = bad
+    with pytest.raises(DomainError, match=field.replace("_", " ") + " must be finite"):
+        WhiteDwarf(**values)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_dwarf_report_rejects_non_finite_zeta(bad):
+    with pytest.raises(DomainError, match="zeta must be finite"):
+        dwarf_report(sirius_b(), zeta=bad)
+
+
 def test_composition_enters_through_charge_fraction():
     # hydrogen packs twice the electrons of carbon at equal mass density
     carbon = dwarf_report(sirius_b())
