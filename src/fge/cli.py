@@ -11,6 +11,7 @@ The argument parser is built once, at the first ``main`` call.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -126,13 +127,24 @@ def _mu_mode(args):
     return MuMode(args.mu_mode)
 
 
+def _formatted(column):
+    """Lazy ``repr`` of each entry of a 1-d column; one repeated value is formatted once.
+
+    Entries repeat when their bits do, so that -0.0 and 0.0 stay apart.
+    """
+    values = column.tolist()
+    bits = column.view(np.int64)
+    if values and (bits == bits[0]).all():
+        return itertools.repeat(repr(values[0]), len(values))
+    return map(repr, values)
+
+
 def _write_csv(path, grid):
     columns = (grid.r, grid.p, grid.t, grid.x, grid.f, grid.concurrence,
-               grid.entropy_of_formation, grid.entangled.astype(int), grid.r_e)
+               grid.entropy_of_formation, grid.entangled.astype(np.int64), grid.r_e)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CSV_HEADER + "\n")
-        for row in zip(*(column.tolist() for column in columns)):
-            handle.write(",".join(map(repr, row)) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*map(_formatted, columns)))
 
 
 def _print_fields(report):

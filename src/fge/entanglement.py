@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exchange import (
     _amplitude_and_slope,
+    _f0,
     _root_in_bracket,
     _validate_quad_tol,
     f_zero_temperature,
@@ -28,7 +29,6 @@ from .exchange import (
 from .fermi import (
     GasRegime,
     MuMode,
-    entanglement_distance,
     reduced_chemical_potential,
     reduced_inputs,
 )
@@ -52,8 +52,13 @@ _STATE_TOL = 1e-10
 # the average over [0, zeta]: panel edges zeta (1 - 2^-k) for k below
 # _CASCADE_PANELS, then zeta; Gauss-Legendre orders of the value and of its
 # comparison rule; levels of panel halving tried before giving up; the
-# absolute floor of the error budget; the tolerance of the amplitude
-_CASCADE_PANELS = 31
+# absolute floor of the error budget; the tolerance of the amplitude.
+# Near zeta the entropy of formation goes as C^2 log C with C linear in
+# zeta - x, so a panel of width h next to zeta carries O(h^3): with 12
+# panels the last one is zeta 2^-11 wide, and deeper panels change nothing
+# the 16-point rule can resolve (the level-0 estimate stays at ~7e-15,
+# against 5e-13 with 8 panels and an absolute floor of 1e-12)
+_CASCADE_PANELS = 12
 _AVERAGE_ORDER_HI, _AVERAGE_ORDER_LO = 16, 8
 _AVERAGE_MAX_LEVEL = 4
 _AVERAGE_TOL_ABS = 1e-12
@@ -142,14 +147,23 @@ def werner_state_from_f(f: float) -> TwoSpinState:
 def is_entangled(f):
     """Separability predicate: entangled iff f^2 exceeds 1/2 strictly (scalar or array)."""
     arr = _amplitudes(f)
-    return _scalar_or_array(arr * arr > 0.5, arr)
+    return _scalar_or_array(_werner_measures(arr)[0], arr)
 
 
 def concurrence_closed_form(f):
     """Concurrence of the induced state, max{(2 f^2 - 1)/(2 - f^2), 0} (scalar or array)."""
     arr = _amplitudes(f)
-    f2 = arr * arr
-    return _scalar_or_array(np.maximum((2.0 * f2 - 1.0) / (2.0 - f2), 0.0), arr)
+    return _scalar_or_array(_werner_measures(arr)[1], arr)
+
+
+def _werner_measures(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separability predicate and concurrence of amplitudes known to satisfy |f| <= 1.
+
+    Both come from one f^2; ``is_entangled`` and ``concurrence_closed_form``
+    are this after their own check of f.
+    """
+    f2 = f * f
+    return f2 > 0.5, np.maximum((2.0 * f2 - 1.0) / (2.0 - f2), 0.0)
 
 
 def entropy_of_formation(f):
@@ -165,8 +179,9 @@ def entropy_of_formation(f):
 def _entropy_of_concurrence(c: np.ndarray) -> np.ndarray:
     y = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0)))
     rest = 1.0 - y
-    # 0 log2 0 = 0: the logarithm is 0 where rest is
-    log_rest = np.log2(rest, out=np.zeros_like(rest), where=rest > 0.0)
+    # 0 log2 0 = 0: y lies in [1/2, 1], so rest is 0 or at least 2^-53, and
+    # the floor 2^-54 changes only the zeros, whose term is then 0 * -54
+    log_rest = np.log2(np.maximum(rest, 2.0 ** -54))
     # starting from 0.0 makes the separable value +0.0 rather than -0.0
     return 0.0 - y * np.log2(y) - rest * log_rest
 
@@ -216,39 +231,49 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
     expressions.  The points are grouped by t, and each distinct t costs
     one chemical-potential solve, one zeta solve and one amplitude call
     on all of its x (``f_zero_temperature`` at t = 0, else one batched
-    ``thermal_amplitude``).  The amplitude is clamped into [-1, 1] before
-    the closed forms; the approximate-mu mode can overshoot 1 near zero
-    separation by O(t^2), which is an artifact of pinning mu to the Fermi
-    energy.
+    ``thermal_amplitude``).  A grid of one t (every 0-d call and most
+    sweeps) is that one group, with no per-point buffers or masks.  The
+    amplitude is clamped into [-1, 1] before the closed forms, which then
+    need no check of their own; the approximate-mu mode can overshoot 1
+    near zero separation by O(t^2), which is an artifact of pinning mu to
+    the Fermi energy.  The measures come from one f^2, and r_e = zeta/k_F,
+    with k_F and zeta already known to be finite and positive.
     """
     _validate_quad_tol(tol)
     r, p, temp, k_f, x, t = reduced_inputs(separation, pressure, temperature, regime)
     xs, ts = x.reshape(-1), t.reshape(-1)
-    f = np.empty(xs.shape)
-    zeta = np.empty(xs.shape)
     groups = sorted(set(ts.tolist()))
-    for t_group in groups:
-        # one t (every 0-d call and most sweeps) takes all points, unmasked
-        members = ts == t_group if len(groups) > 1 else slice(None)
-        if t_group == 0.0:
-            f[members] = f_zero_temperature(xs[members])
-        else:
-            mu_tilde = reduced_chemical_potential(t_group, regime, mu_mode)
-            f[members] = thermal_amplitude(xs[members], t_group, mu_tilde, regime, tol)[0]
-        zeta[members] = solve_zeta(t_group, regime, mu_mode).zeta
-    f_used = np.minimum(np.maximum(f, -1.0), 1.0)
-    concurrence = concurrence_closed_form(f_used)
+    if len(groups) == 1:
+        f, zeta = _amplitude_and_zeta(xs, groups[0], regime, mu_mode, tol)
+    else:
+        f, zeta = np.empty(xs.shape), np.empty(xs.shape)
+        for t_group in groups:
+            members = ts == t_group
+            f[members], zeta[members] = _amplitude_and_zeta(xs[members], t_group, regime,
+                                                            mu_mode, tol)
+    entangled, concurrence = _werner_measures(np.minimum(np.maximum(f, -1.0), 1.0))
     return EosGrid(
         f=f.reshape(x.shape),
-        entangled=is_entangled(f_used).reshape(x.shape),
+        entangled=entangled.reshape(x.shape),
         concurrence=concurrence.reshape(x.shape),
         entropy_of_formation=_entropy_of_concurrence(concurrence).reshape(x.shape),
         r=r,
         p=p,
         t=temp,
         x=x,
-        r_e=entanglement_distance(k_f.reshape(-1), zeta).reshape(x.shape),
+        r_e=(zeta / k_f.reshape(-1)).reshape(x.shape),
     )
+
+
+def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: MuMode,
+                        tol: float) -> tuple[np.ndarray, float]:
+    """The amplitude at the flat, nonnegative reduced separations ``xs`` of one t, and zeta(t)."""
+    if t == 0.0:
+        f = _f0(xs)
+    else:
+        f = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime, mu_mode), regime,
+                              tol)[0]
+    return f, solve_zeta(t, regime, mu_mode).zeta
 
 
 def eos_evaluate(separation: float, pressure: float, temperature: float,
@@ -285,15 +310,18 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     """Mean of the chosen measure over separations x in [0, zeta(t)].
 
     One fixed composite rule: 16-point Gauss-Legendre panels on a
-    geometric cascade toward the upper endpoint, where the entropy of
-    formation has a mild C^2 log C singularity in its higher derivatives,
-    with an 8-point rule on the same panels for the error estimate (the
-    summed gap between the two on every panel).  The abscissas of both
-    rules are one amplitude call (one batched ``thermal_amplitude`` at
-    finite t); as in ``eos_grid``, the amplitude is clamped into [-1, 1]
-    before the measure.  In the approximate-mu mode f overshoots 1 near
-    the origin, and the point where it falls through 1 is one more panel
-    edge: the root of f - 1 on [0, zeta], refined by the zeta solve's
+    geometric cascade of 12 panels toward the upper endpoint, edges
+    zeta (1 - 2^-k), where the entropy of formation has a mild C^2 log C
+    singularity in its higher derivatives.  A panel of width h next to
+    zeta carries O(h^3) of the integral, so panels deeper than the last,
+    zeta 2^-11 wide, would change nothing the rule resolves.  An
+    8-point rule on the same panels gives the error estimate (the summed
+    gap between the two on every panel), and one ``composite_gauss`` call
+    builds both.  The abscissas of both rules are one amplitude call (one
+    batched ``thermal_amplitude`` at finite t); as in ``eos_grid``, the
+    amplitude is clamped into [-1, 1] before the measure.  In the
+    approximate-mu mode f overshoots 1 near the origin, and the point
+    where it falls through 1 is one more panel edge: the root of f - 1 on [0, zeta], refined by the zeta solve's
     safeguarded Newton steps on the analytic df/dx, with f(zeta) = 1/sqrt(2)
     taken as known.  Every panel is halved until the estimate is at
     most max(1e-12, tol |integral|), and after a few levels a
@@ -326,13 +354,13 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
                                    math.sqrt(0.5) - 1.0)
         edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
-        x_hi, w_hi = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_HI)
-        x_lo, w_lo = composite_gauss(edges, 2 ** level, _AVERAGE_ORDER_LO)
-        f = amplitude(np.concatenate((x_hi, x_lo)))
-        values = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))
+        nodes, weights = composite_gauss(edges, 2 ** level, (_AVERAGE_ORDER_HI, _AVERAGE_ORDER_LO))
+        f = amplitude(nodes)
+        terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0)) * weights
         # the integral over each piece, at both orders
-        pieces_hi = (values[:len(x_hi)] * w_hi).reshape(-1, _AVERAGE_ORDER_HI).sum(axis=1)
-        pieces_lo = (values[len(x_hi):] * w_lo).reshape(-1, _AVERAGE_ORDER_LO).sum(axis=1)
+        n_hi = len(nodes) // (_AVERAGE_ORDER_HI + _AVERAGE_ORDER_LO) * _AVERAGE_ORDER_HI
+        pieces_hi = terms[:n_hi].reshape(-1, _AVERAGE_ORDER_HI).sum(axis=1)
+        pieces_lo = terms[n_hi:].reshape(-1, _AVERAGE_ORDER_LO).sum(axis=1)
         integral = float(pieces_hi.sum())
         err = float(np.abs(pieces_hi - pieces_lo).sum())
         budget = max(_AVERAGE_TOL_ABS, tol * abs(integral))
@@ -340,6 +368,6 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
             return integral / zeta
     raise QuadratureError(
         f"average over [0, zeta] stalled at estimate {err:.3e} (tolerance "
-        f"{budget:.3e}, {len(x_hi)} nodes) at t={t!r}",
+        f"{budget:.3e}, {n_hi} nodes) at t={t!r}",
         error_estimate=err,
     )

@@ -120,6 +120,11 @@ def density_from_fermi_momentum(fermi_momentum: float) -> float:
 def fermi_energy(fermi_momentum: float, regime: GasRegime) -> float:
     """Energy (J) of the highest occupied single-particle state."""
     _require_positive("fermi momentum", fermi_momentum)
+    return _fermi_energy(fermi_momentum, regime)
+
+
+def _fermi_energy(fermi_momentum, regime: GasRegime):
+    """``fermi_energy`` of a Fermi momentum already known to be finite and positive."""
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
         return _pow(c.hbar * fermi_momentum, 2.0) / (2.0 * c.electron_mass)
@@ -128,7 +133,13 @@ def fermi_energy(fermi_momentum: float, regime: GasRegime) -> float:
 
 def fermi_temperature(fermi_momentum: float, regime: GasRegime) -> float:
     """Degeneracy temperature scale (K) for the given Fermi wavevector."""
-    return fermi_energy(fermi_momentum, regime) / constants().boltzmann
+    _require_positive("fermi momentum", fermi_momentum)
+    return _fermi_temperature(fermi_momentum, regime)
+
+
+def _fermi_temperature(fermi_momentum, regime: GasRegime):
+    """``fermi_temperature`` of a Fermi momentum already known to be finite and positive."""
+    return _fermi_energy(fermi_momentum, regime) / constants().boltzmann
 
 
 def pressure_from_density(density: float, regime: GasRegime) -> float:
@@ -143,6 +154,11 @@ def pressure_from_density(density: float, regime: GasRegime) -> float:
 def fermi_momentum_from_pressure(pressure: float, regime: GasRegime) -> float:
     """Fermi wavevector (1/m) of the gas exerting the given degeneracy pressure (Pa)."""
     _require_positive("pressure", pressure)
+    return _fermi_momentum_from_pressure(pressure, regime)
+
+
+def _fermi_momentum_from_pressure(pressure, regime: GasRegime):
+    """``fermi_momentum_from_pressure`` of a pressure already known to be finite and positive."""
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
         return _pow(15.0 * math.pi ** 2 * c.electron_mass * pressure / c.hbar ** 2, 0.2)
@@ -186,35 +202,35 @@ def reduced_inputs(separation, pressure, temperature, regime: GasRegime) -> tupl
     float range.  Returns the float arrays (r, P, T, k_F, x = k_F r,
     t = T/T_F), all of the broadcast shape.
     """
+    arrays = [np.asarray(v, dtype=float) for v in (separation, pressure, temperature)]
     try:
-        r, p, temp = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (separation, pressure, temperature)))
+        shape = np.broadcast(*arrays).shape
     except ValueError:
         raise DomainError(
             "separation, pressure and temperature must broadcast together, got shapes "
             f"{np.shape(separation)}, {np.shape(pressure)} and {np.shape(temperature)}"
         ) from None
-    shape = r.shape
     # flat 1-d arrays, so that every operation below returns an array
-    r, p, temp = r.reshape(-1), p.reshape(-1), temp.reshape(-1)
-    # one pass of reductions; only a failure looks for the input to name
-    if not (r.min(initial=1.0) > 0 and p.min(initial=1.0) > 0 and temp.min(initial=0.0) >= 0
-            and max(r.max(initial=0.0), p.max(initial=0.0), temp.max(initial=0.0)) < math.inf):
+    r, p, temp = (a.reshape(-1) if a.shape == shape else np.broadcast_to(a, shape).reshape(-1)
+                  for a in arrays)
+    with np.errstate(all="ignore"):
+        k_f = _fermi_momentum_from_pressure(p, regime)
+        x = k_f * r
+        t = temp / _fermi_temperature(k_f, regime)
+    # five reductions prove every input good: a NaN, infinite or
+    # nonpositive pressure leaves k_F NaN, infinite or 0, and an infinite r,
+    # k_F or T leaves x or t infinite.  Only a failure looks for the input
+    # to name, in the order of the checks
+    if not (r.min(initial=1.0) > 0 and k_f.min(initial=1.0) > 0 and temp.min(initial=0.0) >= 0
+            and x.max(initial=0.0) < math.inf and t.max(initial=0.0) < math.inf):
         _require_all("separation", r, (r > 0) & (r < math.inf), "be finite and positive")
         _require_all("pressure", p, (p > 0) & (p < math.inf), "be finite and positive")
         _require_all("temperature", temp, (temp >= 0) & (temp < math.inf),
                      "be finite and nonnegative")
-    with np.errstate(over="ignore"):
-        k_f = fermi_momentum_from_pressure(p, regime)
-        x = k_f * r
-        # an infinite k_F makes x infinite too
-        if not (k_f.min(initial=1.0) > 0 and x.max(initial=0.0) < math.inf):
-            _require_all("pressure", p, (k_f > 0) & (k_f < math.inf),
-                         "give a positive, finite Fermi momentum")
-            _require_all("separation", r, x < math.inf, "be small enough for a finite k_F r")
-        t = temp / fermi_temperature(k_f, regime)
-        if not (t.max(initial=0.0) < math.inf):
-            _require_all("temperature", temp, t < math.inf, "be small enough for a finite T/T_F")
+        _require_all("pressure", p, (k_f > 0) & (k_f < math.inf),
+                     "give a positive, finite Fermi momentum")
+        _require_all("separation", r, x < math.inf, "be small enough for a finite k_F r")
+        _require_all("temperature", temp, t < math.inf, "be small enough for a finite T/T_F")
     return tuple(a.reshape(shape) for a in (r, p, temp, k_f, x, t))
 
 

@@ -22,6 +22,7 @@ from fge import (
     reduced_occupancy,
     solve_zeta,
 )
+from fge import cli
 from fge.cli import _CSV_HEADER, main
 from fge.fermi import occupancy_cutoff
 
@@ -480,3 +481,48 @@ def test_module_invocation_reports_errors():
     proc = run_python("-m", "fge", "eval", "--r", "1e-10", "--P", "-1")
     assert proc.returncode == 1
     assert "fge: error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e13", "--r", "1.3e-10",
+     "--count", "40", "--regime", "rel"],
+    ["sweep", "--var", "distance", "--min", "1e-12", "--max", "1e-9", "--P", "3e10",
+     "--count", "40"],
+    ["sweep", "--var", "temperature", "--min", "1e2", "--max", "1e5", "--r", "1e-10",
+     "--P", "1e9", "--count", "5"],
+    ["figure1", "--count", "40"],
+    ["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11", "--r", "1e-10",
+     "--T", "-0.0", "--count", "6"],
+])
+def test_csv_bytes_match_an_entry_by_entry_writer(argv, tmp_path, capsys, monkeypatch):
+    # a column of one repeated value is formatted once; the file must be the
+    # one that formatting every entry on its own writes
+    grids, original = [], cli.eos_grid
+
+    def recorded(*args, **kwargs):
+        grids.append(original(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "eos_grid", recorded)
+    out_csv = tmp_path / "grid.csv"
+    assert run_cli(argv + ["--out", str(out_csv)], capsys)[0] == 0
+    (grid,) = grids
+    columns = (grid.r, grid.p, grid.t, grid.x, grid.f, grid.concurrence,
+               grid.entropy_of_formation, grid.entangled, grid.r_e)
+    lines = [_CSV_HEADER] + [
+        ",".join(repr(int(v) if isinstance(v, bool) else v) for v in row)
+        for row in zip(*(column.tolist() for column in columns))]
+    assert out_csv.read_text() == "\n".join(lines) + "\n"
+    if "-0.0" in argv:
+        assert {row.split(",")[2] for row in lines[1:]} == {"-0.0"}
+
+
+def test_csv_column_entries_repeat_only_when_their_bits_do():
+    for column, expected in [
+        (np.array([0.0, -0.0, 0.0]), ["0.0", "-0.0", "0.0"]),
+        (np.array([-0.0, -0.0]), ["-0.0", "-0.0"]),
+        (np.broadcast_to(1e-10, 3), ["1e-10"] * 3),
+        (np.array([1, 0, 1]), ["1", "0", "1"]),
+        (np.array([]), []),
+    ]:
+        assert list(cli._formatted(column)) == expected

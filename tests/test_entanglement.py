@@ -19,6 +19,7 @@ from fge import (
     TwoSpinState,
     average_entanglement,
     concurrence_closed_form,
+    entanglement_distance,
     entropy_of_formation,
     eos_evaluate,
     eos_grid,
@@ -462,8 +463,8 @@ def test_average_entanglement_is_one_amplitude_call(monkeypatch, t):
     solve_zeta(t, NR)  # zeta's own amplitudes are not the average's
     calls = count_amplitude_calls(monkeypatch)
     average_entanglement(t, NR, Measure.ENTROPY_OF_FORMATION)
-    # both Gauss orders of the 31 cascade panels in one call
-    assert calls == [31 * (16 + 8)]
+    # both Gauss orders of the cascade panels in one call
+    assert calls == [entanglement._CASCADE_PANELS * (16 + 8)]
 
 
 def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
@@ -477,7 +478,8 @@ def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
         calls.clear()
         value = average_entanglement(0.05, NR, tol=tol)
         assert value == pytest.approx(reference, rel=tol)
-        assert calls == [31 * 6 * 2 ** level for level in range(len(calls))]
+        assert calls == [entanglement._CASCADE_PANELS * 6 * 2 ** level
+                         for level in range(len(calls))]
         levels.append(len(calls) - 1)
     # refinement engaged, and the tighter tolerance took more levels
     assert 0 < levels[0] < levels[1]
@@ -489,3 +491,53 @@ def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
     with pytest.raises(QuadratureError, match="stalled") as excinfo:
         average_entanglement(0.05, NR, tol=1e-12)
     assert 0.0 < excinfo.value.error_estimate < math.inf
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5, 2.0])
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, mu_mode, t):
+    # panels beyond the twelfth lie within zeta 2^-11 of zeta, where the
+    # measure carries O(h^3) on a panel of width h: the 31-panel cascade
+    # is the reference, and 12 panels still meet the budget at level 0
+    solve_zeta(t, regime, mu_mode)  # zeta's own amplitudes are not the average's
+    origin_call = mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0
+    kinked = origin_call and thermal_amplitude(
+        0.0, t, reduced_chemical_potential(t, regime, mu_mode), regime, 1e-10)[0] > 1.0
+    panels = entanglement._CASCADE_PANELS + kinked
+    for measure in Measure:
+        for tol in (1e-8, 1e-14):
+            with monkeypatch.context() as long:
+                long.setattr(entanglement, "_CASCADE_PANELS", 31)
+                reference = average_entanglement(t, regime, measure, mu_mode, tol)
+            with monkeypatch.context() as counted:
+                calls = count_amplitude_calls(counted)
+                value = average_entanglement(t, regime, measure, mu_mode, tol)
+            assert abs(value - reference) <= 2e-15 * abs(reference)
+            assert calls == [1] * origin_call + [panels * (16 + 8)]
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_grid_measures_equal_the_public_closed_forms(regime):
+    # the grid's measures, separability and r_e are the public formulas
+    # applied to its clamped amplitude and to k_F and zeta, bit for bit:
+    # on a grid of many t (0 among them), on one of a single t, and at a point
+    mode = MuMode.FERMI_ENERGY_APPROX
+    t_f = fermi_temperature(7e9, regime)
+    r = np.geomspace(0.01, 8.0, 9)[:, None] / 7e9
+    mixed = (r, pressure_from_fermi_momentum(np.array([2e9, 7e9, 3e10]), regime)[:, None, None],
+             np.array([0.0, 0.004, 0.05, 0.3]) * t_f)
+    single = (r.ravel(), pressure_from_fermi_momentum(7e9, regime), 0.05 * t_f)
+    point = (1.3 / 7e9, pressure_from_fermi_momentum(7e9, regime), 0.004 * t_f)
+    for args in (mixed, single, point):
+        grid = eos_grid(*args, regime, mode)
+        f = np.clip(grid.f, -1.0, 1.0)
+        assert np.array_equal(grid.entangled, is_entangled(f))
+        assert np.array_equal(grid.concurrence, concurrence_closed_form(f))
+        assert np.array_equal(grid.entropy_of_formation, entropy_of_formation(f))
+        k_f = fermi_momentum_from_pressure(grid.p, regime)
+        zeta = np.vectorize(lambda t: solve_zeta(t, regime, mode).zeta)(
+            grid.t / fermi_temperature(k_f, regime))
+        assert np.array_equal(grid.r_e, entanglement_distance(k_f, zeta))
+        if args is mixed:  # the clamp engages, and both sides of the window occur
+            assert (grid.f > 1.0).any() and grid.entangled.any() and not grid.entangled.all()

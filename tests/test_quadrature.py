@@ -91,3 +91,13 @@ def test_tuple_of_orders_concatenates_the_rules():
     alone = [composite_gauss(edges, splits, order) for order in (12, 6)]
     assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
     assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
+
+
+def test_tuple_of_orders_on_a_geometric_cascade():
+    # the average's rule: both of its orders on the panels toward zeta, in one call
+    edges = np.append(1.8 * (1.0 - 0.5 ** np.arange(12)), 1.8)
+    for splits in (1, 2, 4):
+        nodes, weights = composite_gauss(edges, splits, (16, 8))
+        alone = [composite_gauss(edges, splits, order) for order in (16, 8)]
+        assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
+        assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
