@@ -10,8 +10,9 @@ smallest x where f^2 crosses 1/2.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .fermi import (
     GasRegime,
     KernelRule,
     MuMode,
+    _cached_kernel_rule,
     kernel_rule,
     reduced_chemical_potential,
     reduced_inputs,
@@ -212,30 +214,37 @@ def _kernel_sum_and_slope(x: float, nodes: np.ndarray, weights: np.ndarray) -> n
 
 
 def _refined_sum(kernel_sum, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
-                 tol: float) -> tuple:
+                 tol: float, rules=None) -> tuple:
     """``kernel_sum(rule)`` on the kernel rules of levels 0, 1, ... until its estimate is within ``tol``.
 
-    The rules resolve f0(x u) for x up to ``x_max``.  The last axis of
-    what ``kernel_sum`` returns holds the rule's sum and its lower-order
-    companion first, and the estimate is their largest gap.  Returns the
-    sums and the estimate.
+    The rules resolve f0(x u) for x up to ``x_max``; ``rules(level)``
+    returns the rule of a level when given, else ``kernel_rule`` builds or
+    fetches it.  The last axis of what ``kernel_sum`` returns holds the
+    rule's sum and its lower-order companion first, and the estimate is
+    their largest gap.  Returns the sums and the estimate.  A call that
+    raises leaves none of the rules it built in the cache.
     """
-    for level in range(_MAX_LEVEL + 1):
-        rule = kernel_rule(mu_tilde, t, regime, x_max, level)
-        sums = kernel_sum(rule)
-        err = float(np.abs(sums[..., 0] - sums[..., 1]).max(initial=0.0))
-        if not math.isfinite(err):
-            raise QuadratureError(
-                f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
-                error_estimate=err,
-            )
-        if err <= tol:
-            return sums, err
-    raise QuadratureError(
-        f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
-        f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
-        error_estimate=err,
-    )
+    mark = _cached_kernel_rule.mark()
+    try:
+        for level in range(_MAX_LEVEL + 1):
+            rule = kernel_rule(mu_tilde, t, regime, x_max, level) if rules is None else rules(level)
+            sums = kernel_sum(rule)
+            err = float(np.abs(sums[..., 0] - sums[..., 1]).max(initial=0.0))
+            if not math.isfinite(err):
+                raise QuadratureError(
+                    f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
+                    error_estimate=err,
+                )
+            if err <= tol:
+                return sums, err
+        raise QuadratureError(
+            f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
+            f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
+            error_estimate=err,
+        )
+    except Exception:
+        _cached_kernel_rule.drop_since(mark)
+        raise
 
 
 def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
@@ -265,18 +274,22 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
 
 
 def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
-                         tol: float) -> tuple[float, float]:
+                         tol: float, rules=None) -> tuple[float, float]:
     """f(x, t) and df/dx at one x >= 0 (the ground state at t = 0).
 
-    At finite t both come from the nodes of the rule that
-    ``thermal_amplitude(x, ...)`` accepts, df/dx = sum_j W_j u_j f0'(x u_j),
-    so the value is that call's to rounding.
+    At finite t both come from the nodes of one kernel rule,
+    df/dx = sum_j W_j u_j f0'(x u_j), refined level by level to ``tol``
+    like ``thermal_amplitude``.  The rules are those ``thermal_amplitude(x)``
+    uses unless ``rules(level)`` supplies them: the zeta solve passes the
+    rules of its scan call, which resolve every x up to that call's last
+    abscissa, so the value agrees with ``thermal_amplitude(x)`` to within
+    the two estimates rather than to rounding.
     """
     if t == 0.0:
         value, slope = _f0_and_slope(np.array([x]))
         return float(value[0]), float(slope[0])
     sums, _ = _refined_sum(lambda rule: _kernel_sum_and_slope(x, rule.nodes, rule.weights),
-                           x, t, mu_tilde, regime, tol)
+                           x, t, mu_tilde, regime, tol, rules)
     return float(sums[0]), float(sums[2])
 
 
@@ -360,16 +373,23 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
 
 # x = 0 (the origin check) followed by the scan grid of the bracket search
 _SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
-# the bracket search first scans only the grid below this x, which falls
-# between its points 1.9 and 2.0, and the rest only if no crossing lies
-# there.  Over t from 1e-6 to 30, both regimes and both mu modes, the
-# largest zeta was 1.866 (fermi mu, rel, t = 0.172)
+# the bracket search scans the grid below this x, which falls between its
+# points 1.9 and 2.0, and the rest only if no crossing lies there.  Over t
+# from 1e-6 to 30, both regimes and both mu modes, the largest zeta was
+# 1.866 (fermi mu, rel, t = 0.172)
 _SCAN_WINDOW_END = 1.95
+# above this multiple of the classical zeta (``_classical_zeta``) the first
+# scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
+_THERMAL_WINDOW = 1.25
 # the scan's certificate: the weight fraction of the kernel rule left beyond
-# its cut node, and the margin by which the bound must exceed 1/sqrt(2), a
-# thousand times the tolerance of the amplitudes of the solve
+# its cut node, the equal-weight blocks the weight below the cut falls into,
+# and the margin by which the bound must exceed 1/sqrt(2), a thousand times
+# the tolerance of the amplitudes of the solve
 _CERT_TAIL = 1e-3
+_CERT_BLOCKS = 16
 _CERT_MARGIN = 1e-9
+# the fractions of the certified weight at which the blocks end, the last exactly 1
+_CERT_FRACTIONS = np.arange(1, _CERT_BLOCKS + 1) / _CERT_BLOCKS
 
 
 def _first_crossing(gaps: np.ndarray) -> int | None:
@@ -384,40 +404,74 @@ def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
     The rule's sum is f(x) = sum_j W_j f0(x u_j) with W_j >= 0 and its
     nodes u_j nondecreasing (``composite_gauss`` builds them piece by piece,
     and the map s -> u is monotone); the companion's nodes follow them with
-    weight 0 in this column.  Cut them at the node U beyond which at most
-    _CERT_TAIL of the weight lies, W_A the weight at or below U and W_B the
-    rest.  As f0 decreases on [0, Y] and never drops below f0(Y),
-    f(x) >= W_A f0(x U) + W_B f0(Y) for every x U <= Y, a bound that falls
-    with x.  The count is of the leading x where it exceeds 1/sqrt(2) by
-    _CERT_MARGIN, without an amplitude evaluated.
+    weight 0 in this column.  The weight up to 1 - _CERT_TAIL of the total
+    is cut into _CERT_BLOCKS blocks of equal weight, block b of weight W_b
+    ending at node U_b, and W_tail is the rest.  As f0 decreases on [0, Y]
+    and never drops below f0(Y), every node of block b has
+    f0(x u_j) >= g(x U_b) with g(y) = f0(min(y, Y)), so
+    f(x) >= sum_b W_b g(x U_b) + W_tail f0(Y), a bound that falls with x
+    (with one block it is the single cut at U).  The count is of the
+    leading x where it exceeds 1/sqrt(2) by _CERT_MARGIN, without an
+    amplitude evaluated.
     """
     below = np.cumsum(rule.weights[:, 0])
-    cut = int(np.searchsorted(below, (1.0 - _CERT_TAIL) * below[-1]))
-    y = xs * rule.nodes[cut]
-    bound = below[cut] * _f0(y) + (below[-1] - below[cut]) * _F0_MIN
-    proven = (y <= _F0_MIN_AT) & (bound > math.sqrt(0.5) + _CERT_MARGIN)
-    return int(np.logical_and.accumulate(proven).sum())
+    ends = np.searchsorted(below, (1.0 - _CERT_TAIL) * below[-1] * _CERT_FRACTIONS)
+    block_weights = below[ends]
+    block_weights[1:] -= below[ends[:-1]]
+    y = np.minimum(np.multiply.outer(xs, rule.nodes[ends]), _F0_MIN_AT)
+    bound = _f0(y.ravel()).reshape(y.shape) @ block_weights
+    bound += (below[-1] - below[ends[-1]]) * _F0_MIN
+    return int(np.logical_and.accumulate(bound > math.sqrt(0.5) + _CERT_MARGIN).sum())
+
+
+def _classical_zeta(t: float, regime: GasRegime) -> float:
+    """zeta of the Maxwell-Boltzmann gas, where f = exp(-x^2 t/4) nonrel and (1 + x^2 t^2)^-2 rel."""
+    if regime is GasRegime.NONRELATIVISTIC:
+        return math.sqrt(2.0 * math.log(2.0) / t)
+    return math.sqrt(2.0 ** 0.25 - 1.0) / t
+
+
+def _scan_stops(t: float, regime: GasRegime) -> list[int]:
+    """Where the scan calls end on ``_SCAN_X``: each call covers the grid up to its stop.
+
+    The last two calls end at _SCAN_WINDOW_END and at the end of the grid.
+    At finite t a first call ends at the first grid point at or above
+    _THERMAL_WINDOW times the classical zeta, when that point lies below
+    _SCAN_WINDOW_END.
+    """
+    stops = [int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END)), len(_SCAN_X)]
+    if t > 0.0:
+        thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * _classical_zeta(t, regime))) + 1
+        if thermal < stops[0]:
+            stops.insert(0, thermal)
+    return stops
 
 
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
     """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Newton steps.
 
-    The origin and the scan grid x in {1e-3, 0.1, ..., 1.9} are one batched
-    amplitude call, whose kernel rule resolves only x <= 1.9; the grid
-    {2.0, ..., 3} is a second call, made only when the first window holds
-    no crossing, and the crossing is then looked for on the gaps of both.
-    At finite t the scan skips the leading grid points that the weights of
-    its own rule prove to have f^2 > 1/2 (``_certified_count``), all but
-    the last of them, which ends the bracket; the bracket is therefore the
-    one a scan of the whole grid gives.  The root is refined by
-    ``_root_in_bracket``, whose Newton steps take df/dx from the same
-    kernel nodes as f, and the residual is the gap at the last x it
-    evaluated.  The amplitude is evaluated at the fixed tolerance
-    _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays below the
-    1e-10 contract.  Results are cached per (t, regime, mu_mode), however
-    the arguments are spelled; ``cache_info`` and ``cache_clear`` reach
-    that cache.
+    The scan grid is x in {1e-3, 0.1, 0.2, ..., 3}, evaluated in batched
+    amplitude calls whose kernel rules resolve only the x of their call
+    (``_scan_stops``).  At finite t the first call ends near the thermal
+    length, at the first grid point at or above 1.25 times the classical
+    zeta when that is below 1.95; the next ends at 1.9, the last at 3.
+    Each further call is made only when the calls before it hold no
+    crossing, and the crossing is looked for on the gaps of all of them, so
+    the bracket is the first sign change on the whole grid.  The first call
+    also evaluates the origin, and at finite t it skips the leading grid
+    points that the weights of its own rule prove to have f^2 > 1/2
+    (``_certified_count``), all but the last of them.  When the first grid
+    point scanned is 1e-3 and already has f^2 < 1/2, the crossing lies
+    below the grid and the solve fails at once.  The root is refined by
+    ``_root_in_bracket``, whose Newton steps take f and df/dx from the same
+    kernel nodes: those of the rules of the scan call that evaluated the
+    bracket's upper end, each level fetched once per solve.  The residual
+    is the gap at the last x evaluated.  The amplitude is evaluated at the
+    fixed tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual
+    stays below the 1e-10 contract.  Results are cached per
+    (t, regime, mu_mode), however the arguments are spelled; ``cache_info``
+    and ``cache_clear`` reach that cache.
     """
     return _solve_zeta(t, regime, mu_mode)
 
@@ -426,8 +480,17 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
 def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
+    mark = _cached_kernel_rule.mark()
+    try:
+        return _zeta_from_scan(t, regime, mu_mode)
+    except Exception:
+        _cached_kernel_rule.drop_since(mark)  # a failed solve's rules serve no one
+        raise
 
-    window = int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END))
+
+def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
+    """The uncached body of ``solve_zeta`` at a valid t."""
+    stops = _scan_stops(t, regime)
     if t == 0.0:
         mu_tilde = 1.0
         amplitude = f_zero_temperature
@@ -438,10 +501,10 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         def amplitude(xv):
             return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-        # the level-0 rule of the scan below, which resolves the window's last point
-        rule = kernel_rule(mu_tilde, t, regime, float(_SCAN_X[window - 1]))
-        first = max(1, _certified_count(rule, _SCAN_X[1:window]))
-    f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:window])))
+        # the level-0 rule of the first scan call, which resolves its last point
+        rule = kernel_rule(mu_tilde, t, regime, float(_SCAN_X[stops[0] - 1]))
+        first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))
+    f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:stops[0]])))
     if not (f_origin ** 2 > 0.5):
         raise SolverError(
             f"no root exists: the amplitude at zero separation is {f_origin!r}, "
@@ -450,9 +513,13 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
 
     grid = _SCAN_X[first:]
     gaps = np.square(scan) - 0.5
-    k = _first_crossing(gaps)
-    if k is None:
-        gaps = np.concatenate((gaps, np.square(amplitude(_SCAN_X[window:])) - 0.5))
+    # a first point already below 1/2 puts the crossing below the grid
+    below_grid = gaps[0] < 0.0
+    k = None if below_grid else _first_crossing(gaps)
+    for start, stop in zip(stops, stops[1:]):
+        if k is not None or below_grid:
+            break
+        gaps = np.concatenate((gaps, np.square(amplitude(_SCAN_X[start:stop])) - 0.5))
         k = _first_crossing(gaps)
     if k is None:
         raise SolverError(
@@ -461,8 +528,14 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
             "(bracket too small) or the amplitude never reaches 1/2"
         )
 
+    rules = None
+    if t > 0.0:
+        # the rules of the scan call that evaluated the bracket's upper end
+        x_max = float(_SCAN_X[stops[bisect_right(stops, first + k + 1)] - 1])
+        rules = cache(partial(kernel_rule, mu_tilde, t, regime, x_max))
+
     def gap_and_slope(xv):
-        f, slope = _amplitude_and_slope(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)
+        f, slope = _amplitude_and_slope(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL, rules)
         return f * f - 0.5, 2.0 * f * slope
 
     root, gap = _root_in_bracket(gap_and_slope, float(grid[k]), float(grid[k + 1]),

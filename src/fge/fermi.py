@@ -13,6 +13,7 @@ are the backbone of the exchange-amplitude module.
 
 import cmath
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -21,7 +22,7 @@ import numpy as np
 
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
-from .quadrature import composite_gauss
+from .quadrature import composite_gauss, gauss_legendre
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
 
@@ -34,12 +35,17 @@ _THERMAL_DECADES = 45.0
 _KERNEL_OFFSETS = np.array(
     [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 29.0, 37.0, 45.0]
 )
+# the level-0 edges in s of a window centred at s = 0 that the band bottom
+# does not cut, spelled as ``_kernel_panels`` computes them
+_S_EDGES = np.concatenate((0.0 - _KERNEL_OFFSETS[::-1], 0.0 + _KERNEL_OFFSETS[1:]))
 # Gauss-Legendre orders of the kernel rule and of its comparison rule
 _ORDER_HI, _ORDER_LO = 12, 6
 # largest phase x * (panel width in u) of f0(x u) over one panel, in radians
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
 _MAX_KERNEL_NODES = 2 ** 20
+# most nodes, of both orders, the cached kernel rules may hold together (48 MiB)
+_MAX_CACHED_NODES = 2 ** 21
 # below this reduced temperature the normalization correction to mu is < 1 ulp
 _MU_SHIFT_FLOOR = 1e-9
 # Newton steps below this (times max(1, t)) end the chemical-potential solve
@@ -337,8 +343,12 @@ def _kernel_panels(mu_tilde: float, t: float, regime: GasRegime):
     left = centre - _KERNEL_OFFSETS[::-1]
     s_edges = np.concatenate(([s_first], left[left > s_first], centre + _KERNEL_OFFSETS[1:]))
     u_edges = _kernel_u(mu_tilde + t * s_edges, regime)
-    in_u = regime is GasRegime.NONRELATIVISTIC and s_lo > -_THERMAL_DECADES
-    return s_edges, u_edges, in_u
+    return s_edges, u_edges, _spaced_in_u(mu_tilde, t, regime)
+
+
+def _spaced_in_u(mu_tilde: float, t: float, regime: GasRegime) -> bool:
+    """Whether the nonrelativistic band bottom s = -mu/t lies inside the kernel window."""
+    return regime is GasRegime.NONRELATIVISTIC and -mu_tilde / t > -_THERMAL_DECADES
 
 
 def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
@@ -359,19 +369,63 @@ def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
     return math.pi * np.diff(u_edges) / np.abs(pole - nearest)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple[np.ndarray, np.ndarray]:
-    """Widths in u of the level-0 panels, and the pieces each needs whatever x is.
+@lru_cache(maxsize=16)
+def _s_table(order: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights dz k(z) of the ``order``-point rule on _S_EDGES, each panel cut into ``pieces``.
 
-    With nodes spaced in u that is ``_pole_pieces``; otherwise one piece
-    per panel suffices.
+    Neither depends on t: every rule spaced in s whose window starts at or
+    below the kernel centre is a slice of this table (``_s_nodes``).
     """
-    _, u_edges, in_u = _kernel_panels(mu_tilde, t, regime)
+    z, dz = composite_gauss(_S_EDGES, pieces, order)
+    weights = dz * _kernel_density(z)
+    for array in (z, weights):
+        array.flags.writeable = False  # every caller of the cache shares them
+    return z, weights
+
+
+def _s_nodes(s_first: float, pieces: int, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``_s_table`` of each order in turn on the level-0 panels from ``s_first`` (-45 <= s_first <= 0) to 45.
+
+    The panels are those of ``_kernel_panels`` for mu_tilde >= 0: the fixed
+    edges above ``s_first``, and a partial first panel from ``s_first`` to
+    the next of them unless ``s_first`` is itself an edge.  Only that panel
+    is computed, by ``composite_gauss``'s formula, so the nodes and weights
+    are the bits ``composite_gauss`` gives on those panels.
+    """
+    above = int(np.searchsorted(_S_EDGES, s_first, side="right"))
+    whole = bool(_S_EDGES[above - 1] == s_first)
+    if not whole:
+        half = 0.5 * (_S_EDGES[above] - s_first) / pieces
+        mid = s_first + (2 * np.arange(pieces) + 1) * half
+    nodes, weights = [], []
+    for order in orders:
+        if not whole:
+            y, w = gauss_legendre(order)
+            z = (mid[:, None] + half * y).ravel()
+            nodes.append(z)
+            weights.append(np.tile(half * w, pieces) * _kernel_density(z))
+        start = (above - whole) * pieces * order
+        table_nodes, table_weights = _s_table(order, pieces)
+        nodes.append(table_nodes[start:])
+        weights.append(table_weights[start:])
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple:
+    """Widths in u of the level-0 panels, the pieces each needs whatever x is, and the panels.
+
+    With nodes spaced in u the pieces are ``_pole_pieces``; otherwise one
+    piece per panel suffices.  The panels are what ``_kernel_panels``
+    returns, kept for the rules built on them.
+    """
+    panels = _kernel_panels(mu_tilde, t, regime)
+    _, u_edges, in_u = panels
     widths = np.diff(u_edges)
     floor = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.zeros_like(widths)
-    for array in (widths, floor):
+    for array in (widths, floor, *panels[:2]):
         array.flags.writeable = False  # every caller of the cache shares them
-    return widths, floor
+    return widths, floor, panels
 
 
 def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
@@ -382,7 +436,7 @@ def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
     fewer pieces than ``_kernel_widths`` asks for near the kernel pole.
     Each level then halves every piece.
     """
-    widths, floor = _kernel_widths(mu_tilde, t, regime)
+    widths, floor, _ = _kernel_widths(mu_tilde, t, regime)
     pieces = np.maximum(x_max * widths / _PHASE_PER_PANEL, floor)
     pieces = np.maximum(np.ceil(pieces), 1.0) * 2.0 ** level
     nodes = float(pieces.sum()) * _ORDER_HI
@@ -395,28 +449,91 @@ def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
     return pieces.astype(np.int64)
 
 
-def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, panels: tuple,
-                  splits, order) -> tuple[np.ndarray, np.ndarray]:
+def _u_weights(u: np.ndarray, dz: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
+    """Weights u^3 k(s) ds of nodes u spaced in u with widths dz (nonrelativistic)."""
+    return dz * _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t) * u ** 3
+
+
+def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, splits, order,
+                  panels: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_j and weights u_j^3 k(s_j) ds of an ``order``-point rule (or rules).
 
-    ``panels`` is what ``_kernel_panels`` returns for (mu_tilde, t,
-    regime), and panel p of it is cut into ``splits[p]`` equal pieces.  A
-    tuple of orders gives each rule on the same pieces, one after another,
-    and maps all their nodes from s to u at once.
+    Panel p of the level-0 panels (what ``_kernel_panels`` returns for
+    (mu_tilde, t, regime), built here unless ``panels`` holds them) is cut
+    into ``splits[p]`` equal pieces.  A tuple of orders gives each rule on
+    the same pieces, one after another, and maps all their nodes from s to
+    u at once.  Spaced in s with mu_tilde >= 0 and the same pieces in every
+    panel, the nodes and weights in s are slices of ``_s_table`` and only
+    the map to u is per temperature.
     """
-    s_edges, u_edges, in_u = panels
+    orders = order if isinstance(order, tuple) else (order,)
+    counts = np.asarray(splits)
+    if not _spaced_in_u(mu_tilde, t, regime) and mu_tilde >= 0.0 and counts.min() == counts.max():
+        z, weights = _s_nodes(max(-mu_tilde / t, -_THERMAL_DECADES), int(counts.flat[0]), orders)
+        u = _kernel_u(mu_tilde + t * z, regime)
+        return u, weights * u ** 3
+    s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t, regime)
     z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
     if in_u:
-        u = z
-        weights = dz * _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t)
-    else:
-        u = _kernel_u(mu_tilde + t * z, regime)
-        weights = dz * _kernel_density(z)
-    return u, weights * u ** 3
+        return z, _u_weights(z, dz, mu_tilde, t)
+    u = _kernel_u(mu_tilde + t * z, regime)
+    return u, dz * _kernel_density(z) * u ** 3
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
+_RuleCacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nodes max_nodes")
+
+
+class _RuleCache:
+    """Least-recently-used cache of ``KernelRule``s, bounded by entries and by their total nodes.
+
+    A few wide rules at high t can hold far more memory than hundreds of
+    narrow ones, so besides ``maxsize`` entries the cache holds at most
+    ``max_nodes`` nodes; the least recently used rules go first.  ``mark``
+    and ``drop_since`` let a computation that fails forget the rules it
+    built.  ``cache_info`` and ``cache_clear`` follow ``functools.lru_cache``.
+    """
+
+    def __init__(self, build, maxsize: int, max_nodes: int):
+        self.__wrapped__ = build
+        self.maxsize, self.max_nodes = maxsize, max_nodes
+        self._rules: OrderedDict = OrderedDict()
+        self._nodes = self._built = self.hits = self.misses = 0
+
+    def __call__(self, mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
+        key = (mu_tilde, t, regime, splits)
+        entry = self._rules.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._rules.move_to_end(key)
+            return entry[0]
+        self.misses += 1
+        rule = self.__wrapped__(mu_tilde, t, regime, splits)
+        self._rules[key] = (rule, self._built)
+        self._built += 1
+        self._nodes += len(rule.nodes)
+        while len(self._rules) > self.maxsize or self._nodes > self.max_nodes:
+            self._nodes -= len(self._rules.popitem(last=False)[1][0].nodes)
+        return rule
+
+    def mark(self) -> int:
+        """A token for ``drop_since``: the count of rules built so far."""
+        return self._built
+
+    def drop_since(self, mark: int) -> None:
+        """Forget every cached rule built after ``mark`` was taken."""
+        for key in [key for key, (_, built) in self._rules.items() if built >= mark]:
+            self._nodes -= len(self._rules.pop(key)[0].nodes)
+
+    def cache_info(self) -> _RuleCacheInfo:
+        return _RuleCacheInfo(self.hits, self.misses, self.maxsize, len(self._rules),
+                              self._nodes, self.max_nodes)
+
+    def cache_clear(self) -> None:
+        self._rules.clear()
+        self._nodes = self.hits = self.misses = 0
+
+
+def _build_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
     """The rule of ``kernel_rule`` on level-0 panels cut into ``splits`` (int64 bytes) pieces.
 
     Both orders come from one panel and piece geometry: the nodes of the
@@ -424,8 +541,8 @@ def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: by
     kernel density and the u^3 factor together.
     """
     counts = np.frombuffer(splits, dtype=np.int64)
-    nodes, both = _kernel_nodes(mu_tilde, t, regime, _kernel_panels(mu_tilde, t, regime),
-                                counts, (_ORDER_HI, _ORDER_LO))
+    nodes, both = _kernel_nodes(mu_tilde, t, regime, counts, (_ORDER_HI, _ORDER_LO),
+                                _kernel_widths(mu_tilde, t, regime)[2])
     n_hi = int(counts.sum()) * _ORDER_HI
     weights = np.zeros((len(nodes), 2))
     weights[:n_hi, 0] = both[:n_hi]
@@ -435,6 +552,9 @@ def _cached_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: by
     return KernelRule(nodes, weights)
 
 
+_cached_kernel_rule = _RuleCache(_build_kernel_rule, CACHE_SIZE, _MAX_CACHED_NODES)
+
+
 def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0,
                 level: int = 0) -> KernelRule:
     """Fermi-kernel rule at (mu_tilde, t), resolving f0(x u) for every x up to ``x_max``.
@@ -442,8 +562,11 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     Level 0 has up to 28 graded panels: unit width across the kernel bump,
     whose poles sit at s = +-i pi, and widening where the kernel has
     decayed.  ``_kernel_splits`` cuts them to resolve the oscillation of
-    f0(x u), and every further level halves all pieces.  Rules are cached;
-    one that would exceed _MAX_KERNEL_NODES raises ``QuadratureError``.
+    f0(x u), and every further level halves all pieces.  A rule spaced in
+    s is a slice of the t-independent ``_s_table`` when every panel has the
+    same pieces, so only its map to u is computed.  Rules are cached, at
+    most CACHE_SIZE of them and _MAX_CACHED_NODES nodes in all; one that
+    would exceed _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
     splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
     return _cached_kernel_rule(mu_tilde, t, regime, splits.tobytes())
@@ -452,24 +575,33 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
 # === chemical potential ===
 
 
-def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime) -> tuple[float, float]:
-    """Particle-number integral int_0^inf u^2 n(u) du and its mu-derivative.
+def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
+                      grid: tuple | None = None) -> tuple[float, float, tuple | None]:
+    """Particle-number integral int_0^inf u^2 n(u) du, its mu-derivative, and the u-grid used.
 
     Both are sums over the nodes of the level-0 kernel rule for x = 0, at
-    order _ORDER_HI.  Its panels are built once and its splits directly:
-    one piece per panel where the nodes are spaced in s, else
-    ``_pole_pieces`` rounded up.  Nothing is cached, because every Newton
-    iterate of mu is a new key.
+    order _ORDER_HI: one piece per panel where the nodes are spaced in s,
+    else ``_pole_pieces`` rounded up.  Spaced in s they come from the
+    t-independent ``_s_table`` (for mu_tilde >= 0), so only u(mu + t s)
+    and u^3 are computed.  Spaced in u, the nodes and widths of ``grid``,
+    the u-grid a previous Newton iterate returned, are kept and only the
+    kernel weights are new; without one the grid is built and returned
+    (None when the nodes are spaced in s).  Nothing is cached, because
+    every Newton iterate of mu is a new key.
     """
-    panels = _kernel_panels(mu_tilde, t, regime)
-    _, u_edges, in_u = panels
-    splits = 1
-    if in_u:
-        splits = np.maximum(np.ceil(_pole_pieces(mu_tilde, t, u_edges)), 1.0).astype(np.int64)
-    u, weights = _kernel_nodes(mu_tilde, t, regime, panels, splits, _ORDER_HI)
+    if _spaced_in_u(mu_tilde, t, regime):
+        if grid is None:
+            _, u_edges, _ = _kernel_panels(mu_tilde, t, regime)
+            splits = np.maximum(np.ceil(_pole_pieces(mu_tilde, t, u_edges)), 1.0).astype(np.int64)
+            grid = composite_gauss(u_edges, splits, _ORDER_HI)
+        u = grid[0]
+        weights = _u_weights(u, grid[1], mu_tilde, t)
+    else:
+        grid = None
+        u, weights = _kernel_nodes(mu_tilde, t, regime, 1, _ORDER_HI)
     # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / d'(u)
     slope_factor = 0.5 / (u * u) if regime is GasRegime.NONRELATIVISTIC else 1.0 / u
-    return float(weights.sum()) / 3.0, float(weights @ slope_factor)
+    return float(weights.sum()) / 3.0, float(weights @ slope_factor), grid
 
 
 def _normalization_integral(mu_tilde: float, t: float, regime: GasRegime) -> float:
@@ -497,7 +629,11 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     EXACT_NORMALIZATION solves the particle-number equation
     int u^2 n(u) du = 1/3 by Newton's method on its logarithm, from the
     Sommerfeld (for t > 1, the classical) seed.  The number integral and
-    its mu-derivative come from the same Fermi-kernel nodes.  Each iterate
+    its mu-derivative come from the same Fermi-kernel nodes, and every
+    iterate uses one node set: spaced in s it is the t-independent table
+    of ``_s_table`` mapped to u, spaced in u (nonrelativistic, band bottom
+    inside the kernel window) it is the first iterate's u-grid, rebuilt
+    only when the spacing changes or a bisection step jumps.  Each iterate
     narrows the bracket [-50 t, 2]; a step that leaves it is replaced by
     bisection.  The solve stops once a Newton step is below
     1e-13 max(1, t) and returns that last step applied, so the result is
@@ -520,9 +656,10 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
     lo, hi = -50.0 * t, 2.0
     step_tol = _MU_STEP_TOL * max(1.0, t)
     mu = min(max(_mu_seed(t, regime), lo), hi)
+    grid = None
     for _ in range(_MU_ITERATIONS):
         with np.errstate(over="ignore", invalid="ignore"):
-            number, slope = _number_and_slope(mu, t, regime)
+            number, slope, grid = _number_and_slope(mu, t, regime, grid)
         if not (number > 0.0 and 0.0 < slope < math.inf):
             raise DomainError(
                 f"reduced temperature {t!r} is too large: the particle-number "
@@ -544,6 +681,7 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
                     f"{0.5 * (lo + hi):.6g} at reduced temperature {t!r}"
                 )
             mu = 0.5 * (lo + hi)
+            grid = None  # the jump may leave the kept u-grid's kernel window
     raise SolverError(
         f"particle-number equation did not converge at reduced temperature {t!r}: "
         f"last iterate {mu!r} on the bracket [{lo:.6g}, {hi:.6g}]"

@@ -530,7 +530,7 @@ def certified_start(t, regime, mu_mode):
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
-@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0, 0.3, 0.7, 1.0, 2.0])
 def test_zeta_equals_a_whole_grid_scan(monkeypatch, t, regime, mu_mode):
     # the certified scan finds the bracket a scan of the whole grid finds,
     # and the Newton root on it is brentq's to Brent's tolerance
@@ -596,6 +596,133 @@ def test_certified_scan_points_are_entangled(regime, mu_mode):
         assert np.all(gaps[:count] > 0.0)
         skipped += max(count - 1, 0)
     assert skipped > 40 * 5
+
+
+def single_cut_count(rule, xs):
+    """The certificate with one cut: f(x) >= W_A f0(x U) + W_B f0(Y) while x U <= Y."""
+    below = np.cumsum(rule.weights[:, 0])
+    cut = int(np.searchsorted(below, (1.0 - exchange._CERT_TAIL) * below[-1]))
+    y = xs * rule.nodes[cut]
+    bound = below[cut] * f_zero_temperature(y) + (below[-1] - below[cut]) * exchange._F0_MIN
+    proven = (y <= exchange._F0_MIN_AT) & (bound > math.sqrt(0.5) + exchange._CERT_MARGIN)
+    return int(np.logical_and.accumulate(proven).sum())
+
+
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_block_certificate_proves_at_least_the_single_cut(regime, mu_mode):
+    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
+    grid = exchange._SCAN_X[1:][window[1:]]
+    gained = 0
+    for t in np.geomspace(1e-6, 3.0, 40):
+        t = float(t)
+        mu = reduced_chemical_potential(t, regime, mu_mode)
+        rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+        blocks, single = exchange._certified_count(rule, grid), single_cut_count(rule, grid)
+        assert blocks >= single
+        gained += blocks - single
+    assert gained > 40
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_cold_zeta_fetches_each_newton_rule_once(regime, monkeypatch):
+    # the Newton steps evaluate on the rules of the scan call that holds the
+    # bracket's upper end, each level fetched once for the whole refinement
+    fetched, phase = [], []
+    rule_of = exchange.kernel_rule
+    root_in_bracket = exchange._root_in_bracket
+
+    def recorded_rule(mu, t, regime, x_max=0.0, level=0):
+        if phase:
+            fetched.append((x_max, level))
+        return rule_of(mu, t, regime, x_max, level)
+
+    def newton_phase(*args):
+        phase.append(True)
+        return root_in_bracket(*args)
+
+    monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
+    monkeypatch.setattr(exchange, "_root_in_bracket", newton_phase)
+    calls, slope_calls = record_amplitude_calls(monkeypatch)
+    exchange._solve_zeta.__wrapped__(0.05, regime, MuMode.EXACT_NORMALIZATION)
+    (scan,) = calls
+    assert 2 <= len(slope_calls) <= 3
+    assert fetched == [(float(scan[-1]), level) for level in range(len(fetched))]
+    assert 1 <= len(fetched) <= 2
+
+
+def record_rule_sizes(monkeypatch):
+    """The node count of every kernel rule built."""
+    sizes = []
+    kernel_rule_type = fge.fermi.KernelRule
+
+    def recorded(nodes, weights):
+        sizes.append(len(nodes))
+        return kernel_rule_type(nodes, weights)
+
+    monkeypatch.setattr(fge.fermi, "KernelRule", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("t, regime", [(4e6, NR), (1e4, ER)])
+def test_zeta_fails_fast_below_the_scan_grid(t, regime, monkeypatch):
+    # the first window ends at the thermal length, here at x = 1e-3 itself,
+    # where f^2 < 1/2 already: no rule wider than the kernel bump is built
+    sizes = record_rule_sizes(monkeypatch)
+    with pytest.raises(SolverError, match="sign change"):
+        exchange._solve_zeta.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+    assert sizes and max(sizes) <= 10 ** 4
+
+
+# log10 of the highest t at which the exact-mu zeta is still above the scan
+# grid's first point 1e-3: zeta_cl(400) = 1.09e-3 rel
+CLASSICAL_TOP = {NR: 4.0, ER: math.log10(400.0)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(where=st.floats(0.0, 1.0), log_step=st.floats(0.005, 1.0),
+       regime=st.sampled_from([NR, ER]))
+def test_zeta_does_not_increase_up_to_the_classical_gas(where, log_step, regime):
+    log_t = -3.0 + where * (CLASSICAL_TOP[regime] + 3.0)
+    assume(log_t + log_step <= CLASSICAL_TOP[regime])
+    t_low, t_high = 10.0 ** log_t, 10.0 ** (log_t + log_step)
+    assert solve_zeta(t_low, regime).zeta >= solve_zeta(t_high, regime).zeta
+
+
+@settings(max_examples=20, deadline=None)
+@given(where=st.floats(0.0, 1.0), regime=st.sampled_from([NR, ER]))
+def test_zeta_stays_below_the_classical_limit_up_to_the_classical_gas(where, regime):
+    t = 10.0 ** (-3.0 + where * (CLASSICAL_TOP[regime] + 3.0))
+    assert solve_zeta(t, regime, MuMode.EXACT_NORMALIZATION).zeta <= classical_zeta(t, regime)
+
+
+@pytest.mark.parametrize("t", [4.91, 10.0])
+def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t):
+    # rel with mu pinned at the Fermi energy: the root the scan windows find
+    # against QUADPACK's Fourier-weighted rule on (3/x) int u n(u) sin(ux) du
+    result = solve_zeta(t, ER, MuMode.FERMI_ENERGY_APPROX)
+    x = result.zeta
+    integral, _ = quad(
+        lambda u: u * reduced_occupancy(u, 1.0, t, ER),
+        0.0, occupancy_cutoff(1.0, t, ER),
+        weight="sin", wvar=x, epsabs=1e-12, epsrel=1e-12, limit=400,
+    )
+    assert abs((3.0 / x * integral) ** 2 - 0.5) < 1e-9
+    assert result.residual < 1e-10
+
+
+def test_failed_zeta_leaves_no_rule_cached(monkeypatch):
+    # nonrel fermi mu at t = 1e3: the amplitude near the origin is ~1e4, whose
+    # rounding the 1e-12 estimate cannot meet
+    built = []
+    kernel_rule_type = fge.fermi.KernelRule
+    monkeypatch.setattr(fge.fermi, "KernelRule",
+                        lambda *args: built.append(kernel_rule_type(*args)) or built[-1])
+    with pytest.raises(QuadratureError):
+        exchange._solve_zeta.__wrapped__(1e3, NR, MuMode.FERMI_ENERGY_APPROX)
+    cache = fge.fermi._cached_kernel_rule
+    assert built and not any(rule is kept for rule in built for kept, _ in cache._rules.values())
+    assert cache.cache_info().nodes <= cache.max_nodes
 
 
 def test_equivalent_zeta_calls_share_one_cache_entry():

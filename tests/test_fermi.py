@@ -414,6 +414,109 @@ def test_kernel_rule_is_byte_identical_to_two_separate_rules(regime, t):
             assert rule.weights.tobytes() == weights.tobytes()
 
 
+def composite_gauss_nodes(mu, t, regime, splits, order):
+    """The nodes and weights of a kernel rule as composite_gauss builds them on its panels."""
+    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t, regime)
+    z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
+    if in_u:
+        weights = dz * fermi._kernel_density((z * z - mu) / t) * (2.0 * z / t)
+        return z, weights * z ** 3
+    u = fermi._kernel_u(mu + t * z, regime)
+    return u, dz * fermi._kernel_density(z) * u ** 3
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_s_table_rules_equal_composite_gauss_rules(regime):
+    # the t-independent table in s, sliced and mapped to u, gives the bits of
+    # a rule built by composite_gauss on the same panels; 0.97 mu moves the
+    # band bottom off the solved one, x = 30 gives panels of unequal pieces
+    sliced = 0
+    for t in np.geomspace(1e-4, 3.0, 60):
+        t = float(t)
+        mu_solved = reduced_chemical_potential(t, regime)
+        for mu in (mu_solved, 0.97 * mu_solved):
+            for x_max in (0.0, 1.9, 5.0, 30.0):
+                for level in range(3):
+                    splits = fermi._kernel_splits(mu, t, regime, x_max, level)
+                    for order in (fermi._ORDER_HI, (fermi._ORDER_HI, fermi._ORDER_LO)):
+                        u, weights = fermi._kernel_nodes(mu, t, regime, splits, order)
+                        ref_u, ref_weights = composite_gauss_nodes(mu, t, regime, splits, order)
+                        assert u.tobytes() == ref_u.tobytes()
+                        assert weights.tobytes() == ref_weights.tobytes()
+                    _, _, in_u = fermi._kernel_panels(mu, t, regime)
+                    sliced += not in_u and mu >= 0.0 and splits.min() == splits.max()
+    assert sliced >= {NR: 300, ER: 600}[regime]
+
+
+def rebuilt_per_iterate(t, regime, monkeypatch):
+    """mu solved with the level-0 rule rebuilt at every Newton iterate."""
+    number_and_slope = fermi._number_and_slope
+    with monkeypatch.context() as patch:
+        patch.setattr(fermi, "_number_and_slope",
+                      lambda mu, t, regime, grid=None: number_and_slope(mu, t, regime))
+        return fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_mu_from_one_node_set_matches_a_rebuild_per_iterate(regime, monkeypatch):
+    # the kept u-grid moves mu by rounding only; the scale is max(|mu|, t),
+    # because mu crosses 0 near t = 1, where |mu| alone is no scale
+    for t in np.geomspace(1e-6, 1e4, 300):
+        t = float(t)
+        mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+        reference = rebuilt_per_iterate(t, regime, monkeypatch)
+        assert abs(mu - reference) <= 2e-15 * max(abs(reference), t)
+
+
+def record_composite_gauss(monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return composite_gauss(*args)
+
+    monkeypatch.setattr(fermi, "composite_gauss", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("regime, t", [(NR, 0.011), (NR, 1e-3), (ER, 0.011), (ER, 0.23), (ER, 0.5)])
+def test_cold_mu_spaced_in_s_builds_no_rule(regime, t, monkeypatch):
+    # below the kernel centre the band bottom only trims the table's first panel
+    fermi._kernel_nodes(1.0, 0.01, regime, 1, fermi._ORDER_HI)  # the table exists
+    calls = record_composite_gauss(monkeypatch)
+    mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+    assert calls == [] and mu > 0.0
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0, 100.0])
+def test_cold_mu_spaced_in_u_builds_one_rule(t, monkeypatch):
+    # the first iterate's u-grid serves every later one
+    calls = record_composite_gauss(monkeypatch)
+    fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
+    assert len(calls) == 1
+
+
+def test_rule_cache_is_bounded_by_nodes():
+    def build(mu, t, regime, splits):
+        return fermi.KernelRule(np.zeros(len(splits)), np.zeros((len(splits), 2)))
+
+    cache = fermi._RuleCache(build, maxsize=10, max_nodes=100)
+    first = cache(0.0, 1.0, NR, b"x" * 40)
+    cache(0.0, 2.0, NR, b"x" * 40)
+    assert cache(0.0, 1.0, NR, b"x" * 40) is first  # now the most recently used
+    cache(0.0, 3.0, NR, b"x" * 40)  # 120 nodes: the least recently used goes
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.nodes) == (1, 3, 2, 80)
+    assert cache(0.0, 1.0, NR, b"x" * 40) is first
+    mark = cache.mark()
+    cache(0.0, 4.0, NR, b"x" * 10)
+    cache.drop_since(mark)
+    assert cache.cache_info()[2:5] == (10, 2, 80)
+    cache.cache_clear()
+    assert cache.cache_info()[:5] == (0, 0, 10, 0, 0)
+    assert fermi._cached_kernel_rule.cache_info().max_nodes == 2 ** 21
+
+
 def test_chemical_potential_dimensional():
     n = 8.22e35
     k = fermi_momentum_from_density(n)
