@@ -1,9 +1,10 @@
 """Pairwise electron entanglement in a degenerate Fermi gas.
 
-Library layout: ``constants`` (SI data), ``fermi`` (gas state and
-conversions), ``exchange`` (amplitude and the distance constant),
-``entanglement`` (measures and oracles), ``whitedwarf`` (astrophysical
-application), ``cli`` (command-line front end).
+Library layout: ``constants`` (SI data), ``fermi`` (conversions, reduced
+occupancy and chemical potential, kernel rules), ``exchange``
+(``thermal_amplitude``, the one amplitude entry point, and the distance
+constant), ``entanglement`` (measures and oracles), ``whitedwarf``
+(astrophysical application), ``cli`` (command-line front end).
 """
 
 from .constants import PhysicalConstants, constants
@@ -24,36 +25,28 @@ from .entanglement import (
 )
 from .errors import DomainError, QuadratureError, SolverError
 from .exchange import (
-    ExchangeAmplitude,
-    ReducedCoordinates,
     ZetaResult,
-    f_finite_temperature,
-    f_from_pressure,
     f_zero_temperature,
     solve_zeta,
+    thermal_amplitude,
 )
 from .fermi import (
-    FermiGasState,
     GasRegime,
     MuMode,
     ValidityReport,
-    chemical_potential,
     density_from_fermi_momentum,
     density_from_pressure,
-    dispersion,
     entanglement_distance,
     fermi_energy,
     fermi_momentum_from_density,
     fermi_momentum_from_pressure,
     fermi_temperature,
     ideality_threshold_density,
-    occupation,
     pressure_from_density,
     pressure_from_entanglement_distance,
     pressure_from_fermi_momentum,
     reduced_chemical_potential,
     reduced_occupancy,
-    validity,
 )
 from .whitedwarf import (
     DwarfReport,
@@ -71,34 +64,27 @@ __all__ = [
     "DwarfReport",
     "EntanglementReport",
     "EosGrid",
-    "ExchangeAmplitude",
-    "FermiGasState",
     "GasRegime",
     "Measure",
     "MuMode",
     "PhysicalConstants",
     "QuadratureError",
-    "ReducedCoordinates",
     "SolverError",
     "TwoSpinState",
     "ValidityReport",
     "WhiteDwarf",
     "ZetaResult",
     "average_entanglement",
-    "chemical_potential",
     "concurrence_closed_form",
     "constants",
     "critical_mass_re_equals_R",
     "density_from_fermi_momentum",
     "density_from_pressure",
-    "dispersion",
     "dwarf_report",
     "entanglement_distance",
     "entropy_of_formation",
     "eos_evaluate",
     "eos_grid",
-    "f_finite_temperature",
-    "f_from_pressure",
     "f_zero_temperature",
     "fermi_energy",
     "fermi_momentum_from_density",
@@ -106,7 +92,6 @@ __all__ = [
     "fermi_temperature",
     "ideality_threshold_density",
     "is_entangled",
-    "occupation",
     "ppt_min_eigenvalue",
     "pressure_from_density",
     "pressure_from_entanglement_distance",
@@ -116,7 +101,7 @@ __all__ = [
     "scaling_law_re",
     "sirius_b",
     "solve_zeta",
-    "validity",
+    "thermal_amplitude",
     "werner_state_from_f",
     "wootters_concurrence",
 ]

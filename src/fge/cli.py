@@ -216,28 +216,9 @@ def _cmd_dwarf(args):
     dwarf = WhiteDwarf(mass=mass, radius=radius, surface_temperature=args.T,
                        protons=args.Z, nucleons=args.A)
     report = dwarf_report(dwarf, args.zeta, _regime(args))
-    print(json.dumps({
-        "mass": report.dwarf.mass,
-        "radius": report.dwarf.radius,
-        "surface_temperature": report.dwarf.surface_temperature,
-        "protons": report.dwarf.protons,
-        "nucleons": report.dwarf.nucleons,
-        "mass_density": report.mass_density,
-        "electron_density": report.electron_density,
-        "fermi_momentum": report.fermi_momentum,
-        "fermi_temperature": report.fermi_temperature,
-        "t_over_tf": report.t_over_tf,
-        "r_e": report.r_e,
-        "zeta": report.zeta,
-        "relativity_parameter": report.relativity_parameter,
-        "nonrelativistic_ok": report.nonrelativistic_ok,
-        "validity": {
-            "degenerate": report.validity.degenerate,
-            "ideal": report.validity.ideal,
-            "t_over_tf": report.validity.t_over_tf,
-            "density_ratio": report.validity.density_ratio,
-        },
-    }))
+    # the dwarf's fields first, then the report's, its validity flags nested
+    d = dataclasses.asdict(report)
+    print(json.dumps({**d.pop("dwarf"), **d}))
     return 0
 
 

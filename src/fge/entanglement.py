@@ -19,10 +19,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exchange import (
     _amplitude_and_slope,
-    _f0,
     _root_in_bracket,
     _validate_quad_tol,
-    f_zero_temperature,
     solve_zeta,
     thermal_amplitude,
 )
@@ -229,14 +227,13 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
     ``separation``, ``pressure`` and ``temperature`` broadcast together;
     each is checked once and reduced to x = k_F r and t = T/T_F as array
     expressions.  The points are grouped by t, and each distinct t costs
-    one chemical-potential solve, one zeta solve and one amplitude call
-    on all of its x (``f_zero_temperature`` at t = 0, else one batched
-    ``thermal_amplitude``).  A grid of one t (every 0-d call and most
-    sweeps) is that one group, with no per-point buffers or masks.  The
-    amplitude is clamped into [-1, 1] before the closed forms, which then
-    need no check of their own; the approximate-mu mode can overshoot 1
-    near zero separation by O(t^2), which is an artifact of pinning mu to
-    the Fermi energy.  The measures come from one f^2, and r_e = zeta/k_F,
+    one chemical-potential solve, one zeta solve and one batched
+    ``thermal_amplitude`` call on all of its x.  A grid of one t (every
+    0-d call and most sweeps) is that one group, with no per-point
+    buffers or masks.  The amplitude is clamped into [-1, 1] before the
+    closed forms, which then need no check of their own; the
+    approximate-mu mode can overshoot 1 near zero separation by O(t^2),
+    which is an artifact of pinning mu to the Fermi energy.  The measures come from one f^2, and r_e = zeta/k_F,
     with k_F and zeta already known to be finite and positive.
     """
     _validate_quad_tol(tol)
@@ -268,11 +265,7 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
 def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: MuMode,
                         tol: float) -> tuple[np.ndarray, float]:
     """The amplitude at the flat, nonnegative reduced separations ``xs`` of one t, and zeta(t)."""
-    if t == 0.0:
-        f = _f0(xs)
-    else:
-        f = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime, mu_mode), regime,
-                              tol)[0]
+    f, _ = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime, mu_mode), regime, tol)
     return f, solve_zeta(t, regime, mu_mode).zeta
 
 
@@ -317,8 +310,8 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     zeta 2^-11 wide, would change nothing the rule resolves.  An
     8-point rule on the same panels gives the error estimate (the summed
     gap between the two on every panel), and one ``composite_gauss`` call
-    builds both.  The abscissas of both rules are one amplitude call (one
-    batched ``thermal_amplitude`` at finite t); as in ``eos_grid``, the
+    builds both.  The abscissas of both rules are one batched
+    ``thermal_amplitude`` call; as in ``eos_grid``, the
     amplitude is clamped into [-1, 1] before the measure.  In the
     approximate-mu mode f overshoots 1 near the origin, and the point
     where it falls through 1 is one more panel edge: the root of f - 1 on [0, zeta], refined by the zeta solve's
@@ -334,13 +327,10 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     zeta = solve_zeta(t, regime, mu_mode).zeta
     measure_of = _MEASURE_MAPS[measure]
 
-    if t == 0.0:
-        amplitude = f_zero_temperature
-    else:
-        mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
-        def amplitude(xs):
-            return thermal_amplitude(xs, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
+    def amplitude(xs):
+        return thermal_amplitude(xs, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
 
     edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
     if mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0 and (f_origin := amplitude(0.0)) > 1.0:

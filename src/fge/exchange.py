@@ -25,7 +25,6 @@ from .fermi import (
     _cached_kernel_rule,
     kernel_rule,
     reduced_chemical_potential,
-    reduced_inputs,
 )
 
 # switch from the closed form 3(sin x - x cos x)/x^3 to its power series
@@ -65,38 +64,6 @@ def _validate_quad_tol(tol: float) -> None:
 
 
 @dataclass(frozen=True)
-class ReducedCoordinates:
-    """Dimensionless evaluation point: x = k_F r, t = T/T_F, mu_tilde = mu/eps_F."""
-
-    x: float
-    t: float
-    mu_tilde: float
-    regime: GasRegime
-
-    def __post_init__(self):
-        if not (0 <= self.x < math.inf):
-            raise DomainError(f"reduced separation must be finite and nonnegative, got {self.x!r}")
-        if not (0 <= self.t < math.inf):
-            raise DomainError(f"reduced temperature must be finite and nonnegative, got {self.t!r}")
-        if not math.isfinite(self.mu_tilde):
-            raise DomainError(f"reduced chemical potential must be finite, got {self.mu_tilde!r}")
-        if self.t == 0 and self.mu_tilde != 1.0:
-            raise DomainError(
-                "at zero reduced temperature the reduced chemical potential must be "
-                f"exactly 1, got {self.mu_tilde!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ExchangeAmplitude:
-    """Amplitude value together with where and how well it was computed."""
-
-    value: float
-    coords: ReducedCoordinates
-    quadrature_error_estimate: float
-
-
-@dataclass(frozen=True)
 class ZetaResult:
     """Smallest reduced separation where f^2 crosses 1/2."""
 
@@ -117,14 +84,14 @@ def f_zero_temperature(x):
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
-    if (flat < 0).any():
-        raise DomainError(f"reduced separation must be nonnegative, got {x!r}")
+    if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < math.inf):
+        raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
     out = _f0(flat)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _f0(flat: np.ndarray) -> np.ndarray:
-    """``f_zero_temperature`` of a flat float array already known to be nonnegative."""
+    """``f_zero_temperature`` of a flat float array already known to be finite and nonnegative."""
     # the closed form everywhere, with small x lifted to the crossover to
     # stay clear of 0/0; the series then replaces those entries
     xb = np.maximum(flat, _SERIES_CROSSOVER)
@@ -249,7 +216,7 @@ def _refined_sum(kernel_sum, x_max: float, t: float, mu_tilde: float, regime: Ga
 
 def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
                       tol: float = 1e-10) -> tuple:
-    """Thermal amplitude f(x, t) for a scalar or an array of x, and its error estimate.
+    """Exchange amplitude f(x, t) for a scalar or an array of x, and its error estimate.
 
     f(x, t) = int u^3 f0(u x) (-dn/du) du (integration by parts of
     (3/x) int u n(u) sin(ux) du) is a positively weighted average of the
@@ -259,7 +226,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     same panels; the panels are halved until it is at most ``tol``
     (absolute; the amplitude is O(1)).  At x = 0 the sum is
     3 int u^2 n(u) du, which equals 1 when mu_tilde solves the
-    particle-number equation.
+    particle-number equation.  At t = 0 it is the ground state f0(x) with
+    estimate 0, and mu_tilde must be exactly 1.
     """
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
@@ -267,9 +235,19 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     x_max = float(flat.max(initial=0.0))
     if not (flat.min(initial=0.0) >= 0.0 and x_max < math.inf):
         raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
-    sums, err = _refined_sum(lambda rule: _kernel_sum(flat, rule.nodes, rule.weights),
-                             x_max, t, mu_tilde, regime, tol)
-    value = sums[:, 0]
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
+    if not math.isfinite(mu_tilde):
+        raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
+    if t == 0.0:
+        if mu_tilde != 1.0:
+            raise DomainError("at zero reduced temperature the reduced chemical potential "
+                              f"must be exactly 1, got {mu_tilde!r}")
+        value, err = _f0(flat), 0.0
+    else:
+        sums, err = _refined_sum(lambda rule: _kernel_sum(flat, rule.nodes, rule.weights),
+                                 x_max, t, mu_tilde, regime, tol)
+        value = sums[:, 0]
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
 
@@ -291,41 +269,6 @@ def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
     sums, _ = _refined_sum(lambda rule: _kernel_sum_and_slope(x, rule.nodes, rule.weights),
                            x, t, mu_tilde, regime, tol, rules)
     return float(sums[0]), float(sums[2])
-
-
-def f_finite_temperature(coords: ReducedCoordinates, tol: float = 1e-10) -> ExchangeAmplitude:
-    """Thermal exchange amplitude (3/x) int_0^inf u n(u) sin(ux) du at one point.
-
-    Evaluated by ``thermal_amplitude`` as the Fermi-kernel average of the
-    ground-state amplitude; ``tol`` bounds the gap between the rule and its
-    lower-order companion, which is returned as the error estimate.
-    """
-    if not (coords.t > 0):
-        raise DomainError(
-            f"the thermal path needs a positive reduced temperature, got {coords.t!r}"
-        )
-    value, err = thermal_amplitude(coords.x, coords.t, coords.mu_tilde, coords.regime, tol)
-    return ExchangeAmplitude(value=value, coords=coords, quadrature_error_estimate=err)
-
-
-def f_from_pressure(separation: float, pressure: float, temperature: float,
-                    regime: GasRegime, mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
-                    tol: float = 1e-10) -> ExchangeAmplitude:
-    """Exchange amplitude of the gas at the given pressure, evaluated at a pair separation.
-
-    The dimensional inputs collapse to ReducedCoordinates through
-    ``fermi.reduced_inputs`` (the pressure -> Fermi momentum inversion);
-    the amplitude depends on the inputs only through those reduced numbers.
-    """
-    *_, x, t = reduced_inputs(separation, pressure, temperature, regime)
-    x, t = x.item(), t.item()
-    if t == 0.0:
-        coords = ReducedCoordinates(x=x, t=0.0, mu_tilde=1.0, regime=regime)
-        return ExchangeAmplitude(value=f_zero_temperature(x), coords=coords,
-                                 quadrature_error_estimate=0.0)
-    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    coords = ReducedCoordinates(x=x, t=t, mu_tilde=mu_tilde, regime=regime)
-    return f_finite_temperature(coords, tol)
 
 
 def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
@@ -491,16 +434,13 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     """The uncached body of ``solve_zeta`` at a valid t."""
     stops = _scan_stops(t, regime)
-    if t == 0.0:
-        mu_tilde = 1.0
-        amplitude = f_zero_temperature
-        first = 1
-    else:
-        mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
 
-        def amplitude(xv):
-            return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+    def amplitude(xv):
+        return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
+    first = 1
+    if t > 0.0:
         # the level-0 rule of the first scan call, which resolves its last point
         rule = kernel_rule(mu_tilde, t, regime, float(_SCAN_X[stops[0] - 1]))
         first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))

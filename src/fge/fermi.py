@@ -1,14 +1,15 @@
 """Fermi-gas bookkeeping for a uniform electron gas.
 
-Dispersion relations, Fermi momentum/energy/temperature, degeneracy
-pressure, chemical potential, and the conversions among density,
-pressure, and the pair-correlation distance, for both dispersion
-regimes.  Public quantities are SI.
+Fermi momentum/energy/temperature, degeneracy pressure, and the
+conversions among density, pressure, and the pair-correlation distance,
+for both dispersion regimes, in SI units; and the degeneracy and
+ideality flags of a gas.
 
-The thermal routines also exist in reduced form (u = k/k_F, t = T/T_F,
-mu_tilde = mu/eps_F) because every dimensional state with the same
-reduced coordinates shares one dimensionless solve; the reduced helpers
-are the backbone of the exchange-amplitude module.
+The thermal routines are in reduced form only (u = k/k_F, t = T/T_F,
+mu_tilde = mu/eps_F), because every dimensional state with the same
+reduced coordinates shares one dimensionless solve: the occupancy, the
+chemical potential and the Fermi-kernel rules, the backbone of the
+exchange-amplitude module.
 """
 
 import cmath
@@ -89,11 +90,6 @@ def _require_positive(name: str, value) -> None:
             _require_all(name, value, value > 0, "be positive")
     elif not (0 < value < math.inf):
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _require_nonnegative(name: str, value) -> None:
-    if not (value >= 0):
-        raise DomainError(f"{name} must be nonnegative, got {value!r}")
 
 
 def _pow(base, exponent: float):
@@ -240,43 +236,13 @@ def reduced_inputs(separation, pressure, temperature, regime: GasRegime) -> tupl
     return tuple(a.reshape(shape) for a in (r, p, temp, k_f, x, t))
 
 
-# === dispersion and occupation ===
-
-
-def dispersion(wavevector, regime: GasRegime):
-    """Single-particle energy (J) at the given wavevector (scalar or array, 1/m)."""
-    k = np.asarray(wavevector, dtype=float)
-    if np.any(k < 0):
-        raise DomainError(f"wavevector must be nonnegative, got {wavevector!r}")
-    c = constants()
-    if regime is GasRegime.NONRELATIVISTIC:
-        out = (c.hbar * k) ** 2 / (2.0 * c.electron_mass)
-    else:
-        out = c.hbar * c.light_speed * k
-    return float(out) if out.ndim == 0 else out
+# === occupancy ===
 
 
 def _stable_fermi_factor(argument: np.ndarray) -> np.ndarray:
     # 1/(exp(a)+1) without overflow: exponentiate only negative arguments
     decay = np.exp(-np.abs(argument))
     return np.where(argument > 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
-
-
-def occupation(wavevector, chemical_potential: float, temperature: float, regime: GasRegime):
-    """Thermal occupancy of the state at ``wavevector`` (scalar or array).
-
-    Zero temperature is an exact analytic branch: 1 below the chemical
-    potential, 1/2 on it, 0 above.  The finite-temperature branch is
-    overflow-safe for arbitrarily large reduced arguments.
-    """
-    _require_nonnegative("temperature", temperature)
-    energy = np.asarray(dispersion(wavevector, regime), dtype=float)
-    if temperature == 0.0:
-        out = np.where(energy < chemical_potential, 1.0, np.where(energy == chemical_potential, 0.5, 0.0))
-    else:
-        scale = constants().boltzmann * temperature
-        out = _stable_fermi_factor((energy - chemical_potential) / scale)
-    return float(out) if out.ndim == 0 else out
 
 
 def reduced_dispersion(u, regime: GasRegime):
@@ -604,11 +570,6 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
     return float(weights.sum()) / 3.0, float(weights @ slope_factor), grid
 
 
-def _normalization_integral(mu_tilde: float, t: float, regime: GasRegime) -> float:
-    """Reduced particle-number integral, int_0^inf u^2 n(u) du; equals 1/3 on shell."""
-    return _number_and_slope(mu_tilde, t, regime)[0]
-
-
 def _mu_seed(t: float, regime: GasRegime) -> float:
     """Sommerfeld chemical potential for t <= 1, else the classical (Boltzmann) one."""
     if regime is GasRegime.NONRELATIVISTIC:
@@ -692,56 +653,7 @@ reduced_chemical_potential.cache_info = _reduced_chemical_potential.cache_info
 reduced_chemical_potential.cache_clear = _reduced_chemical_potential.cache_clear
 
 
-def chemical_potential(density: float, temperature: float, regime: GasRegime,
-                       mode: MuMode = MuMode.EXACT_NORMALIZATION) -> float:
-    """Chemical potential (J) of the gas at the given density and temperature."""
-    _require_positive("density", density)
-    _require_nonnegative("temperature", temperature)
-    k_f = fermi_momentum_from_density(density)
-    eps_f = fermi_energy(k_f, regime)
-    if temperature == 0.0:
-        return eps_f
-    t = temperature / fermi_temperature(k_f, regime)
-    return eps_f * reduced_chemical_potential(t, regime, mode)
-
-
-# === gas state and validity ===
-
-
-@dataclass(frozen=True)
-class FermiGasState:
-    """Uniform electron gas with its derived scales, all SI."""
-
-    density: float
-    temperature: float
-    regime: GasRegime
-    mu_mode: MuMode
-    fermi_momentum: float
-    fermi_energy: float
-    fermi_temperature: float
-    chemical_potential: float
-    pressure: float
-    degeneracy_ok: bool
-
-    @classmethod
-    def from_density(cls, density: float, temperature: float, regime: GasRegime,
-                     mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> "FermiGasState":
-        _require_positive("density", density)
-        _require_nonnegative("temperature", temperature)
-        k_f = fermi_momentum_from_density(density)
-        t_f = fermi_temperature(k_f, regime)
-        return cls(
-            density=float(density),
-            temperature=float(temperature),
-            regime=regime,
-            mu_mode=mu_mode,
-            fermi_momentum=k_f,
-            fermi_energy=fermi_energy(k_f, regime),
-            fermi_temperature=t_f,
-            chemical_potential=chemical_potential(density, temperature, regime, mu_mode),
-            pressure=pressure_from_density(density, regime),
-            degeneracy_ok=bool(temperature <= 0.01 * t_f),
-        )
+# === validity ===
 
 
 @dataclass(frozen=True)
@@ -776,12 +688,3 @@ def _validity_from_ratios(temperature: float, fermi_temp: float, density: float,
         density_ratio=density_ratio,
     )
 
-
-def validity(state: FermiGasState, protons: float) -> ValidityReport:
-    """Degeneracy and ideality checks for a gas state with nuclear charge ``protons``.
-
-    Flags are advisory (degenerate iff T/T_F <= 0.01, ideal iff the
-    density exceeds 100x the Coulomb threshold); the raw ratios are
-    always reported so callers can apply their own cutoffs.
-    """
-    return _validity_from_ratios(state.temperature, state.fermi_temperature, state.density, protons)

@@ -23,7 +23,6 @@ from fge import (
     density_from_pressure,
     entanglement_distance,
     eos_evaluate,
-    f_from_pressure,
     f_zero_temperature,
     fermi_momentum_from_density,
     fermi_momentum_from_pressure,
@@ -169,13 +168,13 @@ def test_06_thermal_amplitude_against_dense_oracle():
             oracle = 3.0 / x * float(weight @ np.sin(u * x))
             p = pressure_from_fermi_momentum(1e10, NR)
             temp = t * fermi_temperature(1e10, NR)
-            fast = f_from_pressure(x * 1e-10, p, temp, NR).value
+            fast = eos_evaluate(x * 1e-10, p, temp, NR).f
             worst = max(worst, abs(fast - oracle))
     assert worst < 1e-8
 
     cold_gap = max(
-        abs(f_from_pressure(x * 1e-10, pressure_from_fermi_momentum(1e10, NR),
-                            1e-4 * fermi_temperature(1e10, NR), NR).value
+        abs(eos_evaluate(x * 1e-10, pressure_from_fermi_momentum(1e10, NR),
+                         1e-4 * fermi_temperature(1e10, NR), NR).f
             - f_zero_temperature(x))
         for x in xs
     )
@@ -194,7 +193,7 @@ def test_07_scaling_invariance():
     def amplitude(x, t, k_f, regime):
         p = pressure_from_fermi_momentum(k_f, regime)
         temp = t * fermi_temperature(k_f, regime)
-        return f_from_pressure(x / k_f, p, temp, regime, MuMode.EXACT_NORMALIZATION, 1e-14).value
+        return eos_evaluate(x / k_f, p, temp, regime, MuMode.EXACT_NORMALIZATION, 1e-14).f
 
     worst = 0.0
     for regime in (NR, ER):

@@ -97,6 +97,32 @@ def test_eval_and_zeta_stdout_bytes(argv, expected, capsys):
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["dwarf"],
+     '{"mass": 1.98892e+30, "radius": 5565600.0, "surface_temperature": 27000.0, '
+     '"protons": 6, "nucleons": 12, "mass_density": 2754182627.482284, '
+     '"electron_density": 8.22864848386086e+35, "fermi_momentum": 2899010823451.2783, '
+     '"fermi_temperature": 3715777676.310597, "t_over_tf": 7.266312021877572e-06, '
+     '"r_e": 6.260145572139254e-13, "zeta": 1.8148229770012292, '
+     '"relativity_parameter": 0.6266176195674803, "nonrelativistic_ok": false, '
+     '"validity": {"degenerate": true, "ideal": true, "t_over_tf": 7.266312021877572e-06, '
+     '"density_ratio": 3387.110824792637}}\n'),
+    (["dwarf", "--M-solar", "1.1", "--Z", "8", "--A", "16", "--regime", "rel"],
+     '{"mass": 2.187812e+30, "radius": 5565600.0, "surface_temperature": 27000.0, '
+     '"protons": 8, "nucleons": 16, "mass_density": 3029600890.2305126, '
+     '"electron_density": 9.051513332246946e+35, "fermi_momentum": 2992591227541.544, '
+     '"fermi_temperature": 6852688324.264083, "t_over_tf": 3.940059539027635e-06, '
+     '"r_e": 6.06438647650562e-13, "zeta": 1.8148229770012292, '
+     '"relativity_parameter": 1.1556168370255568, "nonrelativistic_ok": false, '
+     '"validity": {"degenerate": true, "ideal": true, "t_over_tf": 3.940059539027635e-06, '
+     '"density_ratio": 2095.774822840444}}\n'),
+])
+def test_dwarf_stdout_bytes(argv, expected, capsys):
+    # the dwarf's fields first, then the report's, the validity flags nested
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_dwarf_json_defaults(capsys):
     code, out, _ = run_cli(["dwarf"], capsys)
     assert code == 0

@@ -447,14 +447,13 @@ def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
 def count_amplitude_calls(monkeypatch):
     """Record the abscissas of every amplitude call the average makes."""
     calls = []
-    for name in ("thermal_amplitude", "f_zero_temperature"):
-        original = getattr(entanglement, name)
+    original = entanglement.thermal_amplitude
 
-        def counted(x, *args, _original=original, **kwargs):
-            calls.append(np.size(x))
-            return _original(x, *args, **kwargs)
+    def counted(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return original(x, *args, **kwargs)
 
-        monkeypatch.setattr(entanglement, name, counted)
+    monkeypatch.setattr(entanglement, "thermal_amplitude", counted)
     return calls
 
 

@@ -17,24 +17,21 @@ from fge import (
     DomainError,
     GasRegime,
     MuMode,
-    ReducedCoordinates,
     SolverError,
     constants,
-    f_finite_temperature,
-    f_from_pressure,
+    eos_grid,
     f_zero_temperature,
+    fermi_energy,
     fermi_momentum_from_pressure,
     fermi_temperature,
-    occupation,
     pressure_from_density,
-    pressure_from_fermi_momentum,
     reduced_chemical_potential,
     solve_zeta,
+    thermal_amplitude,
 )
 from fge import QuadratureError, reduced_occupancy
 from fge import exchange
-from fge.exchange import thermal_amplitude
-from fge.fermi import chemical_potential, fermi_momentum_from_density, occupancy_cutoff
+from fge.fermi import fermi_momentum_from_density, occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -96,6 +93,16 @@ def test_ground_state_scalar_array_forms():
         f_zero_temperature(-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_ground_state_rejects_non_finite_and_negative_separations(bad):
+    # one min/max reduction over the whole input: a scalar, or one entry of an array
+    for x in (bad, np.array([[0.5, 1.0], [bad, 2.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="separation"):
+                f_zero_temperature(x)
+
+
 @pytest.mark.parametrize("x", [1e6, 1e100, 1e200, 1e300, np.finfo(float).max])
 def test_ground_state_bounded_for_huge_separations(x):
     # |f0(x)| <= 3 (1 + x)/x^3 for every finite x, with no overflow warning
@@ -117,11 +124,11 @@ def test_ground_state_bounded_for_huge_separations(x):
 
 def test_coordinates_validation():
     with pytest.raises(DomainError, match="separation"):
-        ReducedCoordinates(x=-1.0, t=0.1, mu_tilde=0.9, regime=NR)
+        thermal_amplitude(-1.0, 0.1, 0.9, NR)
     with pytest.raises(DomainError, match="temperature"):
-        ReducedCoordinates(x=1.0, t=-0.1, mu_tilde=0.9, regime=NR)
+        thermal_amplitude(1.0, -0.1, 0.9, NR)
     with pytest.raises(DomainError, match="exactly 1"):
-        ReducedCoordinates(x=1.0, t=0.0, mu_tilde=0.9, regime=NR)
+        thermal_amplitude(1.0, 0.0, 0.9, NR)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -131,8 +138,18 @@ def test_coordinates_validation():
 def test_coordinates_reject_non_finite(field, fragment, bad):
     values = {"x": 1.0, "t": 0.1, "mu_tilde": 0.9, "regime": NR}
     values[field] = bad
-    with pytest.raises(DomainError, match=fragment):
-        ReducedCoordinates(**values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=fragment):
+            thermal_amplitude(**values)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_thermal_amplitude_is_the_ground_state_at_zero_temperature(regime):
+    xs = np.array([[0.0, 1e-3, 0.3], [1.8, 4.5, 50.0]])
+    values, err = thermal_amplitude(xs, 0.0, 1.0, regime)
+    assert values.tobytes() == f_zero_temperature(xs).tobytes() and err == 0.0
+    assert thermal_amplitude(1.0, 0.0, 1.0, regime) == (f_zero_temperature(1.0), 0.0)
 
 
 # === thermal amplitude ===
@@ -140,25 +157,25 @@ def test_coordinates_reject_non_finite(field, fragment, bad):
 
 def test_thermal_amplitude_reference_values():
     mu_nr = reduced_chemical_potential(0.05, NR)
-    got = f_finite_temperature(ReducedCoordinates(1.0, 0.05, mu_nr, NR))
-    assert got.value == pytest.approx(0.90258084334657520, abs=5e-10)
-    assert got.quadrature_error_estimate < 1e-9
+    got = thermal_amplitude(1.0, 0.05, mu_nr, NR)
+    assert got[0] == pytest.approx(0.90258084334657520, abs=5e-10)
+    assert got[1] < 1e-9
 
     mu_cold = reduced_chemical_potential(0.01, NR)
-    got = f_finite_temperature(ReducedCoordinates(1.8, 0.01, mu_cold, NR))
-    assert got.value == pytest.approx(0.71122797707031327, abs=5e-10)
+    got = thermal_amplitude(1.8, 0.01, mu_cold, NR)
+    assert got[0] == pytest.approx(0.71122797707031327, abs=5e-10)
 
     mu_er = reduced_chemical_potential(0.05, ER)
-    got = f_finite_temperature(ReducedCoordinates(1.0, 0.05, mu_er, ER))
-    assert got.value == pytest.approx(0.89979756601208668, abs=5e-10)
+    got = thermal_amplitude(1.0, 0.05, mu_er, ER)
+    assert got[0] == pytest.approx(0.89979756601208668, abs=5e-10)
 
 
 def test_thermal_amplitude_normalized_at_origin():
     # exact normalization pins the zero-separation amplitude at 1
     for regime in (NR, ER):
         mu = reduced_chemical_potential(0.05, regime)
-        got = f_finite_temperature(ReducedCoordinates(0.0, 0.05, mu, regime))
-        assert got.value == pytest.approx(1.0, abs=1e-9)
+        got = thermal_amplitude(0.0, 0.05, mu, regime)
+        assert got[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,8 +188,8 @@ def test_exact_mu_normalizes_the_origin_at_every_temperature(log_t, regime):
 
 def test_thermal_amplitude_small_x_branch_is_continuous():
     mu = reduced_chemical_potential(0.05, NR)
-    below = f_finite_temperature(ReducedCoordinates(9e-7, 0.05, mu, NR)).value
-    above = f_finite_temperature(ReducedCoordinates(1.1e-6, 0.05, mu, NR)).value
+    below = thermal_amplitude(9e-7, 0.05, mu, NR)[0]
+    above = thermal_amplitude(1.1e-6, 0.05, mu, NR)[0]
     assert abs(below - above) < 1e-8
 
 
@@ -181,8 +198,7 @@ def test_thermal_amplitude_approaches_ground_state():
     mu = reduced_chemical_potential(t, NR)
     xs = np.linspace(0.05, 6.0, 25)
     worst = max(
-        abs(f_finite_temperature(ReducedCoordinates(float(x), t, mu, NR)).value
-            - f_zero_temperature(float(x)))
+        abs(thermal_amplitude(float(x), t, mu, NR)[0] - f_zero_temperature(float(x)))
         for x in xs
     )
     assert worst < 1e-3
@@ -191,15 +207,15 @@ def test_thermal_amplitude_approaches_ground_state():
 def test_fermi_level_approximation_lifts_the_origin():
     # with mu pinned at the Fermi energy the x=0 amplitude gains ~(pi t)^2/8
     t = 0.05
-    got = f_finite_temperature(ReducedCoordinates(1e-8, t, 1.0, NR), tol=1e-12)
-    assert got.value == pytest.approx(1.0 + (math.pi * t) ** 2 / 8.0, abs=1e-4)
+    got = thermal_amplitude(1e-8, t, 1.0, NR, tol=1e-12)
+    assert got[0] == pytest.approx(1.0 + (math.pi * t) ** 2 / 8.0, abs=1e-4)
 
 
 def test_thermal_amplitude_stays_within_unit_bound():
     for t in (0.1, 0.3, 0.5):
         mu = reduced_chemical_potential(t, NR)
         for x in np.arange(0.0, 50.1, 2.5):
-            value = f_finite_temperature(ReducedCoordinates(float(x), t, mu, NR)).value
+            value = thermal_amplitude(float(x), t, mu, NR)[0]
             assert abs(value) <= 1.0 + 1e-9
 
 
@@ -214,9 +230,9 @@ def test_thermal_amplitude_against_sine_weighted_quadpack(regime, x, t):
         0.0, occupancy_cutoff(mu, t, regime),
         weight="sin", wvar=x, epsabs=1e-15, epsrel=1e-13, limit=400,
     )
-    got = f_finite_temperature(ReducedCoordinates(x, t, mu, regime), tol=1e-12)
-    assert abs(got.value - 3.0 / x * integral) < 1e-14
-    assert got.quadrature_error_estimate <= 1e-12
+    got = thermal_amplitude(x, t, mu, regime, tol=1e-12)
+    assert abs(got[0] - 3.0 / x * integral) < 1e-14
+    assert got[1] <= 1e-12
 
 
 @pytest.mark.parametrize("regime", [NR, ER])
@@ -238,8 +254,8 @@ def test_thermal_amplitude_batch_matches_points(regime):
     values, err = thermal_amplitude(xs, t, mu, regime)
     assert values.shape == xs.shape and err <= 1e-10
     for x, value in zip(xs.ravel(), values.ravel()):
-        point = f_finite_temperature(ReducedCoordinates(float(x), t, mu, regime))
-        assert abs(point.value - value) < 1e-13
+        point = thermal_amplitude(float(x), t, mu, regime)
+        assert abs(point[0] - value) < 1e-13
     scalar, _ = thermal_amplitude(1.8, t, mu, regime)
     assert isinstance(scalar, float)
 
@@ -274,13 +290,13 @@ def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
     # the estimate is the gap to the lower-order rule on the same panels;
     # a tight tolerance refines the panels, and without refinement it fails
     mu = reduced_chemical_potential(0.05, NR)
-    coords = ReducedCoordinates(1.0, 0.05, mu, NR)
+    coords = (1.0, 0.05, mu, NR)
     for tol in (1e-6, 1e-10, 1e-14):
-        assert f_finite_temperature(coords, tol=tol).quadrature_error_estimate <= tol
+        assert thermal_amplitude(*coords, tol=tol)[1] <= tol
     monkeypatch.setattr(exchange, "_MAX_LEVEL", 0)
-    assert f_finite_temperature(coords, tol=1e-10).quadrature_error_estimate <= 1e-10
+    assert thermal_amplitude(*coords, tol=1e-10)[1] <= 1e-10
     with pytest.raises(QuadratureError, match="stalled") as excinfo:
-        f_finite_temperature(coords, tol=1e-14)
+        thermal_amplitude(*coords, tol=1e-14)
     assert excinfo.value.error_estimate > 1e-14
 
 
@@ -293,11 +309,11 @@ def test_thermal_amplitude_rejects_non_finite_separation():
 
 def test_thermal_amplitude_tolerance_validation():
     mu = reduced_chemical_potential(0.05, NR)
-    coords = ReducedCoordinates(1.0, 0.05, mu, NR)
+    coords = (1.0, 0.05, mu, NR)
     with pytest.raises(DomainError, match="tolerance"):
-        f_finite_temperature(coords, tol=1e-15)
+        thermal_amplitude(*coords, tol=1e-15)
     with pytest.raises(DomainError, match="tolerance"):
-        f_finite_temperature(coords, tol=1e-5)
+        thermal_amplitude(*coords, tol=1e-5)
 
 
 # === dimensional entry point ===
@@ -305,12 +321,12 @@ def test_thermal_amplitude_tolerance_validation():
 
 def test_from_pressure_ground_state_matches_reduced_form():
     r, p = 1e-10, 1e9
-    amp = f_from_pressure(r, p, 0.0, NR)
+    grid = eos_grid(r, p, 0.0, NR)
     x = fermi_momentum_from_pressure(p, NR) * r
-    assert amp.value == pytest.approx(f_zero_temperature(x), rel=1e-14)
-    assert amp.quadrature_error_estimate == 0.0
-    assert amp.coords.x == pytest.approx(x, rel=1e-15)
-    assert amp.coords.t == 0.0
+    assert grid.f.item() == pytest.approx(f_zero_temperature(x), rel=1e-14)
+    assert thermal_amplitude(grid.x, 0.0, 1.0, NR)[1] == 0.0
+    assert grid.x.item() == pytest.approx(x, rel=1e-15)
+    assert grid.t.item() == 0.0
 
 
 def test_from_pressure_prefactor_identity():
@@ -330,19 +346,26 @@ def test_from_pressure_prefactor_identity():
             k_f = fermi_momentum_from_pressure(p, regime)
             integral = (math.sin(k_f * r) - k_f * r * math.cos(k_f * r)) / r ** 2
             direct = gamma / (r * p ** power) * integral
-            amp = f_from_pressure(r, p, 0.0, regime).value
+            amp = eos_grid(r, p, 0.0, regime).f.item()
             assert abs(direct - amp) <= budget * abs(amp)
 
 
 def test_from_pressure_thermal_dimensional_route():
-    # fully dimensional occupancy integral via an independent integrator
+    # fully dimensional occupancy integral via an independent integrator,
+    # with the SI Fermi-Dirac factor at mu = eps_F mu_tilde
+    c = constants()
     n = 8.22e35
     k_f = fermi_momentum_from_density(n)
     temp = 0.05 * fermi_temperature(k_f, NR)
-    mu = chemical_potential(n, temp, NR)
+    mu = fermi_energy(k_f, NR) * reduced_chemical_potential(temp / fermi_temperature(k_f, NR), NR)
     r = 1.0 / k_f
+
+    def occupation(k):
+        energy = (c.hbar * k) ** 2 / (2.0 * c.electron_mass)
+        return 1.0 / (math.exp((energy - mu) / (c.boltzmann * temp)) + 1.0)
+
     integral, _ = quad(
-        lambda k: k * occupation(k, mu, temp, NR) * math.sin(k * r),
+        lambda k: k * occupation(k) * math.sin(k * r),
         0.0,
         3.0 * k_f,
         limit=400,
@@ -350,15 +373,15 @@ def test_from_pressure_thermal_dimensional_route():
         epsrel=1e-12,
     )
     direct = 3.0 / (r * k_f ** 3) * integral
-    amp = f_from_pressure(r, pressure_from_density(n, NR), temp, NR).value
+    amp = eos_grid(r, pressure_from_density(n, NR), temp, NR).f.item()
     assert abs(direct - amp) < 1e-8
 
 
 def test_from_pressure_rejects_bad_inputs():
     with pytest.raises(DomainError, match="pressure"):
-        f_from_pressure(1e-10, -1.0, 0.0, NR)
+        eos_grid(1e-10, -1.0, 0.0, NR)
     with pytest.raises(DomainError, match="temperature"):
-        f_from_pressure(1e-10, 1e9, -1.0, NR)
+        eos_grid(1e-10, 1e9, -1.0, NR)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -369,7 +392,7 @@ def test_from_pressure_rejects_non_finite_inputs(position, fragment, bad):
     args = [1e-10, 1e9, 1e4]
     args[position] = bad
     with pytest.raises(DomainError, match=fragment):
-        f_from_pressure(*args, NR)
+        eos_grid(*args, NR)
 
 
 # === distance constant ===

@@ -1,6 +1,5 @@
-"""Fermi gas state functions: conversions, occupancy, chemical potential, validity."""
+"""Fermi gas functions: conversions, occupancy, chemical potential, validity."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -11,26 +10,19 @@ from scipy.integrate import quad
 import fge
 from fge import (
     DomainError,
-    FermiGasState,
     GasRegime,
     MuMode,
-    chemical_potential,
-    constants,
     density_from_fermi_momentum,
     density_from_pressure,
-    dispersion,
     entanglement_distance,
-    fermi_energy,
     fermi_momentum_from_density,
     fermi_momentum_from_pressure,
     fermi_temperature,
-    occupation,
     pressure_from_density,
     pressure_from_entanglement_distance,
     pressure_from_fermi_momentum,
     reduced_chemical_potential,
     reduced_occupancy,
-    validity,
 )
 from fge import fermi
 from fge.exchange import solve_zeta
@@ -38,7 +30,8 @@ from fge.fermi import (
     CACHE_SIZE,
     _cached_kernel_rule,
     _kernel_widths,
-    _normalization_integral,
+    _number_and_slope,
+    _validity_from_ratios,
     ideality_threshold_density,
     occupancy_cutoff,
     reduced_inputs,
@@ -170,72 +163,45 @@ def test_reduced_inputs_match_scalar_conversions_bit_for_bit():
             assert (k_f[i], x[i], t[i]) == (k, k * r_i, temp_i / t_f)
 
 
-# === dispersion and occupation ===
-
-
-def test_dispersion_scaling():
-    k = 1e10
-    assert dispersion(2 * k, NR) == pytest.approx(4 * dispersion(k, NR), rel=1e-14)
-    assert dispersion(2 * k, ER) == pytest.approx(2 * dispersion(k, ER), rel=1e-14)
-    assert dispersion(0.0, NR) == 0.0
-    assert dispersion(0.0, ER) == 0.0
-
-
-def test_dispersion_matches_fermi_energy_on_shell():
-    for regime in (NR, ER):
-        k = fermi_momentum_from_density(8.22e35)
-        assert dispersion(k, regime) == pytest.approx(fermi_energy(k, regime), rel=1e-15)
-
-
-def test_dispersion_array_and_scalar_forms():
-    ks = np.array([1e9, 2e9, 3e9])
-    out = dispersion(ks, NR)
-    assert out.shape == (3,)
-    assert isinstance(dispersion(1e9, NR), float)
-    with pytest.raises(DomainError, match="wavevector"):
-        dispersion(-1e9, NR)
+# === occupancy ===
 
 
 def test_occupation_zero_temperature_step():
-    k_f = 1e10
-    mu = dispersion(k_f, NR)
-    assert occupation(0.5 * k_f, mu, 0.0, NR) == 1.0
-    assert occupation(2.0 * k_f, mu, 0.0, NR) == 0.0
-    assert occupation(k_f, mu, 0.0, NR) == 0.5
+    for regime in (NR, ER):
+        assert reduced_occupancy(0.5, 1.0, 0.0, regime) == 1.0
+        assert reduced_occupancy(2.0, 1.0, 0.0, regime) == 0.0
+        assert reduced_occupancy(1.0, 1.0, 0.0, regime) == 0.5
 
 
 def test_occupation_half_at_chemical_potential():
-    k = 1e10
-    mu = dispersion(k, NR)
-    assert occupation(k, mu, 300.0, NR) == pytest.approx(0.5, abs=1e-15)
+    # d(u) = mu_tilde at u = 1.1 nonrel (1.21) and rel (1.1)
+    assert reduced_occupancy(1.1, 1.1 * 1.1, 0.05, NR) == pytest.approx(0.5, abs=1e-15)
+    assert reduced_occupancy(1.1, 1.1, 0.05, ER) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_occupation_known_logistic_value():
-    # energy above mu by kT ln 3 gives occupancy exactly 1/4
-    c = constants()
-    k = 1e10
-    temp = 1e4
-    mu = dispersion(k, NR) - c.boltzmann * temp * math.log(3.0)
-    assert occupation(k, mu, temp, NR) == pytest.approx(0.25, rel=1e-12)
+    # energy above mu by t ln 3 gives occupancy exactly 1/4
+    t = 0.05
+    for regime, d in ((NR, 0.81), (ER, 0.9)):
+        mu = d - t * math.log(3.0)
+        assert reduced_occupancy(0.9, mu, t, regime) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_occupation_monotone_and_bounded():
-    ks = np.linspace(0, 5e10, 300)
-    mu = dispersion(2e10, NR)
-    occ = occupation(ks, mu, 1e5, NR)
-    assert np.all(np.diff(occ) <= 0)
-    assert np.all((occ >= 0) & (occ <= 1))
+    us = np.linspace(0.0, 2.5, 300)
+    for regime in (NR, ER):
+        occ = reduced_occupancy(us, 1.0, 0.1, regime)
+        assert np.all(np.diff(occ) <= 0)
+        assert np.all((occ >= 0) & (occ <= 1))
 
 
 def test_occupation_overflow_safe():
     # reduced argument ~ 1e6 must neither warn nor produce NaN
     with np.errstate(over="raise"):
-        lo = occupation(1e12, dispersion(1e6, NR), 1e-3, NR)
-        hi = occupation(1e3, dispersion(1e12, NR), 1e-3, NR)
+        lo = reduced_occupancy(1e3, 1.0, 1e-3, NR)
+        hi = reduced_occupancy(1e-3, 1e3, 1e-3, NR)
     assert lo == 0.0
     assert hi == 1.0
-    with pytest.raises(DomainError, match="temperature"):
-        occupation(1e10, 1e-19, -1.0, NR)
 
 
 def test_reduced_occupancy_edge_value():
@@ -290,7 +256,7 @@ def test_normalization_reinserted():
     for regime in (NR, ER):
         for t in (0.01, 0.05, 0.3):
             mu = reduced_chemical_potential(t, regime)
-            value = _normalization_integral(mu, t, regime)
+            value = _number_and_slope(mu, t, regime)[0]
             assert value == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
@@ -517,41 +483,7 @@ def test_rule_cache_is_bounded_by_nodes():
     assert fermi._cached_kernel_rule.cache_info().max_nodes == 2 ** 21
 
 
-def test_chemical_potential_dimensional():
-    n = 8.22e35
-    k = fermi_momentum_from_density(n)
-    for regime in (NR, ER):
-        t_f = fermi_temperature(k, regime)
-        mu = chemical_potential(n, 0.05 * t_f, regime)
-        expected = fermi_energy(k, regime) * reduced_chemical_potential(0.05, regime)
-        assert mu == pytest.approx(expected, rel=1e-9)
-        assert chemical_potential(n, 0.0, regime) == pytest.approx(
-            fermi_energy(k, regime), rel=1e-15
-        )
-
-
-# === gas state and validity ===
-
-
-def test_state_from_density_fields():
-    n = 8.22e35
-    k = fermi_momentum_from_density(n)
-    state = FermiGasState.from_density(n, 1e6, NR)
-    assert state.fermi_momentum == pytest.approx(k, rel=1e-15)
-    assert state.pressure == pytest.approx(pressure_from_density(n, NR), rel=1e-15)
-    assert state.fermi_energy == pytest.approx(fermi_energy(k, NR), rel=1e-15)
-    assert state.fermi_temperature == pytest.approx(fermi_temperature(k, NR), rel=1e-15)
-    t = 1e6 / state.fermi_temperature
-    assert state.chemical_potential == pytest.approx(
-        fermi_energy(k, NR) * reduced_chemical_potential(t, NR), rel=1e-9
-    )
-    assert state.degeneracy_ok == (t <= 0.01)
-
-
-def test_state_is_frozen():
-    state = FermiGasState.from_density(1e30, 0.0, NR)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state.density = 2e30
+# === validity ===
 
 
 def test_ideality_threshold_reference_value():
@@ -567,17 +499,17 @@ def test_ideality_threshold_reference_value():
 def test_validity_degeneracy_flag():
     n = 1e35
     t_f = fermi_temperature(fermi_momentum_from_density(n), NR)
-    cold = FermiGasState.from_density(n, 0.005 * t_f, NR)
-    hot = FermiGasState.from_density(n, t_f, NR)
-    assert validity(cold, 1).degenerate
-    assert not validity(hot, 1).degenerate
-    assert validity(hot, 1).t_over_tf == pytest.approx(1.0, rel=1e-12)
+    cold = _validity_from_ratios(0.005 * t_f, t_f, n, 1)
+    hot = _validity_from_ratios(t_f, t_f, n, 1)
+    assert cold.degenerate
+    assert not hot.degenerate
+    assert hot.t_over_tf == pytest.approx(1.0, rel=1e-12)
 
 
 def test_validity_ideality_flag():
     threshold = ideality_threshold_density(1)
-    dense = FermiGasState.from_density(101 * threshold, 0.0, NR)
-    dilute = FermiGasState.from_density(99 * threshold, 0.0, NR)
-    assert validity(dense, 1).ideal
-    assert not validity(dilute, 1).ideal
-    assert validity(dense, 1).density_ratio == pytest.approx(101.0, rel=1e-12)
+    dense = _validity_from_ratios(0.0, 1.0, 101 * threshold, 1)
+    dilute = _validity_from_ratios(0.0, 1.0, 99 * threshold, 1)
+    assert dense.ideal
+    assert not dilute.ideal
+    assert dense.density_ratio == pytest.approx(101.0, rel=1e-12)
