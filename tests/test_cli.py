@@ -552,3 +552,123 @@ def test_csv_column_entries_repeat_only_when_their_bits_do():
         (np.array([]), []),
     ]:
         assert list(cli._formatted(column)) == expected
+
+
+# === rewriting an existing --out in place ===
+
+_SHORT_SWEEP = ["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11",
+                "--r", "1e-10", "--count", "5"]
+_LONG_SWEEP = ["sweep", "--var", "distance", "--min", "1e-12", "--max", "1e-9",
+               "--P", "3e10", "--count", "200"]
+
+
+def fresh_sweep_bytes(argv, tmp_path, capsys):
+    """The bytes ``argv`` writes to a path that did not exist: what a truncating writer leaves."""
+    fresh = tmp_path / "fresh.csv"
+    assert not fresh.exists()
+    assert run_cli(argv + ["--out", str(fresh)], capsys)[0] == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("old", [
+    pytest.param(None, id="longer-csv"),
+    pytest.param(b"stale", id="shorter-file"),
+])
+def test_rewrite_matches_a_fresh_write(old, tmp_path, capsys):
+    expected = fresh_sweep_bytes(_SHORT_SWEEP, tmp_path, capsys)
+    out_csv = tmp_path / "sweep.csv"
+    if old is None:
+        assert run_cli(_LONG_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+        assert len(out_csv.read_bytes()) > len(expected)
+    else:
+        out_csv.write_bytes(old)
+    assert run_cli(_SHORT_SWEEP + ["--out", str(out_csv)], capsys) == (0, "", "")
+    assert out_csv.read_bytes() == expected
+    assert len(out_csv.read_text().splitlines()) == 1 + 5   # no stale tail rows
+
+
+def test_out_to_the_null_device_succeeds(capsys):
+    # the null device reports seekable but cannot be truncated
+    assert run_cli(_SHORT_SWEEP + ["--out", os.devnull], capsys) == (0, "", "")
+    assert run_cli(["figure1", "--count", "3", "--out", os.devnull], capsys) == (0, "", "")
+
+
+def test_out_through_a_symlink_writes_the_target(tmp_path, capsys):
+    expected = fresh_sweep_bytes(_SHORT_SWEEP, tmp_path, capsys)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    assert run_cli(_LONG_SWEEP + ["--out", str(target)], capsys)[0] == 0
+    try:
+        link.symlink_to(target)
+    except OSError:
+        pytest.skip("symlinks unavailable")
+    assert run_cli(_SHORT_SWEEP + ["--out", str(link)], capsys)[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+
+
+def test_out_with_a_hard_link_updates_both_names(tmp_path, capsys):
+    expected = fresh_sweep_bytes(_SHORT_SWEEP, tmp_path, capsys)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run_cli(_LONG_SWEEP + ["--out", str(first)], capsys)[0] == 0
+    try:
+        os.link(first, second)
+    except OSError:
+        pytest.skip("hard links unavailable")
+    assert run_cli(_SHORT_SWEEP + ["--out", str(first)], capsys)[0] == 0
+    assert os.path.samefile(first, second)
+    assert second.read_bytes() == first.read_bytes() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_existing_out_keeps_its_mode(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(_LONG_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+    out_csv.chmod(0o604)
+    assert run_cli(_SHORT_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+    assert out_csv.stat().st_mode & 0o777 == 0o604
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+def test_new_out_gets_the_default_mode(umask, tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    previous = os.umask(umask)
+    try:
+        code = run_cli(_SHORT_SWEEP + ["--out", str(out_csv)], capsys)[0]
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert out_csv.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("bad", [["--r=-1e-10"], ["--r", "0"]], ids=["negative-r", "zero-r"])
+def test_failed_sweep_leaves_an_existing_out_untouched(bad, tmp_path, capsys):
+    # the grid is computed before --out is opened
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(_LONG_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+    before = out_csv.read_bytes()
+    argv = ["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11", *bad,
+            "--out", str(out_csv)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and "separation" in err
+    assert out_csv.read_bytes() == before
+
+
+def test_rewrite_never_opens_with_truncation(tmp_path, capsys, monkeypatch):
+    # truncating to zero on open makes ext4 flush the file at close; the old
+    # tail is cut after writing instead
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(_LONG_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+    opened, real_open = [], os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if os.fspath(path) == str(out_csv):
+            opened.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    assert run_cli(_SHORT_SWEEP + ["--out", str(out_csv)], capsys)[0] == 0
+    assert len(opened) == 1
+    (flags,) = opened
+    assert not flags & os.O_TRUNC
+    assert flags & os.O_CREAT and flags & os.O_WRONLY
