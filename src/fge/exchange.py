@@ -4,9 +4,11 @@ The amplitude f is the normalized pair-correlation overlap that drives
 every entanglement quantity in this package.  At zero temperature it
 has a closed form f0; at finite temperature, in reduced variables
 (u = k/k_F, x = k_F r, t = T/T_F), it is the kernel average
-f(x,t) = int u^3 f0(u x) (-dn/du) du, evaluated for a whole array of x
-at once on a fixed Fermi-kernel rule.  The distance constant zeta is the
-smallest x where f^2 crosses 1/2.
+f(x,t) = int u^3 f0(u x) (-dn/du) du on a fixed Fermi-kernel rule.  One
+kernel sum over an array of x gives f, its error estimate (the gap to a
+lower-order companion rule on the same nodes) and, on request, the slope
+df/dx = int u^4 f0'(u x) (-dn/du) du from the same evaluation of f0.
+The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
 
 import math
@@ -90,21 +92,39 @@ def f_zero_temperature(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _f0(flat: np.ndarray) -> np.ndarray:
-    """``f_zero_temperature`` of a flat float array already known to be finite and nonnegative."""
-    # the closed form everywhere, with small x lifted to the crossover to
+def _f0(flat: np.ndarray, slope: bool = False):
+    """``f_zero_temperature`` of a flat float array already known to be finite and nonnegative.
+
+    With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
+    Above the crossovers f0' = 3(sin y / y - f0)/y shares one sin and one
+    cos with f0; below _SLOPE_SERIES_CROSSOVER it is the differentiated
+    series, which keeps f0' within about 1e-14 of -3 j_2(y)/y.
+    """
+    # the closed form everywhere, with small y lifted to the crossover to
     # stay clear of 0/0; the series then replaces those entries
-    xb = np.maximum(flat, _SERIES_CROSSOVER)
-    out = np.sin(xb)
-    out /= xb
-    out -= np.cos(xb)
-    out /= xb
-    out /= xb
+    yb = np.maximum(flat, _SERIES_CROSSOVER)
+    sinc = np.sin(yb)
+    sinc /= yb
+    out = sinc - np.cos(yb)
+    out /= yb
+    out /= yb
     out *= 3.0
     small = flat < _SERIES_CROSSOVER
     if small.any():
         out[small] = _even_series(flat[small], _SERIES_COEFFS)
-    return out
+    if not slope:
+        return out
+    # f0 took the series below _SERIES_CROSSOVER, inside the range where
+    # the slope's own series replaces the closed form
+    df = sinc
+    df -= out
+    df *= 3.0
+    df /= yb
+    small = flat < _SLOPE_SERIES_CROSSOVER
+    if small.any():
+        y = flat[small]
+        df[small] = _even_series(y, _SLOPE_COEFFS) * y
+    return out, df
 
 
 def _even_series(y: np.ndarray, coeffs: tuple) -> np.ndarray:
@@ -118,92 +138,68 @@ def _even_series(y: np.ndarray, coeffs: tuple) -> np.ndarray:
     return series
 
 
-def _f0_and_slope(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_f0`` of a flat array, bit for bit, and its derivative f0'(y) = -3 j_2(y)/y.
+def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.ndarray:
+    """sum_j W[j, c] f0(x u_j) for every x >= 0 of ``xs`` and weight column c of ``rule``.
 
-    Above the crossovers f0' = 3(sin y / y - f0)/y, sharing one sin and one
-    cos with f0; below _SLOPE_SERIES_CROSSOVER it is the differentiated
-    series, which keeps f0' within about 1e-14 of -3 j_2(y)/y.
+    With ``slope`` a last column holds d/dx of the first,
+    sum_j W[j, 0] u_j f0'(x u_j), from the same sin and cos.  f0 is
+    evaluated in blocks of at most _BLOCK entries; a sum of values alone
+    that fits in one block is one product.
     """
-    yb = np.maximum(flat, _SERIES_CROSSOVER)
-    sinc = np.sin(yb)
-    sinc /= yb
-    out = sinc - np.cos(yb)
-    out /= yb
-    out /= yb
-    out *= 3.0
-    slope = sinc - out
-    slope *= 3.0
-    slope /= yb
-    small = flat < _SLOPE_SERIES_CROSSOVER
-    if small.any():
-        y = flat[small]
-        slope[small] = _even_series(y, _SLOPE_COEFFS) * y
-        smaller = flat < _SERIES_CROSSOVER
-        if smaller.any():
-            out[smaller] = _even_series(flat[smaller], _SERIES_COEFFS)
-    return out, slope
-
-
-def _kernel_sum(xs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j, c] f0(x nodes_j) for every x >= 0 and weight column c.
-
-    f0 is evaluated in blocks of at most _BLOCK entries; a sum that fits in
-    one block is one product.
-    """
-    if len(xs) * len(nodes) <= _BLOCK:
+    nodes, weights = rule.nodes, rule.weights
+    if not slope and len(xs) * len(nodes) <= _BLOCK:
         return _f0(np.multiply.outer(xs, nodes).ravel()).reshape(len(xs), len(nodes)) @ weights
-    out = np.zeros((len(xs), weights.shape[1]))
+    out = np.zeros((len(xs), 3 if slope else 2))
+    sums, slopes = out[:, :2], (out[:, 2] if slope else None)
     cols = min(len(nodes), _BLOCK)
     rows = _BLOCK // cols
     for j in range(0, len(nodes), cols):
         u, w = nodes[j:j + cols], weights[j:j + cols]
         for i in range(0, len(xs), rows):
-            block = xs[i:i + rows]
-            out[i:i + rows] += _f0(np.multiply.outer(block, u).ravel()).reshape(len(block), len(u)) @ w
+            y = np.multiply.outer(xs[i:i + rows], u)
+            if slope:
+                values, df = _f0(y.ravel(), slope=True)
+                df = df.reshape(y.shape)
+                df *= u
+                slopes[i:i + rows] += df @ w[:, 0]
+            else:
+                values = _f0(y.ravel())
+            sums[i:i + rows] += values.reshape(y.shape) @ w
     return out
 
 
-def _kernel_sum_and_slope(x: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``_kernel_sum`` at one x >= 0, then d/dx of its first column, sum_j W_j u_j f0'(x u_j).
+def _refined_sum(xs: np.ndarray, t: float, mu_tilde: float, regime: GasRegime, tol: float,
+                 slope: bool = False, rules=None) -> tuple:
+    """f(x, t) at every x >= 0 of the flat ``xs``, with ``slope`` also df/dx, and the estimate.
 
-    Returns [rule, companion, slope].  f0 and f0' are evaluated in blocks
-    of at most _BLOCK nodes.
+    Returns (values, slopes or None, estimate).  At t = 0 the values are
+    the ground state f0(x) with estimate 0, and mu_tilde must be exactly
+    1.  At finite t they are ``_kernel_sum`` on the kernel rules of levels
+    0, 1, ... until the estimate, the largest gap between the rule's sum
+    and its companion's, is within ``tol``.  The rules resolve f0(x u)
+    for every x up to the largest of ``xs``; ``rules(level)`` returns the
+    rule of a level when given, else ``kernel_rule`` builds or fetches it.
+    A call that raises leaves none of the rules it built in the cache.
     """
-    out = np.zeros(3)
-    for j in range(0, len(nodes), _BLOCK):
-        u, w = nodes[j:j + _BLOCK], weights[j:j + _BLOCK]
-        values, slopes = _f0_and_slope(x * u)
-        out[:2] += values @ w
-        slopes *= u
-        out[2] += slopes @ w[:, 0]
-    return out
-
-
-def _refined_sum(kernel_sum, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
-                 tol: float, rules=None) -> tuple:
-    """``kernel_sum(rule)`` on the kernel rules of levels 0, 1, ... until its estimate is within ``tol``.
-
-    The rules resolve f0(x u) for x up to ``x_max``; ``rules(level)``
-    returns the rule of a level when given, else ``kernel_rule`` builds or
-    fetches it.  The last axis of what ``kernel_sum`` returns holds the
-    rule's sum and its lower-order companion first, and the estimate is
-    their largest gap.  Returns the sums and the estimate.  A call that
-    raises leaves none of the rules it built in the cache.
-    """
+    if t == 0.0:
+        if mu_tilde != 1.0:
+            raise DomainError("at zero reduced temperature the reduced chemical potential "
+                              f"must be exactly 1, got {mu_tilde!r}")
+        return (*_f0(xs, True), 0.0) if slope else (_f0(xs), None, 0.0)
+    x_max = float(xs.max(initial=0.0))
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
             rule = kernel_rule(mu_tilde, t, regime, x_max, level) if rules is None else rules(level)
-            sums = kernel_sum(rule)
-            err = float(np.abs(sums[..., 0] - sums[..., 1]).max(initial=0.0))
+            sums = _kernel_sum(xs, rule, slope)
+            err = float(np.abs(sums[:, 0] - sums[:, 1]).max(initial=0.0))
             if not math.isfinite(err):
                 raise QuadratureError(
                     f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
                     error_estimate=err,
                 )
             if err <= tol:
-                return sums, err
+                return sums[:, 0], (sums[:, 2] if slope else None), err
         raise QuadratureError(
             f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
             f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
@@ -232,22 +228,13 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    x_max = float(flat.max(initial=0.0))
-    if not (flat.min(initial=0.0) >= 0.0 and x_max < math.inf):
+    if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < math.inf):
         raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
     if not (0.0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     if not math.isfinite(mu_tilde):
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
-    if t == 0.0:
-        if mu_tilde != 1.0:
-            raise DomainError("at zero reduced temperature the reduced chemical potential "
-                              f"must be exactly 1, got {mu_tilde!r}")
-        value, err = _f0(flat), 0.0
-    else:
-        sums, err = _refined_sum(lambda rule: _kernel_sum(flat, rule.nodes, rule.weights),
-                                 x_max, t, mu_tilde, regime, tol)
-        value = sums[:, 0]
+    value, _, err = _refined_sum(flat, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
 
@@ -263,12 +250,8 @@ def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
     abscissa, so the value agrees with ``thermal_amplitude(x)`` to within
     the two estimates rather than to rounding.
     """
-    if t == 0.0:
-        value, slope = _f0_and_slope(np.array([x]))
-        return float(value[0]), float(slope[0])
-    sums, _ = _refined_sum(lambda rule: _kernel_sum_and_slope(x, rule.nodes, rule.weights),
-                           x, t, mu_tilde, regime, tol, rules)
-    return float(sums[0]), float(sums[2])
+    value, slope, _ = _refined_sum(np.array([x]), t, mu_tilde, regime, tol, True, rules)
+    return float(value[0]), float(slope[0])
 
 
 def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:

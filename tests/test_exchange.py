@@ -61,10 +61,10 @@ def test_ground_state_slope_against_spherical_bessel():
     ys = np.concatenate((np.geomspace(1e-4, 50.0, 2000),
                          0.25 + np.linspace(-1e-3, 1e-3, 41),
                          0.5 + np.linspace(-1e-3, 1e-3, 41)))
-    values, slopes = exchange._f0_and_slope(ys)
+    values, slopes = exchange._f0(ys, slope=True)
     assert np.max(np.abs(slopes + 3.0 * spherical_jn(2, ys) / ys)) <= 1e-13
     assert values.tobytes() == exchange._f0(ys).tobytes()
-    assert exchange._f0_and_slope(np.array([0.0]))[1][0] == 0.0
+    assert exchange._f0(np.array([0.0]), slope=True)[1][0] == 0.0
 
 
 def test_series_meets_closed_form_at_crossover():
@@ -279,11 +279,29 @@ def test_slope_sum_in_blocks_matches_one_block(monkeypatch):
     t = 0.3
     mu = reduced_chemical_potential(t, ER)
     rule = fge.fermi.kernel_rule(mu, t, ER, 4.0)
-    whole = exchange._kernel_sum_and_slope(4.0, rule.nodes, rule.weights)
+    whole = exchange._kernel_sum(np.array([4.0]), rule, slope=True)
     monkeypatch.setattr(exchange, "_BLOCK", 100)
     assert len(rule.nodes) > 100
-    blocked = exchange._kernel_sum_and_slope(4.0, rule.nodes, rule.weights)
+    blocked = exchange._kernel_sum(np.array([4.0]), rule, slope=True)
     assert np.allclose(blocked, whole, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("split", ["nodes", "rows"])
+def test_slopes_over_many_x_match_one_x_sums(monkeypatch, split):
+    # the slope column of one kernel sum over 60 x, in blocks that split the
+    # nodes (one x a block) or the x (three whole rows a block), against the
+    # one-block sum of each x; the value columns are the value-only sum's
+    t = 0.3
+    mu = reduced_chemical_potential(t, NR)
+    xs = np.linspace(0.0, 6.0, 60)
+    rule = fge.fermi.kernel_rule(mu, t, NR, float(xs[-1]))
+    per_x = [exchange._kernel_sum(xs[i:i + 1], rule, slope=True)[0, 2] for i in range(len(xs))]
+    block = len(rule.nodes) // 3 if split == "nodes" else 3 * len(rule.nodes)
+    monkeypatch.setattr(exchange, "_BLOCK", block)
+    sums = exchange._kernel_sum(xs, rule, slope=True)
+    assert sums.shape == (len(xs), 3)
+    assert np.max(np.abs(sums[:, 2] - per_x)) <= 1e-14
+    assert sums[:, :2].tobytes() == exchange._kernel_sum(xs, rule).tobytes()
 
 
 def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
