@@ -28,12 +28,11 @@ import numpy as np
 from .constants import constants
 from .entanglement import Measure, average_entanglement, eos_evaluate, eos_grid
 from .errors import DomainError, QuadratureError, SolverError
-from .exchange import _validate_quad_tol, solve_zeta
+from .exchange import _DEFAULT_TOL, _validate_quad_tol, solve_zeta
 from .fermi import GasRegime, MuMode, pressure_from_entanglement_distance
 from .whitedwarf import WhiteDwarf, dwarf_report
 
 _CSV_HEADER = "r_m,P_Pa,T_K,x,f,C,EF_bits,entangled,re_m"
-_DEFAULT_TOL = 1e-10
 
 
 class _UsageError(Exception):
@@ -48,7 +47,8 @@ def _add_common(parser, mu_mode=True, tol=True):
                             help="chemical-potential policy at finite temperature")
     if tol:
         parser.add_argument("--tol", type=float, default=None,
-                            help="quadrature tolerance (default 1e-10, or FGE_QUAD_TOL)")
+                            help=f"quadrature tolerance (default {_DEFAULT_TOL:g}, "
+                                 "or FGE_QUAD_TOL)")
 
 
 @functools.cache

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .exchange import (
+    _DEFAULT_TOL,
     _amplitude_and_slope,
     _root_in_bracket,
     _validate_quad_tol,
@@ -27,6 +28,7 @@ from .exchange import (
 from .fermi import (
     GasRegime,
     MuMode,
+    _require_member,
     reduced_chemical_potential,
     reduced_inputs,
 )
@@ -221,7 +223,7 @@ def ppt_min_eigenvalue(state: TwoSpinState) -> float:
 
 
 def eos_grid(separation, pressure, temperature, regime: GasRegime,
-             mu_mode: MuMode = MuMode.EXACT_NORMALIZATION, tol: float = 1e-10) -> EosGrid:
+             mu_mode: MuMode = MuMode.EXACT_NORMALIZATION, tol: float = _DEFAULT_TOL) -> EosGrid:
     """The equation of state on a grid: arrays of (r, P, T) -> amplitude and measures.
 
     ``separation``, ``pressure`` and ``temperature`` broadcast together;
@@ -237,6 +239,7 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
     with k_F and zeta already known to be finite and positive.
     """
     _validate_quad_tol(tol)
+    _require_member("mu_mode", mu_mode, MuMode)
     r, p, temp, k_f, x, t = reduced_inputs(separation, pressure, temperature, regime)
     xs, ts = x.reshape(-1), t.reshape(-1)
     groups = sorted(set(ts.tolist()))
@@ -271,7 +274,7 @@ def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: Mu
 
 def eos_evaluate(separation: float, pressure: float, temperature: float,
                  regime: GasRegime, mu_mode: MuMode = MuMode.EXACT_NORMALIZATION,
-                 tol: float = 1e-10) -> EntanglementReport:
+                 tol: float = _DEFAULT_TOL) -> EntanglementReport:
     """Full pipeline at one point: (r, P, T) -> exchange amplitude -> entanglement report.
 
     The 0-d case of ``eos_grid``.
@@ -321,6 +324,8 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
     quadrature tolerance range.
     """
+    _require_member("regime", regime, GasRegime)
+    _require_member("mu_mode", mu_mode, MuMode)
     if measure not in _MEASURE_MAPS:
         raise DomainError(f"unknown entanglement measure {measure!r}")
     _validate_quad_tol(tol)

@@ -25,6 +25,8 @@ from .fermi import (
     KernelRule,
     MuMode,
     _cached_kernel_rule,
+    _require_kernel_window,
+    _require_member,
     kernel_rule,
     reduced_chemical_potential,
 )
@@ -47,6 +49,8 @@ _SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if
 _F0_MIN_AT, _F0_MIN = 5.76345919689455, -0.0861708941619074
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
+# tolerance of an amplitude request that names none
+_DEFAULT_TOL = 1e-10
 # kernel-rule refinement levels tried before the thermal amplitude gives up
 _MAX_LEVEL = 6
 # f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
@@ -211,7 +215,7 @@ def _refined_sum(xs: np.ndarray, t: float, mu_tilde: float, regime: GasRegime, t
 
 
 def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
-                      tol: float = 1e-10) -> tuple:
+                      tol: float = _DEFAULT_TOL) -> tuple:
     """Exchange amplitude f(x, t) for a scalar or an array of x, and its error estimate.
 
     f(x, t) = int u^3 f0(u x) (-dn/du) du (integration by parts of
@@ -223,7 +227,11 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     (absolute; the amplitude is O(1)).  At x = 0 the sum is
     3 int u^2 n(u) du, which equals 1 when mu_tilde solves the
     particle-number equation.  At t = 0 it is the ground state f0(x) with
-    estimate 0, and mu_tilde must be exactly 1.
+    estimate 0, and mu_tilde must be exactly 1.  At finite t, mu_tilde
+    must be at least -2^50 t, or the kernel window's panel edges stop
+    increasing, and the window's top, u with d(u) = max(mu_tilde, 0) + 45 t,
+    at most about 3.5e102, or its weights u^3 overflow; the chemical
+    potential's bracket -50 t <= mu_tilde <= 2 lies inside.
     """
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
@@ -234,6 +242,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     if not math.isfinite(mu_tilde):
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
+    _require_member("regime", regime, GasRegime)
+    _require_kernel_window(mu_tilde, t, regime)
     value, _, err = _refined_sum(flat, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
@@ -399,6 +409,8 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     (t, regime, mu_mode), however the arguments are spelled; ``cache_info``
     and ``cache_clear`` reach that cache.
     """
+    _require_member("regime", regime, GasRegime)
+    _require_member("mu_mode", mu_mode, MuMode)
     return _solve_zeta(t, regime, mu_mode)
 
 

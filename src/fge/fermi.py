@@ -34,11 +34,19 @@ CACHE_SIZE = 1024
 _THERMAL_DECADES = 45.0
 # offsets in s of the level-0 kernel panel edges from the kernel centre
 _KERNEL_OFFSETS = np.array(
-    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 29.0, 37.0, 45.0]
+    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 29.0, 37.0, _THERMAL_DECADES]
 )
 # the level-0 edges in s of a window centred at s = 0 that the band bottom
 # does not cut, spelled as ``_kernel_panels`` computes them
 _S_EDGES = np.concatenate((0.0 - _KERNEL_OFFSETS[::-1], 0.0 + _KERNEL_OFFSETS[1:]))
+# the band bottom s = -mu/t may lie at most this far above the kernel
+# centre: the panel edges, whole offsets in s from it, map to d = mu + t s
+# with an error of up to 2^-53 |mu| each, which must stay well below their
+# spacing t (they stop increasing in u from about 2^52)
+_BAND_BOTTOM_MAX = 2.0 ** 50
+# largest u at the top of a kernel window: every weight is at most u^3,
+# and every sum of weights and gap between two sums at most 2 u^3, finite
+_KERNEL_U_MAX = (np.finfo(float).max / 4.0) ** (1.0 / 3.0)
 # Gauss-Legendre orders of the kernel rule and of its comparison rule
 _ORDER_HI, _ORDER_LO = 12, 6
 # largest phase x * (panel width in u) of f0(x u) over one panel, in radians
@@ -77,6 +85,17 @@ def _require_all(name: str, values: np.ndarray, ok: np.ndarray, requirement: str
     if not ok.all():
         bad = values[~ok].flat[0]
         raise DomainError(f"{name} must {requirement}, got {float(bad)!r}")
+
+
+def _require_member(name: str, value, kind: type[Enum]) -> None:
+    """Raise a DomainError naming ``name`` unless ``value`` is a member of the enum ``kind``.
+
+    Every branch on a regime or a mode tests a member by identity, so any
+    other value, a string such as "nonrel" among them, would silently take
+    the other branch.  No other value is coerced to a member.
+    """
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__} member, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
@@ -122,6 +141,7 @@ def density_from_fermi_momentum(fermi_momentum: float) -> float:
 def fermi_energy(fermi_momentum: float, regime: GasRegime) -> float:
     """Energy (J) of the highest occupied single-particle state."""
     _require_positive("fermi momentum", fermi_momentum)
+    _require_member("regime", regime, GasRegime)
     return _fermi_energy(fermi_momentum, regime)
 
 
@@ -136,6 +156,7 @@ def _fermi_energy(fermi_momentum, regime: GasRegime):
 def fermi_temperature(fermi_momentum: float, regime: GasRegime) -> float:
     """Degeneracy temperature scale (K) for the given Fermi wavevector."""
     _require_positive("fermi momentum", fermi_momentum)
+    _require_member("regime", regime, GasRegime)
     return _fermi_temperature(fermi_momentum, regime)
 
 
@@ -147,6 +168,7 @@ def _fermi_temperature(fermi_momentum, regime: GasRegime):
 def pressure_from_density(density: float, regime: GasRegime) -> float:
     """Degeneracy pressure (Pa) of the ground-state gas at the given density."""
     _require_positive("density", density)
+    _require_member("regime", regime, GasRegime)
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
         return THREE_PI_SQ ** (2.0 / 3.0) * c.hbar ** 2 * density ** (5.0 / 3.0) / (5.0 * c.electron_mass)
@@ -156,6 +178,7 @@ def pressure_from_density(density: float, regime: GasRegime) -> float:
 def fermi_momentum_from_pressure(pressure: float, regime: GasRegime) -> float:
     """Fermi wavevector (1/m) of the gas exerting the given degeneracy pressure (Pa)."""
     _require_positive("pressure", pressure)
+    _require_member("regime", regime, GasRegime)
     return _fermi_momentum_from_pressure(pressure, regime)
 
 
@@ -175,6 +198,7 @@ def density_from_pressure(pressure: float, regime: GasRegime) -> float:
 def pressure_from_fermi_momentum(fermi_momentum: float, regime: GasRegime) -> float:
     """Degeneracy pressure (Pa) at the given Fermi wavevector (1/m)."""
     _require_positive("fermi momentum", fermi_momentum)
+    _require_member("regime", regime, GasRegime)
     c = constants()
     if regime is GasRegime.NONRELATIVISTIC:
         return c.hbar ** 2 * fermi_momentum ** 5 / (15.0 * math.pi ** 2 * c.electron_mass)
@@ -204,6 +228,7 @@ def reduced_inputs(separation, pressure, temperature, regime: GasRegime) -> tupl
     float range.  Returns the float arrays (r, P, T, k_F, x = k_F r,
     t = T/T_F), all of the broadcast shape.
     """
+    _require_member("regime", regime, GasRegime)
     arrays = [np.asarray(v, dtype=float) for v in (separation, pressure, temperature)]
     try:
         shape = np.broadcast(*arrays).shape
@@ -253,6 +278,7 @@ def reduced_dispersion(u, regime: GasRegime):
 
 def reduced_occupancy(u, mu_tilde: float, t: float, regime: GasRegime):
     """Occupancy in reduced variables, n(u) = 1/(exp((d(u) - mu_tilde)/t) + 1)."""
+    _require_member("regime", regime, GasRegime)
     d = reduced_dispersion(u, regime)
     if t == 0.0:
         return np.where(d < mu_tilde, 1.0, np.where(d == mu_tilde, 0.5, 0.0))
@@ -310,6 +336,30 @@ def _kernel_panels(mu_tilde: float, t: float, regime: GasRegime):
     s_edges = np.concatenate(([s_first], left[left > s_first], centre + _KERNEL_OFFSETS[1:]))
     u_edges = _kernel_u(mu_tilde + t * s_edges, regime)
     return s_edges, u_edges, _spaced_in_u(mu_tilde, t, regime)
+
+
+def _require_kernel_window(mu_tilde: float, t: float, regime: GasRegime) -> None:
+    """Raise a DomainError naming mu_tilde unless the kernel window at (mu_tilde, t) has a rule.
+
+    The window's panel edges stay increasing while mu_tilde >= -2^50 t,
+    and its weights u^3 k(s) ds and their sums stay finite while the top
+    of the window, u with d(u) = max(mu_tilde, 0) + 45 t, is at most
+    _KERNEL_U_MAX (about 3.5e102).
+    """
+    if not (mu_tilde >= -_BAND_BOTTOM_MAX * t):
+        raise DomainError(
+            f"reduced chemical potential must be at least -2^50 t = {-_BAND_BOTTOM_MAX * t!r} "
+            f"at reduced temperature {t!r}, got {mu_tilde!r}: the kernel window's panel "
+            "edges stop increasing"
+        )
+    d_top = max(mu_tilde, 0.0) + _THERMAL_DECADES * t
+    u_top = math.sqrt(d_top) if regime is GasRegime.NONRELATIVISTIC else d_top
+    if not (u_top <= _KERNEL_U_MAX):
+        raise DomainError(
+            f"reduced chemical potential {mu_tilde!r} at reduced temperature {t!r} puts the "
+            f"kernel window's top at u = {u_top:.3g}, above {_KERNEL_U_MAX:.3g}, where the "
+            "weights u^3 overflow"
+        )
 
 
 def _spaced_in_u(mu_tilde: float, t: float, regime: GasRegime) -> bool:
@@ -605,6 +655,8 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     Results are cached per (t, regime, mode), however the arguments are
     spelled; ``cache_info`` and ``cache_clear`` reach that cache.
     """
+    _require_member("regime", regime, GasRegime)
+    _require_member("mode", mode, MuMode)
     return _reduced_chemical_potential(t, regime, mode)
 
 

@@ -144,6 +144,33 @@ def test_coordinates_reject_non_finite(field, fragment, bad):
             thermal_amplitude(**values)
 
 
+@pytest.mark.parametrize("regime, t, mu, fragment", [
+    # the band bottom 1e17 kernel widths above the kernel: the panel edges
+    # collapse (composite_gauss raised a bare ValueError)
+    (NR, 1e-14, -1000.0, "edges stop increasing"),
+    (ER, 1e-14, -1000.0, "edges stop increasing"),
+    # u^3 beyond the float range (overflow warnings, then a QuadratureError)
+    (NR, 1.0, 1e250, "overflow"),
+    (ER, 1.0, 1e120, "overflow"),
+    (ER, 1e101, 0.0, "overflow"),
+])
+def test_thermal_amplitude_rejects_a_kernel_window_without_a_rule(regime, t, mu, fragment):
+    with pytest.raises(DomainError, match=f"chemical potential.*{fragment}"):
+        thermal_amplitude(1.0, t, mu, regime)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_thermal_amplitude_accepts_the_chemical_potential_bracket(regime):
+    # the bracket -50 t <= mu_tilde <= 2 of the mu solve, and the bound
+    # -2^50 t itself, give finite amplitudes within tolerance
+    for t in (1e-300, 1e-14, 1e-3, 1.0):
+        for mu in (-50.0 * t, 2.0, -2.0 ** 50 * t):
+            values, err = thermal_amplitude(np.array([0.0, 1.0]), t, mu, regime)
+            assert np.isfinite(values).all() and err <= 1e-10
+    with pytest.raises(DomainError, match="chemical potential"):
+        thermal_amplitude(1.0, 1.0, np.nextafter(-2.0 ** 50, -math.inf), regime)
+
+
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_thermal_amplitude_is_the_ground_state_at_zero_temperature(regime):
     xs = np.array([[0.0, 1e-3, 0.3], [1.8, 4.5, 50.0]])

@@ -139,6 +139,36 @@ def test_conversions_reject_non_finite_inputs(call, fragment, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: solve_zeta(0.1, "nonrel"), "regime"),
+        (lambda: solve_zeta(0.1, NR, "fermi"), "mu_mode"),
+        (lambda: reduced_chemical_potential(0.1, "rel"), "regime"),
+        (lambda: reduced_chemical_potential(0.1, NR, "exact"), "mode"),
+        (lambda: reduced_inputs(1e-10, 1e20, 1e5, "nonrel"), "regime"),
+        (lambda: fge.eos_evaluate(1e-10, 1e20, 1e5, "nonrel"), "regime"),
+        (lambda: fge.eos_grid(1e-10, 1e20, 1e5, NR, "fermi"), "mu_mode"),
+        (lambda: fge.thermal_amplitude(1.0, 0.1, 1.0, "nonrel"), "regime"),
+        (lambda: fge.average_entanglement(0.1, "nonrel"), "regime"),
+        (lambda: fge.average_entanglement(0.1, NR, mu_mode="fermi"), "mu_mode"),
+        (lambda: reduced_occupancy(0.5, 1.0, 0.1, "nonrel"), "regime"),
+        (lambda: fge.fermi_energy(1e10, "rel"), "regime"),
+        (lambda: fermi_temperature(1e10, "nonrel"), "regime"),
+        (lambda: pressure_from_density(1e30, "rel"), "regime"),
+        (lambda: fermi_momentum_from_pressure(1e20, "nonrel"), "regime"),
+        (lambda: density_from_pressure(1e20, "rel"), "regime"),
+        (lambda: pressure_from_fermi_momentum(1e10, "nonrel"), "regime"),
+        (lambda: pressure_from_entanglement_distance(1e-10, "rel", 1.8), "regime"),
+    ],
+)
+def test_enum_arguments_reject_non_members(call, name):
+    # every branch tests a member by identity: a string took the other
+    # branch (solve_zeta(0.1, "nonrel") returned the relativistic zeta)
+    with pytest.raises(DomainError, match=f"^{name} must be a "):
+        call()
+
+
 def test_reduced_inputs_match_scalar_conversions_bit_for_bit():
     # the reduced temperature keys the per-t caches, so an array entry must
     # reduce exactly as the same point does alone, and as the plain Python
