@@ -20,6 +20,7 @@ from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
     _amplitude_and_slope,
+    _refined_sum,
     _root_in_bracket,
     _validate_quad_tol,
     solve_zeta,
@@ -28,6 +29,7 @@ from .exchange import (
 from .fermi import (
     GasRegime,
     MuMode,
+    _require_kernel_window,
     _require_member,
     reduced_chemical_potential,
     reduced_inputs,
@@ -267,8 +269,15 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
 
 def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: MuMode,
                         tol: float) -> tuple[np.ndarray, float]:
-    """The amplitude at the flat, nonnegative reduced separations ``xs`` of one t, and zeta(t)."""
-    f, _ = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime, mu_mode), regime, tol)
+    """The amplitude at the flat reduced separations ``xs`` of one t, and zeta(t).
+
+    ``reduced_inputs`` has proved every x and t finite and nonnegative, and
+    ``eos_grid`` the regime, mode and tolerance, so of ``thermal_amplitude``'s
+    checks only the kernel window of the solved mu is left.
+    """
+    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+    _require_kernel_window(mu_tilde, t, regime)
+    f, _, _ = _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, tol)
     return f, solve_zeta(t, regime, mu_mode).zeta
 
 

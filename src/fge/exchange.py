@@ -96,8 +96,8 @@ def f_zero_temperature(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _f0(flat: np.ndarray, slope: bool = False):
-    """``f_zero_temperature`` of a flat float array already known to be finite and nonnegative.
+def _f0(y: np.ndarray, slope: bool = False):
+    """``f_zero_temperature`` of a float array, of any shape, already known to be finite and nonnegative.
 
     With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
     Above the crossovers f0' = 3(sin y / y - f0)/y shares one sin and one
@@ -106,16 +106,16 @@ def _f0(flat: np.ndarray, slope: bool = False):
     """
     # the closed form everywhere, with small y lifted to the crossover to
     # stay clear of 0/0; the series then replaces those entries
-    yb = np.maximum(flat, _SERIES_CROSSOVER)
+    yb = np.maximum(y, _SERIES_CROSSOVER)
     sinc = np.sin(yb)
     sinc /= yb
     out = sinc - np.cos(yb)
     out /= yb
     out /= yb
     out *= 3.0
-    small = flat < _SERIES_CROSSOVER
+    small = y < _SERIES_CROSSOVER
     if small.any():
-        out[small] = _even_series(flat[small], _SERIES_COEFFS)
+        out[small] = _even_series(y[small], _SERIES_COEFFS)
     if not slope:
         return out
     # f0 took the series below _SERIES_CROSSOVER, inside the range where
@@ -124,10 +124,10 @@ def _f0(flat: np.ndarray, slope: bool = False):
     df -= out
     df *= 3.0
     df /= yb
-    small = flat < _SLOPE_SERIES_CROSSOVER
+    small = y < _SLOPE_SERIES_CROSSOVER
     if small.any():
-        y = flat[small]
-        df[small] = _even_series(y, _SLOPE_COEFFS) * y
+        below = y[small]
+        df[small] = _even_series(below, _SLOPE_COEFFS) * below
     return out, df
 
 
@@ -147,12 +147,22 @@ def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.nda
 
     With ``slope`` a last column holds d/dx of the first,
     sum_j W[j, 0] u_j f0'(x u_j), from the same sin and cos.  f0 is
-    evaluated in blocks of at most _BLOCK entries; a sum of values alone
-    that fits in one block is one product.
+    evaluated in blocks of at most _BLOCK entries; a sum that fits in one
+    block, one x on a rule of up to _BLOCK nodes among them, is one
+    product f0(x u) @ W on the broadcast x u.
     """
     nodes, weights = rule.nodes, rule.weights
-    if not slope and len(xs) * len(nodes) <= _BLOCK:
-        return _f0(np.multiply.outer(xs, nodes).ravel()).reshape(len(xs), len(nodes)) @ weights
+    if len(xs) * len(nodes) <= _BLOCK:
+        y = xs[:, None] * nodes
+        if not slope:
+            return _f0(y) @ weights
+        values, df = _f0(y, slope=True)
+        df *= nodes
+        # summed into zeros as in the block loop, so that a sum of -0.0 is +0.0 on both paths
+        out = np.zeros((len(xs), 3))
+        out[:, :2] += values @ weights
+        out[:, 2] += df @ weights[:, 0]
+        return out
     out = np.zeros((len(xs), 3 if slope else 2))
     sums, slopes = out[:, :2], (out[:, 2] if slope else None)
     cols = min(len(nodes), _BLOCK)
@@ -160,20 +170,19 @@ def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.nda
     for j in range(0, len(nodes), cols):
         u, w = nodes[j:j + cols], weights[j:j + cols]
         for i in range(0, len(xs), rows):
-            y = np.multiply.outer(xs[i:i + rows], u)
+            y = xs[i:i + rows, None] * u
             if slope:
-                values, df = _f0(y.ravel(), slope=True)
-                df = df.reshape(y.shape)
+                values, df = _f0(y, slope=True)
                 df *= u
                 slopes[i:i + rows] += df @ w[:, 0]
             else:
-                values = _f0(y.ravel())
-            sums[i:i + rows] += values.reshape(y.shape) @ w
+                values = _f0(y)
+            sums[i:i + rows] += values @ w
     return out
 
 
-def _refined_sum(xs: np.ndarray, t: float, mu_tilde: float, regime: GasRegime, tol: float,
-                 slope: bool = False, rules=None) -> tuple:
+def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
+                 tol: float, slope: bool = False, rules=None) -> tuple:
     """f(x, t) at every x >= 0 of the flat ``xs``, with ``slope`` also df/dx, and the estimate.
 
     Returns (values, slopes or None, estimate).  At t = 0 the values are
@@ -181,16 +190,16 @@ def _refined_sum(xs: np.ndarray, t: float, mu_tilde: float, regime: GasRegime, t
     1.  At finite t they are ``_kernel_sum`` on the kernel rules of levels
     0, 1, ... until the estimate, the largest gap between the rule's sum
     and its companion's, is within ``tol``.  The rules resolve f0(x u)
-    for every x up to the largest of ``xs``; ``rules(level)`` returns the
-    rule of a level when given, else ``kernel_rule`` builds or fetches it.
-    A call that raises leaves none of the rules it built in the cache.
+    for every x up to ``x_max``, the largest of ``xs``; ``rules(level)``
+    returns the rule of a level when given, else ``kernel_rule`` builds or
+    fetches it.  The callers have checked the inputs.  A call that raises
+    leaves none of the rules it built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
             raise DomainError("at zero reduced temperature the reduced chemical potential "
                               f"must be exactly 1, got {mu_tilde!r}")
         return (*_f0(xs, True), 0.0) if slope else (_f0(xs), None, 0.0)
-    x_max = float(xs.max(initial=0.0))
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
@@ -236,7 +245,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < math.inf):
+    x_max = float(flat.max(initial=0.0))
+    if not (flat.min(initial=0.0) >= 0.0 and x_max < math.inf):
         raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
     if not (0.0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
@@ -244,7 +254,7 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
     _require_member("regime", regime, GasRegime)
     _require_kernel_window(mu_tilde, t, regime)
-    value, _, err = _refined_sum(flat, t, mu_tilde, regime, tol)
+    value, _, err = _refined_sum(flat, x_max, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
 
@@ -260,7 +270,7 @@ def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
     abscissa, so the value agrees with ``thermal_amplitude(x)`` to within
     the two estimates rather than to rounding.
     """
-    value, slope, _ = _refined_sum(np.array([x]), t, mu_tilde, regime, tol, True, rules)
+    value, slope, _ = _refined_sum(np.array([x]), float(x), t, mu_tilde, regime, tol, True, rules)
     return float(value[0]), float(slope[0])
 
 
@@ -355,7 +365,7 @@ def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
     block_weights = below[ends]
     block_weights[1:] -= below[ends[:-1]]
     y = np.minimum(np.multiply.outer(xs, rule.nodes[ends]), _F0_MIN_AT)
-    bound = _f0(y.ravel()).reshape(y.shape) @ block_weights
+    bound = _f0(y) @ block_weights
     bound += (below[-1] - below[ends[-1]]) * _F0_MIN
     return int(np.logical_and.accumulate(bound > math.sqrt(0.5) + _CERT_MARGIN).sum())
 

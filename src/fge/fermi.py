@@ -14,6 +14,7 @@ exchange-amplitude module.
 
 import cmath
 import math
+from bisect import bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,8 @@ _ORDER_HI, _ORDER_LO = 12, 6
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
 _MAX_KERNEL_NODES = 2 ** 20
+# most x-intervals of constant splits one (mu_tilde, t, regime, level) records
+_MAX_SPLIT_INTERVALS = 64
 # most nodes, of both orders, the cached kernel rules may hold together (48 MiB)
 _MAX_CACHED_NODES = 2 ** 21
 # below this reduced temperature the normalization correction to mu is < 1 ulp
@@ -242,14 +245,19 @@ def reduced_inputs(separation, pressure, temperature, regime: GasRegime) -> tupl
                   for a in arrays)
     with np.errstate(all="ignore"):
         k_f = _fermi_momentum_from_pressure(p, regime)
-        x = k_f * r
-        t = temp / _fermi_temperature(k_f, regime)
-    # five reductions prove every input good: a NaN, infinite or
-    # nonpositive pressure leaves k_F NaN, infinite or 0, and an infinite r,
-    # k_F or T leaves x or t infinite.  Only a failure looks for the input
-    # to name, in the order of the checks
-    if not (r.min(initial=1.0) > 0 and k_f.min(initial=1.0) > 0 and temp.min(initial=0.0) >= 0
-            and x.max(initial=0.0) < math.inf and t.max(initial=0.0) < math.inf):
+        # x and t are the rows of one array, so that one reduction bounds both
+        x_and_t = np.empty((2, r.size))
+        x = np.multiply(k_f, r, out=x_and_t[0])
+        t = np.divide(temp, _fermi_temperature(k_f, regime), out=x_and_t[1])
+    # three reductions prove every input good.  k_F is a root of a multiple
+    # of P, so NaN or nonnegative: a positive x = k_F r has r and k_F
+    # positive, and a finite one both finite.  A NaN, infinite or
+    # nonpositive pressure leaves k_F NaN, infinite or 0, and an infinite T
+    # leaves t infinite or NaN.  An x that underflows to 0 fails the proof
+    # without failing a check.  Only a failure looks for the input to name,
+    # in the order of the checks
+    if not (x.min(initial=1.0) > 0 and temp.min(initial=0.0) >= 0
+            and x_and_t.max(initial=0.0) < math.inf):
         _require_all("separation", r, (r > 0) & (r < math.inf), "be finite and positive")
         _require_all("pressure", p, (p > 0) & (p < math.inf), "be finite and positive")
         _require_all("temperature", temp, (temp >= 0) & (temp < math.inf),
@@ -374,7 +382,7 @@ def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
 
 
 def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
-    """Pieces each level-0 panel spaced in u needs whatever x is (not rounded up).
+    """Pieces (float, whole, at least 1) each level-0 panel spaced in u needs whatever x is.
 
     A piece is at most 1/pi of its distance to the kernel pole
     u = sqrt(mu + i pi t), the ratio that unit panels have to the poles
@@ -382,7 +390,7 @@ def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
     """
     pole = cmath.sqrt(complex(mu_tilde, math.pi * t))
     nearest = np.clip(pole.real, u_edges[:-1], u_edges[1:])
-    return math.pi * np.diff(u_edges) / np.abs(pole - nearest)
+    return np.maximum(np.ceil(math.pi * np.diff(u_edges) / np.abs(pole - nearest)), 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -429,33 +437,45 @@ def _s_nodes(s_first: float, pieces: int, orders: tuple) -> tuple[np.ndarray, np
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple:
-    """Widths in u of the level-0 panels, the pieces each needs whatever x is, and the panels.
+    """Widths in u of the level-0 panels, the pieces each needs whatever x is, the panels, and the split tables.
 
-    With nodes spaced in u the pieces are ``_pole_pieces``; otherwise one
-    piece per panel suffices.  The panels are what ``_kernel_panels``
-    returns, kept for the rules built on them.
+    With nodes spaced in u the least pieces are ``_pole_pieces``;
+    otherwise one piece per panel suffices.  The panels are what
+    ``_kernel_panels`` returns, kept for the rules built on them.  The
+    split tables, filled by ``kernel_rule``, leave the cache with the rest
+    of the entry.
     """
     panels = _kernel_panels(mu_tilde, t, regime)
     _, u_edges, in_u = panels
     widths = np.diff(u_edges)
-    floor = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.zeros_like(widths)
-    for array in (widths, floor, *panels[:2]):
+    least = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.ones_like(widths)
+    for array in (widths, least, *panels[:2]):
         array.flags.writeable = False  # every caller of the cache shares them
-    return widths, floor, panels
+    return widths, least, panels, {}
+
+
+def _level0_pieces(x, widths: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """Pieces (float) of each level-0 panel at ``x`` (or a column of x), at least ``least``.
+
+    A piece spans at most _PHASE_PER_PANEL radians of f0(x u), so the
+    pieces step up where a phase x w_p / _PHASE_PER_PANEL passes a whole
+    number.
+    """
+    return np.maximum(np.ceil(x * widths / _PHASE_PER_PANEL), least)
 
 
 def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
                    level: int = 0) -> np.ndarray:
     """Pieces each level-0 panel is cut into so that the rule resolves f0(x u), x <= x_max.
 
-    A piece spans at most _PHASE_PER_PANEL radians of f0(x_max u), and no
-    fewer pieces than ``_kernel_widths`` asks for near the kernel pole.
-    Each level then halves every piece.
+    ``_level0_pieces`` at x_max, each piece halved at every level.  A rule
+    of more than _MAX_KERNEL_NODES nodes raises ``QuadratureError``.
     """
-    widths, floor, _ = _kernel_widths(mu_tilde, t, regime)
-    pieces = np.maximum(x_max * widths / _PHASE_PER_PANEL, floor)
-    pieces = np.maximum(np.ceil(pieces), 1.0) * 2.0 ** level
-    nodes = float(pieces.sum()) * _ORDER_HI
+    widths, least, _, _ = _kernel_widths(mu_tilde, t, regime)
+    # a huge x_max takes the phases, or their sum, to inf, which the node cap rejects
+    with np.errstate(over="ignore"):
+        pieces = _level0_pieces(x_max, widths, least) * 2.0 ** level
+        nodes = float(pieces.sum()) * _ORDER_HI
     if not (nodes <= _MAX_KERNEL_NODES):
         raise QuadratureError(
             f"the kernel rule at t={t!r} would need {nodes:.3g} nodes to resolve "
@@ -463,6 +483,55 @@ def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
             error_estimate=math.inf,
         )
     return pieces.astype(np.int64)
+
+
+def _last_phase_within(pieces: float, width: float) -> float:
+    """Largest x whose rounded phase x width / _PHASE_PER_PANEL is at most ``pieces`` (width > 0).
+
+    The quotient is within an ulp or two; the phase itself decides.
+    """
+    x = pieces * _PHASE_PER_PANEL / width
+    while x * width / _PHASE_PER_PANEL > pieces:
+        x = math.nextafter(x, -math.inf)
+    while (up := math.nextafter(x, math.inf)) * width / _PHASE_PER_PANEL <= pieces:
+        x = up
+    return x
+
+
+def _split_interval(x: float, counts: np.ndarray, widths: np.ndarray,
+                    least: np.ndarray) -> tuple[float, float]:
+    """The interval [lo, hi] of every x' >= 0 whose ``_level0_pieces`` are ``counts``, those of x.
+
+    Panel p keeps c_p pieces while its phase is at most c_p and, where c_p
+    is above its least, above c_p - 1.  The panel with the tightest bound
+    k / w_p on each side gives that end to the ulp, and the pieces of all
+    panels there confirm it or step it in towards x.  A panel of zero
+    width, or whose bound passes the float range, bounds nothing.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        spans = _PHASE_PER_PANEL / widths
+        tops = counts * spans
+        bottoms = np.where(counts > least, tops - spans, -math.inf)
+    top, bottom = int(tops.argmin()), int(bottoms.argmax())
+    lo, hi = 0.0, math.inf
+    if bottoms[bottom] > -math.inf:
+        lo = min(x, math.nextafter(
+            _last_phase_within(float(counts[bottom]) - 1.0, float(widths[bottom])), math.inf))
+    if tops[top] < math.inf:
+        hi = max(x, _last_phase_within(float(counts[top]), float(widths[top])))
+
+    def held(ends):
+        return (_level0_pieces(ends, widths, least) == counts).all(axis=-1)
+
+    # both ends in one check; x stands in for an unbounded hi
+    lo_held, hi_held = held(np.array([[lo], [hi if hi < math.inf else x]]))
+    while not lo_held:
+        lo = math.nextafter(lo, math.inf)
+        lo_held = held(lo)
+    while not hi_held:
+        hi = math.nextafter(hi, -math.inf)
+        hi_held = held(hi)
+    return lo, hi
 
 
 def _u_weights(u: np.ndarray, dz: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
@@ -578,14 +647,34 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     Level 0 has up to 28 graded panels: unit width across the kernel bump,
     whose poles sit at s = +-i pi, and widening where the kernel has
     decayed.  ``_kernel_splits`` cuts them to resolve the oscillation of
-    f0(x u), and every further level halves all pieces.  A rule spaced in
-    s is a slice of the t-independent ``_s_table`` when every panel has the
-    same pieces, so only its map to u is computed.  Rules are cached, at
-    most CACHE_SIZE of them and _MAX_CACHED_NODES nodes in all; one that
-    would exceed _MAX_KERNEL_NODES raises ``QuadratureError``.
+    f0(x u), and every further level halves all pieces.  The splits are
+    constant on intervals of x.  Each (mu_tilde, t, regime, level) keeps
+    in its ``_kernel_widths`` entry a table of those met so far (tuples
+    of lower ends, upper ends and splits' bytes, sorted), so an x inside
+    one is a bisect; only an x outside them computes its splits and
+    records their interval (``_split_interval``), up to
+    _MAX_SPLIT_INTERVALS of them.  A rule spaced in s is a slice of the
+    t-independent ``_s_table`` when every panel has the same pieces, so
+    only its map to u is computed.  Rules are cached, at most CACHE_SIZE
+    of them and _MAX_CACHED_NODES nodes in all; one that would exceed
+    _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
-    splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
-    return _cached_kernel_rule(mu_tilde, t, regime, splits.tobytes())
+    widths, least, _, tables = _kernel_widths(mu_tilde, t, regime)
+    lows, highs, keys = tables.get(level, ((), (), ()))
+    i = bisect_right(lows, x_max) - 1
+    if i >= 0 and x_max <= highs[i]:
+        key = keys[i]
+    else:
+        splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
+        key = splits.tobytes()
+        if len(keys) < _MAX_SPLIT_INTERVALS:
+            lo, hi = _split_interval(x_max, splits * 0.5 ** level, widths, least)
+            i = bisect_right(lows, lo)
+            # a new table, never one changed in place, so that a lookup reads
+            # its three tuples as one
+            tables[level] = tuple(seq[:i] + (end,) + seq[i:]
+                                  for seq, end in zip((lows, highs, keys), (lo, hi, key)))
+    return _cached_kernel_rule(mu_tilde, t, regime, key)
 
 
 # === chemical potential ===
@@ -597,7 +686,7 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
 
     Both are sums over the nodes of the level-0 kernel rule for x = 0, at
     order _ORDER_HI: one piece per panel where the nodes are spaced in s,
-    else ``_pole_pieces`` rounded up.  Spaced in s they come from the
+    else ``_pole_pieces``.  Spaced in s they come from the
     t-independent ``_s_table`` (for mu_tilde >= 0), so only u(mu + t s)
     and u^3 are computed.  Spaced in u, the nodes and widths of ``grid``,
     the u-grid a previous Newton iterate returned, are kept and only the
@@ -608,7 +697,7 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
     if _spaced_in_u(mu_tilde, t, regime):
         if grid is None:
             _, u_edges, _ = _kernel_panels(mu_tilde, t, regime)
-            splits = np.maximum(np.ceil(_pole_pieces(mu_tilde, t, u_edges)), 1.0).astype(np.int64)
+            splits = _pole_pieces(mu_tilde, t, u_edges).astype(np.int64)
             grid = composite_gauss(u_edges, splits, _ORDER_HI)
         u = grid[0]
         weights = _u_weights(u, grid[1], mu_tilde, t)

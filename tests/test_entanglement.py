@@ -34,7 +34,7 @@ from fge import (
     werner_state_from_f,
     wootters_concurrence,
 )
-from fge import entanglement
+from fge import entanglement, exchange, fermi
 from fge.exchange import thermal_amplitude
 
 NR = GasRegime.NONRELATIVISTIC
@@ -325,6 +325,44 @@ def test_eos_grid_solves_once_per_temperature():
     before = reduced_chemical_potential.cache_info().misses
     eos_grid(r, pressure_from_fermi_momentum(k_f, NR), temps, NR)
     assert reduced_chemical_potential.cache_info().misses - before == len(temps)
+
+
+def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
+    # 100 points of one t: the kernel splits are computed once per distinct
+    # (level, splits), and every other request is a lookup in the split table
+    for cached in (reduced_chemical_potential, solve_zeta, fermi._cached_kernel_rule,
+                   fermi._kernel_widths):
+        cached.cache_clear()
+    direct, requested = [], []
+    kernel_splits, kernel_rule = fermi._kernel_splits, exchange.kernel_rule
+
+    def counted_splits(*args):
+        direct.append(args)
+        return kernel_splits(*args)
+
+    def recorded_rule(mu, t, regime, x_max=0.0, level=0):
+        requested.append((mu, t, regime, x_max, level))
+        return kernel_rule(mu, t, regime, x_max, level)
+
+    monkeypatch.setattr(fermi, "_kernel_splits", counted_splits)
+    monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
+    k_f = 1e10
+    r, p, temp = kf_point(np.linspace(0.06, 6.0, 100), 0.05, k_f, NR)
+    eos_evaluate(float(r[0]), p, temp, NR)
+    first, misses = len(requested), fermi._cached_kernel_rule.cache_info().misses
+    for r_i in r[1:]:
+        eos_evaluate(float(r_i), p, temp, NR)
+
+    def patterns(calls):
+        return {(args[-1], kernel_splits(*args).tobytes()) for args in calls}
+
+    *_, xs, ts = fermi.reduced_inputs(r, p, temp, NR)
+    t = float(ts[0])
+    mu = reduced_chemical_potential(t, NR)
+    assert len(patterns([(mu, t, NR, float(x), 0) for x in xs])) == 2
+    assert len(direct) == len(patterns(requested)) < len(requested) - 99
+    new = patterns(requested[first:]) - patterns(requested[:first])
+    assert fermi._cached_kernel_rule.cache_info().misses - misses == len(new)
 
 
 @pytest.mark.parametrize("position, fragment", [

@@ -1,10 +1,13 @@
 """Fermi gas functions: conversions, occupancy, chemical potential, validity."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import fge
@@ -12,6 +15,7 @@ from fge import (
     DomainError,
     GasRegime,
     MuMode,
+    QuadratureError,
     density_from_fermi_momentum,
     density_from_pressure,
     entanglement_distance,
@@ -191,6 +195,57 @@ def test_reduced_inputs_match_scalar_conversions_bit_for_bit():
             assert fermi_momentum_from_pressure(p_i, regime) == k
             assert fermi_temperature(k, regime) == t_f
             assert (k_f[i], x[i], t[i]) == (k, k * r_i, temp_i / t_f)
+
+
+def reference_reduced_inputs(r, p, temp, regime):
+    """reduced_inputs with each of its checks run on every call, in its order."""
+    with np.errstate(all="ignore"):
+        k_f = fermi._fermi_momentum_from_pressure(p, regime)
+        x = k_f * r
+        t = temp / fermi._fermi_temperature(k_f, regime)
+    fermi._require_all("separation", r, (r > 0) & (r < math.inf), "be finite and positive")
+    fermi._require_all("pressure", p, (p > 0) & (p < math.inf), "be finite and positive")
+    fermi._require_all("temperature", temp, (temp >= 0) & (temp < math.inf),
+                       "be finite and nonnegative")
+    fermi._require_all("pressure", p, (k_f > 0) & (k_f < math.inf),
+                       "give a positive, finite Fermi momentum")
+    fermi._require_all("separation", r, x < math.inf, "be small enough for a finite k_F r")
+    fermi._require_all("temperature", temp, t < math.inf, "be small enough for a finite T/T_F")
+    return k_f, x, t
+
+
+# finite values that take k_F, x or t to the ends of the float range, and bad ones
+EXTREMES = [-1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-10, 1.0, 1e9, 1e150, 1e300,
+            1.7e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.lists(st.sampled_from(EXTREMES) | st.floats(1e-320, 1e300), min_size=1, max_size=3),
+    p=st.sampled_from(EXTREMES) | st.floats(1e-320, 1e300),
+    temp=st.sampled_from(EXTREMES) | st.floats(0.0, 1e300),
+    regime=st.sampled_from([NR, ER]),
+)
+def test_reduced_inputs_proof_fails_wherever_a_check_does(r, p, temp, regime):
+    # three reductions stand in for six checks: every input that one of the
+    # checks rejects must fail them, with the error of the first check
+    r, p, temp = (np.array(v, dtype=float) for v in np.broadcast_arrays(r, p, temp))
+    try:
+        k_f, x, t = reference_reduced_inputs(r, p, temp, regime)
+    except DomainError as expected:
+        with pytest.raises(DomainError) as raised:
+            reduced_inputs(r, p, temp, regime)
+        assert str(raised.value) == str(expected)
+    else:
+        *_, k_f_got, x_got, t_got = reduced_inputs(r, p, temp, regime)
+        assert (k_f_got.tobytes(), x_got.tobytes(), t_got.tobytes()) == (
+            k_f.tobytes(), x.tobytes(), t.tobytes())
+
+
+def test_reduced_inputs_accept_an_x_that_underflows_to_zero():
+    # the proof needs x > 0, which k_F r = 0 fails without failing a check
+    *_, k_f, x, _ = reduced_inputs(5e-324, 1e-45, 0.0, NR)
+    assert k_f > 0.0 and x == 0.0
 
 
 # === occupancy ===
@@ -490,6 +545,108 @@ def test_cold_mu_spaced_in_u_builds_one_rule(t, monkeypatch):
     calls = record_composite_gauss(monkeypatch)
     fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x, t, mu, regime", [
+    (1e307, 10.0, 1.0, ER),  # x w overflows
+    (1e300, 1e10, 0.0, ER),  # x w overflows
+    (1e306, 1e3, 1.0, NR),   # the sum of the pieces overflows
+])
+def test_huge_x_meets_the_node_cap_without_a_warning(x, t, mu, regime):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="nodes"):
+            fge.thermal_amplitude(x, t, mu, regime)
+
+
+def direct_splits(mu, t, regime, x, level):
+    """``_kernel_splits`` as bytes, or the QuadratureError of the node cap."""
+    try:
+        return fermi._kernel_splits(mu, t, regime, x, level).tobytes()
+    except QuadratureError:
+        return QuadratureError
+
+
+def looked_up_splits(mu, t, regime, x, level):
+    """The splits' bytes that ``kernel_rule`` asks the rule cache for, or the QuadratureError."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fermi, "_cached_kernel_rule", lambda mu, t, regime, splits: splits)
+        try:
+            return fermi.kernel_rule(mu, t, regime, x, level)
+        except QuadratureError:
+            return QuadratureError
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    regime=st.sampled_from([NR, ER]),
+    mode=st.sampled_from([MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX]),
+    log_t=st.floats(-3.0, 3.0),
+    level=st.integers(0, 2),
+    panel=st.integers(0, 27),
+    phase=st.integers(0, 400),
+    ulps=st.integers(-4, 4),
+    others=st.lists(st.floats(0.0, 40.0), max_size=6),
+)
+def test_split_lookup_matches_the_direct_formula(regime, mode, log_t, level, panel, phase,
+                                                 ulps, others):
+    # x at, or a few ulps from, a breakpoint k phi / w_p of the splits, after
+    # a few other x have filled the table; each is looked up twice
+    t = 10.0 ** log_t
+    mu = reduced_chemical_potential(t, regime, mode)
+    widths = _kernel_widths(mu, t, regime)[0]
+    width = float(widths[panel % len(widths)])
+    x = phase * fermi._PHASE_PER_PANEL / width if width > 0.0 else float(phase)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    for x_i in [*others, max(x, 0.0)] * 2:
+        assert looked_up_splits(mu, t, regime, x_i, level) == direct_splits(mu, t, regime, x_i, level)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("mode", [MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX])
+@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 30.0, 1e3])
+def test_recorded_split_intervals_are_whole_and_disjoint(regime, mode, t):
+    # each interval holds its splits at both ends and loses them an ulp
+    # outside, so it is the whole set of x with those splits
+    mu = reduced_chemical_potential(t, regime, mode)
+    for x in np.linspace(0.0, 50.0 / max(1.0, t), 41):
+        for level in range(3):
+            looked_up_splits(mu, t, regime, float(x), level)
+    tables = _kernel_widths(mu, t, regime)[3]
+    assert {0, 1, 2} <= set(tables)
+    for level, (lows, highs, keys) in tables.items():
+        assert list(lows) == sorted(lows)
+        assert all(hi < lo for hi, lo in zip(highs, lows[1:]))
+        for lo, hi, key in zip(lows, highs, keys):
+            assert direct_splits(mu, t, regime, lo, level) == key
+            assert lo == 0.0 or direct_splits(mu, t, regime, math.nextafter(lo, -1.0), level) != key
+            if hi < math.inf:
+                assert direct_splits(mu, t, regime, hi, level) == key
+                assert direct_splits(mu, t, regime, math.nextafter(hi, math.inf), level) != key
+
+
+def test_zero_width_panels_bound_no_interval():
+    # at t = 1e-18 the panels next to mu = 1 collapse in u: width 0, and a
+    # bound k / 0 that must neither warn nor cut the interval
+    mu, t = 1.0, 1e-18
+    widths = _kernel_widths(mu, t, NR)[0]
+    assert (widths == 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 1e3, 1e12):
+            assert looked_up_splits(mu, t, NR, x, 0) == direct_splits(mu, t, NR, x, 0)
+
+
+def test_split_table_records_a_bounded_number_of_intervals():
+    mu, t = reduced_chemical_potential(1.0, ER), 1.0
+    widths = _kernel_widths(mu, t, ER)[0]
+    step = fermi._PHASE_PER_PANEL / float(widths.max())
+    for k in range(fermi._MAX_SPLIT_INTERVALS + 10):
+        x = (k + 0.5) * step
+        assert looked_up_splits(mu, t, ER, x, 0) == direct_splits(mu, t, ER, x, 0)
+    lows, highs, keys = _kernel_widths(mu, t, ER)[3][0]
+    assert len(lows) == len(highs) == len(keys) == fermi._MAX_SPLIT_INTERVALS
 
 
 def test_rule_cache_is_bounded_by_nodes():
