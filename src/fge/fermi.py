@@ -54,7 +54,8 @@ _ORDER_HI, _ORDER_LO = 12, 6
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
 _MAX_KERNEL_NODES = 2 ** 20
-# most x-intervals of constant splits one (mu_tilde, t, regime, level) records
+# most x-intervals of constant splits one (mu_tilde, t, regime) records, over
+# all levels: with 1024 temperatures cached, at most about 20 MiB of tables
 _MAX_SPLIT_INTERVALS = 64
 # most nodes, of both orders, the cached kernel rules may hold together (48 MiB)
 _MAX_CACHED_NODES = 2 ** 21
@@ -653,7 +654,7 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     of lower ends, upper ends and splits' bytes, sorted), so an x inside
     one is a bisect; only an x outside them computes its splits and
     records their interval (``_split_interval``), up to
-    _MAX_SPLIT_INTERVALS of them.  A rule spaced in s is a slice of the
+    _MAX_SPLIT_INTERVALS of them over all levels.  A rule spaced in s is a slice of the
     t-independent ``_s_table`` when every panel has the same pieces, so
     only its map to u is computed.  Rules are cached, at most CACHE_SIZE
     of them and _MAX_CACHED_NODES nodes in all; one that would exceed
@@ -667,7 +668,7 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     else:
         splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
         key = splits.tobytes()
-        if len(keys) < _MAX_SPLIT_INTERVALS:
+        if sum(len(table[2]) for table in tables.values()) < _MAX_SPLIT_INTERVALS:
             lo, hi = _split_interval(x_max, splits * 0.5 ** level, widths, least)
             i = bisect_right(lows, lo)
             # a new table, never one changed in place, so that a lookup reads

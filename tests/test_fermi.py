@@ -639,14 +639,18 @@ def test_zero_width_panels_bound_no_interval():
 
 
 def test_split_table_records_a_bounded_number_of_intervals():
+    # the bound is on all levels of one (mu, t, regime) together
     mu, t = reduced_chemical_potential(1.0, ER), 1.0
+    _kernel_widths.cache_clear()
     widths = _kernel_widths(mu, t, ER)[0]
     step = fermi._PHASE_PER_PANEL / float(widths.max())
-    for k in range(fermi._MAX_SPLIT_INTERVALS + 10):
-        x = (k + 0.5) * step
-        assert looked_up_splits(mu, t, ER, x, 0) == direct_splits(mu, t, ER, x, 0)
-    lows, highs, keys = _kernel_widths(mu, t, ER)[3][0]
-    assert len(lows) == len(highs) == len(keys) == fermi._MAX_SPLIT_INTERVALS
+    for k in range(fermi._MAX_SPLIT_INTERVALS // 2 + 10):
+        for level in (0, 1):
+            x = (k + 0.5) * step
+            assert looked_up_splits(mu, t, ER, x, level) == direct_splits(mu, t, ER, x, level)
+    tables = _kernel_widths(mu, t, ER)[3]
+    assert all(len(lows) == len(highs) == len(keys) for lows, highs, keys in tables.values())
+    assert sum(len(keys) for _, _, keys in tables.values()) == fermi._MAX_SPLIT_INTERVALS
 
 
 def test_rule_cache_is_bounded_by_nodes():
