@@ -77,14 +77,13 @@ def _build_parser():
     p.add_argument("--spacing", choices=["linear", "log"], default="log")
     p.add_argument("--r", type=float, default=None, help="fixed separation in m")
     p.add_argument("--P", type=float, default=None, help="fixed pressure in Pa")
-    p.add_argument("--T", type=float, default=0.0, help="fixed temperature in K")
+    p.add_argument("--T", type=float, default=None, help="fixed temperature in K (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     _add_common(p)
 
     p = sub.add_parser("figure1", help="preset zero-temperature pressure sweep CSV")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--count", type=int, default=200)
-    _add_common(p, mu_mode=False)
 
     p = sub.add_parser("dwarf", help="white-dwarf entanglement report")
     mass = p.add_mutually_exclusive_group()
@@ -170,11 +169,12 @@ def _grid(lo, hi, count, spacing):
         raise _UsageError(f"--count must be at least 2, got {count}")
     if not (lo < hi):
         raise _UsageError(f"--min must be less than --max, got {lo!r} >= {hi!r}")
-    if spacing == "log":
-        if not (lo > 0):
-            raise _UsageError(f"log spacing requires --min > 0, got {lo!r}")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    if spacing == "log" and not (lo > 0):
+        raise _UsageError(f"log spacing requires --min > 0, got {lo!r}")
+    try:
+        return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
+    except MemoryError:
+        raise DomainError(f"--count {count} points do not fit in memory") from None
 
 
 def _cmd_eval(args, tol):
@@ -188,15 +188,20 @@ def _cmd_zeta(args):
 
 
 def _cmd_sweep(args, tol):
+    swept = {"pressure": "P", "distance": "r", "temperature": "T"}[args.var]
+    if getattr(args, swept) is not None:
+        raise _UsageError(f"--{swept} cannot fix the variable that a {args.var} sweep "
+                          "runs from --min to --max")
     grid = _grid(args.min, args.max, args.count, args.spacing)
+    temperature = 0.0 if args.T is None else args.T
     if args.var == "pressure":
         if args.r is None:
             raise _UsageError("--r is required for a pressure sweep")
-        points = (args.r, grid, args.T)
+        points = (args.r, grid, temperature)
     elif args.var == "distance":
         if args.P is None:
             raise _UsageError("--P is required for a distance sweep")
-        points = (grid, args.P, args.T)
+        points = (grid, args.P, temperature)
     else:
         if args.r is None or args.P is None:
             raise _UsageError("--r and --P are required for a temperature sweep")
@@ -205,13 +210,13 @@ def _cmd_sweep(args, tol):
     return 0
 
 
-def _cmd_figure1(args, tol):
+def _cmd_figure1(args):
     regime = GasRegime.NONRELATIVISTIC
     zeta0 = solve_zeta(0.0, regime, MuMode.EXACT_NORMALIZATION).zeta
     p_lo = pressure_from_entanglement_distance(1e-8, regime, zeta0)
     p_hi = 4.0 * pressure_from_entanglement_distance(1e-10, regime, zeta0)
     grid = _grid(p_lo, p_hi, args.count, "log")
-    _write_csv(args.out, eos_grid(1e-10, grid, 0.0, regime, MuMode.EXACT_NORMALIZATION, tol))
+    _write_csv(args.out, eos_grid(1e-10, grid, 0.0, regime, MuMode.EXACT_NORMALIZATION))
     return 0
 
 

@@ -34,7 +34,7 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import composite_gauss
+from .quadrature import composite_kronrod
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -52,16 +52,17 @@ _SPIN_FLIP = np.array(
 _STATE_TOL = 1e-10
 
 # the average over [0, zeta]: panel edges zeta (1 - 2^-k) for k below
-# _CASCADE_PANELS, then zeta; Gauss-Legendre orders of the value and of its
-# comparison rule; levels of panel halving tried before giving up; the
-# absolute floor of the error budget; the tolerance of the amplitude.
-# Near zeta the entropy of formation goes as C^2 log C with C linear in
-# zeta - x, so a panel of width h next to zeta carries O(h^3): with 12
-# panels the last one is zeta 2^-11 wide, and deeper panels change nothing
-# the 16-point rule can resolve (the level-0 estimate stays at ~7e-15,
-# against 5e-13 with 8 panels and an absolute floor of 1e-12)
-_CASCADE_PANELS = 12
-_AVERAGE_ORDER_HI, _AVERAGE_ORDER_LO = 16, 8
+# _CASCADE_PANELS, then zeta, each with the 15-point Kronrod rule, whose gap to
+# the 7-point Gauss rule on every second of its nodes is the estimate; levels
+# of panel halving tried before giving up; the absolute floor of the error
+# budget; the tolerance of the amplitude.  Near zeta the entropy of formation
+# goes as C^2 log C with C linear in zeta - x, so a panel of width h next to
+# zeta carries O(h^3): with 10 panels the last one is zeta 2^-9 wide, and
+# deeper panels change nothing the Kronrod rule resolves.  The level-0
+# estimate is then at most ~6e-13, nearly all of it the 7-point rule's error
+# on the first panel, [0, zeta/2] (11 or 12 panels give the same), against
+# 4e-12 with 9 panels and an absolute floor of 1e-12
+_CASCADE_PANELS = 10
 _AVERAGE_MAX_LEVEL = 4
 _AVERAGE_TOL_ABS = 1e-12
 _AVERAGE_AMPLITUDE_TOL = 1e-10
@@ -314,21 +315,22 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
                          tol: float = 1e-8) -> float:
     """Mean of the chosen measure over separations x in [0, zeta(t)].
 
-    One fixed composite rule: 16-point Gauss-Legendre panels on a
-    geometric cascade of 12 panels toward the upper endpoint, edges
+    One fixed composite rule: the 15-point Kronrod rule on a geometric
+    cascade of 10 panels toward the upper endpoint, edges
     zeta (1 - 2^-k), where the entropy of formation has a mild C^2 log C
     singularity in its higher derivatives.  A panel of width h next to
     zeta carries O(h^3) of the integral, so panels deeper than the last,
-    zeta 2^-11 wide, would change nothing the rule resolves.  An
-    8-point rule on the same panels gives the error estimate (the summed
-    gap between the two on every panel), and one ``composite_gauss`` call
-    builds both.  The abscissas of both rules are one batched
-    ``thermal_amplitude`` call; as in ``eos_grid``, the
+    zeta 2^-9 wide, would change nothing the rule resolves.  The 7-point
+    Gauss rule on every second Kronrod node gives the error estimate (the
+    summed gap between the two on every panel), as in QUADPACK's qk15, so
+    the estimate needs no abscissa of its own.  The 150 abscissas are one
+    batched ``thermal_amplitude`` call; as in ``eos_grid``, the
     amplitude is clamped into [-1, 1] before the measure.  In the
     approximate-mu mode f overshoots 1 near the origin, and the point
-    where it falls through 1 is one more panel edge: the root of f - 1 on [0, zeta], refined by the zeta solve's
-    safeguarded Newton steps on the analytic df/dx, with f(zeta) = 1/sqrt(2)
-    taken as known.  Every panel is halved until the estimate is at
+    where it falls through 1 is one more panel edge (165 abscissas): the
+    root of f - 1 on [0, zeta], refined by the zeta solve's safeguarded
+    Newton steps on the analytic df/dx, with f(zeta) = 1/sqrt(2) taken as
+    known.  Every panel is halved until the estimate is at
     most max(1e-12, tol |integral|), and after a few levels a
     ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
     quadrature tolerance range.
@@ -358,20 +360,18 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
                                    math.sqrt(0.5) - 1.0)
         edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
-        nodes, weights = composite_gauss(edges, 2 ** level, (_AVERAGE_ORDER_HI, _AVERAGE_ORDER_LO))
+        nodes, weights = composite_kronrod(edges, 2 ** level)
         f = amplitude(nodes)
-        terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0)) * weights
-        # the integral over each piece, at both orders
-        n_hi = len(nodes) // (_AVERAGE_ORDER_HI + _AVERAGE_ORDER_LO) * _AVERAGE_ORDER_HI
-        pieces_hi = terms[:n_hi].reshape(-1, _AVERAGE_ORDER_HI).sum(axis=1)
-        pieces_lo = terms[n_hi:].reshape(-1, _AVERAGE_ORDER_LO).sum(axis=1)
-        integral = float(pieces_hi.sum())
-        err = float(np.abs(pieces_hi - pieces_lo).sum())
+        terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))[:, None] * weights
+        # the integral over each piece by the Kronrod and the Gauss rule
+        kronrod, gauss = terms.reshape(-1, 15, 2).sum(axis=1).T
+        integral = float(kronrod.sum())
+        err = float(np.abs(kronrod - gauss).sum())
         budget = max(_AVERAGE_TOL_ABS, tol * abs(integral))
         if err <= budget:
             return integral / zeta
     raise QuadratureError(
         f"average over [0, zeta] stalled at estimate {err:.3e} (tolerance "
-        f"{budget:.3e}, {n_hi} nodes) at t={t!r}",
+        f"{budget:.3e}, {nodes.size} nodes) at t={t!r}",
         error_estimate=err,
     )

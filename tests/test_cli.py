@@ -386,6 +386,13 @@ def test_huge_separation_is_bounded_without_warnings(capsys):
           "--count", "1", "--out", "x.csv"], "count"),
         (["sweep", "--var", "pressure", "--min", "-1", "--max", "1", "--r", "1e-10",
           "--out", "x.csv"], "log spacing"),
+        # the flag that would fix the swept variable is not silently dropped
+        (["sweep", "--var", "temperature", "--min", "1e2", "--max", "1e5", "--r", "1e-10",
+          "--P", "1e9", "--T", "5e7", "--out", "x.csv"], "--T cannot fix"),
+        (["sweep", "--var", "distance", "--min", "1e-11", "--max", "1e-9", "--P", "1e9",
+          "--r", "7", "--out", "x.csv"], "--r cannot fix"),
+        (["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11", "--r", "1e-10",
+          "--P", "1e10", "--out", "x.csv"], "--P cannot fix"),
     ],
 )
 def test_usage_failures_exit_2(argv, fragment, capsys):
@@ -393,6 +400,21 @@ def test_usage_failures_exit_2(argv, fragment, capsys):
     assert code == 2
     assert err.startswith("fge: usage error:")
     assert fragment in err
+
+
+@pytest.mark.parametrize("spacing, spacer", [("log", "geomspace"), ("linear", "linspace")])
+def test_count_beyond_memory_is_an_error_line(spacing, spacer, monkeypatch, capsys):
+    # the grid's own allocation fails as it would for --count 100000000000,
+    # without asking for the memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli.np, spacer, out_of_memory)
+    code, out, err = run_cli(["sweep", "--var", "pressure", "--min", "1e9", "--max", "1e11",
+                              "--r", "1e-10", "--count", "100000000000", "--spacing", spacing,
+                              "--out", "x.csv"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("fge: error:") and "--count" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -404,6 +426,9 @@ def test_usage_failures_exit_2(argv, fragment, capsys):
         ["eval", "--r", "1e-10", "--P", "1e9", "--regime", "ultra"],
         ["dwarf", "--M", "1e30", "--M-solar", "1"],     # mutually exclusive
         ["sweep", "--var", "pressure", "--min", "1e9", "--r", "1e-10", "--out", "x.csv"],
+        # figure1 is the nonrelativistic T = 0 sweep, which no tolerance reaches
+        ["figure1", "--out", "x.csv", "--regime", "rel"],
+        ["figure1", "--out", "x.csv", "--tol", "1e-8"],
     ],
 )
 def test_argparse_failures_exit_2(argv, capsys):
@@ -412,10 +437,11 @@ def test_argparse_failures_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["avg", "--tol", "1e-6"], ["dwarf", "--tol", "1e-6"],
-                                  ["zeta", "--tol", "1e-6"]])
+                                  ["zeta", "--tol", "1e-6"],
+                                  ["figure1", "--out", "x.csv", "--tol", "1e-6"]])
 def test_tolerance_flag_rejected_where_unused(argv, capsys):
-    # avg and dwarf run no tolerance-controlled quadrature, and zeta always
-    # runs its own at 1e-12, so --tol is unknown there
+    # avg, dwarf and figure1 run no tolerance-controlled quadrature, and zeta
+    # always runs its own at 1e-12, so --tol is unknown there
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert "--tol" in err
@@ -446,6 +472,7 @@ def test_env_tolerance_not_read_where_unused(monkeypatch, capsys):
     monkeypatch.setenv("FGE_QUAD_TOL", "not-a-number")
     assert run_cli(["avg"], capsys)[0] == 0
     assert run_cli(["dwarf"], capsys)[0] == 0
+    assert run_cli(["figure1", "--count", "3", "--out", os.devnull], capsys)[0] == 0
 
 
 def test_flag_overrides_env(monkeypatch, capsys):

@@ -500,33 +500,32 @@ def test_average_entanglement_is_one_amplitude_call(monkeypatch, t):
     solve_zeta(t, NR)  # zeta's own amplitudes are not the average's
     calls = count_amplitude_calls(monkeypatch)
     average_entanglement(t, NR, Measure.ENTROPY_OF_FORMATION)
-    # both Gauss orders of the cascade panels in one call
-    assert calls == [entanglement._CASCADE_PANELS * (16 + 8)]
+    # the 15 Kronrod abscissas of every cascade panel, its estimate included, in one call
+    assert calls == [entanglement._CASCADE_PANELS * 15]
 
 
 def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
-    reference = average_entanglement(0.05, NR)
-    # a 4-point rule with a 2-point companion misses the budget at level 0
-    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_HI", 4)
-    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_LO", 2)
+    eof = Measure.ENTROPY_OF_FORMATION
+    reference = average_entanglement(0.05, NR, eof)
+    # without the cascade, the C^2 log C end of the entropy of formation at
+    # zeta misses the budget at level 0
+    monkeypatch.setattr(entanglement, "_CASCADE_PANELS", 1)
     calls = count_amplitude_calls(monkeypatch)
     levels = []
     for tol in (1e-6, 1e-8):
         calls.clear()
-        value = average_entanglement(0.05, NR, tol=tol)
+        value = average_entanglement(0.05, NR, eof, tol=tol)
         assert value == pytest.approx(reference, rel=tol)
-        assert calls == [entanglement._CASCADE_PANELS * 6 * 2 ** level
-                         for level in range(len(calls))]
+        assert calls == [15 * 2 ** level for level in range(len(calls))]
         levels.append(len(calls) - 1)
     # refinement engaged, and the tighter tolerance took more levels
     assert 0 < levels[0] < levels[1]
 
 
 def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
-    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_HI", 4)
-    monkeypatch.setattr(entanglement, "_AVERAGE_ORDER_LO", 2)
+    monkeypatch.setattr(entanglement, "_CASCADE_PANELS", 1)
     with pytest.raises(QuadratureError, match="stalled") as excinfo:
-        average_entanglement(0.05, NR, tol=1e-12)
+        average_entanglement(0.05, NR, Measure.ENTROPY_OF_FORMATION, tol=1e-12)
     assert 0.0 < excinfo.value.error_estimate < math.inf
 
 
@@ -534,9 +533,9 @@ def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, mu_mode, t):
-    # panels beyond the twelfth lie within zeta 2^-11 of zeta, where the
+    # panels beyond the tenth lie within zeta 2^-9 of zeta, where the
     # measure carries O(h^3) on a panel of width h: the 31-panel cascade
-    # is the reference, and 12 panels still meet the budget at level 0
+    # is the reference, and 10 panels still meet the budget at level 0
     solve_zeta(t, regime, mu_mode)  # zeta's own amplitudes are not the average's
     origin_call = mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0
     kinked = origin_call and thermal_amplitude(
@@ -551,7 +550,7 @@ def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, 
                 calls = count_amplitude_calls(counted)
                 value = average_entanglement(t, regime, measure, mu_mode, tol)
             assert abs(value - reference) <= 2e-15 * abs(reference)
-            assert calls == [1] * origin_call + [panels * (16 + 8)]
+            assert calls == [1] * origin_call + [panels * 15]
 
 
 @pytest.mark.parametrize("regime", [NR, ER])

@@ -1,11 +1,14 @@
-"""Composite Gauss-Legendre rules: exactness, convergence under splitting, and validation."""
+"""Composite Gauss-Legendre and Gauss-Kronrod rules: the qk15 table, exactness, convergence
+under splitting, and validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from fge.quadrature import composite_gauss
+from fge.quadrature import QK15_NODES, QK15_WEIGHTS, composite_gauss, composite_kronrod
 
 
 def integrate(f, edges, splits=1, order=16):
@@ -94,10 +97,92 @@ def test_tuple_of_orders_concatenates_the_rules():
 
 
 def test_tuple_of_orders_on_a_geometric_cascade():
-    # the average's rule: both of its orders on the panels toward zeta, in one call
+    # both orders on panels that halve toward an endpoint, in one call
     edges = np.append(1.8 * (1.0 - 0.5 ** np.arange(12)), 1.8)
     for splits in (1, 2, 4):
         nodes, weights = composite_gauss(edges, splits, (16, 8))
         alone = [composite_gauss(edges, splits, order) for order in (16, 8)]
         assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
         assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
+
+
+# === the embedded 7/15-point Gauss-Kronrod pair ===
+
+
+def moment_error(weights, degree):
+    """The rule's integral of u^degree over [-1, 1] less the exact 2/(degree + 1) or 0, in exact rationals."""
+    got = sum(Fraction(float(w)) * Fraction(float(u)) ** degree
+              for u, w in zip(QK15_NODES, weights))
+    return float(got - (Fraction(2, degree + 1) if degree % 2 == 0 else 0))
+
+
+@pytest.mark.parametrize("column, exact_degree", [(0, 22), (1, 13)])
+def test_qk15_moments_exact_to_the_rule_degree(column, exact_degree):
+    # K15 is exact up to degree 3 * 7 + 1, G7 up to 2 * 7 - 1; the stored
+    # decimals round each node and weight once, so "exact" is within 1e-16
+    weights = QK15_WEIGHTS[:, column]
+    for degree in range(exact_degree + 1):
+        assert abs(moment_error(weights, degree)) <= 1e-16, degree
+    # and the next even degree is not
+    assert abs(moment_error(weights, exact_degree + 2 - exact_degree % 2)) > 1e-10
+
+
+def test_qk15_nodes_and_weights_are_symmetric():
+    assert QK15_NODES.shape == (15,) and QK15_WEIGHTS.shape == (15, 2)
+    assert np.all(np.diff(QK15_NODES) > 0.0) and QK15_NODES[7] == 0.0
+    assert np.array_equal(QK15_NODES[::-1], -QK15_NODES)
+    assert np.array_equal(QK15_WEIGHTS[::-1], QK15_WEIGHTS)
+
+
+def test_g7_lives_on_the_odd_kronrod_nodes():
+    # the Gauss rule weighs the odd-indexed nodes only, and those are the
+    # 7-point Gauss-Legendre rule; leggauss is itself a few ulp of a weight
+    # off the correctly rounded values the table holds, all within 2 ulp of 1
+    nodes, weights = leggauss(7)
+    assert np.all(QK15_WEIGHTS[0::2, 1] == 0.0) and np.all(QK15_WEIGHTS[1::2, 1] > 0.0)
+    np.testing.assert_allclose(QK15_NODES[1::2], nodes, rtol=0.0, atol=2 * np.spacing(1.0))
+    np.testing.assert_allclose(QK15_WEIGHTS[1::2, 1], weights, rtol=0.0,
+                               atol=2 * np.spacing(1.0))
+
+
+def test_composite_kronrod_pieces_come_in_order():
+    edges, splits = [0.0, 1.0, 3.0], np.array([2, 3])
+    nodes, weights = composite_kronrod(edges, splits)
+    assert nodes.shape == (75,) and weights.shape == (75, 2)
+    assert np.all(np.diff(nodes) > 0.0)
+    # each piece holds its own 15 nodes on the pieces of composite_gauss,
+    # and both of its rules sum to its width
+    gauss_nodes, _ = composite_gauss(edges, splits, 1)
+    np.testing.assert_allclose(nodes.reshape(-1, 15)[:, 7], gauss_nodes, rtol=1e-15)
+    widths = np.array([0.5, 0.5, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0])
+    np.testing.assert_allclose(weights.reshape(-1, 15, 2).sum(axis=1), np.stack([widths] * 2, 1),
+                               rtol=1e-15)
+
+
+def test_composite_kronrod_gauss_column_is_the_7_point_rule():
+    edges = np.append(1.8 * (1.0 - 0.5 ** np.arange(10)), 1.8)
+    for splits in (1, 2, 4):
+        nodes, weights = composite_kronrod(edges, splits)
+        gauss_nodes, gauss_weights = composite_gauss(edges, splits, 7)
+        odd = np.arange(nodes.size) % 15 % 2 == 1
+        np.testing.assert_allclose(nodes[odd], gauss_nodes, rtol=1e-15, atol=1e-16)
+        np.testing.assert_allclose(weights[odd, 1], gauss_weights, rtol=1e-14)
+        assert np.all(weights[~odd, 1] == 0.0)
+
+
+def test_composite_kronrod_gap_estimates_the_gauss_error():
+    # exp on [0, 1]: K15 is at rounding, and the gap to G7 is G7's own error
+    nodes, weights = composite_kronrod([0.0, 1.0], 1)
+    kronrod, gauss = np.exp(nodes) @ weights
+    assert kronrod == pytest.approx(math.e - 1.0, rel=4e-16)
+    assert abs(kronrod - gauss) == pytest.approx(abs(gauss - (math.e - 1.0)), rel=1e-3)
+    # a polynomial of degree 13 leaves no gap
+    kronrod, gauss = (nodes ** 13) @ weights
+    assert kronrod == pytest.approx(1.0 / 14.0, rel=1e-15) and abs(kronrod - gauss) <= 1e-16
+
+
+def test_composite_kronrod_validates_like_composite_gauss():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        composite_kronrod([1.0, 0.0], 1)
+    with pytest.raises(ValueError, match="splits"):
+        composite_kronrod([0.0, 1.0, 2.0], [1, 0])
