@@ -10,16 +10,15 @@ pipeline (r, P, T) -> f -> measures on arrays, one amplitude call per
 distinct reduced temperature; ``eos_evaluate`` is its one-point view.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
-    _amplitude_and_slope,
     _refined_sum,
     _root_in_bracket,
     _validate_quad_tol,
@@ -34,7 +33,7 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import composite_kronrod
+from .quadrature import barycentric, chebyshev_coefficients, chebyshev_lobatto, composite_kronrod
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -55,16 +54,31 @@ _STATE_TOL = 1e-10
 # _CASCADE_PANELS, then zeta, each with the 15-point Kronrod rule, whose gap to
 # the 7-point Gauss rule on every second of its nodes is the estimate; levels
 # of panel halving tried before giving up; the absolute floor of the error
-# budget; the tolerance of the amplitude.  Near zeta the entropy of formation
-# goes as C^2 log C with C linear in zeta - x, so a panel of width h next to
-# zeta carries O(h^3): with 10 panels the last one is zeta 2^-9 wide, and
-# deeper panels change nothing the Kronrod rule resolves.  The level-0
-# estimate is then at most ~6e-13, nearly all of it the 7-point rule's error
-# on the first panel, [0, zeta/2] (11 or 12 panels give the same), against
-# 4e-12 with 9 panels and an absolute floor of 1e-12
+# budget.  Near zeta the entropy of formation goes as C^2 log C with C linear
+# in zeta - x, so a panel of width h next to zeta carries O(h^3): with 10
+# panels the last one is zeta 2^-9 wide, and deeper panels change nothing the
+# Kronrod rule resolves.  The level-0 estimate is then at most ~6e-13, nearly
+# all of it the 7-point rule's error on the first panel, [0, zeta/2] (11 or 12
+# panels give the same), against 4e-12 with 9 panels and an absolute floor of
+# 1e-12.  The Kronrod abscissas, 150 at level 0, take the amplitude from its
+# interpolant, so the panel count and the levels cost no amplitude evaluation
 _CASCADE_PANELS = 10
 _AVERAGE_MAX_LEVEL = 4
 _AVERAGE_TOL_ABS = 1e-12
+# the amplitude's samples: Chebyshev-Lobatto points on [0, zeta], first
+# _AVERAGE_SAMPLES of them, doubled on nested points up to
+# _AVERAGE_MAX_SAMPLES until the tail of the Chebyshev coefficients is at most
+# _AVERAGE_TAIL_TOL; the tolerance of each sample; both absolute, as the
+# amplitude's own test is.  17 samples resolve every exact-mu amplitude to a
+# tail below 2e-14; the fermi-mu amplitude, 10^2 to 10^4 at the origin for t
+# of a few, takes up to 129 for t in [3, 50], whose tail there meets its
+# rounding at 1e-12 to 4e-12 when f(0) is 10^4.  The interpolant's error runs
+# at about half the tail, and a tail of 1e-10 would let 33 samples through
+# at rel fermi-mu t = 2 (tail 1.7e-11), whose interpolant is off by 1.3e-12
+# where f < 1 and moves the average by 4e-14 of itself
+_AVERAGE_SAMPLES = 17
+_AVERAGE_MAX_SAMPLES = 257
+_AVERAGE_TAIL_TOL = 1e-11
 _AVERAGE_AMPLITUDE_TOL = 1e-10
 
 
@@ -315,23 +329,32 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
                          tol: float = 1e-8) -> float:
     """Mean of the chosen measure over separations x in [0, zeta(t)].
 
-    One fixed composite rule: the 15-point Kronrod rule on a geometric
+    The amplitude is smooth on [0, zeta] (an entire function of x), and
+    only the measure is not, so the two are handled apart.  The amplitude
+    is sampled at 17 Chebyshev-Lobatto points on [0, zeta], x = 0 and
+    zeta among them, in one batched ``thermal_amplitude`` call; while the
+    larger of the last two Chebyshev coefficients of the samples (the
+    tail) exceeds 1e-11, the grid doubles on nested points (33, 65, 129,
+    257), one more call at the new points each time, and past 257 points
+    a ``QuadratureError`` carries the tail.  Elsewhere f is the
+    barycentric interpolant of the samples, within the samples' own
+    estimate (1e-10) times the Lebesgue constant (at most 4.1 for 129
+    points, 4.6 for 257) plus the tail.  The measure is averaged by one
+    fixed composite rule: the 15-point Kronrod rule on a geometric
     cascade of 10 panels toward the upper endpoint, edges
     zeta (1 - 2^-k), where the entropy of formation has a mild C^2 log C
     singularity in its higher derivatives.  A panel of width h next to
     zeta carries O(h^3) of the integral, so panels deeper than the last,
     zeta 2^-9 wide, would change nothing the rule resolves.  The 7-point
     Gauss rule on every second Kronrod node gives the error estimate (the
-    summed gap between the two on every panel), as in QUADPACK's qk15, so
-    the estimate needs no abscissa of its own.  The 150 abscissas are one
-    batched ``thermal_amplitude`` call; as in ``eos_grid``, the
-    amplitude is clamped into [-1, 1] before the measure.  In the
-    approximate-mu mode f overshoots 1 near the origin, and the point
-    where it falls through 1 is one more panel edge (165 abscissas): the
-    root of f - 1 on [0, zeta], refined by the zeta solve's safeguarded
-    Newton steps on the analytic df/dx, with f(zeta) = 1/sqrt(2) taken as
-    known.  Every panel is halved until the estimate is at
-    most max(1e-12, tol |integral|), and after a few levels a
+    summed gap between the two on every panel), as in QUADPACK's qk15.
+    As in ``eos_grid``, the amplitude is clamped into [-1, 1] before the
+    measure.  In the approximate-mu mode f overshoots 1 near the origin,
+    and the point where the interpolant falls through 1 is one more panel
+    edge: its root on [0, zeta], refined by the zeta solve's safeguarded
+    Newton steps on the interpolant's value and derivative.  Every panel
+    is halved until the estimate is at most max(1e-12, tol |integral|),
+    each level on the same samples, and after a few levels a
     ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
     quadrature tolerance range.
     """
@@ -342,27 +365,26 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     _validate_quad_tol(tol)
     zeta = solve_zeta(t, regime, mu_mode).zeta
     measure_of = _MEASURE_MAPS[measure]
-
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-
-    def amplitude(xs):
-        return thermal_amplitude(xs, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
+    points, weights, samples, coeffs = _amplitude_samples(t, mu_tilde, regime, zeta)
 
     edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
-    if mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0 and (f_origin := amplitude(0.0)) > 1.0:
+    if mu_mode is MuMode.FERMI_ENERGY_APPROX and samples[0] > 1.0:
         # the clamp bends the integrand where f falls through 1: an edge
-        # there.  f(zeta) = 1/sqrt(2) ends the bracket without an evaluation
-        def excess_and_slope(x):
-            f, slope = _amplitude_and_slope(x, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)
-            return f - 1.0, slope
+        # there, the root of the interpolant's series in y = 2 x / zeta - 1
+        slope_coeffs = chebder(coeffs) * (2.0 / zeta)
 
-        kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, f_origin - 1.0,
-                                   math.sqrt(0.5) - 1.0)
+        def excess_and_slope(x):
+            y = 2.0 * x / zeta - 1.0
+            return chebval(y, coeffs) - 1.0, chebval(y, slope_coeffs)
+
+        kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, samples[0] - 1.0,
+                                   samples[-1] - 1.0)
         edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
-        nodes, weights = composite_kronrod(edges, 2 ** level)
-        f = amplitude(nodes)
-        terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))[:, None] * weights
+        nodes, rule = composite_kronrod(edges, 2 ** level)
+        f = barycentric(nodes, points, weights, samples)
+        terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))[:, None] * rule
         # the integral over each piece by the Kronrod and the Gauss rule
         kronrod, gauss = terms.reshape(-1, 15, 2).sum(axis=1).T
         integral = float(kronrod.sum())
@@ -375,3 +397,34 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
         f"{budget:.3e}, {nodes.size} nodes) at t={t!r}",
         error_estimate=err,
     )
+
+
+def _amplitude_samples(t: float, mu_tilde: float, regime: GasRegime, zeta: float) -> tuple:
+    """f at Chebyshev-Lobatto points on [0, zeta], enough of them to resolve it.
+
+    Returns the points, their barycentric weights, the samples and the
+    samples' Chebyshev coefficients.  Each grid doubles the one before on
+    nested points, so a doubling evaluates only the points between the old
+    ones, in one ``thermal_amplitude`` call.
+    """
+    count = _AVERAGE_SAMPLES
+    unit, weights = chebyshev_lobatto(count)
+    samples = thermal_amplitude(zeta * unit, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
+    while True:
+        coeffs = chebyshev_coefficients(samples)
+        tail = float(np.abs(coeffs[-2:]).max())
+        if tail <= _AVERAGE_TAIL_TOL:
+            return zeta * unit, weights, samples, coeffs
+        if count == _AVERAGE_MAX_SAMPLES:
+            raise QuadratureError(
+                f"amplitude samples on [0, zeta] stalled at tail {tail:.3e} (tolerance "
+                f"{_AVERAGE_TAIL_TOL:.3e}, {count} points) at t={t!r}",
+                error_estimate=tail,
+            )
+        count = 2 * count - 1
+        unit, weights = chebyshev_lobatto(count)
+        merged = np.empty(count)
+        merged[::2] = samples
+        merged[1::2] = thermal_amplitude(zeta * unit[1::2], t, mu_tilde, regime,
+                                         _AVERAGE_AMPLITUDE_TOL)[0]
+        samples = merged

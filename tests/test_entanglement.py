@@ -34,7 +34,7 @@ from fge import (
     werner_state_from_f,
     wootters_concurrence,
 )
-from fge import entanglement, exchange, fermi
+from fge import entanglement, exchange, fermi, quadrature
 from fge.exchange import thermal_amplitude
 
 NR = GasRegime.NONRELATIVISTIC
@@ -466,7 +466,7 @@ def average_oracle(t, regime, measure, mu_mode=MuMode.EXACT_NORMALIZATION):
 
 @pytest.mark.parametrize("measure", list(Measure))
 @pytest.mark.parametrize("regime", [NR, ER])
-@pytest.mark.parametrize("t", [0.02, 0.07, 0.5])
+@pytest.mark.parametrize("t", [0.02, 0.07, 0.5, 30.0])
 def test_average_entanglement_against_quadpack(t, regime, measure):
     expected = average_oracle(t, regime, measure)
     assert average_entanglement(t, regime, measure) == pytest.approx(expected, rel=1e-10)
@@ -474,12 +474,14 @@ def test_average_entanglement_against_quadpack(t, regime, measure):
 
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
-    # f overshoots 1 near the origin and the clamp bends the integrand there
+    # f overshoots 1 near the origin and the clamp bends the integrand
+    # there; at rel t = 3, f(0) is about 200 and the samples double twice
     mode = MuMode.FERMI_ENERGY_APPROX
-    for measure in Measure:
-        expected = average_oracle(0.07, regime, measure, mode)
-        assert average_entanglement(0.07, regime, measure, mode) == pytest.approx(
-            expected, rel=1e-10)
+    for t in (0.07, 3.0):
+        for measure in Measure:
+            expected = average_oracle(t, regime, measure, mode)
+            assert average_entanglement(t, regime, measure, mode) == pytest.approx(
+                expected, rel=1e-10)
 
 
 def count_amplitude_calls(monkeypatch):
@@ -495,13 +497,22 @@ def count_amplitude_calls(monkeypatch):
     return calls
 
 
+def sampling_calls(count):
+    """The amplitude calls that sample ``count`` points: the first grid, then each doubling."""
+    calls = [entanglement._AVERAGE_SAMPLES]
+    while sum(calls) < count:
+        calls.append(sum(calls) - 1)
+    assert sum(calls) == count
+    return calls
+
+
 @pytest.mark.parametrize("t", [0.0, 0.05])
 def test_average_entanglement_is_one_amplitude_call(monkeypatch, t):
     solve_zeta(t, NR)  # zeta's own amplitudes are not the average's
     calls = count_amplitude_calls(monkeypatch)
     average_entanglement(t, NR, Measure.ENTROPY_OF_FORMATION)
-    # the 15 Kronrod abscissas of every cascade panel, its estimate included, in one call
-    assert calls == [entanglement._CASCADE_PANELS * 15]
+    # the 17 Chebyshev-Lobatto samples; every Kronrod abscissa is interpolated
+    assert calls == [17]
 
 
 def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
@@ -511,13 +522,24 @@ def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
     # zeta misses the budget at level 0
     monkeypatch.setattr(entanglement, "_CASCADE_PANELS", 1)
     calls = count_amplitude_calls(monkeypatch)
+    rules = []
+    original = entanglement.composite_kronrod
+
+    def counted(edges, splits):
+        rules.append(splits)
+        return original(edges, splits)
+
+    monkeypatch.setattr(entanglement, "composite_kronrod", counted)
     levels = []
     for tol in (1e-6, 1e-8):
         calls.clear()
+        rules.clear()
         value = average_entanglement(0.05, NR, eof, tol=tol)
         assert value == pytest.approx(reference, rel=tol)
-        assert calls == [15 * 2 ** level for level in range(len(calls))]
-        levels.append(len(calls) - 1)
+        assert rules == [2 ** level for level in range(len(rules))]
+        # a refinement level costs no amplitude evaluation
+        assert calls == [17]
+        levels.append(len(rules) - 1)
     # refinement engaged, and the tighter tolerance took more levels
     assert 0 < levels[0] < levels[1]
 
@@ -529,6 +551,19 @@ def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
     assert 0.0 < excinfo.value.error_estimate < math.inf
 
 
+def test_average_entanglement_unresolved_samples_raise_with_the_tail(monkeypatch):
+    # rel fermi-mu t = 3 needs 65 samples: capped at 33, the tail is the estimate
+    monkeypatch.setattr(entanglement, "_AVERAGE_MAX_SAMPLES", 33)
+    with pytest.raises(QuadratureError, match="samples .* stalled") as excinfo:
+        average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
+    assert entanglement._AVERAGE_TAIL_TOL < excinfo.value.error_estimate < math.inf
+
+
+# the samples the tail test settles on where f(0) is well above 1
+SETTLED_SAMPLES = {(ER, MuMode.FERMI_ENERGY_APPROX, 0.5): 33,
+                   (ER, MuMode.FERMI_ENERGY_APPROX, 2.0): 65}
+
+
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5, 2.0])
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
@@ -537,10 +572,7 @@ def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, 
     # measure carries O(h^3) on a panel of width h: the 31-panel cascade
     # is the reference, and 10 panels still meet the budget at level 0
     solve_zeta(t, regime, mu_mode)  # zeta's own amplitudes are not the average's
-    origin_call = mu_mode is MuMode.FERMI_ENERGY_APPROX and t > 0.0
-    kinked = origin_call and thermal_amplitude(
-        0.0, t, reduced_chemical_potential(t, regime, mu_mode), regime, 1e-10)[0] > 1.0
-    panels = entanglement._CASCADE_PANELS + kinked
+    count = SETTLED_SAMPLES.get((regime, mu_mode, t), 17)
     for measure in Measure:
         for tol in (1e-8, 1e-14):
             with monkeypatch.context() as long:
@@ -550,7 +582,59 @@ def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, 
                 calls = count_amplitude_calls(counted)
                 value = average_entanglement(t, regime, measure, mu_mode, tol)
             assert abs(value - reference) <= 2e-15 * abs(reference)
-            assert calls == [1] * origin_call + [panels * 15]
+            # the sampling grids alone, the origin among the first
+            assert calls == sampling_calls(count)
+
+
+def test_rel_fermi_level_samples_double_twice(monkeypatch):
+    # f(0) is about 200: 17 samples miss f by about 1e-3 and 33 by about
+    # 1e-9, so the grid settles on 65, each doubling one call at its new points
+    solve_zeta(3.0, ER, MuMode.FERMI_ENERGY_APPROX)
+    calls = count_amplitude_calls(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the clamp edge is a root of the interpolant")
+
+    monkeypatch.setattr(exchange, "_amplitude_and_slope", forbidden)
+    average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
+    assert calls == [17, 16, 32] == sampling_calls(65)
+
+
+def interpolation_cases():
+    """regime x mu mode x t, where zeta solves (rel fermi-mu zeta fails at t = 30)."""
+    for regime in (NR, ER):
+        for mu_mode in MuMode:
+            for t in (0.0, 1e-3, 0.05, 0.5, 3.0, 30.0):
+                if not (regime is ER and mu_mode is MuMode.FERMI_ENERGY_APPROX and t == 30.0):
+                    yield regime, mu_mode, t
+
+
+@pytest.mark.parametrize("regime, mu_mode, t", list(interpolation_cases()))
+def test_interpolated_amplitude_matches_the_direct_one(regime, mu_mode, t):
+    # at the Kronrod abscissas of levels 0 and 1, the barycentric
+    # interpolant of the samples against the amplitude evaluated there
+    zeta = solve_zeta(t, regime, mu_mode).zeta
+    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+    points, weights, samples, _ = entanglement._amplitude_samples(t, mu_tilde, regime, zeta)
+    edges = np.append(zeta * (1.0 - 0.5 ** np.arange(entanglement._CASCADE_PANELS)), zeta)
+    for level in (0, 1):
+        nodes, _ = quadrature.composite_kronrod(edges, 2 ** level)
+        direct, _ = thermal_amplitude(nodes, t, mu_tilde, regime, 1e-10)
+        interpolated = quadrature.barycentric(nodes, points, weights, samples)
+        bound = 1e-12 * max(1.0, np.abs(direct).max())
+        assert np.abs(interpolated - direct).max() <= bound
+
+
+def test_an_abscissa_on_a_sample_returns_the_sample():
+    zeta = solve_zeta(0.05, NR).zeta
+    points, weights, samples, _ = entanglement._amplitude_samples(
+        0.05, reduced_chemical_potential(0.05, NR), NR, zeta)
+    x = np.concatenate((points, 0.5 * (points[:-1] + points[1:])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = quadrature.barycentric(x, points, weights, samples)
+    assert np.array_equal(values[:points.size], samples)
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("regime", [NR, ER])

@@ -1,14 +1,23 @@
 """Composite Gauss-Legendre and Gauss-Kronrod rules: the qk15 table, exactness, convergence
-under splitting, and validation."""
+under splitting, and validation; Chebyshev-Lobatto sampling and interpolation."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from numpy.polynomial.legendre import leggauss
 
-from fge.quadrature import QK15_NODES, QK15_WEIGHTS, composite_gauss, composite_kronrod
+from fge.quadrature import (
+    QK15_NODES,
+    QK15_WEIGHTS,
+    barycentric,
+    chebyshev_coefficients,
+    chebyshev_lobatto,
+    composite_gauss,
+    composite_kronrod,
+)
 
 
 def integrate(f, edges, splits=1, order=16):
@@ -186,3 +195,33 @@ def test_composite_kronrod_validates_like_composite_gauss():
         composite_kronrod([1.0, 0.0], 1)
     with pytest.raises(ValueError, match="splits"):
         composite_kronrod([0.0, 1.0, 2.0], [1, 0])
+
+
+@pytest.mark.parametrize("count", [17, 33, 257])
+def test_lobatto_points_are_nested_with_exact_ends(count):
+    points, weights = chebyshev_lobatto(count)
+    assert points[0] == 0.0 and points[-1] == 1.0 and (np.diff(points) > 0.0).all()
+    np.testing.assert_allclose(points, 0.5 * (1.0 - np.cos(np.pi * np.arange(count) / (count - 1))),
+                               rtol=0.0, atol=4e-16)
+    assert np.array_equal(chebyshev_lobatto(2 * count - 1)[0][::2], points)
+    assert weights[0] == 0.5 and weights[-1] == 0.5 * (-1) ** (count - 1)
+    assert np.array_equal(np.abs(weights[1:-1]), np.ones(count - 2))
+
+
+@pytest.mark.parametrize("count", [17, 65, 257])
+def test_chebyshev_coefficients_match_a_least_squares_fit(count):
+    # on count points a fit of degree count - 1 interpolates
+    points, _ = chebyshev_lobatto(count)
+    values = np.exp(3.0 * points) * np.cos(40.0 * points)
+    expected = chebyshev.chebfit(2.0 * points - 1.0, values, count - 1)
+    np.testing.assert_allclose(chebyshev_coefficients(values), expected, rtol=0.0, atol=1e-13)
+
+
+def test_barycentric_reproduces_a_polynomial_on_any_interval():
+    points, weights = chebyshev_lobatto(17)
+    nodes = 2.0 + 3.0 * points
+    coeffs = np.arange(1.0, 18.0) * (-0.5) ** np.arange(17)
+    x = np.linspace(2.0, 5.0, 101)
+    values = barycentric(x, nodes, weights, chebyshev.chebval((nodes - 3.5) / 1.5, coeffs))
+    expected = chebyshev.chebval((x - 3.5) / 1.5, coeffs)
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
