@@ -4,12 +4,12 @@ Subcommands: eval (one point), zeta (distance constant), sweep (CSV grid),
 figure1 (preset pressure sweep), dwarf (white-dwarf report), avg (mean
 entanglement over the entangled window).  A sweep or figure1 is one
 ``eos_grid`` call over its whole grid.  JSON goes to stdout, CSV to
---out, which is written only once the grid is computed.  An existing --out
-is overwritten in place and then cut to length: links are followed and
-kept, the file keeps its mode, and the write is neither atomic nor
-fsync'd.  Opening without O_TRUNC spares the writeback ext4 forces when a
-file truncated to zero is closed.  Exit codes: 0 success, 1
-domain/numerical/IO error, 2 usage.
+--out: once the grid is computed, its whole text is built and written,
+ASCII, in one write.  An existing --out is overwritten in place and then
+cut to length: links are followed and kept, the file keeps its mode, and
+the write is neither atomic nor fsync'd.  Opening without O_TRUNC spares
+the writeback ext4 forces when a file truncated to zero is closed.  Exit
+codes: 0 success, 1 domain/numerical/IO error, 2 usage.
 The argument parser is built once, at the first ``main`` call.
 """
 
@@ -147,12 +147,13 @@ def _formatted(column):
 def _write_csv(path, grid):
     columns = (grid.r, grid.p, grid.t, grid.x, grid.f, grid.concurrence,
                grid.entropy_of_formation, grid.entangled.astype(np.int64), grid.r_e)
+    rows = map(",".join, zip(*map(_formatted, columns)))
+    text = "\n".join(itertools.chain((_CSV_HEADER,), rows)) + "\n"
     # no O_TRUNC: ext4 forces writeback at close of a file truncated to 0 and
     # rewritten; cut the old tail after writing instead
-    with open(path, "w", encoding="utf-8", newline="",
+    with open(path, "wb",
               opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as handle:
-        handle.write(_CSV_HEADER + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*map(_formatted, columns)))
+        handle.write(text.encode("ascii"))
         # /dev/null is seekable but cannot be truncated, a pipe neither
         if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             handle.truncate()

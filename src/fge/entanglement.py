@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import DomainError, QuadratureError
 from .exchange import (
@@ -33,7 +32,14 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import barycentric, chebyshev_coefficients, chebyshev_lobatto, composite_kronrod
+from .quadrature import (
+    barycentric,
+    chebyshev_coefficients,
+    chebyshev_derivative,
+    chebyshev_lobatto,
+    chebyshev_value,
+    composite_kronrod,
+)
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -372,11 +378,13 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     if mu_mode is MuMode.FERMI_ENERGY_APPROX and samples[0] > 1.0:
         # the clamp bends the integrand where f falls through 1: an edge
         # there, the root of the interpolant's series in y = 2 x / zeta - 1
-        slope_coeffs = chebder(coeffs) * (2.0 / zeta)
+        series = coeffs.tolist()
+        scale = 2.0 / zeta
+        slope_series = [d * scale for d in chebyshev_derivative(series)]
 
         def excess_and_slope(x):
-            y = 2.0 * x / zeta - 1.0
-            return chebval(y, coeffs) - 1.0, chebval(y, slope_coeffs)
+            y = 2.0 * float(x) / zeta - 1.0
+            return chebyshev_value(y, series) - 1.0, chebyshev_value(y, slope_series)
 
         kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, samples[0] - 1.0,
                                    samples[-1] - 1.0)

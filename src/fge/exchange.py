@@ -31,15 +31,13 @@ from .fermi import (
     reduced_chemical_potential,
 )
 
-# switch from the closed form 3(sin x - x cos x)/x^3 to its power series
-# below this point; the closed form loses ~5 digits to cancellation near
-# x ~ 1e-3, while the series to x^12 is converged at 0.25 (its first
-# omitted term, k = 7, is 5e-22 there)
-_SERIES_CROSSOVER = 0.25
-# the derivative f0' switches to its series below this larger point: the
-# closed form 3(sin x / x - f0)/x loses a further factor 1/x to
-# cancellation, and the series' first omitted term is 2e-16 at 0.5
-_SLOPE_SERIES_CROSSOVER = 0.5
+# f0 and its derivative f0' switch from their closed forms,
+# 3(sin x - x cos x)/x^3 and 3(sin x / x - f0)/x, to their power series
+# below this point.  The closed forms lose digits to cancellation as x
+# falls (f0 up to 8e-15 on [0.25, 0.5), ~5 digits near 1e-3, and f0' a
+# further factor 1/x), while the series to x^12 has its first omitted
+# term, k = 7, at 8e-18 for f0 and 2e-16 for f0' at 0.5
+_SERIES_CROSSOVER = 0.5
 # k-th series coefficient of f(x,0) in powers of x^2, and of f0'(x)/x
 _SERIES_COEFFS = tuple(
     (-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(7)
@@ -100,12 +98,13 @@ def _f0(y: np.ndarray, slope: bool = False):
     """``f_zero_temperature`` of a float array, of any shape, already known to be finite and nonnegative.
 
     With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
-    Above the crossovers f0' = 3(sin y / y - f0)/y shares one sin and one
-    cos with f0; below _SLOPE_SERIES_CROSSOVER it is the differentiated
-    series, which keeps f0' within about 1e-14 of -3 j_2(y)/y.
+    Above the crossover f0' = 3(sin y / y - f0)/y shares one sin and one
+    cos with f0; below it both are their series, on one gather of the
+    small entries, which keeps f0 within about 2e-15 of the exact value
+    and f0' within about 1e-14 of -3 j_2(y)/y.
     """
-    # the closed form everywhere, with small y lifted to the crossover to
-    # stay clear of 0/0; the series then replaces those entries
+    # the closed forms everywhere, with small y lifted to the crossover to
+    # stay clear of 0/0; the series then replace those entries
     yb = np.maximum(y, _SERIES_CROSSOVER)
     sinc = np.sin(yb)
     sinc /= yb
@@ -113,27 +112,23 @@ def _f0(y: np.ndarray, slope: bool = False):
     out /= yb
     out /= yb
     out *= 3.0
+    if slope:
+        df = sinc
+        df -= out
+        df *= 3.0
+        df /= yb
     small = y < _SERIES_CROSSOVER
     if small.any():
-        out[small] = _even_series(y[small], _SERIES_COEFFS)
-    if not slope:
-        return out
-    # f0 took the series below _SERIES_CROSSOVER, inside the range where
-    # the slope's own series replaces the closed form
-    df = sinc
-    df -= out
-    df *= 3.0
-    df /= yb
-    small = y < _SLOPE_SERIES_CROSSOVER
-    if small.any():
         below = y[small]
-        df[small] = _even_series(below, _SLOPE_COEFFS) * below
-    return out, df
+        y2 = below * below
+        out[small] = _even_series(y2, _SERIES_COEFFS)
+        if slope:
+            df[small] = _even_series(y2, _SLOPE_COEFFS) * below
+    return (out, df) if slope else out
 
 
-def _even_series(y: np.ndarray, coeffs: tuple) -> np.ndarray:
-    """sum_k coeffs[k] y^2k by Horner's rule."""
-    y2 = y * y
+def _even_series(y2: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """sum_k coeffs[k] y^2k by Horner's rule, given y^2."""
     series = coeffs[-1] * y2
     for coeff in coeffs[-2:0:-1]:
         series += coeff
@@ -457,20 +452,30 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         )
 
     grid = _SCAN_X[first:]
-    gaps = np.square(scan) - 0.5
+    values = np.array(scan)
+    gaps = np.square(values) - 0.5
     # a first point already below 1/2 puts the crossing below the grid
     below_grid = gaps[0] < 0.0
     k = None if below_grid else _first_crossing(gaps)
     for start, stop in zip(stops, stops[1:]):
         if k is not None or below_grid:
             break
-        gaps = np.concatenate((gaps, np.square(amplitude(_SCAN_X[start:stop])) - 0.5))
+        values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
+        gaps = np.square(values) - 0.5
         k = _first_crossing(gaps)
     if k is None:
         raise SolverError(
             f"no sign change of f^2 - 1/2 on [{_SCAN_X[1]:g}, {_SCAN_X[-1]:g}] "
             f"at t={t!r}: the crossing either sits below the scan window "
             "(bracket too small) or the amplitude never reaches 1/2"
+        )
+    if values[k] < 0.0:
+        # f fell through +1/sqrt(2) and back between two scan points: this
+        # crossing, where f = -1/sqrt(2), is not the first
+        raise SolverError(
+            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
+            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
+            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
         )
 
     rules = None

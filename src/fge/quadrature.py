@@ -13,13 +13,33 @@ integrand's amplitude at those abscissas from samples at
 Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
 ``barycentric`` interpolates them (Berrut and Trefethen, SIAM Review 46,
 2004), and ``chebyshev_coefficients`` gives the coefficients whose tail
-measures how well they resolve the function.
+measures how well they resolve the function; ``chebyshev_value`` and
+``chebyshev_derivative`` sum and differentiate such a series as numpy's
+chebval and chebder do, bit for bit.  The Gauss-Legendre rules of orders
+12 and 6, the only two the package uses, are tabled, so that importing the
+package loads no numpy.polynomial.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the package's two Gauss-Legendre rules, orders 12 and 6 (``fermi``'s kernel
+# rule and its companion), as numpy's leggauss gives them, to the bit: its
+# order-12 weights, up to 60 ulp from the correctly rounded ones, are those
+# every result of the package was computed with
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {
+    12: (np.array([-0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+                   -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+                   0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                   0.7699026741943047, 0.9041172563704748, 0.9815606342467192]),
+         np.array([0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+                   0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+                   0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                   0.16007832854334642, 0.10693932599531907, 0.04717533638651141])),
+    6: (np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519]),
+        np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027])),
+}
 _LOBATTO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _DCT: dict[int, np.ndarray] = {}
 
@@ -56,8 +76,15 @@ QK15_NODES, QK15_WEIGHTS = _qk15()
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
+
+    Orders 12 and 6 are tabled; any other is computed by numpy's leggauss
+    at its first call, so that importing this module loads no
+    numpy.polynomial.
+    """
     if order not in _RULES:
+        from numpy.polynomial.legendre import leggauss
+
         _RULES[order] = leggauss(order)
     return _RULES[order]
 
@@ -177,3 +204,35 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
         matrix.flags.writeable = False
         _DCT[count] = matrix
     return _DCT[count] @ values
+
+
+def chebyshev_derivative(coeffs) -> list[float]:
+    """Chebyshev coefficients of the derivative of sum_j coeffs[j] T_j(y), for len(coeffs) >= 2.
+
+    The recurrence of numpy's chebder, step for step, so that the result
+    is its bits: with n = len(coeffs) - 1, d_{j-1} = 2 j c_j from j = n
+    down, each step adding j c_j / (j - 2) into c_{j-2}.
+    """
+    c = [float(value) for value in coeffs]
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def chebyshev_value(y: float, coeffs) -> float:
+    """sum_j coeffs[j] T_j(y) at one y, for len(coeffs) >= 2, by Clenshaw's recurrence.
+
+    The recurrence of numpy's chebval, step for step, so that the value is
+    its bits; a list of floats is the fastest ``coeffs``.
+    """
+    c0, c1 = coeffs[-2], coeffs[-1]
+    y2 = 2.0 * y
+    for c in coeffs[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * y2
+    return c0 + c1 * y

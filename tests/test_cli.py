@@ -523,6 +523,25 @@ def test_import_leaves_scipy_out():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_polynomial_out():
+    # the package's Gauss-Legendre rules are tabled and its Chebyshev series
+    # summed in fge.quadrature: neither the import nor a finite-t point and
+    # a Fermi-mu average (whose clamp kink is a root of such a series) loads
+    # numpy.polynomial
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "def loaded():\n"
+        "    return any(name.split('.')[:2] == ['numpy', 'polynomial'] for name in sys.modules)\n"
+        "import fge, fge.cli\n"
+        "print(loaded())\n"
+        "fge.eos_evaluate(1e-10, 1e12, 1e6, fge.GasRegime.NONRELATIVISTIC)\n"
+        "fge.average_entanglement(0.05, mu_mode=fge.MuMode.FERMI_ENERGY_APPROX)\n"
+        "print(loaded())\n",
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"]
+
+
 
 def test_module_invocation_succeeds():
     proc = run_python("-m", "fge", "zeta", "--t", "0")

@@ -56,8 +56,8 @@ def test_ground_state_against_spherical_bessel():
 
 
 def test_ground_state_slope_against_spherical_bessel():
-    # f0'(y) = -3 j_2(y)/y, through both series crossovers (0.25 for f0,
-    # 0.5 for its slope)
+    # f0'(y) = -3 j_2(y)/y, through the series crossover at 0.5 and the
+    # earlier one of f0 at 0.25
     ys = np.concatenate((np.geomspace(1e-4, 50.0, 2000),
                          0.25 + np.linspace(-1e-3, 1e-3, 41),
                          0.5 + np.linspace(-1e-3, 1e-3, 41)))
@@ -67,9 +67,27 @@ def test_ground_state_slope_against_spherical_bessel():
     assert exchange._f0(np.array([0.0]), slope=True)[1][0] == 0.0
 
 
+def test_ground_state_and_slope_against_mpmath_below_three():
+    # 3,001 points on [0, 3], through the series crossover: the series keeps
+    # f0 within 1.8e-15 (the closed form lost up to 6e-15 on [0.25, 0.5)),
+    # and f0' keeps the closed form's 8.5e-15 just above 0.5
+    ys = np.linspace(0.0, 3.0, 3001)
+    values, slopes = exchange._f0(ys, slope=True)
+    with mpmath.workdps(40):
+        exact = [(mpmath.mpf(1), mpmath.mpf(0))]
+        for y in map(mpmath.mpf, ys[1:]):
+            sin, cos = mpmath.sin(y), mpmath.cos(y)
+            j2 = (3 / y ** 2 - 1) * sin / y - 3 * cos / y ** 2
+            exact.append((3 * (sin - y * cos) / y ** 3, -3 * j2 / y))
+        f0_err = max(abs(v - e) for v, (e, _) in zip(values, exact))
+        slope_err = max(abs(v - e) for v, (_, e) in zip(slopes, exact))
+    assert f0_err <= 1.8e-15
+    assert slope_err <= 1e-14
+
+
 def test_series_meets_closed_form_at_crossover():
-    # both branches must agree through the seam at x = 0.25
-    xs = 0.25 - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
+    # both branches must agree through the seam
+    xs = exchange._SERIES_CROSSOVER - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
     series = f_zero_temperature(xs)
     closed = 3.0 * (np.sin(xs) - xs * np.cos(xs)) / xs ** 3
     assert np.max(np.abs(series - closed)) < 1e-13
@@ -777,6 +795,29 @@ def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t):
     )
     assert abs((3.0 / x * integral) ** 2 - 0.5) < 1e-9
     assert result.residual < 1e-10
+
+
+# nonrel t of np.geomspace(3, 50, 61) where, with mu pinned at the Fermi
+# energy, f^2 dips below 1/2 and back between two scan points, so that the
+# first sign change of f^2 - 1/2 on the scan grid is a crossing of f = -1/sqrt(2)
+_HOT_FERMI_MU_SKIPPED = np.geomspace(3.0, 50.0, 61)[[46, 51, 52, 53, 57, 58, 59, 60]].tolist()
+
+
+@pytest.mark.parametrize("t", _HOT_FERMI_MU_SKIPPED)
+def test_fermi_mu_zeta_refuses_a_crossing_of_minus_one_over_sqrt2(t):
+    message = rf"on \[0\.\d, (0\.\d|1)\] at t={t!r} \(fermi mu\).*f = -1/sqrt\(2\)"
+    with pytest.raises(SolverError, match=message):
+        solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
+    # exact mu has no such dip and solves at every one of these t
+    result = solve_zeta(t, NR, MuMode.EXACT_NORMALIZATION)
+    assert result.residual < 1e-10
+
+
+@pytest.mark.parametrize("t", [25.0, 30.0])
+def test_hot_fermi_mu_zeta_between_the_refused_t_is_a_crossing_of_plus_one_over_sqrt2(t):
+    result = solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
+    f, _ = thermal_amplitude(result.zeta, t, 1.0, NR, 1e-12)
+    assert f == pytest.approx(math.sqrt(0.5), abs=1e-10)
 
 
 def test_failed_zeta_leaves_no_rule_cached(monkeypatch):

@@ -4,6 +4,7 @@ under splitting, and validation; Chebyshev-Lobatto sampling and interpolation.""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -14,9 +15,12 @@ from fge.quadrature import (
     QK15_WEIGHTS,
     barycentric,
     chebyshev_coefficients,
+    chebyshev_derivative,
     chebyshev_lobatto,
+    chebyshev_value,
     composite_gauss,
     composite_kronrod,
+    gauss_legendre,
 )
 
 
@@ -38,6 +42,23 @@ def test_exact_up_to_degree_2n_minus_1(order):
         exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
         got = integrate(lambda u: u ** degree, [a, 0.25, b], [1, 3], order)
         assert got == pytest.approx(exact, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("order", [12, 6])
+def test_tabled_gauss_legendre_rules_against_mpmath(order):
+    # the tabled rules are leggauss's bits, not the correctly rounded rule:
+    # nodes within 1 ulp of the Legendre roots, weights within 1e-15
+    nodes, weights = gauss_legendre(order)
+    assert nodes.shape == weights.shape == (order,)
+    with mpmath.workdps(40):
+        for node, weight in zip(nodes, weights):
+            root = mpmath.findroot(lambda x: mpmath.legendre(order, x), mpmath.mpf(node))
+            exact = 2 * (1 - root ** 2) / (order * mpmath.legendre(order - 1, root)) ** 2
+            assert abs(mpmath.mpf(node) - root) <= np.spacing(abs(node))
+            assert abs(mpmath.mpf(weight) - exact) <= 1e-15
+    for degree in range(2 * order):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** degree - exact) <= 1e-15
 
 
 def test_nodes_come_piece_by_piece_in_order():
@@ -225,3 +246,16 @@ def test_barycentric_reproduces_a_polynomial_on_any_interval():
     values = barycentric(x, nodes, weights, chebyshev.chebval((nodes - 3.5) / 1.5, coeffs))
     expected = chebyshev.chebval((x - 3.5) / 1.5, coeffs)
     np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("count", [17, 33, 65, 129, 257])
+def test_chebyshev_value_and_derivative_are_numpys_bits(count):
+    # every length the average's samples take: the kink of the clamp is
+    # found on these, and must land where chebval and chebder put it
+    rng = np.random.default_rng(count)
+    coeffs = rng.standard_normal(count) * 0.8 ** np.arange(count)
+    derivative = chebyshev_derivative(coeffs)
+    assert np.array(derivative).tobytes() == chebyshev.chebder(coeffs).tobytes()
+    for y in rng.uniform(-1.0, 1.0, 20).tolist() + [-1.0, 1.0]:
+        assert chebyshev_value(y, coeffs.tolist()) == chebyshev.chebval(y, coeffs)
+        assert chebyshev_value(y, derivative) == chebyshev.chebval(y, chebyshev.chebder(coeffs))
