@@ -5,9 +5,10 @@ every entanglement quantity in this package.  At zero temperature it
 has a closed form f0; at finite temperature, in reduced variables
 (u = k/k_F, x = k_F r, t = T/T_F), it is the kernel average
 f(x,t) = int u^3 f0(u x) (-dn/du) du on a fixed Fermi-kernel rule.  One
-kernel sum over an array of x gives f, its error estimate (the gap to a
-lower-order companion rule on the same nodes) and, on request, the slope
-df/dx = int u^4 f0'(u x) (-dn/du) du from the same evaluation of f0.
+kernel sum over an array of x gives f, its error estimate (the gap
+between the rule's Kronrod and Gauss columns on the same nodes) and, on
+request, the slope df/dx = int u^4 f0'(u x) (-dn/du) du from the same
+evaluation of f0.
 The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
 
@@ -51,6 +52,9 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 _DEFAULT_TOL = 1e-10
 # kernel-rule refinement levels tried before the thermal amplitude gives up
 _MAX_LEVEL = 6
+# a kernel sum's estimate at most this times its scale is rounding: the
+# floor of QUADPACK's qk15, 50 eps times the sum of |integrand| weights
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 # f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
 _BLOCK = 8192
 # root refinement (zeta and the average's clamp kink): absolute and
@@ -183,12 +187,15 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
     Returns (values, slopes or None, estimate).  At t = 0 the values are
     the ground state f0(x) with estimate 0, and mu_tilde must be exactly
     1.  At finite t they are ``_kernel_sum`` on the kernel rules of levels
-    0, 1, ... until the estimate, the largest gap between the rule's sum
-    and its companion's, is within ``tol``.  The rules resolve f0(x u)
-    for every x up to ``x_max``, the largest of ``xs``; ``rules(level)``
-    returns the rule of a level when given, else ``kernel_rule`` builds or
-    fetches it.  The callers have checked the inputs.  A call that raises
-    leaves none of the rules it built in the cache.
+    0, 1, ... until the estimate, the largest gap between the rule's
+    Kronrod and Gauss sums, is within ``tol`` or, summed only when it is
+    not, QUADPACK's rounding floor _ROUNDOFF sum_j W_j0, a bound on
+    sum_j |W_j0 f0(x u_j)| as W >= 0 and |f0| <= 1; the estimate returned
+    is the gap either way.  The rules resolve f0(x u) for every x up to
+    ``x_max``, the largest of ``xs``; ``rules(level)`` returns the rule of
+    a level when given, else ``kernel_rule`` builds or fetches it.  The
+    callers have checked the inputs.  A call that raises leaves none of
+    the rules it built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
@@ -206,7 +213,7 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
                     f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
                     error_estimate=err,
                 )
-            if err <= tol:
+            if err <= tol or err <= _ROUNDOFF * float(rule.weights[:, 0].sum()):
                 return sums[:, 0], (sums[:, 2] if slope else None), err
         raise QuadratureError(
             f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
@@ -226,9 +233,10 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     (3/x) int u n(u) sin(ux) du) is a positively weighted average of the
     ground-state amplitude, so every x is one dot product of f0(x u_j) with
     the weights of a Fermi-kernel rule.  The estimate is the largest gap,
-    over the x given, between the rule and its lower-order companion on the
-    same panels; the panels are halved until it is at most ``tol``
-    (absolute; the amplitude is O(1)).  At x = 0 the sum is
+    over the x given, between the rule's 15-point Kronrod and 7-point Gauss
+    sums on the same nodes; the panels are halved until it is at most
+    ``tol`` (absolute; the amplitude is O(1)), or at most the rounding
+    floor of the sum (``_refined_sum``).  At x = 0 the sum is
     3 int u^2 n(u) du, which equals 1 when mu_tilde solves the
     particle-number equation.  At t = 0 it is the ground state f0(x) with
     estimate 0, and mu_tilde must be exactly 1.  At finite t, mu_tilde
@@ -343,17 +351,16 @@ def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
     """How many leading entries of the increasing ``xs`` the weights of ``rule`` prove entangled.
 
     The rule's sum is f(x) = sum_j W_j f0(x u_j) with W_j >= 0 and its
-    nodes u_j nondecreasing (``composite_gauss`` builds them piece by piece,
-    and the map s -> u is monotone); the companion's nodes follow them with
-    weight 0 in this column.  The weight up to 1 - _CERT_TAIL of the total
-    is cut into _CERT_BLOCKS blocks of equal weight, block b of weight W_b
-    ending at node U_b, and W_tail is the rest.  As f0 decreases on [0, Y]
-    and never drops below f0(Y), every node of block b has
-    f0(x u_j) >= g(x U_b) with g(y) = f0(min(y, Y)), so
-    f(x) >= sum_b W_b g(x U_b) + W_tail f0(Y), a bound that falls with x
-    (with one block it is the single cut at U).  The count is of the
-    leading x where it exceeds 1/sqrt(2) by _CERT_MARGIN, without an
-    amplitude evaluated.
+    nodes u_j nondecreasing over the whole rule (``composite_kronrod``
+    builds them piece by piece, and the map s -> u is monotone).  The
+    weight up to 1 - _CERT_TAIL of the total is cut into _CERT_BLOCKS
+    blocks of equal weight, block b of weight W_b ending at node U_b, and
+    W_tail is the rest.  As f0 decreases on [0, Y] and never drops below
+    f0(Y), every node of block b has f0(x u_j) >= g(x U_b) with
+    g(y) = f0(min(y, Y)), so f(x) >= sum_b W_b g(x U_b) + W_tail f0(Y), a
+    bound that falls with x (with one block it is the single cut at U).
+    The count is of the leading x where it exceeds 1/sqrt(2) by
+    _CERT_MARGIN, without an amplitude evaluated.
     """
     below = np.cumsum(rule.weights[:, 0])
     ends = np.searchsorted(below, (1.0 - _CERT_TAIL) * below[-1] * _CERT_FRACTIONS)

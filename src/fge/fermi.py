@@ -8,8 +8,9 @@ ideality flags of a gas.
 The thermal routines are in reduced form only (u = k/k_F, t = T/T_F,
 mu_tilde = mu/eps_F), because every dimensional state with the same
 reduced coordinates shares one dimensionless solve: the occupancy, the
-chemical potential and the Fermi-kernel rules, the backbone of the
-exchange-amplitude module.
+chemical potential and the Fermi-kernel rules (QUADPACK's 15-point
+Kronrod rule and its 7-point Gauss rule on graded panels in the kernel
+variable), the backbone of the exchange-amplitude module.
 """
 
 import cmath
@@ -24,7 +25,7 @@ import numpy as np
 
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
-from .quadrature import composite_gauss, gauss_legendre
+from .quadrature import QK15_NODES, composite_kronrod
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
 
@@ -48,8 +49,6 @@ _BAND_BOTTOM_MAX = 2.0 ** 50
 # largest u at the top of a kernel window: every weight is at most u^3,
 # and every sum of weights and gap between two sums at most 2 u^3, finite
 _KERNEL_U_MAX = (np.finfo(float).max / 4.0) ** (1.0 / 3.0)
-# Gauss-Legendre orders of the kernel rule and of its comparison rule
-_ORDER_HI, _ORDER_LO = 12, 6
 # largest phase x * (panel width in u) of f0(x u) over one panel, in radians
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
@@ -57,7 +56,7 @@ _MAX_KERNEL_NODES = 2 ** 20
 # most x-intervals of constant splits one (mu_tilde, t, regime) records, over
 # all levels: with 1024 temperatures cached, at most about 20 MiB of tables
 _MAX_SPLIT_INTERVALS = 64
-# most nodes, of both orders, the cached kernel rules may hold together (48 MiB)
+# most nodes the cached kernel rules may hold together (48 MiB)
 _MAX_CACHED_NODES = 2 ** 21
 # below this reduced temperature the normalization correction to mu is < 1 ulp
 _MU_SHIFT_FLOOR = 1e-9
@@ -286,12 +285,26 @@ def reduced_dispersion(u, regime: GasRegime):
 
 
 def reduced_occupancy(u, mu_tilde: float, t: float, regime: GasRegime):
-    """Occupancy in reduced variables, n(u) = 1/(exp((d(u) - mu_tilde)/t) + 1)."""
+    """Occupancy in reduced variables, n(u) = 1/(exp((d(u) - mu_tilde)/t) + 1).
+
+    A DomainError names t unless it is finite and nonnegative, mu_tilde
+    unless finite, and the momenta u unless all nonnegative.  At t = 0 n
+    is the step, 1/2 at d(u) = mu_tilde.
+    """
     _require_member("regime", regime, GasRegime)
-    d = reduced_dispersion(u, regime)
-    if t == 0.0:
-        return np.where(d < mu_tilde, 1.0, np.where(d == mu_tilde, 0.5, 0.0))
-    return _stable_fermi_factor((d - mu_tilde) / t)
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
+    if not math.isfinite(mu_tilde):
+        raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
+    u = np.asarray(u, dtype=float)
+    if not (u.min(initial=0.0) >= 0.0):
+        _require_all("reduced momentum", u, u >= 0.0, "be nonnegative")
+    # an energy or argument that overflows to inf gives the occupancy's limit
+    with np.errstate(over="ignore"):
+        d = reduced_dispersion(u, regime)
+        if t == 0.0:
+            return np.where(d < mu_tilde, 1.0, np.where(d == mu_tilde, 0.5, 0.0))
+        return _stable_fermi_factor((d - mu_tilde) / t)
 
 
 def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
@@ -308,17 +321,18 @@ def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
 # form int u^3 g(u) (-dn/du) du: the occupancy enters only through the
 # logistic kernel -dn/du = k(s) ds/du, k(s) = e^s/(1+e^s)^2, in the variable
 # s = (d(u) - mu_tilde)/t.  In s the kernel is the same bump for every t, so
-# one fixed composite Gauss rule in s serves every temperature.
+# one fixed composite Kronrod rule in s serves every temperature.
 
 
 @dataclass(frozen=True, eq=False)
 class KernelRule:
-    """Two composite Gauss rules, int u^3 g(u) (-dn/du) du ~ sum_j weights[j, c] g(nodes_j).
+    """A composite Kronrod rule, int u^3 g(u) (-dn/du) du ~ sum_j weights[j, c] g(nodes_j).
 
-    Column c = 0 of ``weights`` is the rule, column 1 a lower-order rule on
-    the same panels whose gap to it is the error estimate.  The nodes of
-    both are in ``nodes``, each with weight 0 in the other column, so that
-    one evaluation of g serves both sums.
+    Column c = 0 of ``weights`` is the 15-point Kronrod rule on every
+    piece, column 1 the 7-point Gauss rule on the same nodes (0 at each
+    piece's 8 Kronrod-only nodes), so one evaluation of g serves both sums
+    and their gap is the error estimate.  Column 0 is positive and the
+    nodes are nondecreasing over the whole rule.
     """
 
     nodes: np.ndarray
@@ -395,45 +409,37 @@ def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _s_table(order: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights dz k(z) of the ``order``-point rule on _S_EDGES, each panel cut into ``pieces``.
+def _s_table(pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weight columns dz k(z) of the rule on _S_EDGES, each panel cut into ``pieces``.
 
     Neither depends on t: every rule spaced in s whose window starts at or
     below the kernel centre is a slice of this table (``_s_nodes``).
     """
-    z, dz = composite_gauss(_S_EDGES, pieces, order)
-    weights = dz * _kernel_density(z)
+    z, dz = composite_kronrod(_S_EDGES, pieces)
+    weights = dz * _kernel_density(z)[:, None]
     for array in (z, weights):
         array.flags.writeable = False  # every caller of the cache shares them
     return z, weights
 
 
-def _s_nodes(s_first: float, pieces: int, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``_s_table`` of each order in turn on the level-0 panels from ``s_first`` (-45 <= s_first <= 0) to 45.
+def _s_nodes(s_first: float, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_s_table`` on the level-0 panels from ``s_first`` (-45 <= s_first <= 0) to 45.
 
     The panels are those of ``_kernel_panels`` for mu_tilde >= 0: the fixed
     edges above ``s_first``, and a partial first panel from ``s_first`` to
     the next of them unless ``s_first`` is itself an edge.  Only that panel
-    is computed, by ``composite_gauss``'s formula, so the nodes and weights
-    are the bits ``composite_gauss`` gives on those panels.
+    is built, by ``composite_kronrod`` on its own, which gives the bits it
+    gives on all the panels.
     """
     above = int(np.searchsorted(_S_EDGES, s_first, side="right"))
-    whole = bool(_S_EDGES[above - 1] == s_first)
-    if not whole:
-        half = 0.5 * (_S_EDGES[above] - s_first) / pieces
-        mid = s_first + (2 * np.arange(pieces) + 1) * half
-    nodes, weights = [], []
-    for order in orders:
-        if not whole:
-            y, w = gauss_legendre(order)
-            z = (mid[:, None] + half * y).ravel()
-            nodes.append(z)
-            weights.append(np.tile(half * w, pieces) * _kernel_density(z))
-        start = (above - whole) * pieces * order
-        table_nodes, table_weights = _s_table(order, pieces)
-        nodes.append(table_nodes[start:])
-        weights.append(table_weights[start:])
-    return np.concatenate(nodes), np.concatenate(weights)
+    table_nodes, table_weights = _s_table(pieces)
+    start = (above - 1) * pieces * QK15_NODES.size
+    if _S_EDGES[above - 1] == s_first:
+        return table_nodes[start:], table_weights[start:]
+    start += pieces * QK15_NODES.size
+    z, dz = composite_kronrod([s_first, _S_EDGES[above]], pieces)
+    return (np.concatenate((z, table_nodes[start:])),
+            np.concatenate((dz * _kernel_density(z)[:, None], table_weights[start:])))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -476,7 +482,7 @@ def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
     # a huge x_max takes the phases, or their sum, to inf, which the node cap rejects
     with np.errstate(over="ignore"):
         pieces = _level0_pieces(x_max, widths, least) * 2.0 ** level
-        nodes = float(pieces.sum()) * _ORDER_HI
+        nodes = float(pieces.sum()) * QK15_NODES.size
     if not (nodes <= _MAX_KERNEL_NODES):
         raise QuadratureError(
             f"the kernel rule at t={t!r} would need {nodes:.3g} nodes to resolve "
@@ -535,35 +541,32 @@ def _split_interval(x: float, counts: np.ndarray, widths: np.ndarray,
     return lo, hi
 
 
-def _u_weights(u: np.ndarray, dz: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
-    """Weights u^3 k(s) ds of nodes u spaced in u with widths dz (nonrelativistic)."""
-    return dz * _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t) * u ** 3
+def _u_density(u: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
+    """u^3 k(s) ds/du at nodes u spaced in u (nonrelativistic), the factor of their widths dz."""
+    return _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t) * u ** 3
 
 
-def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, splits, order,
+def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, splits,
                   panels: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_j and weights u_j^3 k(s_j) ds of an ``order``-point rule (or rules).
+    """Nodes u_j and weight columns u_j^3 k(s_j) ds of the composite Kronrod rule.
 
     Panel p of the level-0 panels (what ``_kernel_panels`` returns for
     (mu_tilde, t, regime), built here unless ``panels`` holds them) is cut
-    into ``splits[p]`` equal pieces.  A tuple of orders gives each rule on
-    the same pieces, one after another, and maps all their nodes from s to
-    u at once.  Spaced in s with mu_tilde >= 0 and the same pieces in every
-    panel, the nodes and weights in s are slices of ``_s_table`` and only
-    the map to u is per temperature.
+    into ``splits[p]`` equal pieces.  Spaced in s with mu_tilde >= 0 and
+    the same pieces in every panel, the nodes and weights in s are slices
+    of ``_s_table`` and only the map to u is per temperature.
     """
-    orders = order if isinstance(order, tuple) else (order,)
     counts = np.asarray(splits)
     if not _spaced_in_u(mu_tilde, t, regime) and mu_tilde >= 0.0 and counts.min() == counts.max():
-        z, weights = _s_nodes(max(-mu_tilde / t, -_THERMAL_DECADES), int(counts.flat[0]), orders)
-        u = _kernel_u(mu_tilde + t * z, regime)
-        return u, weights * u ** 3
-    s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t, regime)
-    z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
-    if in_u:
-        return z, _u_weights(z, dz, mu_tilde, t)
+        z, weights = _s_nodes(max(-mu_tilde / t, -_THERMAL_DECADES), int(counts.flat[0]))
+    else:
+        s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t, regime)
+        z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
+        if in_u:
+            return z, dz * _u_density(z, mu_tilde, t)[:, None]
+        weights = dz * _kernel_density(z)[:, None]
     u = _kernel_u(mu_tilde + t * z, regime)
-    return u, dz * _kernel_density(z) * u ** 3
+    return u, weights * (u ** 3)[:, None]
 
 
 _RuleCacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nodes max_nodes")
@@ -620,19 +623,9 @@ class _RuleCache:
 
 
 def _build_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
-    """The rule of ``kernel_rule`` on level-0 panels cut into ``splits`` (int64 bytes) pieces.
-
-    Both orders come from one panel and piece geometry: the nodes of the
-    rule and then those of its companion go through the s -> u map, the
-    kernel density and the u^3 factor together.
-    """
-    counts = np.frombuffer(splits, dtype=np.int64)
-    nodes, both = _kernel_nodes(mu_tilde, t, regime, counts, (_ORDER_HI, _ORDER_LO),
-                                _kernel_widths(mu_tilde, t, regime)[2])
-    n_hi = int(counts.sum()) * _ORDER_HI
-    weights = np.zeros((len(nodes), 2))
-    weights[:n_hi, 0] = both[:n_hi]
-    weights[n_hi:, 1] = both[n_hi:]
+    """The rule of ``kernel_rule`` on level-0 panels cut into ``splits`` (int64 bytes) pieces."""
+    nodes, weights = _kernel_nodes(mu_tilde, t, regime, np.frombuffer(splits, dtype=np.int64),
+                                   _kernel_widths(mu_tilde, t, regime)[2])
     for array in (nodes, weights):
         array.flags.writeable = False  # every caller of the cache shares them
     return KernelRule(nodes, weights)
@@ -654,9 +647,9 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     of lower ends, upper ends and splits' bytes, sorted), so an x inside
     one is a bisect; only an x outside them computes its splits and
     records their interval (``_split_interval``), up to
-    _MAX_SPLIT_INTERVALS of them over all levels.  A rule spaced in s is a slice of the
-    t-independent ``_s_table`` when every panel has the same pieces, so
-    only its map to u is computed.  Rules are cached, at most CACHE_SIZE
+    _MAX_SPLIT_INTERVALS of them over all levels.  A rule spaced in s is
+    a slice of the t-independent ``_s_table`` when every panel has the
+    same pieces, so only its map to u is computed.  Rules are cached, at most CACHE_SIZE
     of them and _MAX_CACHED_NODES nodes in all; one that would exceed
     _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
@@ -685,12 +678,12 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
                       grid: tuple | None = None) -> tuple[float, float, tuple | None]:
     """Particle-number integral int_0^inf u^2 n(u) du, its mu-derivative, and the u-grid used.
 
-    Both are sums over the nodes of the level-0 kernel rule for x = 0, at
-    order _ORDER_HI: one piece per panel where the nodes are spaced in s,
-    else ``_pole_pieces``.  Spaced in s they come from the
-    t-independent ``_s_table`` (for mu_tilde >= 0), so only u(mu + t s)
-    and u^3 are computed.  Spaced in u, the nodes and widths of ``grid``,
-    the u-grid a previous Newton iterate returned, are kept and only the
+    Both are sums over the Kronrod column of the level-0 kernel rule for
+    x = 0: one piece per panel where the nodes are spaced in s, else
+    ``_pole_pieces``.  Spaced in s they come from the t-independent
+    ``_s_table`` (for mu_tilde >= 0), so only u(mu + t s) and u^3 are
+    computed.  Spaced in u, the nodes and Kronrod widths of ``grid``, the
+    u-grid a previous Newton iterate returned, are kept and only the
     kernel weights are new; without one the grid is built and returned
     (None when the nodes are spaced in s).  Nothing is cached, because
     every Newton iterate of mu is a new key.
@@ -698,13 +691,14 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
     if _spaced_in_u(mu_tilde, t, regime):
         if grid is None:
             _, u_edges, _ = _kernel_panels(mu_tilde, t, regime)
-            splits = _pole_pieces(mu_tilde, t, u_edges).astype(np.int64)
-            grid = composite_gauss(u_edges, splits, _ORDER_HI)
+            u, dz = composite_kronrod(u_edges, _pole_pieces(mu_tilde, t, u_edges).astype(np.int64))
+            grid = u, dz[:, 0]
         u = grid[0]
-        weights = _u_weights(u, grid[1], mu_tilde, t)
+        weights = grid[1] * _u_density(u, mu_tilde, t)
     else:
         grid = None
-        u, weights = _kernel_nodes(mu_tilde, t, regime, 1, _ORDER_HI)
+        u, weights = _kernel_nodes(mu_tilde, t, regime, 1)
+        weights = weights[:, 0]
     # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / d'(u)
     slope_factor = 0.5 / (u * u) if regime is GasRegime.NONRELATIVISTIC else 1.0 / u
     return float(weights.sum()) / 3.0, float(weights @ slope_factor), grid

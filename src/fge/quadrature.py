@@ -1,45 +1,25 @@
-"""Composite Gauss-Legendre and Gauss-Kronrod rules on panel edges, and Chebyshev interpolation.
+"""Composite Gauss-Kronrod rules on panel edges, and Chebyshev interpolation.
 
-Every integral of the package is a fixed composite rule built here: the
-thermal integrals over momentum on the Fermi-kernel panels (see
-``fermi.kernel_rule``), which pair a Gauss-Legendre rule with a
-lower-order one on the same panels for the error estimate, and the outer
-average over separations on a geometric cascade toward the distance
-constant (see ``entanglement.average_entanglement``), whose 15-point
-Kronrod rule carries its 7-point Gauss rule on every second node, so the
-estimate costs no abscissa of its own.  Each caller halves the panels
-itself when the estimate misses its tolerance.  The average takes its
-integrand's amplitude at those abscissas from samples at
-Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
+Every integral of the package is the one composite rule built here,
+QUADPACK's 15-point Kronrod rule with its 7-point Gauss rule on every
+second node (``composite_kronrod``), so the error estimate, the gap
+between the two, costs no abscissa of its own: the thermal integrals over
+momentum on the Fermi-kernel panels (see ``fermi.kernel_rule``), and the
+outer average over separations on a geometric cascade toward the
+distance constant (see ``entanglement.average_entanglement``).  Each
+caller halves the panels itself when the estimate misses its tolerance.
+The average takes its integrand's amplitude at those abscissas from
+samples at Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
 ``barycentric`` interpolates them (Berrut and Trefethen, SIAM Review 46,
 2004), and ``chebyshev_coefficients`` gives the coefficients whose tail
 measures how well they resolve the function; ``chebyshev_value`` and
 ``chebyshev_derivative`` sum and differentiate such a series as numpy's
-chebval and chebder do, bit for bit.  The Gauss-Legendre rules of orders
-12 and 6, the only two the package uses, are tabled, so that importing the
-package loads no numpy.polynomial.
+chebval and chebder do, bit for bit.  Nothing here imports
+numpy.polynomial.
 """
 
 import numpy as np
 
-# the package's two Gauss-Legendre rules, orders 12 and 6 (``fermi``'s kernel
-# rule and its companion), as numpy's leggauss gives them, to the bit: its
-# order-12 weights, up to 60 ulp from the correctly rounded ones, are those
-# every result of the package was computed with
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {
-    12: (np.array([-0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
-                   -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
-                   0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-                   0.7699026741943047, 0.9041172563704748, 0.9815606342467192]),
-         np.array([0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
-                   0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
-                   0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
-                   0.16007832854334642, 0.10693932599531907, 0.04717533638651141])),
-    6: (np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
-                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519]),
-        np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
-                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027])),
-}
 _LOBATTO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _DCT: dict[int, np.ndarray] = {}
 
@@ -75,20 +55,6 @@ def _qk15() -> tuple[np.ndarray, np.ndarray]:
 QK15_NODES, QK15_WEIGHTS = _qk15()
 
 
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
-
-    Orders 12 and 6 are tabled; any other is computed by numpy's leggauss
-    at its first call, so that importing this module loads no
-    numpy.polynomial.
-    """
-    if order not in _RULES:
-        from numpy.polynomial.legendre import leggauss
-
-        _RULES[order] = leggauss(order)
-    return _RULES[order]
-
-
 def _pieces(edges, splits) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and half-widths of the pieces of a panel grid, piece by piece in order."""
     edges = np.asarray(edges, dtype=float)
@@ -107,32 +73,17 @@ def _pieces(edges, splits) -> tuple[np.ndarray, np.ndarray]:
     return edges[panel] + (2 * piece + 1) * half, half
 
 
-def composite_gauss(edges, splits, order) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point Gauss rule on every piece of a panel grid.
-
-    Panel p = [edges[p], edges[p + 1]] is cut into ``splits[p]`` equal
-    pieces (``splits`` is an integer or one integer per panel).  The nodes
-    come piece by piece, ``order`` consecutive nodes to a piece, in
-    increasing order; sum(weights * g(nodes)) approximates the integral of
-    g over [edges[0], edges[-1]], exactly for polynomials of degree up to
-    2 order - 1 on each piece.  A tuple of orders gives each rule on the
-    same pieces, concatenated in the order given.
-    """
-    mid, half = _pieces(edges, splits)
-    rules = [gauss_legendre(n) for n in (order if isinstance(order, tuple) else (order,))]
-    return (np.concatenate([(mid[:, None] + half[:, None] * y).ravel() for y, _ in rules]),
-            np.concatenate([(half[:, None] * w).ravel() for _, w in rules]))
-
-
 def composite_kronrod(edges, splits) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the 15-point Kronrod rule on every piece of a panel grid, with two weight columns.
 
-    The pieces are ``composite_gauss``'s, 15 consecutive nodes to a piece,
-    in increasing order.  Column 0 of the (nodes, 2) weights is the
-    Kronrod rule, exact for polynomials of degree up to 22 on each piece;
-    column 1 is the 7-point Gauss rule on the same nodes, exact up to
-    degree 13 and 0 where a node is the Kronrod rule's alone.  The gap
-    between the two on a piece is QUADPACK's error estimate there.
+    Panel p = [edges[p], edges[p + 1]] is cut into ``splits[p]`` equal
+    pieces (``splits`` is an integer or one integer per panel).  The nodes
+    come piece by piece, 15 consecutive nodes to a piece, in increasing
+    order.  Column 0 of the (nodes, 2) weights is the Kronrod rule, exact
+    for polynomials of degree up to 22 on each piece; column 1 is the
+    7-point Gauss rule on the same nodes, exact up to degree 13 and 0
+    where a node is the Kronrod rule's alone.  The gap between the two on
+    a piece is QUADPACK's error estimate there.
     """
     mid, half = _pieces(edges, splits)
     return ((mid[:, None] + half[:, None] * QK15_NODES).ravel(),

@@ -115,16 +115,13 @@ def scaling_law_re(mass: float, radius: float, reference: DwarfReport) -> float:
             * (reference.dwarf.mass / mass) ** (1.0 / 3.0))
 
 
-def critical_mass_re_equals_R(reference: DwarfReport, radius_ref: float = None,
-                              mass_ref: float = None) -> float:
+def critical_mass_re_equals_R(reference: DwarfReport) -> float:
     """Mass at which the entanglement distance grows to the full radius.
 
-    Solves r_e(M, R) = R under the calibrated scaling law with the
-    radius proportionality anchored at the reference, giving
-    (r_e_ref M_ref^(1/3) / R_ref)^3.
+    Solves r_e(M, R) = R under the scaling law calibrated at the reference
+    dwarf (``scaling_law_re``), giving (r_e_ref M_ref^(1/3) / R_ref)^3 from
+    the reference's own r_e, mass and radius.  As r_e/R depends on the mass
+    alone, every reference dwarf gives the same mass.
     """
-    radius_ref = reference.dwarf.radius if radius_ref is None else radius_ref
-    mass_ref = reference.dwarf.mass if mass_ref is None else mass_ref
-    _require_positive("reference radius", radius_ref)
-    _require_positive("reference mass", mass_ref)
-    return (reference.r_e * mass_ref ** (1.0 / 3.0) / radius_ref) ** 3
+    dwarf = reference.dwarf
+    return (reference.r_e * dwarf.mass ** (1.0 / 3.0) / dwarf.radius) ** 3

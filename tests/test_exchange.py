@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
@@ -350,10 +350,12 @@ def test_slopes_over_many_x_match_one_x_sums(monkeypatch, split):
 
 
 def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
-    # the estimate is the gap to the lower-order rule on the same panels;
-    # a tight tolerance refines the panels, and without refinement it fails
-    mu = reduced_chemical_potential(0.05, NR)
-    coords = (1.0, 0.05, mu, NR)
+    # the estimate is the gap to the Gauss rule on the same nodes; a tight
+    # tolerance refines the panels, and without refinement it fails.  At
+    # nonrel t = 1e3 and x = 0.01 the level-0 gap, 5.7e-11, is far above the
+    # rounding floor, 1.1e-14; one level takes it to rounding
+    mu = reduced_chemical_potential(1e3, NR)
+    coords = (0.01, 1e3, mu, NR)
     for tol in (1e-6, 1e-10, 1e-14):
         assert thermal_amplitude(*coords, tol=tol)[1] <= tol
     monkeypatch.setattr(exchange, "_MAX_LEVEL", 0)
@@ -663,8 +665,9 @@ def test_cold_zeta_scans_only_the_first_window(monkeypatch, regime):
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_certified_scan_points_are_entangled(regime, mu_mode):
     # every grid point the scan skips has f^2 > 1/2 on the whole-grid scan,
-    # and the rule has what the certificate assumes: weights >= 0 and its
-    # own nodes nondecreasing
+    # and the rule has what the certificate assumes: Kronrod weights > 0 on
+    # nodes nondecreasing over the whole rule, with the Gauss column 0
+    # exactly at each piece's 8 Kronrod-only nodes
     window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
     grid = exchange._SCAN_X[1:][window[1:]]
     skipped = 0
@@ -672,10 +675,12 @@ def test_certified_scan_points_are_entangled(regime, mu_mode):
         t = float(t)
         mu = reduced_chemical_potential(t, regime, mu_mode)
         rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
-        n_hi = len(rule.nodes) // (fge.fermi._ORDER_HI + fge.fermi._ORDER_LO) * fge.fermi._ORDER_HI
-        assert rule.weights.min() >= 0.0
-        assert np.all(np.diff(rule.nodes[:n_hi]) >= 0.0)
-        assert np.all(rule.weights[n_hi:, 0] == 0.0)
+        kronrod_only = np.arange(len(rule.nodes)) % 15 % 2 == 0
+        assert len(rule.nodes) % 15 == 0
+        assert np.all(rule.weights[:, 0] > 0.0)
+        assert np.all(np.diff(rule.nodes) >= 0.0)
+        assert np.all(rule.weights[kronrod_only, 1] == 0.0)
+        assert np.all(rule.weights[~kronrod_only, 1] > 0.0)
         count = exchange._certified_count(rule, grid)
         gaps = np.square(thermal_amplitude(exchange._SCAN_X[1:], t, mu, regime,
                                            exchange._ZETA_QUAD_TOL)[0]) - 0.5
@@ -782,17 +787,25 @@ def test_zeta_stays_below_the_classical_limit_up_to_the_classical_gas(where, reg
     assert solve_zeta(t, regime, MuMode.EXACT_NORMALIZATION).zeta <= classical_zeta(t, regime)
 
 
-@pytest.mark.parametrize("t", [4.91, 10.0])
-def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t):
-    # rel with mu pinned at the Fermi energy: the root the scan windows find
-    # against QUADPACK's Fourier-weighted rule on (3/x) int u n(u) sin(ux) du
-    result = solve_zeta(t, ER, MuMode.FERMI_ENERGY_APPROX)
+@pytest.mark.parametrize("t, regime", [(t, ER) for t in np.geomspace(3.0, 50.0, 61).tolist()]
+                         + [(1e3, NR)])
+def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t, regime):
+    # mu pinned at the Fermi energy, where f(0) grows to 1e3-1e4 and the
+    # kernel sums stop at their rounding floor: the root the scan windows
+    # find against QUADPACK's Fourier-weighted rule on
+    # (3/x) int u n(u) sin(ux) du
+    result = solve_zeta(t, regime, MuMode.FERMI_ENERGY_APPROX)
     x = result.zeta
-    integral, _ = quad(
-        lambda u: u * reduced_occupancy(u, 1.0, t, ER),
-        0.0, occupancy_cutoff(1.0, t, ER),
-        weight="sin", wvar=x, epsabs=1e-12, epsrel=1e-12, limit=400,
-    )
+    with warnings.catch_warnings():
+        # at nonrel t = 1e3 QUADPACK itself stops at roundoff, 2.5e-12,
+        # which its own estimate, checked below, reports
+        warnings.simplefilter("ignore", IntegrationWarning)
+        integral, abserr = quad(
+            lambda u: u * reduced_occupancy(u, 1.0, t, regime),
+            0.0, occupancy_cutoff(1.0, t, regime),
+            weight="sin", wvar=x, epsabs=1e-12, epsrel=1e-12, limit=400,
+        )
+    assert abserr < 1e-11
     assert abs((3.0 / x * integral) ** 2 - 0.5) < 1e-9
     assert result.residual < 1e-10
 
@@ -821,14 +834,14 @@ def test_hot_fermi_mu_zeta_between_the_refused_t_is_a_crossing_of_plus_one_over_
 
 
 def test_failed_zeta_leaves_no_rule_cached(monkeypatch):
-    # nonrel fermi mu at t = 1e3: the amplitude near the origin is ~1e4, whose
-    # rounding the 1e-12 estimate cannot meet
+    # nonrel fermi mu at t = 25.93: the scan builds its rules, then refuses
+    # the bracket, a crossing of f = -1/sqrt(2)
     built = []
     kernel_rule_type = fge.fermi.KernelRule
     monkeypatch.setattr(fge.fermi, "KernelRule",
                         lambda *args: built.append(kernel_rule_type(*args)) or built[-1])
-    with pytest.raises(QuadratureError):
-        exchange._solve_zeta.__wrapped__(1e3, NR, MuMode.FERMI_ENERGY_APPROX)
+    with pytest.raises(SolverError, match="-1/sqrt"):
+        exchange._solve_zeta.__wrapped__(_HOT_FERMI_MU_SKIPPED[0], NR, MuMode.FERMI_ENERGY_APPROX)
     cache = fge.fermi._cached_kernel_rule
     assert built and not any(rule is kept for rule in built for kept, _ in cache._rules.values())
     assert cache.cache_info().nodes <= cache.max_nodes

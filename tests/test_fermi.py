@@ -40,7 +40,7 @@ from fge.fermi import (
     occupancy_cutoff,
     reduced_inputs,
 )
-from fge.quadrature import composite_gauss
+from fge.quadrature import composite_kronrod
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -281,17 +281,38 @@ def test_occupation_monotone_and_bounded():
 
 
 def test_occupation_overflow_safe():
-    # reduced argument ~ 1e6 must neither warn nor produce NaN
+    # reduced argument ~ 1e6, or one that overflows to inf, must neither
+    # warn nor produce NaN
     with np.errstate(over="raise"):
         lo = reduced_occupancy(1e3, 1.0, 1e-3, NR)
         hi = reduced_occupancy(1e-3, 1e3, 1e-3, NR)
     assert lo == 0.0
     assert hi == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reduced_occupancy(1e200, 1.0, 0.1, NR) == 0.0
+        assert reduced_occupancy(2.0, 1.0, 1e-310, NR) == 0.0
+        assert reduced_occupancy(0.5, 1.0, 1e-310, ER) == 1.0
 
 
 def test_reduced_occupancy_edge_value():
     assert reduced_occupancy(1.0, 1.0, 0.05, NR) == pytest.approx(0.5, abs=1e-15)
     assert reduced_occupancy(1.0, 1.0, 0.05, ER) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("u, mu, t, regime, fragment", [
+    (np.array([0.5, 1.0, 2.0]), 1.0, -0.1, NR, "reduced temperature"),
+    (np.array([0.5, 1.0, 2.0]), 1.0, math.inf, NR, "reduced temperature"),
+    (np.array([0.5, 1.0, 2.0]), math.nan, 0.1, NR, "reduced chemical potential"),
+    (np.array([1.0, -2.0]), 1.0, 0.1, ER, "reduced momentum"),
+])
+def test_reduced_occupancy_rejects_bad_input(u, mu, t, regime, fragment):
+    # each returned numbers instead: an inverted occupancy, 0.5 everywhere,
+    # NaN, and 1.0 at u = -2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=fragment):
+            reduced_occupancy(u, mu, t, regime)
 
 
 def test_occupancy_cutoff_bounds_the_tail():
@@ -432,54 +453,34 @@ def test_cold_mu_solves_build_no_kernel_rule(monkeypatch):
     assert built == []
 
 
-def reference_kernel_rule(mu, t, regime, x_max, level):
-    """The kernel rule as two separate composite_gauss rules, each mapped to u on its own."""
-    splits = fermi._kernel_splits(mu, t, regime, x_max, level)
+def composite_kronrod_nodes(mu, t, regime, splits):
+    """The nodes and weight columns of a kernel rule as composite_kronrod builds them on its panels."""
     s_edges, u_edges, in_u = fermi._kernel_panels(mu, t, regime)
-    rules = []
-    for order in (fermi._ORDER_HI, fermi._ORDER_LO):
-        z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
-        if in_u:
-            u = z
-            weights = dz * fermi._kernel_density((u * u - mu) / t) * (2.0 * u / t)
-        else:
-            u = fermi._kernel_u(mu + t * z, regime)
-            weights = dz * fermi._kernel_density(z)
-        rules.append((u, weights * u ** 3))
-    (u_hi, w_hi), (u_lo, w_lo) = rules
-    weights = np.zeros((len(u_hi) + len(u_lo), 2))
-    weights[:len(u_hi), 0] = w_hi
-    weights[len(u_hi):, 1] = w_lo
-    return np.concatenate((u_hi, u_lo)), weights, splits
+    z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
+    if in_u:
+        density = fermi._kernel_density((z * z - mu) / t) * (2.0 * z / t) * z ** 3
+        return z, dz * density[:, None]
+    u = fermi._kernel_u(mu + t * z, regime)
+    return u, dz * fermi._kernel_density(z)[:, None] * (u ** 3)[:, None]
 
 
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.05, 0.5, 20.0])
-def test_kernel_rule_is_byte_identical_to_two_separate_rules(regime, t):
+def test_kernel_rule_is_byte_identical_to_one_composite_kronrod_rule(regime, t):
     mu = reduced_chemical_potential(t, regime)
     for x_max in (0.0, 1.8, 3.0, 12.0):
         for level in range(3):
-            nodes, weights, splits = reference_kernel_rule(mu, t, regime, x_max, level)
+            splits = fermi._kernel_splits(mu, t, regime, x_max, level)
+            nodes, weights = composite_kronrod_nodes(mu, t, regime, splits)
             rule = _cached_kernel_rule.__wrapped__(mu, t, regime, splits.tobytes())
             assert rule.nodes.tobytes() == nodes.tobytes()
             assert rule.weights.tobytes() == weights.tobytes()
 
 
-def composite_gauss_nodes(mu, t, regime, splits, order):
-    """The nodes and weights of a kernel rule as composite_gauss builds them on its panels."""
-    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t, regime)
-    z, dz = composite_gauss(u_edges if in_u else s_edges, splits, order)
-    if in_u:
-        weights = dz * fermi._kernel_density((z * z - mu) / t) * (2.0 * z / t)
-        return z, weights * z ** 3
-    u = fermi._kernel_u(mu + t * z, regime)
-    return u, dz * fermi._kernel_density(z) * u ** 3
-
-
 @pytest.mark.parametrize("regime", [NR, ER])
-def test_s_table_rules_equal_composite_gauss_rules(regime):
+def test_s_table_rules_equal_composite_kronrod_rules(regime):
     # the t-independent table in s, sliced and mapped to u, gives the bits of
-    # a rule built by composite_gauss on the same panels; 0.97 mu moves the
+    # a rule built by composite_kronrod on the same panels; 0.97 mu moves the
     # band bottom off the solved one, x = 30 gives panels of unequal pieces
     sliced = 0
     for t in np.geomspace(1e-4, 3.0, 60):
@@ -489,11 +490,10 @@ def test_s_table_rules_equal_composite_gauss_rules(regime):
             for x_max in (0.0, 1.9, 5.0, 30.0):
                 for level in range(3):
                     splits = fermi._kernel_splits(mu, t, regime, x_max, level)
-                    for order in (fermi._ORDER_HI, (fermi._ORDER_HI, fermi._ORDER_LO)):
-                        u, weights = fermi._kernel_nodes(mu, t, regime, splits, order)
-                        ref_u, ref_weights = composite_gauss_nodes(mu, t, regime, splits, order)
-                        assert u.tobytes() == ref_u.tobytes()
-                        assert weights.tobytes() == ref_weights.tobytes()
+                    u, weights = fermi._kernel_nodes(mu, t, regime, splits)
+                    ref_u, ref_weights = composite_kronrod_nodes(mu, t, regime, splits)
+                    assert u.tobytes() == ref_u.tobytes()
+                    assert weights.tobytes() == ref_weights.tobytes()
                     _, _, in_u = fermi._kernel_panels(mu, t, regime)
                     sliced += not in_u and mu >= 0.0 and splits.min() == splits.max()
     assert sliced >= {NR: 300, ER: 600}[regime]
@@ -519,30 +519,31 @@ def test_mu_from_one_node_set_matches_a_rebuild_per_iterate(regime, monkeypatch)
         assert abs(mu - reference) <= 2e-15 * max(abs(reference), t)
 
 
-def record_composite_gauss(monkeypatch):
+def record_composite_kronrod(monkeypatch):
     calls = []
 
     def recorded(*args):
         calls.append(args)
-        return composite_gauss(*args)
+        return composite_kronrod(*args)
 
-    monkeypatch.setattr(fermi, "composite_gauss", recorded)
+    monkeypatch.setattr(fermi, "composite_kronrod", recorded)
     return calls
 
 
 @pytest.mark.parametrize("regime, t", [(NR, 0.011), (NR, 1e-3), (ER, 0.011), (ER, 0.23), (ER, 0.5)])
 def test_cold_mu_spaced_in_s_builds_no_rule(regime, t, monkeypatch):
-    # below the kernel centre the band bottom only trims the table's first panel
-    fermi._kernel_nodes(1.0, 0.01, regime, 1, fermi._ORDER_HI)  # the table exists
-    calls = record_composite_gauss(monkeypatch)
+    # below the kernel centre the band bottom only trims the table's first
+    # panel: the rule of that one panel is all that is built
+    fermi._kernel_nodes(1.0, 0.01, regime, 1)  # the table exists
+    calls = record_composite_kronrod(monkeypatch)
     mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
-    assert calls == [] and mu > 0.0
+    assert all(len(edges) == 2 and splits == 1 for edges, splits in calls) and mu > 0.0
 
 
 @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0, 100.0])
 def test_cold_mu_spaced_in_u_builds_one_rule(t, monkeypatch):
     # the first iterate's u-grid serves every later one
-    calls = record_composite_gauss(monkeypatch)
+    calls = record_composite_kronrod(monkeypatch)
     fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
     assert len(calls) == 1
 

@@ -1,10 +1,9 @@
-"""Composite Gauss-Legendre and Gauss-Kronrod rules: the qk15 table, exactness, convergence
-under splitting, and validation; Chebyshev-Lobatto sampling and interpolation."""
+"""Composite Gauss-Kronrod rules: the qk15 table, exactness, convergence under splitting,
+and validation; Chebyshev-Lobatto sampling and interpolation."""
 
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
@@ -18,59 +17,51 @@ from fge.quadrature import (
     chebyshev_derivative,
     chebyshev_lobatto,
     chebyshev_value,
-    composite_gauss,
     composite_kronrod,
-    gauss_legendre,
 )
 
 
-def integrate(f, edges, splits=1, order=16):
-    nodes, weights = composite_gauss(edges, splits, order)
-    return float(weights @ f(nodes))
+def integrate(f, edges, splits=1, column=0):
+    """The Kronrod (column 0) or Gauss (column 1) sum of f on the composite rule."""
+    nodes, weights = composite_kronrod(edges, splits)
+    return float(f(nodes) @ weights[:, column])
+
+
+def piece_geometry(edges, splits):
+    """Midpoints and half-widths of the pieces, panel by panel, in plain Python."""
+    mids, halves = [], []
+    for lo, hi, count in zip(edges, edges[1:], np.broadcast_to(splits, len(edges) - 1)):
+        half = 0.5 * (hi - lo) / count
+        mids += [lo + (2 * i + 1) * half for i in range(count)]
+        halves += [half] * count
+    return np.array(mids), np.array(halves)
 
 
 def test_polynomial_exact_on_single_panel():
-    # GL16 integrates degree <= 31 exactly on one panel
+    # K15 integrates degree <= 22 exactly on one panel
     assert integrate(lambda u: u ** 5, [0.0, 1.0]) == pytest.approx(1.0 / 6.0, abs=5e-16)
 
 
-@pytest.mark.parametrize("order", [1, 2, 5, 8, 12, 16])
-def test_exact_up_to_degree_2n_minus_1(order):
+@pytest.mark.parametrize("column, exact_degree", [(0, 22), (1, 13)])
+def test_exact_up_to_the_rule_degree_on_uneven_panels(column, exact_degree):
     # uneven panels, the second cut into three pieces
     a, b = -0.5, 2.0
-    for degree in range(2 * order):
+    for degree in range(exact_degree + 1):
         exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
-        got = integrate(lambda u: u ** degree, [a, 0.25, b], [1, 3], order)
+        got = integrate(lambda u: u ** degree, [a, 0.25, b], [1, 3], column)
         assert got == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
 
-@pytest.mark.parametrize("order", [12, 6])
-def test_tabled_gauss_legendre_rules_against_mpmath(order):
-    # the tabled rules are leggauss's bits, not the correctly rounded rule:
-    # nodes within 1 ulp of the Legendre roots, weights within 1e-15
-    nodes, weights = gauss_legendre(order)
-    assert nodes.shape == weights.shape == (order,)
-    with mpmath.workdps(40):
-        for node, weight in zip(nodes, weights):
-            root = mpmath.findroot(lambda x: mpmath.legendre(order, x), mpmath.mpf(node))
-            exact = 2 * (1 - root ** 2) / (order * mpmath.legendre(order - 1, root)) ** 2
-            assert abs(mpmath.mpf(node) - root) <= np.spacing(abs(node))
-            assert abs(mpmath.mpf(weight) - exact) <= 1e-15
-    for degree in range(2 * order):
-        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-        assert abs(weights @ nodes ** degree - exact) <= 1e-15
-
-
 def test_nodes_come_piece_by_piece_in_order():
-    nodes, weights = composite_gauss([0.0, 1.0, 3.0], np.array([2, 3]), 4)
-    assert nodes.shape == weights.shape == (20,)
-    assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
-    # every piece holds its own 4 nodes, and its weights sum to its width
-    pieces = nodes.reshape(-1, 4)
+    nodes, weights = composite_kronrod([0.0, 1.0, 3.0], np.array([2, 3]))
+    assert nodes.shape == (75,) and weights.shape == (75, 2)
+    assert np.all(np.diff(nodes) > 0.0) and np.all(weights[:, 0] > 0.0)
+    # every piece holds its own 15 nodes, and its weights sum to its width
+    pieces = nodes.reshape(-1, 15)
     widths = np.array([0.5, 0.5, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0])
     starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
     assert np.all(pieces.min(axis=1) > starts) and np.all(pieces.max(axis=1) < starts + widths)
-    np.testing.assert_allclose(weights.reshape(-1, 4).sum(axis=1), widths, rtol=1e-15)
+    np.testing.assert_allclose(weights[:, 0].reshape(-1, 15).sum(axis=1), widths, rtol=1e-15)
 
 
 def test_full_periods_cancel():
@@ -79,11 +70,16 @@ def test_full_periods_cancel():
 
 
 def test_exponential_refines_to_tolerance():
-    # halving every piece cuts the 4-point error by about 2^8
-    errors = [abs(integrate(np.exp, [0.0, 1.0], splits, 4) - (math.e - 1.0))
-              for splits in (1, 2, 4, 8)]
-    assert all(later < earlier / 100.0 for earlier, later in zip(errors, errors[1:]))
-    assert errors[-1] <= 1e-13
+    # halving every piece cuts the 7-point Gauss error by about 2^14, while
+    # the Kronrod sum is at rounding on one piece
+    def exp8(u):
+        return np.exp(8.0 * u)
+
+    exact = (math.exp(8.0) - 1.0) / 8.0
+    errors = [abs(integrate(exp8, [0.0, 1.0], splits, 1) - exact) for splits in (1, 2, 4)]
+    assert all(later < earlier / 1000.0 for earlier, later in zip(errors, errors[1:]))
+    assert errors[-1] <= 1e-12
+    assert integrate(exp8, [0.0, 1.0]) == pytest.approx(exact, rel=1e-15)
 
 
 def test_sqrt_endpoint_kink():
@@ -104,36 +100,13 @@ def test_oscillatory_with_seeded_breakpoints():
 @pytest.mark.parametrize("edges", [[0.0], [1.0, 0.0], [0.0, 0.0, 1.0], []])
 def test_breakpoints_must_strictly_increase(edges):
     with pytest.raises(ValueError, match="strictly increasing"):
-        composite_gauss(edges, 1, 16)
+        composite_kronrod(edges, 1)
 
 
 @pytest.mark.parametrize("splits", [0, -1, 1.5, True, [1, 0], [1, 2, 3], np.array([[1, 1]])])
 def test_splits_must_be_positive_integers(splits):
     with pytest.raises(ValueError, match="splits"):
-        composite_gauss([0.0, 1.0, 2.0], splits, 16)
-
-
-def test_orders_are_configurable():
-    for order in (16, 32):
-        assert integrate(np.exp, [0.0, 1.0], 1, order) == pytest.approx(math.e - 1.0, abs=1e-14)
-
-
-def test_tuple_of_orders_concatenates_the_rules():
-    edges, splits = [0.0, 1.0, 3.0], np.array([2, 3])
-    nodes, weights = composite_gauss(edges, splits, (12, 6))
-    alone = [composite_gauss(edges, splits, order) for order in (12, 6)]
-    assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
-    assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
-
-
-def test_tuple_of_orders_on_a_geometric_cascade():
-    # both orders on panels that halve toward an endpoint, in one call
-    edges = np.append(1.8 * (1.0 - 0.5 ** np.arange(12)), 1.8)
-    for splits in (1, 2, 4):
-        nodes, weights = composite_gauss(edges, splits, (16, 8))
-        alone = [composite_gauss(edges, splits, order) for order in (16, 8)]
-        assert nodes.tobytes() == np.concatenate([n for n, _ in alone]).tobytes()
-        assert weights.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
+        composite_kronrod([0.0, 1.0, 2.0], splits)
 
 
 # === the embedded 7/15-point Gauss-Kronrod pair ===
@@ -180,10 +153,10 @@ def test_composite_kronrod_pieces_come_in_order():
     nodes, weights = composite_kronrod(edges, splits)
     assert nodes.shape == (75,) and weights.shape == (75, 2)
     assert np.all(np.diff(nodes) > 0.0)
-    # each piece holds its own 15 nodes on the pieces of composite_gauss,
-    # and both of its rules sum to its width
-    gauss_nodes, _ = composite_gauss(edges, splits, 1)
-    np.testing.assert_allclose(nodes.reshape(-1, 15)[:, 7], gauss_nodes, rtol=1e-15)
+    # each piece holds its own 15 nodes, centred on its midpoint, and both
+    # of its rules sum to its width
+    mids, _ = piece_geometry(edges, splits)
+    np.testing.assert_allclose(nodes.reshape(-1, 15)[:, 7], mids, rtol=1e-15)
     widths = np.array([0.5, 0.5, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0])
     np.testing.assert_allclose(weights.reshape(-1, 15, 2).sum(axis=1), np.stack([widths] * 2, 1),
                                rtol=1e-15)
@@ -193,7 +166,9 @@ def test_composite_kronrod_gauss_column_is_the_7_point_rule():
     edges = np.append(1.8 * (1.0 - 0.5 ** np.arange(10)), 1.8)
     for splits in (1, 2, 4):
         nodes, weights = composite_kronrod(edges, splits)
-        gauss_nodes, gauss_weights = composite_gauss(edges, splits, 7)
+        mids, halves = piece_geometry(edges, splits)
+        gauss_nodes = (mids[:, None] + halves[:, None] * leggauss(7)[0]).ravel()
+        gauss_weights = (halves[:, None] * leggauss(7)[1]).ravel()
         odd = np.arange(nodes.size) % 15 % 2 == 1
         np.testing.assert_allclose(nodes[odd], gauss_nodes, rtol=1e-15, atol=1e-16)
         np.testing.assert_allclose(weights[odd, 1], gauss_weights, rtol=1e-14)
@@ -209,13 +184,6 @@ def test_composite_kronrod_gap_estimates_the_gauss_error():
     # a polynomial of degree 13 leaves no gap
     kronrod, gauss = (nodes ** 13) @ weights
     assert kronrod == pytest.approx(1.0 / 14.0, rel=1e-15) and abs(kronrod - gauss) <= 1e-16
-
-
-def test_composite_kronrod_validates_like_composite_gauss():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        composite_kronrod([1.0, 0.0], 1)
-    with pytest.raises(ValueError, match="splits"):
-        composite_kronrod([0.0, 1.0, 2.0], [1, 0])
 
 
 @pytest.mark.parametrize("count", [17, 33, 257])

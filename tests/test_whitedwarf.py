@@ -93,10 +93,6 @@ def test_critical_mass_value():
     report = dwarf_report(sirius_b())
     m_crit = critical_mass_re_equals_R(report)
     assert m_crit == pytest.approx(2.8303141384914456e-27, rel=1e-10)
-    # explicit anchor arguments default to the reference dwarf itself
-    assert critical_mass_re_equals_R(
-        report, radius_ref=report.dwarf.radius, mass_ref=report.dwarf.mass
-    ) == pytest.approx(m_crit, rel=1e-15)
 
 
 def test_critical_mass_independent_of_anchor():
