@@ -19,6 +19,7 @@ from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
     _refined_sum,
+    _require_window,
     _root_in_bracket,
     _validate_quad_tol,
     solve_zeta,
@@ -27,7 +28,6 @@ from .exchange import (
 from .fermi import (
     GasRegime,
     MuMode,
-    _require_kernel_window,
     _require_member,
     reduced_chemical_potential,
     reduced_inputs,
@@ -294,10 +294,10 @@ def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: Mu
 
     ``reduced_inputs`` has proved every x and t finite and nonnegative, and
     ``eos_grid`` the regime, mode and tolerance, so of ``thermal_amplitude``'s
-    checks only the kernel window of the solved mu is left.
+    checks only the window of the solved mu (``_require_window``) is left.
     """
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    _require_kernel_window(mu_tilde, t, regime)
+    _require_window(mu_tilde, t, regime)
     f, _, _ = _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, tol)
     return f, solve_zeta(t, regime, mu_mode).zeta
 

@@ -4,11 +4,11 @@ The amplitude f is the normalized pair-correlation overlap that drives
 every entanglement quantity in this package.  At zero temperature it
 has a closed form f0; at finite temperature, in reduced variables
 (u = k/k_F, x = k_F r, t = T/T_F), it is the kernel average
-f(x,t) = int u^3 f0(u x) (-dn/du) du on a fixed Fermi-kernel rule.  One
-kernel sum over an array of x gives f, its error estimate (the gap
-between the rule's Kronrod and Gauss columns on the same nodes) and, on
-request, the slope df/dx = int u^4 f0'(u x) (-dn/du) du from the same
-evaluation of f0.
+f(x,t) = int u^3 f0(u x) (-dn/du) du.  Relativistic, where -dn/du is a
+logistic density in u, the average has a closed form at every
+temperature (``_relativistic_sum``); nonrelativistic, it is a sum on a
+fixed Fermi-kernel rule.  Either branch gives, over an array of x, f,
+its error estimate and, on request, the slope df/dx.
 The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
 
@@ -26,6 +26,7 @@ from .fermi import (
     KernelRule,
     MuMode,
     _cached_kernel_rule,
+    _relativistic_terms,
     _require_kernel_window,
     _require_member,
     kernel_rule,
@@ -46,6 +47,38 @@ _SERIES_COEFFS = tuple(
 _SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if k)
 # f0 decreases on [0, Y], Y the first zero of j_2, and f0(Y) is its minimum
 _F0_MIN_AT, _F0_MIN = 5.76345919689455, -0.0861708941619074
+
+
+def _y_coth_y_coefficients(terms: int) -> list:
+    """Coefficients c_n of y coth y = sum_n c_n y^2n, from sinh(y) (y coth y) = y cosh(y)."""
+    coeffs = []
+    for m in range(terms):
+        coeffs.append(1.0 / math.factorial(2 * m) - sum(
+            c / math.factorial(2 * (m - n) + 1) for n, c in enumerate(coeffs)))
+    return coeffs
+
+
+# p(y) = (1 - y coth y)/y^2 of the relativistic closed form switches to its
+# series in y^2 below this y, where 1 - y coth y cancels.  The series has
+# radius pi; 18 terms put the first omitted one at 1e-18 at the crossover,
+# where the closed form loses a factor 4 to cancellation, and p' a factor 54
+_COTH_CROSSOVER = 1.0
+_COTH_COEFFS = -np.array(_y_coth_y_coefficients(19)[1:])
+# the series of p'(y)/y, sum_n 2 n a_n y^(2n-2), on the same powers of y^2
+_COTH_SLOPE_COEFFS = 2.0 * np.arange(1.0, len(_COTH_COEFFS)) * _COTH_COEFFS[1:]
+# the closed form's arguments x t and mu x are capped here: past it every
+# term they enter is below 1e-150 of the amplitude's scale, and the cap keeps
+# their powers finite
+_ARGUMENT_MAX = 1e75
+# positive floor of y = pi t x and of mu x, where y/sinh(y) and sin(v)/v are 1
+_ARGUMENT_MIN = 1e-300
+# y/sinh(y) is formed directly while sinh(y) stays far from overflow
+_SINH_MAX = 700.0
+# the closed form's rounding bound, in units of its scale (the amplitude at
+# x = 0 or above): f0's series and the sums' terms each round to a few eps
+_CLOSED_FORM_ROUNDING = 16.0 * np.finfo(float).eps
+# largest amplitude at zero separation whose square the zeta solve can form
+_ORIGIN_MAX = 1e150
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 # tolerance of an amplitude request that names none
@@ -180,32 +213,154 @@ def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.nda
     return out
 
 
+def _coth_part(y: np.ndarray, y_max: float, slope: bool) -> tuple:
+    """p(y) = (1 - y coth y)/y^2 and, with ``slope``, p'(y), at every y >= 0 of ``y``, the largest ``y_max``.
+
+    Above _COTH_CROSSOVER the closed forms, coth y = 1/tanh y and
+    p' = (y coth y + y^2 (coth^2 y - 1) - 2)/y^3, on y lifted to the
+    crossover; below it the series in y^2, as products of one table of
+    the powers of y^2 with the coefficients, on one gather of the small
+    entries when there are large ones.
+    """
+    if y_max < _COTH_CROSSOVER:
+        return _coth_series(y, slope)
+    yb = np.maximum(y, _COTH_CROSSOVER)
+    coth = 1.0 / np.tanh(yb)
+    yb_coth = yb * coth
+    y2 = yb * yb
+    p = (1.0 - yb_coth) / y2
+    dp = (yb_coth + y2 * (coth * coth - 1.0) - 2.0) / (y2 * yb) if slope else None
+    small = y < _COTH_CROSSOVER
+    if small.any():
+        p[small], below = _coth_series(y[small], slope)
+        if slope:
+            dp[small] = below
+    return p, dp
+
+
+def _coth_series(y: np.ndarray, slope: bool) -> tuple:
+    """``_coth_part`` below the crossover: p and p' (or None) from their series in y^2."""
+    powers = np.empty((len(y), len(_COTH_COEFFS)))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = (y * y)[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return powers @ _COTH_COEFFS, ((powers[:, :-1] @ _COTH_SLOPE_COEFFS) * y if slope else None)
+
+
+def _relativistic_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float,
+                      slope: bool) -> tuple:
+    """The relativistic f(x, t) in closed form: (values, slopes or None, estimate, scale).
+
+    With d(u) = u, -dn/du is the logistic density of mean mu and scale t,
+    and f is its expectation of g(u) = u^3 f0(u x) over u >= 0.  Over the
+    whole line (mu_tilde > 0 only) the logistic characteristic function
+    pi x t / sinh(pi x t) gives
+    F = h(y) [mu^3 f0(mu x) - 3 pi^2 t^2 mu sinc(mu x) p(y)],
+    y = pi t x, h(y) = y/sinh y, p(y) = (1 - y coth y)/y^2 (``_coth_part``),
+    a form with no cancellation at small x.  The density's part below the
+    band bottom, expanded in z = exp(-|mu|/t), has the Laplace transforms
+    int_0^inf g(w) e^(-a w) dw = 6/(a^2 + x^2)^2, so with xi = x t
+    S = 6 t^3 z sum_k (-1)^(k+1) z^(k-1) k/(k^2 + xi^2)^2, summed by
+    ``_alternating_weights``.  f = F + S for mu_tilde > 0, where S is
+    skipped once its first term 6 t^3 z is below rounding of the cubic,
+    and f = S for mu_tilde <= 0.  The slope is
+    F' = h [pi^2 t^2 x p (G + mu^3 f0) + mu^4 f0' - 3 pi^3 t^3 mu sinc p']
+    with G the bracket above, and
+    dS/dx = -24 t^4 z xi sum_k (-1)^(k+1) z^(k-1) k/(k^2 + xi^2)^3.
+    The estimate is the sum's truncation bound, 6 t^3 z times its bound
+    (all of it where S is skipped), plus _CLOSED_FORM_ROUNDING times the
+    scale, the cubic plus 6 t^3 z, which bounds |f| at every x.  x t and
+    mu x are capped at _ARGUMENT_MAX.  ``_relativistic_terms`` holds the
+    constants, and proves the scale finite.
+    """
+    cubic, b, series, truncation = _relativistic_terms(mu_tilde, t)
+    x_cap = _ARGUMENT_MAX / max(t, mu_tilde)
+    if x_max > x_cap:
+        xs = np.minimum(xs, x_cap)
+    values = np.zeros(len(xs))
+    slopes = np.zeros(len(xs)) if slope else None
+    if mu_tilde > 0.0:
+        pi_t = math.pi * t
+        y = np.maximum(pi_t * xs, _ARGUMENT_MIN)
+        y_max = pi_t * min(x_max, x_cap)
+        if y_max < _SINH_MAX:
+            h = y / np.sinh(y)
+        else:
+            # y/sinh y = 2 y e^-y/(1 - e^-2y), which falls to 0 without overflow
+            h = 2.0 * y * np.exp(-y) / -np.expm1(-2.0 * y)
+        p, dp = _coth_part(y, y_max, slope)
+        v = mu_tilde * xs
+        f0 = _f0(v, slope)
+        if slope:
+            f0, df0 = f0
+        vs = np.maximum(v, _ARGUMENT_MIN)
+        sinc = np.sin(vs) / vs
+        spread = 3.0 * pi_t * pi_t * mu_tilde * sinc
+        cubic_f0 = mu_tilde ** 3 * f0
+        g = cubic_f0 - spread * p
+        values = h * g
+        if slope:
+            slopes = h * ((pi_t * pi_t) * xs * p * (g + cubic_f0) + mu_tilde ** 4 * df0
+                          - pi_t * spread * dp)
+    if series is not None:
+        k, k_squared, weights = series
+        xi = xs * t
+        d = np.add.outer(k_squared, xi * xi)
+        c = k[:, None] / (d * d)
+        values = values + b * (weights @ c)
+        if slope:
+            slopes = slopes - (4.0 * t * b) * (xi * (weights @ (c / d)))
+    scale = cubic + b
+    return values, slopes, truncation + _CLOSED_FORM_ROUNDING * scale, scale
+
+
+def _require_window(mu_tilde: float, t: float, regime: GasRegime) -> None:
+    """Raise a DomainError unless the branch of ``regime`` has an amplitude at (mu_tilde, t)."""
+    if regime is GasRegime.EXTREME_RELATIVISTIC:
+        if t > 0.0:
+            _relativistic_terms(mu_tilde, t)
+    else:
+        _require_kernel_window(mu_tilde, t)
+
+
 def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
                  tol: float, slope: bool = False, rules=None) -> tuple:
     """f(x, t) at every x >= 0 of the flat ``xs``, with ``slope`` also df/dx, and the estimate.
 
     Returns (values, slopes or None, estimate).  At t = 0 the values are
     the ground state f0(x) with estimate 0, and mu_tilde must be exactly
-    1.  At finite t they are ``_kernel_sum`` on the kernel rules of levels
-    0, 1, ... until the estimate, the largest gap between the rule's
-    Kronrod and Gauss sums, is within ``tol`` or, summed only when it is
-    not, QUADPACK's rounding floor _ROUNDOFF sum_j W_j0, a bound on
-    sum_j |W_j0 f0(x u_j)| as W >= 0 and |f0| <= 1; the estimate returned
-    is the gap either way.  The rules resolve f0(x u) for every x up to
-    ``x_max``, the largest of ``xs``; ``rules(level)`` returns the rule of
-    a level when given, else ``kernel_rule`` builds or fetches it.  The
-    callers have checked the inputs.  A call that raises leaves none of
-    the rules it built in the cache.
+    1.  Relativistic at finite t they are the closed form of
+    ``_relativistic_sum``.  Nonrelativistic they are ``_kernel_sum`` on
+    the kernel rules of levels 0, 1, ... until the estimate, the largest
+    gap between the rule's Kronrod and Gauss sums, is within ``tol`` or,
+    summed only when it is not, QUADPACK's rounding floor
+    _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)| as W >= 0 and
+    |f0| <= 1; the estimate returned is the gap either way.  The closed
+    form's estimate meets the same test, with its scale for sum_j W_j0,
+    or raises.  The rules resolve f0(x u) for every x up to ``x_max``, the
+    largest of ``xs``; ``rules(level)`` returns the rule of a level when
+    given, else ``kernel_rule`` builds or fetches it.  The callers have
+    checked the inputs.  A call that raises leaves none of the rules it
+    built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
             raise DomainError("at zero reduced temperature the reduced chemical potential "
                               f"must be exactly 1, got {mu_tilde!r}")
         return (*_f0(xs, True), 0.0) if slope else (_f0(xs), None, 0.0)
+    if regime is GasRegime.EXTREME_RELATIVISTIC:
+        values, slopes, err, scale = _relativistic_sum(xs, x_max, t, mu_tilde, slope)
+        if err <= tol or err <= _ROUNDOFF * scale:
+            return values, slopes, err
+        raise QuadratureError(
+            f"relativistic closed form's estimate {err:.3e} exceeds the tolerance {tol:.3e} "
+            f"at t={t!r}, mu_tilde={mu_tilde!r}",
+            error_estimate=err,
+        )
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
-            rule = kernel_rule(mu_tilde, t, regime, x_max, level) if rules is None else rules(level)
+            rule = kernel_rule(mu_tilde, t, x_max, level) if rules is None else rules(level)
             sums = _kernel_sum(xs, rule, slope)
             err = float(np.abs(sums[:, 0] - sums[:, 1]).max(initial=0.0))
             if not math.isfinite(err):
@@ -231,17 +386,25 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
 
     f(x, t) = int u^3 f0(u x) (-dn/du) du (integration by parts of
     (3/x) int u n(u) sin(ux) du) is a positively weighted average of the
-    ground-state amplitude, so every x is one dot product of f0(x u_j) with
-    the weights of a Fermi-kernel rule.  The estimate is the largest gap,
-    over the x given, between the rule's 15-point Kronrod and 7-point Gauss
-    sums on the same nodes; the panels are halved until it is at most
-    ``tol`` (absolute; the amplitude is O(1)), or at most the rounding
-    floor of the sum (``_refined_sum``).  At x = 0 the sum is
-    3 int u^2 n(u) du, which equals 1 when mu_tilde solves the
-    particle-number equation.  At t = 0 it is the ground state f0(x) with
-    estimate 0, and mu_tilde must be exactly 1.  At finite t, mu_tilde
+    ground-state amplitude.  At x = 0 it is 3 int u^2 n(u) du, which
+    equals 1 when mu_tilde solves the particle-number equation.  At t = 0
+    it is the ground state f0(x) with estimate 0, and mu_tilde must be
+    exactly 1.
+
+    Relativistic, f is a closed form at every t and x
+    (``_relativistic_sum``), and the estimate bounds its truncation and
+    rounding.  Any mu_tilde is accepted whose mu_tilde^3, and any t whose
+    6 t^3 exp(-|mu_tilde|/t) and pi^2 t^2 mu_tilde, stay below e^700; a
+    DomainError names the one that does not.
+
+    Nonrelativistic, every x is one dot product of f0(x u_j) with the
+    weights of a Fermi-kernel rule.  The estimate is the largest gap,
+    over the x given, between the rule's 15-point Kronrod and 7-point
+    Gauss sums on the same nodes; the panels are halved until it is at
+    most ``tol`` (absolute; the amplitude is O(1)), or at most the
+    rounding floor of the sum (``_refined_sum``).  At finite t, mu_tilde
     must be at least -2^50 t, or the kernel window's panel edges stop
-    increasing, and the window's top, u with d(u) = max(mu_tilde, 0) + 45 t,
+    increasing, and the window's top, u = sqrt(max(mu_tilde, 0) + 45 t),
     at most about 3.5e102, or its weights u^3 overflow; the chemical
     potential's bracket -50 t <= mu_tilde <= 2 lies inside.
     """
@@ -256,7 +419,7 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     if not math.isfinite(mu_tilde):
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
     _require_member("regime", regime, GasRegime)
-    _require_kernel_window(mu_tilde, t, regime)
+    _require_window(mu_tilde, t, regime)
     value, _, err = _refined_sum(flat, x_max, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
@@ -265,7 +428,8 @@ def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
                          tol: float, rules=None) -> tuple[float, float]:
     """f(x, t) and df/dx at one x >= 0 (the ground state at t = 0).
 
-    At finite t both come from the nodes of one kernel rule,
+    Relativistic, both are the closed form's.  Nonrelativistic at finite t
+    both come from the nodes of one kernel rule,
     df/dx = sum_j W_j u_j f0'(x u_j), refined level by level to ``tol``
     like ``thermal_amplitude``.  The rules are those ``thermal_amplitude(x)``
     uses unless ``rules(level)`` supplies them: the zeta solve passes the
@@ -285,8 +449,10 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
     the bracket that the signs of g shrink; a step that would leave it, or
     that is not below half the step before, is replaced by bisection (the
     ``rtsafe`` scheme of Numerical Recipes, section 9.4).  Converged once a
-    step is at most (_ROOT_XTOL + _ROOT_RTOL |x|)/2, the rule of Brent's
-    method; the x returned is the last one evaluated, with its g.
+    step is at most (_ROOT_XTOL min(1, |hi|) + _ROOT_RTOL |x|)/2, the rule
+    of Brent's method with its absolute part scaled down by a bracket that
+    has shrunk below 1, so that a root far below _ROOT_XTOL is still found
+    to _ROOT_RTOL; the x returned is the last one evaluated, with its g.
     """
     if g_lo == 0.0:
         return lo, g_lo
@@ -312,7 +478,7 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
         else:
             new = 0.5 * (lo + hi)
             step = new - x
-        if abs(step) <= 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(x)):
+        if abs(step) <= 0.5 * (_ROOT_XTOL * min(1.0, abs(hi)) + _ROOT_RTOL * abs(x)):
             return x, g
         x = new
     raise SolverError(
@@ -322,6 +488,9 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
 
 # x = 0 (the origin check) followed by the scan grid of the bracket search
 _SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
+# the decades below the grid, 1e-300 to 1e-4, that the relativistic scan
+# adds when f^2 < 1/2 already at 1e-3
+_SCAN_DECADES = 10.0 ** np.arange(-300.0, -3.0)
 # the bracket search scans the grid below this x, which falls between its
 # points 1.9 and 2.0, and the rest only if no crossing lies there.  Over t
 # from 1e-6 to 30, both regimes and both mu modes, the largest zeta was
@@ -343,7 +512,8 @@ _CERT_FRACTIONS = np.arange(1, _CERT_BLOCKS + 1) / _CERT_BLOCKS
 
 def _first_crossing(gaps: np.ndarray) -> int | None:
     """Index of the first grid gap that is 0 or changes sign to the next, if any."""
-    crossings = np.flatnonzero((gaps[:-1] == 0.0) | (gaps[:-1] * gaps[1:] < 0.0))
+    signs = np.sign(gaps)
+    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
     return int(crossings[0]) if crossings.size else None
 
 
@@ -372,24 +542,19 @@ def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
     return int(np.logical_and.accumulate(bound > math.sqrt(0.5) + _CERT_MARGIN).sum())
 
 
-def _classical_zeta(t: float, regime: GasRegime) -> float:
-    """zeta of the Maxwell-Boltzmann gas, where f = exp(-x^2 t/4) nonrel and (1 + x^2 t^2)^-2 rel."""
-    if regime is GasRegime.NONRELATIVISTIC:
-        return math.sqrt(2.0 * math.log(2.0) / t)
-    return math.sqrt(2.0 ** 0.25 - 1.0) / t
-
-
-def _scan_stops(t: float, regime: GasRegime) -> list[int]:
-    """Where the scan calls end on ``_SCAN_X``: each call covers the grid up to its stop.
+def _scan_stops(t: float) -> list[int]:
+    """Where the kernel scan's calls end on ``_SCAN_X``: each call covers the grid up to its stop.
 
     The last two calls end at _SCAN_WINDOW_END and at the end of the grid.
     At finite t a first call ends at the first grid point at or above
-    _THERMAL_WINDOW times the classical zeta, when that point lies below
-    _SCAN_WINDOW_END.
+    _THERMAL_WINDOW times the classical zeta sqrt(2 ln 2 / t) (where the
+    Maxwell-Boltzmann f = exp(-x^2 t/4) crosses), when that point lies
+    below _SCAN_WINDOW_END.
     """
     stops = [int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END)), len(_SCAN_X)]
     if t > 0.0:
-        thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * _classical_zeta(t, regime))) + 1
+        classical = math.sqrt(2.0 * math.log(2.0) / t)
+        thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * classical)) + 1
         if thermal < stops[0]:
             stops.insert(0, thermal)
     return stops
@@ -399,27 +564,38 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
     """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Newton steps.
 
-    The scan grid is x in {1e-3, 0.1, 0.2, ..., 3}, evaluated in batched
+    The scan grid is x in {1e-3, 0.1, 0.2, ..., 3}, after the origin x = 0,
+    whose f^2 must exceed 1/2.  The bracket is the first sign change of
+    f^2 - 1/2 on the grid, refined by ``_root_in_bracket``, whose Newton
+    steps take f and df/dx from one evaluation.  The residual is the gap
+    at the last x evaluated.  The amplitude is evaluated at the fixed
+    tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays
+    below the 1e-10 contract.
+
+    Relativistic at finite t the closed form is scanned on the whole grid
+    in one call, and the origin counts as a grid point: where f^2 < 1/2
+    already at 1e-3 (exact mu from t of about 435, fermi mu from about
+    2e12) the bracket is [0, 1e-3], so zeta solves at every t whose
+    f(0)^2 is finite.
+
+    At t = 0 and nonrelativistic, the scan is evaluated in batched
     amplitude calls whose kernel rules resolve only the x of their call
     (``_scan_stops``).  At finite t the first call ends near the thermal
     length, at the first grid point at or above 1.25 times the classical
     zeta when that is below 1.95; the next ends at 1.9, the last at 3.
     Each further call is made only when the calls before it hold no
-    crossing, and the crossing is looked for on the gaps of all of them, so
-    the bracket is the first sign change on the whole grid.  The first call
-    also evaluates the origin, and at finite t it skips the leading grid
-    points that the weights of its own rule prove to have f^2 > 1/2
+    crossing, and the crossing is looked for on the gaps of all of them,
+    so the bracket is the first sign change on the whole grid.  The first
+    call also evaluates the origin, and at finite t it skips the leading
+    grid points that the weights of its own rule prove to have f^2 > 1/2
     (``_certified_count``), all but the last of them.  When the first grid
     point scanned is 1e-3 and already has f^2 < 1/2, the crossing lies
-    below the grid and the solve fails at once.  The root is refined by
-    ``_root_in_bracket``, whose Newton steps take f and df/dx from the same
-    kernel nodes: those of the rules of the scan call that evaluated the
-    bracket's upper end, each level fetched once per solve.  The residual
-    is the gap at the last x evaluated.  The amplitude is evaluated at the
-    fixed tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual
-    stays below the 1e-10 contract.  Results are cached per
-    (t, regime, mu_mode), however the arguments are spelled; ``cache_info``
-    and ``cache_clear`` reach that cache.
+    below the grid and the solve fails at once.  The Newton steps take f
+    and df/dx from the kernel nodes of the rules of the scan call that
+    evaluated the bracket's upper end, each level fetched once per solve.
+
+    Results are cached per (t, regime, mu_mode), however the arguments
+    are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
     """
     _require_member("regime", regime, GasRegime)
     _require_member("mu_mode", mu_mode, MuMode)
@@ -438,10 +614,42 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         raise
 
 
-def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
-    """The uncached body of ``solve_zeta`` at a valid t."""
-    stops = _scan_stops(t, regime)
-    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+def _require_origin(f_origin: float) -> None:
+    """Raise a SolverError unless f(0)^2 > 1/2, the condition for any crossing."""
+    if not (f_origin ** 2 > 0.5):
+        raise SolverError(
+            f"no root exists: the amplitude at zero separation is {f_origin!r}, "
+            "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
+        )
+
+
+def _closed_form_scan(t: float, mu_tilde: float) -> tuple:
+    """The relativistic scan: the grid, f and f^2 - 1/2 on all of _SCAN_X, the origin included.
+
+    Where f^2 < 1/2 already at 1e-3 the decades _SCAN_DECADES join the
+    grid between the origin and 1e-3, in one more call, so that the
+    bracket spans at most a decade above 1e-300.
+    """
+    def amplitude(xs):
+        return _refined_sum(xs, float(xs[-1]), t, mu_tilde, GasRegime.EXTREME_RELATIVISTIC,
+                            _ZETA_QUAD_TOL)[0]
+
+    grid, values = _SCAN_X, amplitude(_SCAN_X)
+    if not (values[0] <= _ORIGIN_MAX):
+        raise DomainError(
+            f"reduced temperature {t!r} is too large for a zeta solve: the amplitude at zero "
+            f"separation, {values[0]:.3g}, squares past the float range"
+        )
+    _require_origin(values[0])
+    if values[1] ** 2 < 0.5:
+        grid = np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:]))
+        values = np.concatenate((values[:1], amplitude(_SCAN_DECADES), values[1:]))
+    return grid, values, np.square(values) - 0.5
+
+
+def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
+    """The kernel scan (t = 0 or nonrelativistic): grid, f and f^2 - 1/2 from its first point, and the stops."""
+    stops = _scan_stops(t)
 
     def amplitude(xv):
         return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
@@ -449,30 +657,36 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     first = 1
     if t > 0.0:
         # the level-0 rule of the first scan call, which resolves its last point
-        rule = kernel_rule(mu_tilde, t, regime, float(_SCAN_X[stops[0] - 1]))
+        rule = kernel_rule(mu_tilde, t, float(_SCAN_X[stops[0] - 1]))
         first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))
     f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:stops[0]])))
-    if not (f_origin ** 2 > 0.5):
-        raise SolverError(
-            f"no root exists: the amplitude at zero separation is {f_origin!r}, "
-            "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
-        )
+    _require_origin(f_origin)
 
-    grid = _SCAN_X[first:]
     values = np.array(scan)
     gaps = np.square(values) - 0.5
     # a first point already below 1/2 puts the crossing below the grid
-    below_grid = gaps[0] < 0.0
-    k = None if below_grid else _first_crossing(gaps)
-    for start, stop in zip(stops, stops[1:]):
-        if k is not None or below_grid:
-            break
-        values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
-        gaps = np.square(values) - 0.5
+    if not gaps[0] < 0.0:
+        for start, stop in zip(stops, stops[1:]):
+            if _first_crossing(gaps) is not None:
+                break
+            values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
+            gaps = np.square(values) - 0.5
+    return _SCAN_X[first:], values, gaps, stops
+
+
+def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
+    """The uncached body of ``solve_zeta`` at a valid t."""
+    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
+    closed_form = t > 0.0 and regime is GasRegime.EXTREME_RELATIVISTIC
+    if closed_form:
+        grid, values, gaps = _closed_form_scan(t, mu_tilde)
         k = _first_crossing(gaps)
+    else:
+        grid, values, gaps, stops = _kernel_scan(t, regime, mu_tilde)
+        k = None if gaps[0] < 0.0 else _first_crossing(gaps)
     if k is None:
         raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{_SCAN_X[1]:g}, {_SCAN_X[-1]:g}] "
+            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
             f"at t={t!r}: the crossing either sits below the scan window "
             "(bracket too small) or the amplitude never reaches 1/2"
         )
@@ -486,10 +700,11 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         )
 
     rules = None
-    if t > 0.0:
+    if t > 0.0 and not closed_form:
         # the rules of the scan call that evaluated the bracket's upper end
+        first = len(_SCAN_X) - len(grid)
         x_max = float(_SCAN_X[stops[bisect_right(stops, first + k + 1)] - 1])
-        rules = cache(partial(kernel_rule, mu_tilde, t, regime, x_max))
+        rules = cache(partial(kernel_rule, mu_tilde, t, x_max))
 
     def gap_and_slope(xv):
         f, slope = _amplitude_and_slope(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL, rules)

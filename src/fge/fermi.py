@@ -8,9 +8,12 @@ ideality flags of a gas.
 The thermal routines are in reduced form only (u = k/k_F, t = T/T_F,
 mu_tilde = mu/eps_F), because every dimensional state with the same
 reduced coordinates shares one dimensionless solve: the occupancy, the
-chemical potential and the Fermi-kernel rules (QUADPACK's 15-point
-Kronrod rule and its 7-point Gauss rule on graded panels in the kernel
-variable), the backbone of the exchange-amplitude module.
+chemical potential, the nonrelativistic Fermi-kernel rules (QUADPACK's
+15-point Kronrod rule and its 7-point Gauss rule on graded panels in the
+kernel variable) and the alternating sums of the relativistic closed
+form, the backbone of the exchange-amplitude module.  The relativistic
+chemical potential is the root of a closed-form identity; the
+nonrelativistic one is solved on the kernel rule.
 """
 
 import cmath
@@ -53,7 +56,7 @@ _KERNEL_U_MAX = (np.finfo(float).max / 4.0) ** (1.0 / 3.0)
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
 _MAX_KERNEL_NODES = 2 ** 20
-# most x-intervals of constant splits one (mu_tilde, t, regime) records, over
+# most x-intervals of constant splits one (mu_tilde, t) records, over
 # all levels: with 1024 temperatures cached, at most about 20 MiB of tables
 _MAX_SPLIT_INTERVALS = 64
 # most nodes the cached kernel rules may hold together (48 MiB)
@@ -315,13 +318,15 @@ def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
     return d_max
 
 
-# === Fermi-kernel quadrature rule ===
+# === Fermi-kernel quadrature rule (nonrelativistic) ===
 #
 # Integrating by parts, every thermal integral of this package takes the
 # form int u^3 g(u) (-dn/du) du: the occupancy enters only through the
 # logistic kernel -dn/du = k(s) ds/du, k(s) = e^s/(1+e^s)^2, in the variable
-# s = (d(u) - mu_tilde)/t.  In s the kernel is the same bump for every t, so
-# one fixed composite Kronrod rule in s serves every temperature.
+# s = (u^2 - mu_tilde)/t.  In s the kernel is the same bump for every t, so
+# one fixed composite Kronrod rule in s serves every temperature.  The
+# relativistic integrals have closed forms instead (``_relativistic_number``
+# and ``exchange._relativistic_sum``), and no rule is built for them.
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,29 +349,29 @@ def _kernel_density(s: np.ndarray) -> np.ndarray:
     return decay / (1.0 + decay) ** 2
 
 
-def _kernel_panels(mu_tilde: float, t: float, regime: GasRegime):
+def _kernel_panels(mu_tilde: float, t: float):
     """Panel edges of the level-0 rule in s and in u, and whether nodes are spaced in u.
 
     The window is s in [max(s_lo, -45), max(s_lo, 0) + 45], with s_lo = -mu/t
     the band bottom u = 0, so the kernel is cut where it is below e^-45.
-    The nonrelativistic u(s) = sqrt(mu + t s) has a branch point at s_lo;
-    when s_lo lies inside the window the nodes are spaced in u instead.
+    u(s) = sqrt(mu + t s) has a branch point at s_lo; when s_lo lies inside
+    the window the nodes are spaced in u instead.
     """
     s_lo = -mu_tilde / t
     s_first = max(s_lo, -_THERMAL_DECADES)
     centre = max(s_lo, 0.0)
     left = centre - _KERNEL_OFFSETS[::-1]
     s_edges = np.concatenate(([s_first], left[left > s_first], centre + _KERNEL_OFFSETS[1:]))
-    u_edges = _kernel_u(mu_tilde + t * s_edges, regime)
-    return s_edges, u_edges, _spaced_in_u(mu_tilde, t, regime)
+    u_edges = _kernel_u(mu_tilde + t * s_edges)
+    return s_edges, u_edges, _spaced_in_u(mu_tilde, t)
 
 
-def _require_kernel_window(mu_tilde: float, t: float, regime: GasRegime) -> None:
+def _require_kernel_window(mu_tilde: float, t: float) -> None:
     """Raise a DomainError naming mu_tilde unless the kernel window at (mu_tilde, t) has a rule.
 
     The window's panel edges stay increasing while mu_tilde >= -2^50 t,
     and its weights u^3 k(s) ds and their sums stay finite while the top
-    of the window, u with d(u) = max(mu_tilde, 0) + 45 t, is at most
+    of the window, u = sqrt(max(mu_tilde, 0) + 45 t), is at most
     _KERNEL_U_MAX (about 3.5e102).
     """
     if not (mu_tilde >= -_BAND_BOTTOM_MAX * t):
@@ -375,8 +380,7 @@ def _require_kernel_window(mu_tilde: float, t: float, regime: GasRegime) -> None
             f"at reduced temperature {t!r}, got {mu_tilde!r}: the kernel window's panel "
             "edges stop increasing"
         )
-    d_top = max(mu_tilde, 0.0) + _THERMAL_DECADES * t
-    u_top = math.sqrt(d_top) if regime is GasRegime.NONRELATIVISTIC else d_top
+    u_top = math.sqrt(max(mu_tilde, 0.0) + _THERMAL_DECADES * t)
     if not (u_top <= _KERNEL_U_MAX):
         raise DomainError(
             f"reduced chemical potential {mu_tilde!r} at reduced temperature {t!r} puts the "
@@ -385,15 +389,14 @@ def _require_kernel_window(mu_tilde: float, t: float, regime: GasRegime) -> None
         )
 
 
-def _spaced_in_u(mu_tilde: float, t: float, regime: GasRegime) -> bool:
-    """Whether the nonrelativistic band bottom s = -mu/t lies inside the kernel window."""
-    return regime is GasRegime.NONRELATIVISTIC and -mu_tilde / t > -_THERMAL_DECADES
+def _spaced_in_u(mu_tilde: float, t: float) -> bool:
+    """Whether the band bottom s = -mu/t lies inside the kernel window."""
+    return -mu_tilde / t > -_THERMAL_DECADES
 
 
-def _kernel_u(d: np.ndarray, regime: GasRegime) -> np.ndarray:
-    """Inverse reduced dispersion u(d), clipped at the band bottom."""
-    d = np.maximum(d, 0.0)
-    return np.sqrt(d) if regime is GasRegime.NONRELATIVISTIC else d
+def _kernel_u(d: np.ndarray) -> np.ndarray:
+    """Inverse reduced dispersion u(d) = sqrt(d), clipped at the band bottom."""
+    return np.sqrt(np.maximum(d, 0.0))
 
 
 def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
@@ -443,7 +446,7 @@ def _s_nodes(s_first: float, pieces: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple:
+def _kernel_widths(mu_tilde: float, t: float) -> tuple:
     """Widths in u of the level-0 panels, the pieces each needs whatever x is, the panels, and the split tables.
 
     With nodes spaced in u the least pieces are ``_pole_pieces``;
@@ -452,7 +455,7 @@ def _kernel_widths(mu_tilde: float, t: float, regime: GasRegime) -> tuple:
     split tables, filled by ``kernel_rule``, leave the cache with the rest
     of the entry.
     """
-    panels = _kernel_panels(mu_tilde, t, regime)
+    panels = _kernel_panels(mu_tilde, t)
     _, u_edges, in_u = panels
     widths = np.diff(u_edges)
     least = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.ones_like(widths)
@@ -471,14 +474,13 @@ def _level0_pieces(x, widths: np.ndarray, least: np.ndarray) -> np.ndarray:
     return np.maximum(np.ceil(x * widths / _PHASE_PER_PANEL), least)
 
 
-def _kernel_splits(mu_tilde: float, t: float, regime: GasRegime, x_max: float,
-                   level: int = 0) -> np.ndarray:
+def _kernel_splits(mu_tilde: float, t: float, x_max: float, level: int = 0) -> np.ndarray:
     """Pieces each level-0 panel is cut into so that the rule resolves f0(x u), x <= x_max.
 
     ``_level0_pieces`` at x_max, each piece halved at every level.  A rule
     of more than _MAX_KERNEL_NODES nodes raises ``QuadratureError``.
     """
-    widths, least, _, _ = _kernel_widths(mu_tilde, t, regime)
+    widths, least, _, _ = _kernel_widths(mu_tilde, t)
     # a huge x_max takes the phases, or their sum, to inf, which the node cap rejects
     with np.errstate(over="ignore"):
         pieces = _level0_pieces(x_max, widths, least) * 2.0 ** level
@@ -546,26 +548,26 @@ def _u_density(u: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
     return _kernel_density((u * u - mu_tilde) / t) * (2.0 * u / t) * u ** 3
 
 
-def _kernel_nodes(mu_tilde: float, t: float, regime: GasRegime, splits,
+def _kernel_nodes(mu_tilde: float, t: float, splits,
                   panels: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_j and weight columns u_j^3 k(s_j) ds of the composite Kronrod rule.
 
     Panel p of the level-0 panels (what ``_kernel_panels`` returns for
-    (mu_tilde, t, regime), built here unless ``panels`` holds them) is cut
+    (mu_tilde, t), built here unless ``panels`` holds them) is cut
     into ``splits[p]`` equal pieces.  Spaced in s with mu_tilde >= 0 and
     the same pieces in every panel, the nodes and weights in s are slices
     of ``_s_table`` and only the map to u is per temperature.
     """
     counts = np.asarray(splits)
-    if not _spaced_in_u(mu_tilde, t, regime) and mu_tilde >= 0.0 and counts.min() == counts.max():
+    if not _spaced_in_u(mu_tilde, t) and mu_tilde >= 0.0 and counts.min() == counts.max():
         z, weights = _s_nodes(max(-mu_tilde / t, -_THERMAL_DECADES), int(counts.flat[0]))
     else:
-        s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t, regime)
+        s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t)
         z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
         if in_u:
             return z, dz * _u_density(z, mu_tilde, t)[:, None]
         weights = dz * _kernel_density(z)[:, None]
-    u = _kernel_u(mu_tilde + t * z, regime)
+    u = _kernel_u(mu_tilde + t * z)
     return u, weights * (u ** 3)[:, None]
 
 
@@ -588,15 +590,15 @@ class _RuleCache:
         self._rules: OrderedDict = OrderedDict()
         self._nodes = self._built = self.hits = self.misses = 0
 
-    def __call__(self, mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
-        key = (mu_tilde, t, regime, splits)
+    def __call__(self, mu_tilde: float, t: float, splits: bytes) -> KernelRule:
+        key = (mu_tilde, t, splits)
         entry = self._rules.get(key)
         if entry is not None:
             self.hits += 1
             self._rules.move_to_end(key)
             return entry[0]
         self.misses += 1
-        rule = self.__wrapped__(mu_tilde, t, regime, splits)
+        rule = self.__wrapped__(mu_tilde, t, splits)
         self._rules[key] = (rule, self._built)
         self._built += 1
         self._nodes += len(rule.nodes)
@@ -622,10 +624,10 @@ class _RuleCache:
         self._nodes = self.hits = self.misses = 0
 
 
-def _build_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: bytes) -> KernelRule:
+def _build_kernel_rule(mu_tilde: float, t: float, splits: bytes) -> KernelRule:
     """The rule of ``kernel_rule`` on level-0 panels cut into ``splits`` (int64 bytes) pieces."""
-    nodes, weights = _kernel_nodes(mu_tilde, t, regime, np.frombuffer(splits, dtype=np.int64),
-                                   _kernel_widths(mu_tilde, t, regime)[2])
+    nodes, weights = _kernel_nodes(mu_tilde, t, np.frombuffer(splits, dtype=np.int64),
+                                   _kernel_widths(mu_tilde, t)[2])
     for array in (nodes, weights):
         array.flags.writeable = False  # every caller of the cache shares them
     return KernelRule(nodes, weights)
@@ -634,15 +636,14 @@ def _build_kernel_rule(mu_tilde: float, t: float, regime: GasRegime, splits: byt
 _cached_kernel_rule = _RuleCache(_build_kernel_rule, CACHE_SIZE, _MAX_CACHED_NODES)
 
 
-def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0,
-                level: int = 0) -> KernelRule:
+def kernel_rule(mu_tilde: float, t: float, x_max: float = 0.0, level: int = 0) -> KernelRule:
     """Fermi-kernel rule at (mu_tilde, t), resolving f0(x u) for every x up to ``x_max``.
 
     Level 0 has up to 28 graded panels: unit width across the kernel bump,
     whose poles sit at s = +-i pi, and widening where the kernel has
     decayed.  ``_kernel_splits`` cuts them to resolve the oscillation of
     f0(x u), and every further level halves all pieces.  The splits are
-    constant on intervals of x.  Each (mu_tilde, t, regime, level) keeps
+    constant on intervals of x.  Each (mu_tilde, t, level) keeps
     in its ``_kernel_widths`` entry a table of those met so far (tuples
     of lower ends, upper ends and splits' bytes, sorted), so an x inside
     one is a bisect; only an x outside them computes its splits and
@@ -653,13 +654,13 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
     of them and _MAX_CACHED_NODES nodes in all; one that would exceed
     _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
-    widths, least, _, tables = _kernel_widths(mu_tilde, t, regime)
+    widths, least, _, tables = _kernel_widths(mu_tilde, t)
     lows, highs, keys = tables.get(level, ((), (), ()))
     i = bisect_right(lows, x_max) - 1
     if i >= 0 and x_max <= highs[i]:
         key = keys[i]
     else:
-        splits = _kernel_splits(mu_tilde, t, regime, x_max, level)
+        splits = _kernel_splits(mu_tilde, t, x_max, level)
         key = splits.tobytes()
         if sum(len(table[2]) for table in tables.values()) < _MAX_SPLIT_INTERVALS:
             lo, hi = _split_interval(x_max, splits * 0.5 ** level, widths, least)
@@ -668,15 +669,15 @@ def kernel_rule(mu_tilde: float, t: float, regime: GasRegime, x_max: float = 0.0
             # its three tuples as one
             tables[level] = tuple(seq[:i] + (end,) + seq[i:]
                                   for seq, end in zip((lows, highs, keys), (lo, hi, key)))
-    return _cached_kernel_rule(mu_tilde, t, regime, key)
+    return _cached_kernel_rule(mu_tilde, t, key)
 
 
 # === chemical potential ===
 
 
-def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
+def _number_and_slope(mu_tilde: float, t: float,
                       grid: tuple | None = None) -> tuple[float, float, tuple | None]:
-    """Particle-number integral int_0^inf u^2 n(u) du, its mu-derivative, and the u-grid used.
+    """Nonrelativistic particle-number integral int_0^inf u^2 n(u) du, its mu-derivative, and the u-grid used.
 
     Both are sums over the Kronrod column of the level-0 kernel rule for
     x = 0: one piece per panel where the nodes are spaced in s, else
@@ -688,20 +689,156 @@ def _number_and_slope(mu_tilde: float, t: float, regime: GasRegime,
     (None when the nodes are spaced in s).  Nothing is cached, because
     every Newton iterate of mu is a new key.
     """
-    if _spaced_in_u(mu_tilde, t, regime):
+    if _spaced_in_u(mu_tilde, t):
         if grid is None:
-            _, u_edges, _ = _kernel_panels(mu_tilde, t, regime)
+            _, u_edges, _ = _kernel_panels(mu_tilde, t)
             u, dz = composite_kronrod(u_edges, _pole_pieces(mu_tilde, t, u_edges).astype(np.int64))
             grid = u, dz[:, 0]
         u = grid[0]
         weights = grid[1] * _u_density(u, mu_tilde, t)
     else:
         grid = None
-        u, weights = _kernel_nodes(mu_tilde, t, regime, 1)
+        u, weights = _kernel_nodes(mu_tilde, t, 1)
         weights = weights[:, 0]
-    # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / d'(u)
-    slope_factor = 0.5 / (u * u) if regime is GasRegime.NONRELATIVISTIC else 1.0 / u
-    return float(weights.sum()) / 3.0, float(weights @ slope_factor), grid
+    # int u^2 n du = (1/3) int u^3 (-dn/du) du; d/dmu brings k(s)/t = k(s) ds/du / (2 u)
+    return float(weights.sum()) / 3.0, float(weights @ (0.5 / (u * u))), grid
+
+
+# === relativistic closed form ===
+#
+# With d(u) = u the kernel -dn/du is a logistic density in u itself, so the
+# thermal integrals of the relativistic gas are sums of elementary terms:
+# the part of the density below the band bottom u = 0 expands in powers of
+# z = exp(-|mu_tilde|/t), a series alternating in sign.  It is summed
+# plainly where z <= 1/2, where its terms fall in size and the first one
+# omitted bounds the rest, and elsewhere with the acceleration of Cohen,
+# Rodriguez Villegas and Zagier (Experimental Math. 9, 2000, algorithm 1).
+
+# terms of the accelerated sum; for the moments of a positive measure, the
+# sums at x = 0, its error is at most this bound times the sum
+_ACCELERATED_TERMS = 30
+_ACCELERATED_BOUND = 2.0 / (3.0 + math.sqrt(8.0)) ** _ACCELERATED_TERMS
+# the plain sum stops once z^n <= _PLAIN_TAIL: its terms start at 1 and fall,
+# so the first one omitted, and with it the whole tail, is below rounding
+_PLAIN_TAIL = 0.25 * np.finfo(float).eps
+_PLAIN_TERMS = math.ceil(math.log(_PLAIN_TAIL) / math.log(0.5))
+# the term indices k = 1, 2, ..., their powers k^2, 1/k^2 and 1/k^3, and the signs (-1)^(k+1)
+_SERIES_K = np.arange(1.0, max(_PLAIN_TERMS, _ACCELERATED_TERMS) + 1.0)
+_SERIES_K2 = _SERIES_K ** 2
+_SERIES_INV_K2 = 1.0 / _SERIES_K2
+_SERIES_INV_K3 = 1.0 / _SERIES_K ** 3
+_SERIES_SIGNS = np.where(_SERIES_K % 2.0 == 1.0, 1.0, -1.0)
+_LOG_6 = math.log(6.0)
+# largest log of a term of the closed form (mu^3, pi^2 t^2 mu, 6 t^3 z): e^700
+# leaves their sums room below the float maximum, e^709.8
+_LOG_TERM_MAX = 700.0
+
+
+def _accelerated_weights(terms: int) -> np.ndarray:
+    """Weights w_k with sum_{k>=1} (-1)^(k+1) a_k ~ sum_{k<=terms} w_k a_k, signs included."""
+    d = (3.0 + math.sqrt(8.0)) ** terms
+    d = 0.5 * (d + 1.0 / d)
+    b, c = -1.0, -d
+    weights = np.empty(terms)
+    for k in range(terms):
+        c = b - c
+        weights[k] = c / d
+        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
+    return weights
+
+
+_ACCELERATED_WEIGHTS = _accelerated_weights(_ACCELERATED_TERMS)
+
+
+def _alternating_weights(z: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Indices k, weights v_k and a bound for sums sum_{k>=1} (-1)^(k+1) z^(k-1) c_k, 0 <= z <= 1.
+
+    The sum is approximated by sum_k v_k c_k.  Where z <= 1/2 the weights
+    are the plain terms' (-1)^(k+1) z^(k-1), up to the first k with
+    z^k <= _PLAIN_TAIL, and the bound is z^n, n the number of terms: for
+    0 <= c_k <= c_1 <= 1 (the x = 0 sums) and for any c_k whose products
+    z^(k-1) c_k fall in size, the tail is at most its first term, below
+    z^n.  Elsewhere they are the accelerated weights times z^(k-1), and
+    the bound, _ACCELERATED_BOUND, is relative to the sum of a positive
+    measure's moments.
+    """
+    if z <= 0.5:
+        terms = 1 if z == 0.0 else min(math.ceil(math.log(_PLAIN_TAIL) / math.log(z)), _PLAIN_TERMS)
+        k = _SERIES_K[:terms]
+        return k, _SERIES_SIGNS[:terms] * np.power(z, k - 1.0), z ** terms
+    k = _SERIES_K[:_ACCELERATED_TERMS]
+    return k, _ACCELERATED_WEIGHTS * np.power(z, k - 1.0), _ACCELERATED_BOUND
+
+
+def _relativistic_number(mu_tilde: float, t: float) -> tuple[float, float]:
+    """log N and d(log N)/dmu of the relativistic number N = 3 int u^2 n(u) du, N = 1 on shell.
+
+    For mu_tilde > 0 the identity mu^3 + pi^2 t^2 mu - 6 t^3 Li_3(-z) = N
+    holds with z = exp(-mu/t) (DLMF 25.12), and N' = 3 mu^2 + pi^2 t^2
+    + 6 t^2 Li_2(-z); for mu_tilde <= 0, N = -6 t^3 Li_3(-z) with
+    z = exp(mu/t), its continuation, and N' = -6 t^2 Li_2(-z).  The
+    polylogarithms are the x = 0 sums of ``_alternating_weights``, skipped
+    where their first term 6 z t^3 is below rounding of the cubic.  The
+    prefactor 6 t^3 z is exp(log 6 + 3 log t - |mu|/t), and for mu_tilde
+    <= 0 log N is that log plus the log of the sum, so no power of t is
+    formed and the Boltzmann side stays finite at every finite t.  A
+    DomainError names t where N itself would overflow.  Unlike
+    ``_relativistic_terms`` it caches nothing, since every Newton iterate
+    is a new mu.
+    """
+    eta = -abs(mu_tilde) / t
+    log_b = _LOG_6 + 3.0 * math.log(t) + eta
+    cubic = slope = 0.0
+    if mu_tilde > 0.0:
+        if log_b > _LOG_TERM_MAX:
+            raise DomainError(
+                f"reduced temperature {t!r} is too large: the particle-number integral "
+                f"overflows at mu_tilde={mu_tilde!r}"
+            )
+        pi_t2 = (math.pi * t) ** 2
+        cubic = mu_tilde * (mu_tilde * mu_tilde + pi_t2)
+        slope = 3.0 * mu_tilde * mu_tilde + pi_t2
+        b = math.exp(log_b)
+        if b <= _PLAIN_TAIL * cubic:
+            return math.log(cubic), slope / cubic
+    k, weights, _ = _alternating_weights(math.exp(eta))
+    q3 = float(weights @ _SERIES_INV_K3[:len(k)])
+    q2 = float(weights @ _SERIES_INV_K2[:len(k)])
+    if mu_tilde <= 0.0:
+        return log_b + math.log(q3), q2 / (t * q3)
+    number = cubic + b * q3
+    return math.log(number), (slope - b * q2 / t) / number
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _relativistic_terms(mu_tilde: float, t: float) -> tuple:
+    """The relativistic closed form's constants at (mu_tilde, t > 0), cached per pair.
+
+    Returns the cubic mu^3 + pi^2 t^2 mu (0 for mu_tilde <= 0), the
+    prefactor 6 t^3 z, z = exp(-|mu|/t), as exp(log 6 + 3 log t - |mu|/t),
+    the band-bottom sum's indices k, their squares and its weights
+    (``_alternating_weights``), or None where its first term 6 t^3 z is
+    below rounding of the cubic, and the sum's truncation bound, 6 t^3 z
+    times the weights' bound (all of 6 t^3 z where it is skipped).  A
+    DomainError names mu_tilde where mu^3, or t where t^3 (as 6 t^3 z or
+    pi^2 t^2 mu), passes e^700, so that every sum and product of the
+    closed form stays finite.
+    """
+    mu = max(mu_tilde, 0.0)
+    log_b = _LOG_6 + 3.0 * math.log(t) - abs(mu_tilde) / t
+    if mu > 0.0 and 3.0 * math.log(mu) > _LOG_TERM_MAX:
+        raise DomainError(f"reduced chemical potential {mu_tilde!r} is too large for the "
+                          "relativistic amplitude: mu_tilde^3 overflows")
+    if log_b > _LOG_TERM_MAX or (mu > 0.0 and math.log(mu) + 2.0 * math.log(math.pi * t) > _LOG_TERM_MAX):
+        raise DomainError(f"reduced temperature {t!r} is too large for the relativistic "
+                          f"amplitude at reduced chemical potential {mu_tilde!r}: t^3 overflows")
+    cubic = mu * (mu * mu + (math.pi * t) ** 2) if mu > 0.0 else 0.0
+    b = math.exp(log_b)
+    if mu > 0.0 and b <= _PLAIN_TAIL * cubic:
+        return cubic, b, None, b
+    k, weights, bound = _alternating_weights(math.exp(-abs(mu_tilde) / t))
+    weights.flags.writeable = False  # every caller of the cache shares them
+    return cubic, b, (k, _SERIES_K2[:len(k)], weights), b * bound
 
 
 def _mu_seed(t: float, regime: GasRegime) -> float:
@@ -715,7 +852,7 @@ def _mu_seed(t: float, regime: GasRegime) -> float:
         p = (math.pi * t) ** 2
         a = (0.5 + math.sqrt(0.25 + p ** 3 / 27.0)) ** (1.0 / 3.0)
         return a - p / (3.0 * a)
-    return -t * (math.log(6.0) + 3.0 * math.log(t))
+    return -t * (_LOG_6 + 3.0 * math.log(t))
 
 
 def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMode.EXACT_NORMALIZATION) -> float:
@@ -723,18 +860,27 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
 
     EXACT_NORMALIZATION solves the particle-number equation
     int u^2 n(u) du = 1/3 by Newton's method on its logarithm, from the
-    Sommerfeld (for t > 1, the classical) seed.  The number integral and
-    its mu-derivative come from the same Fermi-kernel nodes, and every
-    iterate uses one node set: spaced in s it is the t-independent table
-    of ``_s_table`` mapped to u, spaced in u (nonrelativistic, band bottom
-    inside the kernel window) it is the first iterate's u-grid, rebuilt
-    only when the spacing changes or a bisection step jumps.  Each iterate
-    narrows the bracket [-50 t, 2]; a step that leaves it is replaced by
-    bisection.  The solve stops once a Newton step is below
-    1e-13 max(1, t) and returns that last step applied, so the result is
-    converged to rounding (quadratic convergence) by a rule that depends
-    on ``t`` alone; mu is reproducible to ~1e-14 across last-ulp changes
-    in ``t``, which downstream scaling-invariance guarantees rely on.
+    Sommerfeld (for t > 1, the classical) seed.  The solve stops once a
+    Newton step is below 1e-13 max(1, t) and returns that last step
+    applied, so the result is converged to rounding (quadratic
+    convergence) by a rule that depends on ``t`` alone; mu is reproducible
+    to ~1e-14 across last-ulp changes in ``t``, which downstream
+    scaling-invariance guarantees rely on.
+
+    Relativistic, the number and its mu-derivative are the closed form of
+    ``_relativistic_number``, whose logarithm is concave in mu, so the
+    Newton steps need no bracket: from the left they rise to the root, and
+    from the right one step crosses it.  The solve holds on the Boltzmann
+    side too (mu ~ -t log(6 t^3)), at every t whose classical mu is finite
+    (up to about 8e304).
+
+    Nonrelativistic, the number integral and its mu-derivative come from
+    the same Fermi-kernel nodes, and every iterate uses one node set:
+    spaced in s it is the t-independent table of ``_s_table`` mapped to u,
+    spaced in u (band bottom inside the kernel window) it is the first
+    iterate's u-grid, rebuilt only when the spacing changes or a bisection
+    step jumps.  Each iterate narrows the bracket [-50 t, 2]; a step that
+    leaves it is replaced by bisection.
 
     Results are cached per (t, regime, mode), however the arguments are
     spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -750,13 +896,15 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     if mode is MuMode.FERMI_ENERGY_APPROX or t < _MU_SHIFT_FLOOR:
         return 1.0
-    lo, hi = -50.0 * t, 2.0
     step_tol = _MU_STEP_TOL * max(1.0, t)
+    if regime is GasRegime.EXTREME_RELATIVISTIC:
+        return _relativistic_mu(t, step_tol)
+    lo, hi = -50.0 * t, 2.0
     mu = min(max(_mu_seed(t, regime), lo), hi)
     grid = None
     for _ in range(_MU_ITERATIONS):
         with np.errstate(over="ignore", invalid="ignore"):
-            number, slope, grid = _number_and_slope(mu, t, regime, grid)
+            number, slope, grid = _number_and_slope(mu, t, grid)
         if not (number > 0.0 and 0.0 < slope < math.inf):
             raise DomainError(
                 f"reduced temperature {t!r} is too large: the particle-number "
@@ -782,6 +930,30 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
     raise SolverError(
         f"particle-number equation did not converge at reduced temperature {t!r}: "
         f"last iterate {mu!r} on the bracket [{lo:.6g}, {hi:.6g}]"
+    )
+
+
+def _relativistic_mu(t: float, step_tol: float) -> float:
+    """The relativistic root of log N = 0 by plain Newton steps (see ``reduced_chemical_potential``).
+
+    Above t = 1 the step tolerance grows with the seed's |mu|/t,
+    log(6 t^3), which the root shares, so that it stays above the
+    rounding of mu.
+    """
+    mu = _mu_seed(t, GasRegime.EXTREME_RELATIVISTIC)
+    if not math.isfinite(mu):
+        raise DomainError(f"reduced temperature {t!r} is too large: the classical chemical "
+                          "potential -t log(6 t^3) overflows")
+    step_tol *= max(1.0, abs(mu) / t)
+    for _ in range(_MU_ITERATIONS):
+        log_number, slope = _relativistic_number(mu, t)
+        step = log_number / slope
+        if abs(step) <= step_tol:
+            return mu - step
+        mu -= step
+    raise SolverError(
+        f"particle-number equation did not converge at reduced temperature {t!r}: "
+        f"last iterate {mu!r}"
     )
 
 

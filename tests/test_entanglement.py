@@ -340,9 +340,9 @@ def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
         direct.append(args)
         return kernel_splits(*args)
 
-    def recorded_rule(mu, t, regime, x_max=0.0, level=0):
-        requested.append((mu, t, regime, x_max, level))
-        return kernel_rule(mu, t, regime, x_max, level)
+    def recorded_rule(mu, t, x_max=0.0, level=0):
+        requested.append((mu, t, x_max, level))
+        return kernel_rule(mu, t, x_max, level)
 
     monkeypatch.setattr(fermi, "_kernel_splits", counted_splits)
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
@@ -359,7 +359,7 @@ def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
     *_, xs, ts = fermi.reduced_inputs(r, p, temp, NR)
     t = float(ts[0])
     mu = reduced_chemical_potential(t, NR)
-    assert len(patterns([(mu, t, NR, float(x), 0) for x in xs])) == 2
+    assert len(patterns([(mu, t, float(x), 0) for x in xs])) == 2
     assert len(direct) == len(patterns(requested)) < len(requested) - 99
     new = patterns(requested[first:]) - patterns(requested[:first])
     assert fermi._cached_kernel_rule.cache_info().misses - misses == len(new)

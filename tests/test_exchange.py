@@ -1,6 +1,7 @@
 """Exchange amplitude: ground state, thermal quadrature, and the distance constant."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -166,27 +167,46 @@ def test_coordinates_reject_non_finite(field, fragment, bad):
     # the band bottom 1e17 kernel widths above the kernel: the panel edges
     # collapse (composite_gauss raised a bare ValueError)
     (NR, 1e-14, -1000.0, "edges stop increasing"),
-    (ER, 1e-14, -1000.0, "edges stop increasing"),
     # u^3 beyond the float range (overflow warnings, then a QuadratureError)
     (NR, 1.0, 1e250, "overflow"),
-    (ER, 1.0, 1e120, "overflow"),
-    (ER, 1e101, 0.0, "overflow"),
+    # the relativistic closed form: mu^3, and t^3, beyond e^700
+    (ER, 1.0, 1e120, "mu_tilde^3 overflows"),
+    (ER, 1e103, 0.0, "t^3 overflows"),
 ])
 def test_thermal_amplitude_rejects_a_kernel_window_without_a_rule(regime, t, mu, fragment):
-    with pytest.raises(DomainError, match=f"chemical potential.*{fragment}"):
+    with pytest.raises(DomainError, match=f"chemical potential.*{re.escape(fragment)}"):
         thermal_amplitude(1.0, t, mu, regime)
+
+
+@pytest.mark.parametrize("t, mu, name", [
+    (1.0, 2.0 ** 340, "reduced chemical potential"),
+    (2.0 ** 340, 1.0, "reduced temperature"),
+    (1e103, -1e-300, "reduced temperature"),
+])
+def test_relativistic_amplitude_names_the_input_that_overflows(t, mu, name):
+    # mu^3 is 2^1020 > e^700; 6 t^3 z is e^700 and more, at mu > 0 and just below 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} "):
+            thermal_amplitude(1.0, t, mu, ER)
 
 
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_thermal_amplitude_accepts_the_chemical_potential_bracket(regime):
     # the bracket -50 t <= mu_tilde <= 2 of the mu solve, and the bound
-    # -2^50 t itself, give finite amplitudes within tolerance
+    # -2^50 t itself, give finite amplitudes within tolerance; the
+    # relativistic closed form has no kernel window, and takes any mu <= 0
     for t in (1e-300, 1e-14, 1e-3, 1.0):
         for mu in (-50.0 * t, 2.0, -2.0 ** 50 * t):
             values, err = thermal_amplitude(np.array([0.0, 1.0]), t, mu, regime)
             assert np.isfinite(values).all() and err <= 1e-10
-    with pytest.raises(DomainError, match="chemical potential"):
-        thermal_amplitude(1.0, 1.0, np.nextafter(-2.0 ** 50, -math.inf), regime)
+    below = (1.0, 1.0, np.nextafter(-2.0 ** 50, -math.inf), regime)
+    if regime is NR:
+        with pytest.raises(DomainError, match="chemical potential"):
+            thermal_amplitude(*below)
+    else:
+        assert thermal_amplitude(*below) == (0.0, 0.0)
+        assert thermal_amplitude(1.0, 1e-14, -1000.0, ER) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("regime", [NR, ER])
@@ -322,8 +342,8 @@ def test_thermal_slope_matches_a_centred_difference(regime, t):
 
 def test_slope_sum_in_blocks_matches_one_block(monkeypatch):
     t = 0.3
-    mu = reduced_chemical_potential(t, ER)
-    rule = fge.fermi.kernel_rule(mu, t, ER, 4.0)
+    mu = reduced_chemical_potential(t, NR)
+    rule = fge.fermi.kernel_rule(mu, t, 4.0)
     whole = exchange._kernel_sum(np.array([4.0]), rule, slope=True)
     monkeypatch.setattr(exchange, "_BLOCK", 100)
     assert len(rule.nodes) > 100
@@ -339,7 +359,7 @@ def test_slopes_over_many_x_match_one_x_sums(monkeypatch, split):
     t = 0.3
     mu = reduced_chemical_potential(t, NR)
     xs = np.linspace(0.0, 6.0, 60)
-    rule = fge.fermi.kernel_rule(mu, t, NR, float(xs[-1]))
+    rule = fge.fermi.kernel_rule(mu, t, float(xs[-1]))
     per_x = [exchange._kernel_sum(xs[i:i + 1], rule, slope=True)[0, 2] for i in range(len(xs))]
     block = len(rule.nodes) // 3 if split == "nodes" else 3 * len(rule.nodes)
     monkeypatch.setattr(exchange, "_BLOCK", block)
@@ -612,7 +632,7 @@ def certified_start(t, regime, mu_mode):
     window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
     grid = exchange._SCAN_X[1:][window[1:]]
     mu = reduced_chemical_potential(t, regime, mu_mode)
-    rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+    rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
     return grid[max(exchange._certified_count(rule, grid), 1) - 1]
 
 
@@ -648,22 +668,46 @@ def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, windo
     assert len(calls) == 2 and len(slope_calls) <= 3
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_cold_zeta_scans_only_the_first_window(monkeypatch, regime):
+def test_cold_zeta_scans_only_the_first_window(monkeypatch):
     calls, slope_calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(0.05, regime, MuMode.EXACT_NORMALIZATION)
-    start = certified_start(0.05, regime, MuMode.EXACT_NORMALIZATION)
+    exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    start = certified_start(0.05, NR, MuMode.EXACT_NORMALIZATION)
     # one scan call from the origin and the certified start to the window
     # end, then at most 3 Newton evaluations
     (scan,) = calls
-    assert scan.size <= {NR: 6, ER: 8}[regime]
+    assert scan.size <= 6
     assert scan[0] == 0.0 and all(start <= x < exchange._SCAN_WINDOW_END for x in scan[1:])
     assert len(slope_calls) <= 3
 
 
+def record_closed_form_calls(monkeypatch):
+    """The x and the slope flag of every relativistic closed-form evaluation."""
+    calls = []
+    relativistic_sum = exchange._relativistic_sum
+
+    def recorded(xs, x_max, t, mu, slope):
+        calls.append((xs.copy(), slope))
+        return relativistic_sum(xs, x_max, t, mu, slope)
+
+    monkeypatch.setattr(exchange, "_relativistic_sum", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("mu_mode", list(MuMode))
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_certified_scan_points_are_entangled(regime, mu_mode):
+def test_cold_relativistic_zeta_is_one_scan_and_a_few_newton_steps(monkeypatch, mu_mode):
+    # the closed form on the whole grid, origin included, in one call, then
+    # at most 3 one-x evaluations with slope; no kernel rule is built
+    calls = record_closed_form_calls(monkeypatch)
+    sizes = record_rule_sizes(monkeypatch)
+    exchange._solve_zeta.__wrapped__(0.05, ER, mu_mode)
+    (scan, scan_slope), *newton = calls
+    assert scan.tobytes() == exchange._SCAN_X.tobytes() and not scan_slope
+    assert 1 <= len(newton) <= 3 and all(len(xs) == 1 and slope for xs, slope in newton)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+def test_certified_scan_points_are_entangled(mu_mode):
     # every grid point the scan skips has f^2 > 1/2 on the whole-grid scan,
     # and the rule has what the certificate assumes: Kronrod weights > 0 on
     # nodes nondecreasing over the whole rule, with the Gauss column 0
@@ -673,8 +717,8 @@ def test_certified_scan_points_are_entangled(regime, mu_mode):
     skipped = 0
     for t in np.geomspace(1e-6, 3.0, 40):
         t = float(t)
-        mu = reduced_chemical_potential(t, regime, mu_mode)
-        rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+        mu = reduced_chemical_potential(t, NR, mu_mode)
+        rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
         kronrod_only = np.arange(len(rule.nodes)) % 15 % 2 == 0
         assert len(rule.nodes) % 15 == 0
         assert np.all(rule.weights[:, 0] > 0.0)
@@ -682,7 +726,7 @@ def test_certified_scan_points_are_entangled(regime, mu_mode):
         assert np.all(rule.weights[kronrod_only, 1] == 0.0)
         assert np.all(rule.weights[~kronrod_only, 1] > 0.0)
         count = exchange._certified_count(rule, grid)
-        gaps = np.square(thermal_amplitude(exchange._SCAN_X[1:], t, mu, regime,
+        gaps = np.square(thermal_amplitude(exchange._SCAN_X[1:], t, mu, NR,
                                            exchange._ZETA_QUAD_TOL)[0]) - 0.5
         assert np.all(gaps[:count] > 0.0)
         skipped += max(count - 1, 0)
@@ -700,33 +744,31 @@ def single_cut_count(rule, xs):
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_block_certificate_proves_at_least_the_single_cut(regime, mu_mode):
+def test_block_certificate_proves_at_least_the_single_cut(mu_mode):
     window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
     grid = exchange._SCAN_X[1:][window[1:]]
     gained = 0
     for t in np.geomspace(1e-6, 3.0, 40):
         t = float(t)
-        mu = reduced_chemical_potential(t, regime, mu_mode)
-        rule = fge.fermi.kernel_rule(mu, t, regime, float(grid[-1]))
+        mu = reduced_chemical_potential(t, NR, mu_mode)
+        rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
         blocks, single = exchange._certified_count(rule, grid), single_cut_count(rule, grid)
         assert blocks >= single
         gained += blocks - single
     assert gained > 40
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_cold_zeta_fetches_each_newton_rule_once(regime, monkeypatch):
+def test_cold_zeta_fetches_each_newton_rule_once(monkeypatch):
     # the Newton steps evaluate on the rules of the scan call that holds the
     # bracket's upper end, each level fetched once for the whole refinement
     fetched, phase = [], []
     rule_of = exchange.kernel_rule
     root_in_bracket = exchange._root_in_bracket
 
-    def recorded_rule(mu, t, regime, x_max=0.0, level=0):
+    def recorded_rule(mu, t, x_max=0.0, level=0):
         if phase:
             fetched.append((x_max, level))
-        return rule_of(mu, t, regime, x_max, level)
+        return rule_of(mu, t, x_max, level)
 
     def newton_phase(*args):
         phase.append(True)
@@ -735,7 +777,7 @@ def test_cold_zeta_fetches_each_newton_rule_once(regime, monkeypatch):
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
     monkeypatch.setattr(exchange, "_root_in_bracket", newton_phase)
     calls, slope_calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(0.05, regime, MuMode.EXACT_NORMALIZATION)
+    exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
     (scan,) = calls
     assert 2 <= len(slope_calls) <= 3
     assert fetched == [(float(scan[-1]), level) for level in range(len(fetched))]
@@ -758,16 +800,24 @@ def record_rule_sizes(monkeypatch):
 @pytest.mark.parametrize("t, regime", [(4e6, NR), (1e4, ER)])
 def test_zeta_fails_fast_below_the_scan_grid(t, regime, monkeypatch):
     # the first window ends at the thermal length, here at x = 1e-3 itself,
-    # where f^2 < 1/2 already: no rule wider than the kernel bump is built
+    # where f^2 < 1/2 already: no rule wider than the kernel bump is built.
+    # The relativistic closed form brackets below the grid instead, and
+    # solves with no rule at all
     sizes = record_rule_sizes(monkeypatch)
-    with pytest.raises(SolverError, match="sign change"):
-        exchange._solve_zeta.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
-    assert sizes and max(sizes) <= 10 ** 4
+    if regime is NR:
+        with pytest.raises(SolverError, match="sign change"):
+            exchange._solve_zeta.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+        assert sizes and max(sizes) <= 10 ** 4
+    else:
+        result = exchange._solve_zeta.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+        assert result.zeta < 1e-3 and result.residual < 1e-10 and sizes == []
 
 
 # log10 of the highest t at which the exact-mu zeta is still above the scan
-# grid's first point 1e-3: zeta_cl(400) = 1.09e-3 rel
-CLASSICAL_TOP = {NR: 4.0, ER: math.log10(400.0)}
+# grid's first point 1e-3 nonrel; rel, where the closed form solves below the
+# grid, of the highest t at which zeta_cl - zeta, 3e-9 of zeta at t = 1e3,
+# stays far above the root's rounding
+CLASSICAL_TOP = {NR: 4.0, ER: 3.0}
 
 
 @settings(max_examples=20, deadline=None)
@@ -790,10 +840,12 @@ def test_zeta_stays_below_the_classical_limit_up_to_the_classical_gas(where, reg
 @pytest.mark.parametrize("t, regime", [(t, ER) for t in np.geomspace(3.0, 50.0, 61).tolist()]
                          + [(1e3, NR)])
 def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t, regime):
-    # mu pinned at the Fermi energy, where f(0) grows to 1e3-1e4 and the
-    # kernel sums stop at their rounding floor: the root the scan windows
-    # find against QUADPACK's Fourier-weighted rule on
-    # (3/x) int u n(u) sin(ux) du
+    # mu pinned at the Fermi energy, where f(0) grows to 1e3-1e4: the root
+    # of the closed form (rel) or of the kernel sums stopped at their
+    # rounding floor (nonrel) against QUADPACK's Fourier-weighted rule on
+    # (3/x) int u n(u) sin(ux) du.  Rel t = 316.2 and 681.29 are checked
+    # against mpmath instead (test_relativistic.py), where this rule
+    # itself stops at rounding
     result = solve_zeta(t, regime, MuMode.FERMI_ENERGY_APPROX)
     x = result.zeta
     with warnings.catch_warnings():

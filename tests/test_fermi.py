@@ -358,12 +358,13 @@ def test_reduced_chemical_potential_shortcuts():
 
 
 def test_normalization_reinserted():
-    # the solved potential must reproduce the particle number
-    for regime in (NR, ER):
-        for t in (0.01, 0.05, 0.3):
-            mu = reduced_chemical_potential(t, regime)
-            value = _number_and_slope(mu, t, regime)[0]
-            assert value == pytest.approx(1.0 / 3.0, rel=1e-9)
+    # the solved potential must reproduce the particle number: on the kernel
+    # rule nonrelativistic, in closed form (its logarithm) relativistic
+    for t in (0.01, 0.05, 0.3):
+        mu = reduced_chemical_potential(t, NR)
+        assert _number_and_slope(mu, t)[0] == pytest.approx(1.0 / 3.0, rel=1e-9)
+        mu = reduced_chemical_potential(t, ER)
+        assert abs(fermi._relativistic_number(mu, t)[0]) <= 1e-15
 
 
 def test_normalization_against_scipy():
@@ -419,7 +420,8 @@ def test_reduced_chemical_potential_rejects_bad_temperature(bad):
 
 
 def test_per_temperature_caches_are_bounded():
-    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule, _kernel_widths):
+    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule, _kernel_widths,
+                   fermi._relativistic_terms):
         assert cached.cache_info().maxsize == CACHE_SIZE
     # a hundred temperatures, each with a few kernel rules, fit without eviction
     assert CACHE_SIZE > 300
@@ -440,6 +442,7 @@ def test_equivalent_mu_calls_share_one_cache_entry():
 
 
 def test_cold_mu_solves_build_no_kernel_rule(monkeypatch):
+    # relativistic solves use no kernel rule at all
     # every Newton iterate is a new mu: nothing of its rule is worth caching
     built = []
     monkeypatch.setattr(fermi, "KernelRule", lambda *args: built.append(args))
@@ -453,69 +456,68 @@ def test_cold_mu_solves_build_no_kernel_rule(monkeypatch):
     assert built == []
 
 
-def composite_kronrod_nodes(mu, t, regime, splits):
+def composite_kronrod_nodes(mu, t, splits):
     """The nodes and weight columns of a kernel rule as composite_kronrod builds them on its panels."""
-    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t, regime)
+    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t)
     z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
     if in_u:
         density = fermi._kernel_density((z * z - mu) / t) * (2.0 * z / t) * z ** 3
         return z, dz * density[:, None]
-    u = fermi._kernel_u(mu + t * z, regime)
+    u = fermi._kernel_u(mu + t * z)
     return u, dz * fermi._kernel_density(z)[:, None] * (u ** 3)[:, None]
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("mode", list(MuMode))
 @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.05, 0.5, 20.0])
-def test_kernel_rule_is_byte_identical_to_one_composite_kronrod_rule(regime, t):
-    mu = reduced_chemical_potential(t, regime)
+def test_kernel_rule_is_byte_identical_to_one_composite_kronrod_rule(mode, t):
+    mu = reduced_chemical_potential(t, NR, mode)
     for x_max in (0.0, 1.8, 3.0, 12.0):
         for level in range(3):
-            splits = fermi._kernel_splits(mu, t, regime, x_max, level)
-            nodes, weights = composite_kronrod_nodes(mu, t, regime, splits)
-            rule = _cached_kernel_rule.__wrapped__(mu, t, regime, splits.tobytes())
+            splits = fermi._kernel_splits(mu, t, x_max, level)
+            nodes, weights = composite_kronrod_nodes(mu, t, splits)
+            rule = _cached_kernel_rule.__wrapped__(mu, t, splits.tobytes())
             assert rule.nodes.tobytes() == nodes.tobytes()
             assert rule.weights.tobytes() == weights.tobytes()
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_s_table_rules_equal_composite_kronrod_rules(regime):
+@pytest.mark.parametrize("mode", list(MuMode))
+def test_s_table_rules_equal_composite_kronrod_rules(mode):
     # the t-independent table in s, sliced and mapped to u, gives the bits of
     # a rule built by composite_kronrod on the same panels; 0.97 mu moves the
     # band bottom off the solved one, x = 30 gives panels of unequal pieces
     sliced = 0
     for t in np.geomspace(1e-4, 3.0, 60):
         t = float(t)
-        mu_solved = reduced_chemical_potential(t, regime)
+        mu_solved = reduced_chemical_potential(t, NR, mode)
         for mu in (mu_solved, 0.97 * mu_solved):
             for x_max in (0.0, 1.9, 5.0, 30.0):
                 for level in range(3):
-                    splits = fermi._kernel_splits(mu, t, regime, x_max, level)
-                    u, weights = fermi._kernel_nodes(mu, t, regime, splits)
-                    ref_u, ref_weights = composite_kronrod_nodes(mu, t, regime, splits)
+                    splits = fermi._kernel_splits(mu, t, x_max, level)
+                    u, weights = fermi._kernel_nodes(mu, t, splits)
+                    ref_u, ref_weights = composite_kronrod_nodes(mu, t, splits)
                     assert u.tobytes() == ref_u.tobytes()
                     assert weights.tobytes() == ref_weights.tobytes()
-                    _, _, in_u = fermi._kernel_panels(mu, t, regime)
+                    _, _, in_u = fermi._kernel_panels(mu, t)
                     sliced += not in_u and mu >= 0.0 and splits.min() == splits.max()
-    assert sliced >= {NR: 300, ER: 600}[regime]
+    assert sliced >= 300
 
 
-def rebuilt_per_iterate(t, regime, monkeypatch):
-    """mu solved with the level-0 rule rebuilt at every Newton iterate."""
+def rebuilt_per_iterate(t, monkeypatch):
+    """Nonrelativistic mu solved with the level-0 rule rebuilt at every Newton iterate."""
     number_and_slope = fermi._number_and_slope
     with monkeypatch.context() as patch:
         patch.setattr(fermi, "_number_and_slope",
-                      lambda mu, t, regime, grid=None: number_and_slope(mu, t, regime))
-        return fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
+                      lambda mu, t, grid=None: number_and_slope(mu, t))
+        return fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-def test_mu_from_one_node_set_matches_a_rebuild_per_iterate(regime, monkeypatch):
+def test_mu_from_one_node_set_matches_a_rebuild_per_iterate(monkeypatch):
     # the kept u-grid moves mu by rounding only; the scale is max(|mu|, t),
     # because mu crosses 0 near t = 1, where |mu| alone is no scale
     for t in np.geomspace(1e-6, 1e4, 300):
         t = float(t)
-        mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
-        reference = rebuilt_per_iterate(t, regime, monkeypatch)
+        mu = fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
+        reference = rebuilt_per_iterate(t, monkeypatch)
         assert abs(mu - reference) <= 2e-15 * max(abs(reference), t)
 
 
@@ -533,11 +535,13 @@ def record_composite_kronrod(monkeypatch):
 @pytest.mark.parametrize("regime, t", [(NR, 0.011), (NR, 1e-3), (ER, 0.011), (ER, 0.23), (ER, 0.5)])
 def test_cold_mu_spaced_in_s_builds_no_rule(regime, t, monkeypatch):
     # below the kernel centre the band bottom only trims the table's first
-    # panel: the rule of that one panel is all that is built
-    fermi._kernel_nodes(1.0, 0.01, regime, 1)  # the table exists
+    # panel: the rule of that one panel is all that is built.  The
+    # relativistic solve is the closed form, and builds nothing
+    fermi._kernel_nodes(1.0, 0.01, 1)  # the table exists
     calls = record_composite_kronrod(monkeypatch)
     mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
     assert all(len(edges) == 2 and splits == 1 for edges, splits in calls) and mu > 0.0
+    assert regime is NR or calls == []
 
 
 @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0, 100.0])
@@ -549,8 +553,8 @@ def test_cold_mu_spaced_in_u_builds_one_rule(t, monkeypatch):
 
 
 @pytest.mark.parametrize("x, t, mu, regime", [
-    (1e307, 10.0, 1.0, ER),  # x w overflows
-    (1e300, 1e10, 0.0, ER),  # x w overflows
+    (1e307, 10.0, 1.0, NR),  # x w overflows
+    (1e300, 1e10, 0.0, NR),  # x w overflows
     (1e306, 1e3, 1.0, NR),   # the sum of the pieces overflows
 ])
 def test_huge_x_meets_the_node_cap_without_a_warning(x, t, mu, regime):
@@ -560,27 +564,37 @@ def test_huge_x_meets_the_node_cap_without_a_warning(x, t, mu, regime):
             fge.thermal_amplitude(x, t, mu, regime)
 
 
-def direct_splits(mu, t, regime, x, level):
+@pytest.mark.parametrize("x, t, mu", [(1e307, 10.0, 1.0), (1e300, 1e10, 0.0)])
+def test_huge_x_is_finite_in_the_relativistic_closed_form(x, t, mu):
+    # the closed form has no node cap: x t and mu x are capped instead, past
+    # which every term is below 1e-150 of the amplitude's scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = fge.thermal_amplitude(np.array([x, 0.0]), t, mu, ER)
+    assert abs(value[0]) <= 1e-150 * value[1] and err <= 1e-10 * value[1]
+
+
+def direct_splits(mu, t, x, level):
     """``_kernel_splits`` as bytes, or the QuadratureError of the node cap."""
     try:
-        return fermi._kernel_splits(mu, t, regime, x, level).tobytes()
+        return fermi._kernel_splits(mu, t, x, level).tobytes()
     except QuadratureError:
         return QuadratureError
 
 
-def looked_up_splits(mu, t, regime, x, level):
+def looked_up_splits(mu, t, x, level):
     """The splits' bytes that ``kernel_rule`` asks the rule cache for, or the QuadratureError."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fermi, "_cached_kernel_rule", lambda mu, t, regime, splits: splits)
+        patch.setattr(fermi, "_cached_kernel_rule", lambda mu, t, splits: splits)
         try:
-            return fermi.kernel_rule(mu, t, regime, x, level)
+            return fermi.kernel_rule(mu, t, x, level)
         except QuadratureError:
             return QuadratureError
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    regime=st.sampled_from([NR, ER]),
+    scale=st.sampled_from([1.0, 0.5]),
     mode=st.sampled_from([MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX]),
     log_t=st.floats(-3.0, 3.0),
     level=st.integers(0, 2),
@@ -589,85 +603,86 @@ def looked_up_splits(mu, t, regime, x, level):
     ulps=st.integers(-4, 4),
     others=st.lists(st.floats(0.0, 40.0), max_size=6),
 )
-def test_split_lookup_matches_the_direct_formula(regime, mode, log_t, level, panel, phase,
+def test_split_lookup_matches_the_direct_formula(scale, mode, log_t, level, panel, phase,
                                                  ulps, others):
     # x at, or a few ulps from, a breakpoint k phi / w_p of the splits, after
-    # a few other x have filled the table; each is looked up twice
+    # a few other x have filled the table; each is looked up twice.  The
+    # scale 1/2 moves mu off the solved one, to a band bottom of other panels
     t = 10.0 ** log_t
-    mu = reduced_chemical_potential(t, regime, mode)
-    widths = _kernel_widths(mu, t, regime)[0]
+    mu = scale * reduced_chemical_potential(t, NR, mode)
+    widths = _kernel_widths(mu, t)[0]
     width = float(widths[panel % len(widths)])
     x = phase * fermi._PHASE_PER_PANEL / width if width > 0.0 else float(phase)
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
     for x_i in [*others, max(x, 0.0)] * 2:
-        assert looked_up_splits(mu, t, regime, x_i, level) == direct_splits(mu, t, regime, x_i, level)
+        assert looked_up_splits(mu, t, x_i, level) == direct_splits(mu, t, x_i, level)
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
 @pytest.mark.parametrize("mode", [MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX])
 @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 30.0, 1e3])
-def test_recorded_split_intervals_are_whole_and_disjoint(regime, mode, t):
+def test_recorded_split_intervals_are_whole_and_disjoint(scale, mode, t):
     # each interval holds its splits at both ends and loses them an ulp
     # outside, so it is the whole set of x with those splits
-    mu = reduced_chemical_potential(t, regime, mode)
+    mu = scale * reduced_chemical_potential(t, NR, mode)
     for x in np.linspace(0.0, 50.0 / max(1.0, t), 41):
         for level in range(3):
-            looked_up_splits(mu, t, regime, float(x), level)
-    tables = _kernel_widths(mu, t, regime)[3]
+            looked_up_splits(mu, t, float(x), level)
+    tables = _kernel_widths(mu, t)[3]
     assert {0, 1, 2} <= set(tables)
     for level, (lows, highs, keys) in tables.items():
         assert list(lows) == sorted(lows)
         assert all(hi < lo for hi, lo in zip(highs, lows[1:]))
         for lo, hi, key in zip(lows, highs, keys):
-            assert direct_splits(mu, t, regime, lo, level) == key
-            assert lo == 0.0 or direct_splits(mu, t, regime, math.nextafter(lo, -1.0), level) != key
+            assert direct_splits(mu, t, lo, level) == key
+            assert lo == 0.0 or direct_splits(mu, t, math.nextafter(lo, -1.0), level) != key
             if hi < math.inf:
-                assert direct_splits(mu, t, regime, hi, level) == key
-                assert direct_splits(mu, t, regime, math.nextafter(hi, math.inf), level) != key
+                assert direct_splits(mu, t, hi, level) == key
+                assert direct_splits(mu, t, math.nextafter(hi, math.inf), level) != key
 
 
 def test_zero_width_panels_bound_no_interval():
     # at t = 1e-18 the panels next to mu = 1 collapse in u: width 0, and a
     # bound k / 0 that must neither warn nor cut the interval
     mu, t = 1.0, 1e-18
-    widths = _kernel_widths(mu, t, NR)[0]
+    widths = _kernel_widths(mu, t)[0]
     assert (widths == 0.0).any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (0.0, 1e3, 1e12):
-            assert looked_up_splits(mu, t, NR, x, 0) == direct_splits(mu, t, NR, x, 0)
+            assert looked_up_splits(mu, t, x, 0) == direct_splits(mu, t, x, 0)
 
 
 def test_split_table_records_a_bounded_number_of_intervals():
-    # the bound is on all levels of one (mu, t, regime) together
-    mu, t = reduced_chemical_potential(1.0, ER), 1.0
+    # the bound is on all levels of one (mu, t) together
+    mu, t = reduced_chemical_potential(1.0, NR), 1.0
     _kernel_widths.cache_clear()
-    widths = _kernel_widths(mu, t, ER)[0]
+    widths = _kernel_widths(mu, t)[0]
     step = fermi._PHASE_PER_PANEL / float(widths.max())
     for k in range(fermi._MAX_SPLIT_INTERVALS // 2 + 10):
         for level in (0, 1):
             x = (k + 0.5) * step
-            assert looked_up_splits(mu, t, ER, x, level) == direct_splits(mu, t, ER, x, level)
-    tables = _kernel_widths(mu, t, ER)[3]
+            assert looked_up_splits(mu, t, x, level) == direct_splits(mu, t, x, level)
+    tables = _kernel_widths(mu, t)[3]
     assert all(len(lows) == len(highs) == len(keys) for lows, highs, keys in tables.values())
     assert sum(len(keys) for _, _, keys in tables.values()) == fermi._MAX_SPLIT_INTERVALS
 
 
 def test_rule_cache_is_bounded_by_nodes():
-    def build(mu, t, regime, splits):
+    def build(mu, t, splits):
         return fermi.KernelRule(np.zeros(len(splits)), np.zeros((len(splits), 2)))
 
     cache = fermi._RuleCache(build, maxsize=10, max_nodes=100)
-    first = cache(0.0, 1.0, NR, b"x" * 40)
-    cache(0.0, 2.0, NR, b"x" * 40)
-    assert cache(0.0, 1.0, NR, b"x" * 40) is first  # now the most recently used
-    cache(0.0, 3.0, NR, b"x" * 40)  # 120 nodes: the least recently used goes
+    first = cache(0.0, 1.0, b"x" * 40)
+    cache(0.0, 2.0, b"x" * 40)
+    assert cache(0.0, 1.0, b"x" * 40) is first  # now the most recently used
+    cache(0.0, 3.0, b"x" * 40)  # 120 nodes: the least recently used goes
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize, info.nodes) == (1, 3, 2, 80)
-    assert cache(0.0, 1.0, NR, b"x" * 40) is first
+    assert cache(0.0, 1.0, b"x" * 40) is first
     mark = cache.mark()
-    cache(0.0, 4.0, NR, b"x" * 10)
+    cache(0.0, 4.0, b"x" * 10)
     cache.drop_since(mark)
     assert cache.cache_info()[2:5] == (10, 2, 80)
     cache.cache_clear()
