@@ -26,7 +26,6 @@ from .entanglement import (
 from .errors import DomainError, QuadratureError, SolverError
 from .exchange import (
     ZetaResult,
-    f_zero_temperature,
     solve_zeta,
     thermal_amplitude,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "entropy_of_formation",
     "eos_evaluate",
     "eos_grid",
-    "f_zero_temperature",
     "fermi_energy",
     "fermi_momentum_from_density",
     "fermi_momentum_from_pressure",

@@ -19,11 +19,9 @@ from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
     _refined_sum,
-    _require_window,
     _root_in_bracket,
     _validate_quad_tol,
     solve_zeta,
-    thermal_amplitude,
 )
 from .fermi import (
     GasRegime,
@@ -253,7 +251,7 @@ def eos_grid(separation, pressure, temperature, regime: GasRegime,
     each is checked once and reduced to x = k_F r and t = T/T_F as array
     expressions.  The points are grouped by t, and each distinct t costs
     one chemical-potential solve, one zeta solve and one batched
-    ``thermal_amplitude`` call on all of its x.  A grid of one t (every
+    amplitude call (``_refined_sum``) on all of its x.  A grid of one t (every
     0-d call and most sweeps) is that one group, with no per-point
     buffers or masks.  The amplitude is clamped into [-1, 1] before the
     closed forms, which then need no check of their own; the
@@ -293,11 +291,10 @@ def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: Mu
     """The amplitude at the flat reduced separations ``xs`` of one t, and zeta(t).
 
     ``reduced_inputs`` has proved every x and t finite and nonnegative, and
-    ``eos_grid`` the regime, mode and tolerance, so of ``thermal_amplitude``'s
-    checks only the window of the solved mu (``_require_window``) is left.
+    ``eos_grid`` the regime, mode and tolerance, so ``thermal_amplitude``'s
+    checks are done; ``_refined_sum`` checks the window of the solved mu.
     """
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    _require_window(mu_tilde, t, regime)
     f, _, _ = _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, tol)
     return f, solve_zeta(t, regime, mu_mode).zeta
 
@@ -338,7 +335,7 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     The amplitude is smooth on [0, zeta] (an entire function of x), and
     only the measure is not, so the two are handled apart.  The amplitude
     is sampled at 17 Chebyshev-Lobatto points on [0, zeta], x = 0 and
-    zeta among them, in one batched ``thermal_amplitude`` call; while the
+    zeta among them, in one batched amplitude call; while the
     larger of the last two Chebyshev coefficients of the samples (the
     tail) exceeds 1e-11, the grid doubles on nested points (33, 65, 129,
     257), one more call at the new points each time, and past 257 points
@@ -413,11 +410,15 @@ def _amplitude_samples(t: float, mu_tilde: float, regime: GasRegime, zeta: float
     Returns the points, their barycentric weights, the samples and the
     samples' Chebyshev coefficients.  Each grid doubles the one before on
     nested points, so a doubling evaluates only the points between the old
-    ones, in one ``thermal_amplitude`` call.
+    ones, in one ``_refined_sum`` call.  ``average_entanglement`` has
+    checked the inputs.
     """
+    def amplitude(xs):
+        return _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
+
     count = _AVERAGE_SAMPLES
     unit, weights = chebyshev_lobatto(count)
-    samples = thermal_amplitude(zeta * unit, t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
+    samples = amplitude(zeta * unit)
     while True:
         coeffs = chebyshev_coefficients(samples)
         tail = float(np.abs(coeffs[-2:]).max())
@@ -433,6 +434,5 @@ def _amplitude_samples(t: float, mu_tilde: float, regime: GasRegime, zeta: float
         unit, weights = chebyshev_lobatto(count)
         merged = np.empty(count)
         merged[::2] = samples
-        merged[1::2] = thermal_amplitude(zeta * unit[1::2], t, mu_tilde, regime,
-                                         _AVERAGE_AMPLITUDE_TOL)[0]
+        merged[1::2] = amplitude(zeta * unit[1::2])
         samples = merged

@@ -13,9 +13,8 @@ The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,29 +113,15 @@ class ZetaResult:
     residual: float
 
 
-def f_zero_temperature(x):
-    """Ground-state exchange amplitude 3(sin x - x cos x)/x^3 (scalar or array).
-
-    Small arguments use the alternating series 1 - x^2/10 + x^4/280 - ...
-    so the value stays accurate to full precision through the crossover.
-    Above it the closed form divides by x one factor at a time,
-    3((sin x / x - cos x)/x)/x, so no power of x is formed and every finite
-    x stays within |f0(x)| <= 3(1 + x)/x^3 without overflow.
-    """
-    arr = np.asarray(x, dtype=float)
-    flat = arr.reshape(-1)
-    if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) < math.inf):
-        raise DomainError(f"reduced separation must be finite and nonnegative, got {x!r}")
-    out = _f0(flat)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
 def _f0(y: np.ndarray, slope: bool = False):
-    """``f_zero_temperature`` of a float array, of any shape, already known to be finite and nonnegative.
+    """Ground-state amplitude f0(y) = 3(sin y - y cos y)/y^3 of a finite, nonnegative float array.
 
     With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
-    Above the crossover f0' = 3(sin y / y - f0)/y shares one sin and one
-    cos with f0; below it both are their series, on one gather of the
+    Above the crossover the closed form divides by y one factor at a time,
+    3((sin y / y - cos y)/y)/y, so no power of y is formed and every finite
+    y stays within |f0(y)| <= 3(1 + y)/y^3 without overflow; there
+    f0' = 3(sin y / y - f0)/y shares one sin and one cos with f0.  Below it
+    both are their series 1 - y^2/10 + y^4/280 - ..., on one gather of the
     small entries, which keeps f0 within about 2e-15 of the exact value
     and f0' within about 1e-14 of -3 j_2(y)/y.
     """
@@ -247,8 +232,7 @@ def _coth_series(y: np.ndarray, slope: bool) -> tuple:
     return powers @ _COTH_COEFFS, ((powers[:, :-1] @ _COTH_SLOPE_COEFFS) * y if slope else None)
 
 
-def _relativistic_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float,
-                      slope: bool) -> tuple:
+def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float, slope: bool) -> tuple:
     """The relativistic f(x, t) in closed form: (values, slopes or None, estimate, scale).
 
     With d(u) = u, -dn/du is the logistic density of mean mu and scale t,
@@ -270,19 +254,22 @@ def _relativistic_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float,
     The estimate is the sum's truncation bound, 6 t^3 z times its bound
     (all of it where S is skipped), plus _CLOSED_FORM_ROUNDING times the
     scale, the cubic plus 6 t^3 z, which bounds |f| at every x.  x t and
-    mu x are capped at _ARGUMENT_MAX.  ``_relativistic_terms`` holds the
-    constants, and proves the scale finite.
+    mu x are capped at _ARGUMENT_MAX.  Which formulas serve y/sinh y and p
+    depends on the largest of ``xs`` alone.  ``_relativistic_terms`` holds
+    the constants, and proves the scale finite or raises a DomainError.
     """
     cubic, b, series, truncation = _relativistic_terms(mu_tilde, t)
     x_cap = _ARGUMENT_MAX / max(t, mu_tilde)
+    x_max = float(xs.max(initial=0.0))
     if x_max > x_cap:
         xs = np.minimum(xs, x_cap)
+        x_max = x_cap
     values = np.zeros(len(xs))
     slopes = np.zeros(len(xs)) if slope else None
     if mu_tilde > 0.0:
         pi_t = math.pi * t
         y = np.maximum(pi_t * xs, _ARGUMENT_MIN)
-        y_max = pi_t * min(x_max, x_cap)
+        y_max = pi_t * x_max
         if y_max < _SINH_MAX:
             h = y / np.sinh(y)
         else:
@@ -314,22 +301,14 @@ def _relativistic_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float,
     return values, slopes, truncation + _CLOSED_FORM_ROUNDING * scale, scale
 
 
-def _require_window(mu_tilde: float, t: float, regime: GasRegime) -> None:
-    """Raise a DomainError unless the branch of ``regime`` has an amplitude at (mu_tilde, t)."""
-    if regime is GasRegime.EXTREME_RELATIVISTIC:
-        if t > 0.0:
-            _relativistic_terms(mu_tilde, t)
-    else:
-        _require_kernel_window(mu_tilde, t)
-
-
 def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
-                 tol: float, slope: bool = False, rules=None) -> tuple:
+                 tol: float, slope: bool = False) -> tuple:
     """f(x, t) at every x >= 0 of the flat ``xs``, with ``slope`` also df/dx, and the estimate.
 
-    Returns (values, slopes or None, estimate).  At t = 0 the values are
-    the ground state f0(x) with estimate 0, and mu_tilde must be exactly
-    1.  Relativistic at finite t they are the closed form of
+    Returns (values, slopes or None, estimate).  Each branch checks its
+    own window and raises a DomainError outside it.  At t = 0 the values
+    are the ground state f0(x) with estimate 0, and mu_tilde must be
+    exactly 1.  Relativistic at finite t they are the closed form of
     ``_relativistic_sum``.  Nonrelativistic they are ``_kernel_sum`` on
     the kernel rules of levels 0, 1, ... until the estimate, the largest
     gap between the rule's Kronrod and Gauss sums, is within ``tol`` or,
@@ -337,11 +316,10 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
     _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)| as W >= 0 and
     |f0| <= 1; the estimate returned is the gap either way.  The closed
     form's estimate meets the same test, with its scale for sum_j W_j0,
-    or raises.  The rules resolve f0(x u) for every x up to ``x_max``, the
-    largest of ``xs``; ``rules(level)`` returns the rule of a level when
-    given, else ``kernel_rule`` builds or fetches it.  The callers have
-    checked the inputs.  A call that raises leaves none of the rules it
-    built in the cache.
+    or raises.  ``x_max``, at least the largest of ``xs``, is the largest
+    x the kernel rules resolve (``kernel_rule``); the other branches do
+    not read it.  The callers have checked x, t, the regime and ``tol``.
+    A call that raises leaves none of the rules it built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
@@ -349,7 +327,7 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
                               f"must be exactly 1, got {mu_tilde!r}")
         return (*_f0(xs, True), 0.0) if slope else (_f0(xs), None, 0.0)
     if regime is GasRegime.EXTREME_RELATIVISTIC:
-        values, slopes, err, scale = _relativistic_sum(xs, x_max, t, mu_tilde, slope)
+        values, slopes, err, scale = _relativistic_sum(xs, t, mu_tilde, slope)
         if err <= tol or err <= _ROUNDOFF * scale:
             return values, slopes, err
         raise QuadratureError(
@@ -357,10 +335,11 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
             f"at t={t!r}, mu_tilde={mu_tilde!r}",
             error_estimate=err,
         )
+    _require_kernel_window(mu_tilde, t)
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
-            rule = kernel_rule(mu_tilde, t, x_max, level) if rules is None else rules(level)
+            rule = kernel_rule(mu_tilde, t, x_max, level)
             sums = _kernel_sum(xs, rule, slope)
             err = float(np.abs(sums[:, 0] - sums[:, 1]).max(initial=0.0))
             if not math.isfinite(err):
@@ -389,7 +368,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     ground-state amplitude.  At x = 0 it is 3 int u^2 n(u) du, which
     equals 1 when mu_tilde solves the particle-number equation.  At t = 0
     it is the ground state f0(x) with estimate 0, and mu_tilde must be
-    exactly 1.
+    exactly 1.  The inputs are checked here, and ``_refined_sum``
+    evaluates f, each branch checking its own window of (mu_tilde, t).
 
     Relativistic, f is a closed form at every t and x
     (``_relativistic_sum``), and the estimate bounds its truncation and
@@ -405,8 +385,9 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     rounding floor of the sum (``_refined_sum``).  At finite t, mu_tilde
     must be at least -2^50 t, or the kernel window's panel edges stop
     increasing, and the window's top, u = sqrt(max(mu_tilde, 0) + 45 t),
-    at most about 3.5e102, or its weights u^3 overflow; the chemical
-    potential's bracket -50 t <= mu_tilde <= 2 lies inside.
+    at most about 3.5e102, or its weights u^3 overflow; the solved chemical
+    potential, at most 2 and at least -50 t or near the classical one,
+    lies inside.
     """
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
@@ -419,26 +400,8 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     if not math.isfinite(mu_tilde):
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
     _require_member("regime", regime, GasRegime)
-    _require_window(mu_tilde, t, regime)
     value, _, err = _refined_sum(flat, x_max, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
-
-
-def _amplitude_and_slope(x: float, t: float, mu_tilde: float, regime: GasRegime,
-                         tol: float, rules=None) -> tuple[float, float]:
-    """f(x, t) and df/dx at one x >= 0 (the ground state at t = 0).
-
-    Relativistic, both are the closed form's.  Nonrelativistic at finite t
-    both come from the nodes of one kernel rule,
-    df/dx = sum_j W_j u_j f0'(x u_j), refined level by level to ``tol``
-    like ``thermal_amplitude``.  The rules are those ``thermal_amplitude(x)``
-    uses unless ``rules(level)`` supplies them: the zeta solve passes the
-    rules of its scan call, which resolve every x up to that call's last
-    abscissa, so the value agrees with ``thermal_amplitude(x)`` to within
-    the two estimates rather than to rounding.
-    """
-    value, slope, _ = _refined_sum(np.array([x]), float(x), t, mu_tilde, regime, tol, True, rules)
-    return float(value[0]), float(slope[0])
 
 
 def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
@@ -591,8 +554,9 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     (``_certified_count``), all but the last of them.  When the first grid
     point scanned is 1e-3 and already has f^2 < 1/2, the crossing lies
     below the grid and the solve fails at once.  The Newton steps take f
-    and df/dx from the kernel nodes of the rules of the scan call that
-    evaluated the bracket's upper end, each level fetched once per solve.
+    and df/dx from one ``_refined_sum`` call each, with the last scan
+    call's x_max, so that they sum on the cached rules of the call that
+    evaluated the bracket's upper end.
 
     Results are cached per (t, regime, mu_mode), however the arguments
     are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -648,11 +612,11 @@ def _closed_form_scan(t: float, mu_tilde: float) -> tuple:
 
 
 def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The kernel scan (t = 0 or nonrelativistic): grid, f and f^2 - 1/2 from its first point, and the stops."""
+    """The kernel scan (t = 0 or nonrelativistic): grid, and f and f^2 - 1/2 from its first point to its last call's end."""
     stops = _scan_stops(t)
 
     def amplitude(xv):
-        return thermal_amplitude(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+        return _refined_sum(xv, float(xv[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
     first = 1
     if t > 0.0:
@@ -671,7 +635,7 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
                 break
             values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
             gaps = np.square(values) - 0.5
-    return _SCAN_X[first:], values, gaps, stops
+    return _SCAN_X[first:], values, gaps
 
 
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
@@ -682,7 +646,7 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         grid, values, gaps = _closed_form_scan(t, mu_tilde)
         k = _first_crossing(gaps)
     else:
-        grid, values, gaps, stops = _kernel_scan(t, regime, mu_tilde)
+        grid, values, gaps = _kernel_scan(t, regime, mu_tilde)
         k = None if gaps[0] < 0.0 else _first_crossing(gaps)
     if k is None:
         raise SolverError(
@@ -699,16 +663,16 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
             "the crossings of f = +1/sqrt(2) before it lie between two scan points"
         )
 
-    rules = None
-    if t > 0.0 and not closed_form:
-        # the rules of the scan call that evaluated the bracket's upper end
-        first = len(_SCAN_X) - len(grid)
-        x_max = float(_SCAN_X[stops[bisect_right(stops, first + k + 1)] - 1])
-        rules = cache(partial(kernel_rule, mu_tilde, t, x_max))
+    # the scan stops after the first call that holds a crossing, so that
+    # call, the last, evaluated the bracket's upper end: its x_max, the last
+    # abscissa scanned, fetches its cached kernel rules
+    x_scan = float(grid[len(values) - 1])
 
     def gap_and_slope(xv):
-        f, slope = _amplitude_and_slope(xv, t, mu_tilde, regime, _ZETA_QUAD_TOL, rules)
-        return f * f - 0.5, 2.0 * f * slope
+        value, slope, _ = _refined_sum(np.array([xv]), x_scan, t, mu_tilde, regime,
+                                       _ZETA_QUAD_TOL, slope=True)
+        f = float(value[0])
+        return f * f - 0.5, 2.0 * f * float(slope[0])
 
     root, gap = _root_in_bracket(gap_and_slope, float(grid[k]), float(grid[k + 1]),
                                  float(gaps[k]), float(gaps[k + 1]))

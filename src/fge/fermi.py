@@ -281,18 +281,13 @@ def _stable_fermi_factor(argument: np.ndarray) -> np.ndarray:
     return np.where(argument > 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
 
 
-def reduced_dispersion(u, regime: GasRegime):
-    """Dimensionless dispersion d(u) with u = k/k_F: u^2 nonrelativistic, u relativistic."""
-    u = np.asarray(u, dtype=float)
-    return u * u if regime is GasRegime.NONRELATIVISTIC else u
-
-
 def reduced_occupancy(u, mu_tilde: float, t: float, regime: GasRegime):
     """Occupancy in reduced variables, n(u) = 1/(exp((d(u) - mu_tilde)/t) + 1).
 
-    A DomainError names t unless it is finite and nonnegative, mu_tilde
-    unless finite, and the momenta u unless all nonnegative.  At t = 0 n
-    is the step, 1/2 at d(u) = mu_tilde.
+    The dispersion is d(u) = u^2 nonrelativistic and u relativistic, with
+    u = k/k_F.  A DomainError names t unless it is finite and nonnegative,
+    mu_tilde unless finite, and the momenta u unless all nonnegative.  At
+    t = 0 n is the step, 1/2 at d(u) = mu_tilde.
     """
     _require_member("regime", regime, GasRegime)
     if not (0.0 <= t < math.inf):
@@ -304,7 +299,7 @@ def reduced_occupancy(u, mu_tilde: float, t: float, regime: GasRegime):
         _require_all("reduced momentum", u, u >= 0.0, "be nonnegative")
     # an energy or argument that overflows to inf gives the occupancy's limit
     with np.errstate(over="ignore"):
-        d = reduced_dispersion(u, regime)
+        d = u * u if regime is GasRegime.NONRELATIVISTIC else u
         if t == 0.0:
             return np.where(d < mu_tilde, 1.0, np.where(d == mu_tilde, 0.5, 0.0))
         return _stable_fermi_factor((d - mu_tilde) / t)
@@ -880,7 +875,9 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     spaced in u (band bottom inside the kernel window) it is the first
     iterate's u-grid, rebuilt only when the spacing changes or a bisection
     step jumps.  Each iterate narrows the bracket [-50 t, 2]; a step that
-    leaves it is replaced by bisection.
+    leaves it is replaced by bisection.  From t of about 2.5e14, where the
+    classical seed falls below -50 t, the bracket's floor is the seed
+    less t, below the root as the classical mu is.
 
     Results are cached per (t, regime, mode), however the arguments are
     spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -899,8 +896,12 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
     step_tol = _MU_STEP_TOL * max(1.0, t)
     if regime is GasRegime.EXTREME_RELATIVISTIC:
         return _relativistic_mu(t, step_tol)
-    lo, hi = -50.0 * t, 2.0
-    mu = min(max(_mu_seed(t, regime), lo), hi)
+    seed = _mu_seed(t, regime)
+    # the classical seed lies below the root, and from t of about 2.5e14
+    # below -50 t too: there the floor moves below the seed
+    floor = -50.0 * t if seed >= -50.0 * t else seed - t
+    lo, hi = floor, 2.0
+    mu = min(max(seed, lo), hi)
     grid = None
     for _ in range(_MU_ITERATIONS):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -922,7 +923,7 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
             if hi - lo <= step_tol:
                 raise SolverError(
                     "particle-number equation has no root on the bracket "
-                    f"[{-50.0 * t:.6g}, 2]: the iterates close on its end at "
+                    f"[{floor:.6g}, 2]: the iterates close on its end at "
                     f"{0.5 * (lo + hi):.6g} at reduced temperature {t!r}"
                 )
             mu = 0.5 * (lo + hi)

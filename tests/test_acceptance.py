@@ -23,7 +23,6 @@ from fge import (
     density_from_pressure,
     entanglement_distance,
     eos_evaluate,
-    f_zero_temperature,
     fermi_momentum_from_density,
     fermi_momentum_from_pressure,
     fermi_temperature,
@@ -36,6 +35,7 @@ from fge import (
     reduced_occupancy,
     sirius_b,
     solve_zeta,
+    thermal_amplitude,
     werner_state_from_f,
     wootters_concurrence,
 )
@@ -175,7 +175,7 @@ def test_06_thermal_amplitude_against_dense_oracle():
     cold_gap = max(
         abs(eos_evaluate(x * 1e-10, pressure_from_fermi_momentum(1e10, NR),
                          1e-4 * fermi_temperature(1e10, NR), NR).f
-            - f_zero_temperature(x))
+            - thermal_amplitude(x, 0.0, 1.0, NR)[0])
         for x in xs
     )
     elapsed = time.perf_counter() - start
@@ -234,7 +234,7 @@ def test_09_average_entanglement_against_trapezoid():
     # budget: adaptive average within 1e-6 relative of a 1e6-node trapezoid
     zeta0 = solve_zeta(0.0, NR).zeta
     xs = np.linspace(0.0, zeta0, 1_000_001)
-    f = f_zero_temperature(xs)
+    f = thermal_amplitude(xs, 0.0, 1.0, NR)[0]
     f2 = f * f
     c = np.maximum((2.0 * f2 - 1.0) / (2.0 - f2), 0.0)
     oracle_c = np.trapezoid(c, xs) / zeta0

@@ -52,5 +52,5 @@ def test_package_version():
 def test_public_names_sorted_and_clean():
     assert fge.__all__ == sorted(fge.__all__)
     assert not any(name.startswith("_") for name in fge.__all__)
-    for name in ("eos_evaluate", "solve_zeta", "f_zero_temperature", "dwarf_report"):
+    for name in ("eos_evaluate", "solve_zeta", "thermal_amplitude", "dwarf_report"):
         assert name in fge.__all__

@@ -23,7 +23,6 @@ from fge import (
     entropy_of_formation,
     eos_evaluate,
     eos_grid,
-    f_zero_temperature,
     fermi_momentum_from_pressure,
     fermi_temperature,
     is_entangled,
@@ -485,15 +484,16 @@ def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
 
 
 def count_amplitude_calls(monkeypatch):
-    """Record the abscissas of every amplitude call the average makes."""
+    """Record the abscissas of every amplitude call the average makes, none with a slope."""
     calls = []
-    original = entanglement.thermal_amplitude
+    original = entanglement._refined_sum
 
-    def counted(x, *args, **kwargs):
-        calls.append(np.size(x))
-        return original(x, *args, **kwargs)
+    def counted(xs, x_max, t, mu_tilde, regime, tol, slope=False):
+        assert not slope, "the clamp edge is a root of the interpolant"
+        calls.append(np.size(xs))
+        return original(xs, x_max, t, mu_tilde, regime, tol, slope)
 
-    monkeypatch.setattr(entanglement, "thermal_amplitude", counted)
+    monkeypatch.setattr(entanglement, "_refined_sum", counted)
     return calls
 
 
@@ -590,12 +590,8 @@ def test_rel_fermi_level_samples_double_twice(monkeypatch):
     # f(0) is about 200: 17 samples miss f by about 1e-3 and 33 by about
     # 1e-9, so the grid settles on 65, each doubling one call at its new points
     solve_zeta(3.0, ER, MuMode.FERMI_ENERGY_APPROX)
+    # no call asks for a slope: the clamp edge is a root of the interpolant
     calls = count_amplitude_calls(monkeypatch)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the clamp edge is a root of the interpolant")
-
-    monkeypatch.setattr(exchange, "_amplitude_and_slope", forbidden)
     average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
     assert calls == [17, 16, 32] == sampling_calls(65)
 

@@ -21,7 +21,6 @@ from fge import (
     SolverError,
     constants,
     eos_grid,
-    f_zero_temperature,
     fermi_energy,
     fermi_momentum_from_pressure,
     fermi_temperature,
@@ -36,24 +35,28 @@ from fge.fermi import fermi_momentum_from_density, occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
-
 ZETA0 = 1.8148229770012292        # root of f^2 = 1/2 in the ground state
 FIRST_ZERO = 4.493409457909064    # first positive root of the amplitude
+
+
+def ground_state(x):
+    """The ground-state amplitude f0(x): the thermal amplitude at t = 0."""
+    return thermal_amplitude(x, 0.0, 1.0, NR)[0]
 
 
 # === ground state ===
 
 
 def test_ground_state_limits():
-    assert f_zero_temperature(0.0) == 1.0
-    assert f_zero_temperature(ZETA0) == pytest.approx(math.sqrt(0.5), abs=1e-13)
-    assert abs(f_zero_temperature(FIRST_ZERO)) < 1e-14
+    assert ground_state(0.0) == 1.0
+    assert ground_state(ZETA0) == pytest.approx(math.sqrt(0.5), abs=1e-13)
+    assert abs(ground_state(FIRST_ZERO)) < 1e-14
 
 
 def test_ground_state_against_spherical_bessel():
     xs = np.linspace(1e-3, 50.0, 500)
     expected = 3.0 * spherical_jn(1, xs) / xs
-    assert np.max(np.abs(f_zero_temperature(xs) - expected)) < 5e-14
+    assert np.max(np.abs(ground_state(xs) - expected)) < 5e-14
 
 
 def test_ground_state_slope_against_spherical_bessel():
@@ -89,27 +92,27 @@ def test_ground_state_and_slope_against_mpmath_below_three():
 def test_series_meets_closed_form_at_crossover():
     # both branches must agree through the seam
     xs = exchange._SERIES_CROSSOVER - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
-    series = f_zero_temperature(xs)
+    series = ground_state(xs)
     closed = 3.0 * (np.sin(xs) - xs * np.cos(xs)) / xs ** 3
     assert np.max(np.abs(series - closed)) < 1e-13
 
 
 def test_ground_state_strictly_decreasing_inside_window():
     xs = np.linspace(1e-3, ZETA0, 400)
-    assert np.all(np.diff(f_zero_temperature(xs)) < 0)
+    assert np.all(np.diff(ground_state(xs)) < 0)
 
 
 def test_ground_state_below_threshold_outside_window():
     xs = np.linspace(ZETA0 + 1e-6, 50.0, 2000)
-    assert np.all(np.abs(f_zero_temperature(xs)) < math.sqrt(0.5))
+    assert np.all(np.abs(ground_state(xs)) < math.sqrt(0.5))
 
 
 def test_ground_state_scalar_array_forms():
-    assert isinstance(f_zero_temperature(1.0), float)
-    out = f_zero_temperature(np.array([[0.1, 0.3], [1.0, 3.0]]))
+    assert isinstance(ground_state(1.0), float)
+    out = ground_state(np.array([[0.1, 0.3], [1.0, 3.0]]))
     assert out.shape == (2, 2)
     with pytest.raises(DomainError, match="nonnegative"):
-        f_zero_temperature(-0.1)
+        ground_state(-0.1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
@@ -119,7 +122,7 @@ def test_ground_state_rejects_non_finite_and_negative_separations(bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="separation"):
-                f_zero_temperature(x)
+                ground_state(x)
 
 
 @pytest.mark.parametrize("x", [1e6, 1e100, 1e200, 1e300, np.finfo(float).max])
@@ -127,8 +130,8 @@ def test_ground_state_bounded_for_huge_separations(x):
     # |f0(x)| <= 3 (1 + x)/x^3 for every finite x, with no overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = f_zero_temperature(x)
-        values = f_zero_temperature(np.array([x, 2.0]))
+        value = ground_state(x)
+        values = ground_state(np.array([x, 2.0]))
     assert math.isfinite(value) and values[0] == value
     mx = mpmath.mpf(x)
     assert abs(value) <= 3 * (1 + mx) / mx ** 3
@@ -213,8 +216,8 @@ def test_thermal_amplitude_accepts_the_chemical_potential_bracket(regime):
 def test_thermal_amplitude_is_the_ground_state_at_zero_temperature(regime):
     xs = np.array([[0.0, 1e-3, 0.3], [1.8, 4.5, 50.0]])
     values, err = thermal_amplitude(xs, 0.0, 1.0, regime)
-    assert values.tobytes() == f_zero_temperature(xs).tobytes() and err == 0.0
-    assert thermal_amplitude(1.0, 0.0, 1.0, regime) == (f_zero_temperature(1.0), 0.0)
+    assert values.tobytes() == ground_state(xs).tobytes() and err == 0.0
+    assert thermal_amplitude(1.0, 0.0, 1.0, regime) == (ground_state(1.0), 0.0)
 
 
 # === thermal amplitude ===
@@ -263,7 +266,7 @@ def test_thermal_amplitude_approaches_ground_state():
     mu = reduced_chemical_potential(t, NR)
     xs = np.linspace(0.05, 6.0, 25)
     worst = max(
-        abs(thermal_amplitude(float(x), t, mu, NR)[0] - f_zero_temperature(float(x)))
+        abs(thermal_amplitude(float(x), t, mu, NR)[0] - ground_state(float(x)))
         for x in xs
     )
     assert worst < 1e-3
@@ -307,7 +310,7 @@ def test_thermal_amplitude_at_vanishing_temperature(regime):
     t = 1e-9
     xs = np.linspace(0.0, 50.0, 201)
     values, err = thermal_amplitude(xs, t, reduced_chemical_potential(t, regime), regime)
-    assert np.max(np.abs(values - f_zero_temperature(xs))) < 1e-13
+    assert np.max(np.abs(values - ground_state(xs))) < 1e-13
     assert err <= 1e-10
 
 
@@ -333,7 +336,8 @@ def test_thermal_slope_matches_a_centred_difference(regime, t):
     mu = reduced_chemical_potential(t, regime)
     h = 5e-4
     for x in (0.3, 1.0, 1.8, 4.0):
-        value, slope = exchange._amplitude_and_slope(x, t, mu, regime, 1e-12)
+        values, slopes, _ = exchange._refined_sum(np.array([x]), x, t, mu, regime, 1e-12, slope=True)
+        value, slope = float(values[0]), float(slopes[0])
         assert value == pytest.approx(thermal_amplitude(x, t, mu, regime, 1e-12)[0], abs=1e-14)
         f = thermal_amplitude(x + h * np.array([-2.0, -1.0, 1.0, 2.0]), t, mu, regime, 1e-12)[0]
         difference = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
@@ -408,7 +412,7 @@ def test_from_pressure_ground_state_matches_reduced_form():
     r, p = 1e-10, 1e9
     grid = eos_grid(r, p, 0.0, NR)
     x = fermi_momentum_from_pressure(p, NR) * r
-    assert grid.f.item() == pytest.approx(f_zero_temperature(x), rel=1e-14)
+    assert grid.f.item() == pytest.approx(ground_state(x), rel=1e-14)
     assert thermal_amplitude(grid.x, 0.0, 1.0, NR)[1] == 0.0
     assert grid.x.item() == pytest.approx(x, rel=1e-15)
     assert grid.t.item() == 0.0
@@ -557,7 +561,7 @@ def test_zeta_brent_matches_scipy(t, regime):
     # the Newton refinement against scipy's brentq on the same bracket and
     # amplitude, with the same tolerances
     if t == 0.0:
-        amplitude = f_zero_temperature
+        amplitude = ground_state
     else:
         mu = reduced_chemical_potential(t, regime)
 
@@ -577,7 +581,7 @@ def test_zeta_brent_matches_scipy(t, regime):
 def whole_grid_zeta(t, regime, mu_mode):
     """The bracket a scan of the whole grid in one call gives, and brentq's root on it."""
     if t == 0.0:
-        amplitude = f_zero_temperature
+        amplitude = ground_state
     else:
         mu = reduced_chemical_potential(t, regime, mu_mode)
 
@@ -596,21 +600,20 @@ def whole_grid_zeta(t, regime, mu_mode):
 
 
 def record_amplitude_calls(monkeypatch):
-    """The abscissas of every thermal amplitude call the zeta solve makes,
-    and the x of every value-and-slope call."""
+    """The abscissas of every amplitude sum without slope the zeta solve makes,
+    and the x of every one with slope, each of a single x."""
     calls, slope_calls = [], []
+    refined_sum = exchange._refined_sum
 
-    def recorded(x, *args):
-        calls.append(np.atleast_1d(np.array(x, dtype=float)))
-        return thermal_amplitude(x, *args)
+    def recorded(xs, x_max, t, mu, regime, tol, slope=False):
+        if slope:
+            (x,) = xs
+            slope_calls.append(float(x))
+        else:
+            calls.append(xs.copy())
+        return refined_sum(xs, x_max, t, mu, regime, tol, slope)
 
-    def recorded_slope(x, *args):
-        slope_calls.append(x)
-        return amplitude_and_slope(x, *args)
-
-    amplitude_and_slope = exchange._amplitude_and_slope
-    monkeypatch.setattr(exchange, "thermal_amplitude", recorded)
-    monkeypatch.setattr(exchange, "_amplitude_and_slope", recorded_slope)
+    monkeypatch.setattr(exchange, "_refined_sum", recorded)
     return calls, slope_calls
 
 
@@ -655,10 +658,10 @@ def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, windo
     # zeta(0.05) = 1.806 lies past the first window; with the end at 1.85 the
     # crossing falls between the last point of one window and the first of the next
     monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
+    bracket, reference = whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
     brackets = record_brackets(monkeypatch)
     calls, slope_calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
-    bracket, reference = whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
     assert brackets == [bracket] and abs(result.zeta - reference) <= 1e-13
     window = exchange._SCAN_X < window_end
     start = certified_start(0.05, NR, MuMode.EXACT_NORMALIZATION)
@@ -680,30 +683,29 @@ def test_cold_zeta_scans_only_the_first_window(monkeypatch):
     assert len(slope_calls) <= 3
 
 
-def record_closed_form_calls(monkeypatch):
-    """The x and the slope flag of every relativistic closed-form evaluation."""
-    calls = []
-    relativistic_sum = exchange._relativistic_sum
-
-    def recorded(xs, x_max, t, mu, slope):
-        calls.append((xs.copy(), slope))
-        return relativistic_sum(xs, x_max, t, mu, slope)
-
-    monkeypatch.setattr(exchange, "_relativistic_sum", recorded)
-    return calls
-
-
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 def test_cold_relativistic_zeta_is_one_scan_and_a_few_newton_steps(monkeypatch, mu_mode):
     # the closed form on the whole grid, origin included, in one call, then
     # at most 3 one-x evaluations with slope; no kernel rule is built
-    calls = record_closed_form_calls(monkeypatch)
+    calls, slope_calls = record_amplitude_calls(monkeypatch)
     sizes = record_rule_sizes(monkeypatch)
     exchange._solve_zeta.__wrapped__(0.05, ER, mu_mode)
-    (scan, scan_slope), *newton = calls
-    assert scan.tobytes() == exchange._SCAN_X.tobytes() and not scan_slope
-    assert 1 <= len(newton) <= 3 and all(len(xs) == 1 and slope for xs, slope in newton)
+    (scan,) = calls
+    assert scan.tobytes() == exchange._SCAN_X.tobytes()
+    assert 1 <= len(slope_calls) <= 3
     assert sizes == []
+
+
+def test_relativistic_value_does_not_depend_on_the_x_max_passed():
+    # the closed form reads its extent from the x it is given: at t = 80 an
+    # extent of 3 puts pi t x past the sinh cutoff and p(y)'s series
+    # crossover, whose other formulas differ by 1 ulp at this x
+    x = 1.7487973639896006e-4
+    first, second = (exchange._refined_sum(np.array([x]), x_max, 80.0, 1.0, ER, 1e-12, True)
+                     for x_max in (x, 3.0))
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+    assert first[2] == second[2]
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
@@ -738,7 +740,7 @@ def single_cut_count(rule, xs):
     below = np.cumsum(rule.weights[:, 0])
     cut = int(np.searchsorted(below, (1.0 - exchange._CERT_TAIL) * below[-1]))
     y = xs * rule.nodes[cut]
-    bound = below[cut] * f_zero_temperature(y) + (below[-1] - below[cut]) * exchange._F0_MIN
+    bound = below[cut] * ground_state(y) + (below[-1] - below[cut]) * exchange._F0_MIN
     proven = (y <= exchange._F0_MIN_AT) & (bound > math.sqrt(0.5) + exchange._CERT_MARGIN)
     return int(np.logical_and.accumulate(proven).sum())
 
@@ -758,30 +760,36 @@ def test_block_certificate_proves_at_least_the_single_cut(mu_mode):
     assert gained > 40
 
 
-def test_cold_zeta_fetches_each_newton_rule_once(monkeypatch):
-    # the Newton steps evaluate on the rules of the scan call that holds the
-    # bracket's upper end, each level fetched once for the whole refinement
-    fetched, phase = [], []
+@pytest.mark.parametrize("t", [0.05, 0.8])
+def test_cold_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
+    # the Newton steps pass the last scanned abscissa as x_max, the end of
+    # the scan call that holds the bracket's upper end, and so build no rule;
+    # at t = 0.8 that call ends at the thermal window, x = 1.7
+    fetched, misses = [], []
     rule_of = exchange.kernel_rule
     root_in_bracket = exchange._root_in_bracket
 
     def recorded_rule(mu, t, x_max=0.0, level=0):
-        if phase:
-            fetched.append((x_max, level))
+        if misses:
+            fetched.append(x_max)
         return rule_of(mu, t, x_max, level)
 
     def newton_phase(*args):
-        phase.append(True)
-        return root_in_bracket(*args)
+        misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
+        root = root_in_bracket(*args)
+        misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
+        return root
 
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
     monkeypatch.setattr(exchange, "_root_in_bracket", newton_phase)
     calls, slope_calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    exchange._solve_zeta.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
     (scan,) = calls
     assert 2 <= len(slope_calls) <= 3
-    assert fetched == [(float(scan[-1]), level) for level in range(len(fetched))]
-    assert 1 <= len(fetched) <= 2
+    assert misses[0] == misses[1]
+    assert fetched and set(fetched) == {float(scan[-1])}
+    if t == 0.8:
+        assert scan[-1] == pytest.approx(1.7)
 
 
 def record_rule_sizes(monkeypatch):

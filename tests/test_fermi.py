@@ -413,6 +413,15 @@ def test_chemical_potential_far_above_degeneracy(regime, t):
     assert abs(number_integral(mu, t, regime) - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("t", [5e14, 1e15, 1e20])
+def test_nonrelativistic_chemical_potential_below_minus_fifty_t(t):
+    # from t of about 2.5e14 the classical root t (ln(4/(3 sqrt pi)) - 1.5 ln t)
+    # lies below -50 t, and the bracket's floor moves below the seed
+    mu = reduced_chemical_potential(t, NR)
+    assert mu < -50.0 * t
+    assert abs(number_integral(mu, t, NR) - 1.0) < 1e-13
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3])
 def test_reduced_chemical_potential_rejects_bad_temperature(bad):
     with pytest.raises(DomainError, match="reduced temperature"):
