@@ -1,6 +1,7 @@
 """Pairwise electron entanglement in a degenerate Fermi gas.
 
-Library layout: ``constants`` (SI data), ``fermi`` (conversions, reduced
+Library layout: ``constants`` (SI data), ``degenerate`` (the ground-state
+amplitude and its Sommerfeld series), ``fermi`` (conversions, reduced
 occupancy and chemical potential, kernel rules), ``exchange``
 (``thermal_amplitude``, the one amplitude entry point, and the distance
 constant), ``entanglement`` (measures and oracles), ``whitedwarf``

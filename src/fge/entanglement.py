@@ -383,9 +383,12 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
             y = 2.0 * float(x) / zeta - 1.0
             return chebyshev_value(y, series) - 1.0, chebyshev_value(y, slope_series)
 
-        kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, samples[0] - 1.0,
-                                   samples[-1] - 1.0)
-        edges = np.union1d(edges, kink)
+        # an overshoot at rounding, which the series does not repeat at x = 0,
+        # has its root at x = 0 itself and bends nothing
+        if excess_and_slope(0.0)[0] > 0.0:
+            kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, samples[0] - 1.0,
+                                       samples[-1] - 1.0)
+            edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
         nodes, rule = composite_kronrod(edges, 2 ** level)
         f = barycentric(nodes, points, weights, samples)

@@ -6,8 +6,10 @@ has a closed form f0; at finite temperature, in reduced variables
 (u = k/k_F, x = k_F r, t = T/T_F), it is the kernel average
 f(x,t) = int u^3 f0(u x) (-dn/du) du.  Relativistic, where -dn/du is a
 logistic density in u, the average has a closed form at every
-temperature (``_relativistic_sum``); nonrelativistic, it is a sum on a
-fixed Fermi-kernel rule.  Either branch gives, over an array of x, f,
+temperature (``_relativistic_sum``); nonrelativistic, it is the
+Sommerfeld series of ``degenerate`` where that meets the tolerance (the
+degenerate gas, up to t of about 0.03 to 0.04), and elsewhere a sum on
+a fixed Fermi-kernel rule.  Each branch gives, over an array of x, f,
 its error estimate and, on request, the slope df/dx.
 The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
@@ -18,6 +20,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from .degenerate import (
+    _CLOSED_FORM_ROUNDING,
+    _TOL_MAX,
+    _TOL_MIN,
+    _f0,
+    _sommerfeld_estimate,
+    _sommerfeld_floor,
+    _sommerfeld_sum,
+    _sommerfeld_terms,
+    _square_powers,
+)
 from .errors import DomainError, QuadratureError, SolverError
 from .fermi import (
     CACHE_SIZE,
@@ -32,18 +45,6 @@ from .fermi import (
     reduced_chemical_potential,
 )
 
-# f0 and its derivative f0' switch from their closed forms,
-# 3(sin x - x cos x)/x^3 and 3(sin x / x - f0)/x, to their power series
-# below this point.  The closed forms lose digits to cancellation as x
-# falls (f0 up to 8e-15 on [0.25, 0.5), ~5 digits near 1e-3, and f0' a
-# further factor 1/x), while the series to x^12 has its first omitted
-# term, k = 7, at 8e-18 for f0 and 2e-16 for f0' at 0.5
-_SERIES_CROSSOVER = 0.5
-# k-th series coefficient of f(x,0) in powers of x^2, and of f0'(x)/x
-_SERIES_COEFFS = tuple(
-    (-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(7)
-)
-_SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if k)
 # f0 decreases on [0, Y], Y the first zero of j_2, and f0(Y) is its minimum
 _F0_MIN_AT, _F0_MIN = 5.76345919689455, -0.0861708941619074
 
@@ -73,13 +74,9 @@ _ARGUMENT_MAX = 1e75
 _ARGUMENT_MIN = 1e-300
 # y/sinh(y) is formed directly while sinh(y) stays far from overflow
 _SINH_MAX = 700.0
-# the closed form's rounding bound, in units of its scale (the amplitude at
-# x = 0 or above): f0's series and the sums' terms each round to a few eps
-_CLOSED_FORM_ROUNDING = 16.0 * np.finfo(float).eps
 # largest amplitude at zero separation whose square the zeta solve can form
 _ORIGIN_MAX = 1e150
 
-_TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 # tolerance of an amplitude request that names none
 _DEFAULT_TOL = 1e-10
 # kernel-rule refinement levels tried before the thermal amplitude gives up
@@ -94,6 +91,23 @@ _BLOCK = 8192
 _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
 # tolerance of every amplitude the zeta solve evaluates
 _ZETA_QUAD_TOL = 1e-12
+
+
+# the Sommerfeld series' constants, per (mu_tilde, t)
+_degenerate_terms = lru_cache(maxsize=CACHE_SIZE)(_sommerfeld_terms)
+
+
+def _degenerate_branch(mu_tilde: float, t: float, x_max: float, tol: float) -> tuple:
+    """The Sommerfeld series' constants and estimate on [0, x_max] where that meets ``tol``, else None.
+
+    The floor alone, which needs no table, rules out most t the series
+    cannot serve before its constants are built.
+    """
+    if _sommerfeld_floor(mu_tilde, t) > tol:
+        return None
+    terms = _degenerate_terms(mu_tilde, t)
+    err = _sommerfeld_estimate(terms, x_max)
+    return (terms, err) if err <= tol else None
 
 
 def _validate_quad_tol(tol: float) -> None:
@@ -111,52 +125,6 @@ class ZetaResult:
     t: float
     regime: GasRegime
     residual: float
-
-
-def _f0(y: np.ndarray, slope: bool = False):
-    """Ground-state amplitude f0(y) = 3(sin y - y cos y)/y^3 of a finite, nonnegative float array.
-
-    With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
-    Above the crossover the closed form divides by y one factor at a time,
-    3((sin y / y - cos y)/y)/y, so no power of y is formed and every finite
-    y stays within |f0(y)| <= 3(1 + y)/y^3 without overflow; there
-    f0' = 3(sin y / y - f0)/y shares one sin and one cos with f0.  Below it
-    both are their series 1 - y^2/10 + y^4/280 - ..., on one gather of the
-    small entries, which keeps f0 within about 2e-15 of the exact value
-    and f0' within about 1e-14 of -3 j_2(y)/y.
-    """
-    # the closed forms everywhere, with small y lifted to the crossover to
-    # stay clear of 0/0; the series then replace those entries
-    yb = np.maximum(y, _SERIES_CROSSOVER)
-    sinc = np.sin(yb)
-    sinc /= yb
-    out = sinc - np.cos(yb)
-    out /= yb
-    out /= yb
-    out *= 3.0
-    if slope:
-        df = sinc
-        df -= out
-        df *= 3.0
-        df /= yb
-    small = y < _SERIES_CROSSOVER
-    if small.any():
-        below = y[small]
-        y2 = below * below
-        out[small] = _even_series(y2, _SERIES_COEFFS)
-        if slope:
-            df[small] = _even_series(y2, _SLOPE_COEFFS) * below
-    return (out, df) if slope else out
-
-
-def _even_series(y2: np.ndarray, coeffs: tuple) -> np.ndarray:
-    """sum_k coeffs[k] y^2k by Horner's rule, given y^2."""
-    series = coeffs[-1] * y2
-    for coeff in coeffs[-2:0:-1]:
-        series += coeff
-        series *= y2
-    series += coeffs[0]
-    return series
 
 
 def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.ndarray:
@@ -225,10 +193,7 @@ def _coth_part(y: np.ndarray, y_max: float, slope: bool) -> tuple:
 
 def _coth_series(y: np.ndarray, slope: bool) -> tuple:
     """``_coth_part`` below the crossover: p and p' (or None) from their series in y^2."""
-    powers = np.empty((len(y), len(_COTH_COEFFS)))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = (y * y)[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
+    powers = _square_powers(y, len(_COTH_COEFFS))
     return powers @ _COTH_COEFFS, ((powers[:, :-1] @ _COTH_SLOPE_COEFFS) * y if slope else None)
 
 
@@ -309,17 +274,21 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
     own window and raises a DomainError outside it.  At t = 0 the values
     are the ground state f0(x) with estimate 0, and mu_tilde must be
     exactly 1.  Relativistic at finite t they are the closed form of
-    ``_relativistic_sum``.  Nonrelativistic they are ``_kernel_sum`` on
-    the kernel rules of levels 0, 1, ... until the estimate, the largest
-    gap between the rule's Kronrod and Gauss sums, is within ``tol`` or,
-    summed only when it is not, QUADPACK's rounding floor
-    _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)| as W >= 0 and
-    |f0| <= 1; the estimate returned is the gap either way.  The closed
-    form's estimate meets the same test, with its scale for sum_j W_j0,
-    or raises.  ``x_max``, at least the largest of ``xs``, is the largest
-    x the kernel rules resolve (``kernel_rule``); the other branches do
-    not read it.  The callers have checked x, t, the regime and ``tol``.
-    A call that raises leaves none of the rules it built in the cache.
+    ``_relativistic_sum``.  Nonrelativistic they are the Sommerfeld series
+    of ``_sommerfeld_sum``, the t = 0 branch's continuation, wherever its
+    estimate on [0, x_max] is within ``tol`` (``_degenerate_branch``).
+    Elsewhere they are ``_kernel_sum`` on the kernel rules of levels 0,
+    1, ... until the estimate, the largest gap between the rule's Kronrod
+    and Gauss sums, is within ``tol`` or, summed only when it is not,
+    QUADPACK's rounding floor _ROUNDOFF sum_j W_j0, a bound on
+    sum_j |W_j0 f0(x u_j)| as W >= 0 and |f0| <= 1; the estimate returned
+    is the gap either way.  The closed form's estimate meets the same
+    test, with its scale for sum_j W_j0, or raises.  ``x_max``, at least
+    the largest of ``xs``, is the largest x the kernel rules resolve
+    (``kernel_rule``) and the series' estimate bounds; the closed form
+    does not read it.  The callers have checked x, t, the regime and
+    ``tol``.  A call that raises leaves none of the rules it built in the
+    cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
@@ -336,6 +305,10 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
             error_estimate=err,
         )
     _require_kernel_window(mu_tilde, t)
+    series = _degenerate_branch(mu_tilde, t, x_max, tol)
+    if series is not None:
+        terms, err = series
+        return (*_sommerfeld_sum(xs, terms, slope), err)
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
@@ -377,8 +350,16 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     6 t^3 exp(-|mu_tilde|/t) and pi^2 t^2 mu_tilde, stay below e^700; a
     DomainError names the one that does not.
 
-    Nonrelativistic, every x is one dot product of f0(x u_j) with the
-    weights of a Fermi-kernel rule.  The estimate is the largest gap,
+    Nonrelativistic and degenerate, f is the Sommerfeld series
+    (``degenerate._sommerfeld_sum``) wherever its estimate on [0, max x]
+    is at most ``tol``: the first omitted of its 12 terms, bounded at
+    every x, plus mu^(3/2) (exp(-mu_tilde/t) + 16 eps) for the kernel's
+    mass below the band bottom and rounding.  At the solved mu that holds
+    for x up to 6 from t = 0 to about 0.029 at tol 1e-14, 0.035 at 1e-12
+    and 0.042 at 1e-10.
+
+    Elsewhere nonrelativistic, every x is one dot product of f0(x u_j)
+    with the weights of a Fermi-kernel rule.  The estimate is the largest gap,
     over the x given, between the rule's 15-point Kronrod and 7-point
     Gauss sums on the same nodes; the panels are halved until it is at
     most ``tol`` (absolute; the amplitude is O(1)), or at most the
@@ -539,9 +520,11 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     in one call, and the origin counts as a grid point: where f^2 < 1/2
     already at 1e-3 (exact mu from t of about 435, fermi mu from about
     2e12) the bracket is [0, 1e-3], so zeta solves at every t whose
-    f(0)^2 is finite.
+    f(0)^2 is finite.  So is the nonrelativistic Sommerfeld series,
+    wherever its estimate over the whole grid meets _ZETA_QUAD_TOL (t up
+    to about 0.036).
 
-    At t = 0 and nonrelativistic, the scan is evaluated in batched
+    At t = 0 and elsewhere nonrelativistic, the scan is evaluated in batched
     amplitude calls whose kernel rules resolve only the x of their call
     (``_scan_stops``).  At finite t the first call ends near the thermal
     length, at the first grid point at or above 1.25 times the classical
@@ -587,16 +570,15 @@ def _require_origin(f_origin: float) -> None:
         )
 
 
-def _closed_form_scan(t: float, mu_tilde: float) -> tuple:
-    """The relativistic scan: the grid, f and f^2 - 1/2 on all of _SCAN_X, the origin included.
+def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
+    """The closed-form scan: the grid, f and f^2 - 1/2 on all of _SCAN_X, the origin included.
 
     Where f^2 < 1/2 already at 1e-3 the decades _SCAN_DECADES join the
     grid between the origin and 1e-3, in one more call, so that the
     bracket spans at most a decade above 1e-300.
     """
     def amplitude(xs):
-        return _refined_sum(xs, float(xs[-1]), t, mu_tilde, GasRegime.EXTREME_RELATIVISTIC,
-                            _ZETA_QUAD_TOL)[0]
+        return _refined_sum(xs, float(xs[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
     grid, values = _SCAN_X, amplitude(_SCAN_X)
     if not (values[0] <= _ORIGIN_MAX):
@@ -641,9 +623,11 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     """The uncached body of ``solve_zeta`` at a valid t."""
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    closed_form = t > 0.0 and regime is GasRegime.EXTREME_RELATIVISTIC
+    # nonrelativistic, the closed form is the Sommerfeld series, where it serves the whole grid
+    closed_form = t > 0.0 and (regime is GasRegime.EXTREME_RELATIVISTIC or _degenerate_branch(
+        mu_tilde, t, float(_SCAN_X[-1]), _ZETA_QUAD_TOL) is not None)
     if closed_form:
-        grid, values, gaps = _closed_form_scan(t, mu_tilde)
+        grid, values, gaps = _closed_form_scan(t, regime, mu_tilde)
         k = _first_crossing(gaps)
     else:
         grid, values, gaps = _kernel_scan(t, regime, mu_tilde)

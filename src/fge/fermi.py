@@ -13,7 +13,8 @@ chemical potential, the nonrelativistic Fermi-kernel rules (QUADPACK's
 kernel variable) and the alternating sums of the relativistic closed
 form, the backbone of the exchange-amplitude module.  The relativistic
 chemical potential is the root of a closed-form identity; the
-nonrelativistic one is solved on the kernel rule.
+nonrelativistic one is the root of the Sommerfeld series in the
+degenerate gas, and is solved on the kernel rule elsewhere.
 """
 
 import cmath
@@ -28,6 +29,7 @@ import numpy as np
 
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
+from .degenerate import _TOL_MIN, _sommerfeld_bound, _sommerfeld_log_number
 from .quadrature import QK15_NODES, composite_kronrod
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
@@ -41,9 +43,6 @@ _THERMAL_DECADES = 45.0
 _KERNEL_OFFSETS = np.array(
     [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 29.0, 37.0, _THERMAL_DECADES]
 )
-# the level-0 edges in s of a window centred at s = 0 that the band bottom
-# does not cut, spelled as ``_kernel_panels`` computes them
-_S_EDGES = np.concatenate((0.0 - _KERNEL_OFFSETS[::-1], 0.0 + _KERNEL_OFFSETS[1:]))
 # the band bottom s = -mu/t may lie at most this far above the kernel
 # centre: the panel edges, whole offsets in s from it, map to d = mu + t s
 # with an error of up to 2^-53 |mu| each, which must stay well below their
@@ -61,8 +60,6 @@ _MAX_KERNEL_NODES = 2 ** 20
 _MAX_SPLIT_INTERVALS = 64
 # most nodes the cached kernel rules may hold together (48 MiB)
 _MAX_CACHED_NODES = 2 ** 21
-# below this reduced temperature the normalization correction to mu is < 1 ulp
-_MU_SHIFT_FLOOR = 1e-9
 # Newton steps below this (times max(1, t)) end the chemical-potential solve
 _MU_STEP_TOL = 1e-13
 _MU_ITERATIONS = 100
@@ -406,40 +403,6 @@ def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
     return np.maximum(np.ceil(math.pi * np.diff(u_edges) / np.abs(pole - nearest)), 1.0)
 
 
-@lru_cache(maxsize=16)
-def _s_table(pieces: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weight columns dz k(z) of the rule on _S_EDGES, each panel cut into ``pieces``.
-
-    Neither depends on t: every rule spaced in s whose window starts at or
-    below the kernel centre is a slice of this table (``_s_nodes``).
-    """
-    z, dz = composite_kronrod(_S_EDGES, pieces)
-    weights = dz * _kernel_density(z)[:, None]
-    for array in (z, weights):
-        array.flags.writeable = False  # every caller of the cache shares them
-    return z, weights
-
-
-def _s_nodes(s_first: float, pieces: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_s_table`` on the level-0 panels from ``s_first`` (-45 <= s_first <= 0) to 45.
-
-    The panels are those of ``_kernel_panels`` for mu_tilde >= 0: the fixed
-    edges above ``s_first``, and a partial first panel from ``s_first`` to
-    the next of them unless ``s_first`` is itself an edge.  Only that panel
-    is built, by ``composite_kronrod`` on its own, which gives the bits it
-    gives on all the panels.
-    """
-    above = int(np.searchsorted(_S_EDGES, s_first, side="right"))
-    table_nodes, table_weights = _s_table(pieces)
-    start = (above - 1) * pieces * QK15_NODES.size
-    if _S_EDGES[above - 1] == s_first:
-        return table_nodes[start:], table_weights[start:]
-    start += pieces * QK15_NODES.size
-    z, dz = composite_kronrod([s_first, _S_EDGES[above]], pieces)
-    return (np.concatenate((z, table_nodes[start:])),
-            np.concatenate((dz * _kernel_density(z)[:, None], table_weights[start:])))
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_widths(mu_tilde: float, t: float) -> tuple:
     """Widths in u of the level-0 panels, the pieces each needs whatever x is, the panels, and the split tables.
@@ -549,21 +512,14 @@ def _kernel_nodes(mu_tilde: float, t: float, splits,
 
     Panel p of the level-0 panels (what ``_kernel_panels`` returns for
     (mu_tilde, t), built here unless ``panels`` holds them) is cut
-    into ``splits[p]`` equal pieces.  Spaced in s with mu_tilde >= 0 and
-    the same pieces in every panel, the nodes and weights in s are slices
-    of ``_s_table`` and only the map to u is per temperature.
+    into ``splits[p]`` equal pieces.
     """
-    counts = np.asarray(splits)
-    if not _spaced_in_u(mu_tilde, t) and mu_tilde >= 0.0 and counts.min() == counts.max():
-        z, weights = _s_nodes(max(-mu_tilde / t, -_THERMAL_DECADES), int(counts.flat[0]))
-    else:
-        s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t)
-        z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
-        if in_u:
-            return z, dz * _u_density(z, mu_tilde, t)[:, None]
-        weights = dz * _kernel_density(z)[:, None]
+    s_edges, u_edges, in_u = panels or _kernel_panels(mu_tilde, t)
+    z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
+    if in_u:
+        return z, dz * _u_density(z, mu_tilde, t)[:, None]
     u = _kernel_u(mu_tilde + t * z)
-    return u, weights * (u ** 3)[:, None]
+    return u, dz * _kernel_density(z)[:, None] * (u ** 3)[:, None]
 
 
 _RuleCacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nodes max_nodes")
@@ -643,9 +599,7 @@ def kernel_rule(mu_tilde: float, t: float, x_max: float = 0.0, level: int = 0) -
     of lower ends, upper ends and splits' bytes, sorted), so an x inside
     one is a bisect; only an x outside them computes its splits and
     records their interval (``_split_interval``), up to
-    _MAX_SPLIT_INTERVALS of them over all levels.  A rule spaced in s is
-    a slice of the t-independent ``_s_table`` when every panel has the
-    same pieces, so only its map to u is computed.  Rules are cached, at most CACHE_SIZE
+    _MAX_SPLIT_INTERVALS of them over all levels.  Rules are cached, at most CACHE_SIZE
     of them and _MAX_CACHED_NODES nodes in all; one that would exceed
     _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
@@ -676,9 +630,7 @@ def _number_and_slope(mu_tilde: float, t: float,
 
     Both are sums over the Kronrod column of the level-0 kernel rule for
     x = 0: one piece per panel where the nodes are spaced in s, else
-    ``_pole_pieces``.  Spaced in s they come from the t-independent
-    ``_s_table`` (for mu_tilde >= 0), so only u(mu + t s) and u^3 are
-    computed.  Spaced in u, the nodes and Kronrod widths of ``grid``, the
+    ``_pole_pieces``.  Spaced in u, the nodes and Kronrod widths of ``grid``, the
     u-grid a previous Newton iterate returned, are kept and only the
     kernel weights are new; without one the grid is built and returned
     (None when the nodes are spaced in s).  Nothing is cached, because
@@ -836,6 +788,30 @@ def _relativistic_terms(mu_tilde: float, t: float) -> tuple:
     return cubic, b, (k, _SERIES_K2[:len(k)], weights), b * bound
 
 
+def _degenerate_mu(t: float, step_tol: float) -> float | None:
+    """The nonrelativistic mu as a Newton root of the Sommerfeld particle number, or None.
+
+    Newton steps on ``_sommerfeld_log_number`` from the Sommerfeld seed,
+    stopped as the kernel-rule solve's are.  None, and the kernel rule
+    solves, where the series' estimate at x = 0 and the seed exceeds the
+    tightest amplitude tolerance _TOL_MIN: the seed is within (pi t)^4 of
+    the root.
+    """
+    mu = _mu_seed(t, GasRegime.NONRELATIVISTIC)
+    if _sommerfeld_bound(mu, t, _TOL_MIN) is None:
+        return None
+    for _ in range(_MU_ITERATIONS):
+        log_number, slope = _sommerfeld_log_number(mu, t)
+        step = log_number / slope
+        if abs(step) <= step_tol:
+            return mu - step
+        mu -= step
+    raise SolverError(
+        f"particle-number series did not converge at reduced temperature {t!r}: "
+        f"last iterate {mu!r}"
+    )
+
+
 def _mu_seed(t: float, regime: GasRegime) -> float:
     """Sommerfeld chemical potential for t <= 1, else the classical (Boltzmann) one."""
     if regime is GasRegime.NONRELATIVISTIC:
@@ -869,10 +845,15 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     side too (mu ~ -t log(6 t^3)), at every t whose classical mu is finite
     (up to about 8e304).
 
-    Nonrelativistic, the number integral and its mu-derivative come from
-    the same Fermi-kernel nodes, and every iterate uses one node set:
-    spaced in s it is the t-independent table of ``_s_table`` mapped to u,
-    spaced in u (band bottom inside the kernel window) it is the first
+    Nonrelativistic and degenerate, the number is the Sommerfeld series
+    mu^(3/2) + (pi^2 t^2/8) mu^(-1/2) + ..., 12 terms, wherever its
+    estimate at the seed (the first omitted term, exp(-mu/t) and rounding)
+    is at most 1e-14 (``_degenerate_mu``), which holds up to t of about
+    0.0305; at t = 0 mu is exactly 1, and so is the series' root below t
+    of about 1e-8.  Elsewhere the number integral and its mu-derivative
+    come from the same Fermi-kernel nodes, and every iterate uses one
+    node set: spaced in u (band bottom inside the kernel window, as at
+    every t the series leaves to the kernel rule) it is the first
     iterate's u-grid, rebuilt only when the spacing changes or a bisection
     step jumps.  Each iterate narrows the bracket [-50 t, 2]; a step that
     leaves it is replaced by bisection.  From t of about 2.5e14, where the
@@ -891,12 +872,18 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
 def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> float:
     if not (0.0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
-    if mode is MuMode.FERMI_ENERGY_APPROX or t < _MU_SHIFT_FLOOR:
+    if mode is MuMode.FERMI_ENERGY_APPROX or t == 0.0:
         return 1.0
     step_tol = _MU_STEP_TOL * max(1.0, t)
     if regime is GasRegime.EXTREME_RELATIVISTIC:
         return _relativistic_mu(t, step_tol)
-    seed = _mu_seed(t, regime)
+    mu = _degenerate_mu(t, step_tol)
+    return _kernel_mu(t, step_tol) if mu is None else mu
+
+
+def _kernel_mu(t: float, step_tol: float) -> float:
+    """The nonrelativistic mu on the kernel rule's number integral (see ``reduced_chemical_potential``)."""
+    seed = _mu_seed(t, GasRegime.NONRELATIVISTIC)
     # the classical seed lies below the root, and from t of about 2.5e14
     # below -50 t too: there the floor moves below the seed
     floor = -50.0 * t if seed >= -50.0 * t else seed - t

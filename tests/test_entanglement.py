@@ -471,6 +471,17 @@ def test_average_entanglement_against_quadpack(t, regime, measure):
     assert average_entanglement(t, regime, measure) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [1e-8, 1.2589254117941661e-08, 2e-8])
+@pytest.mark.parametrize("regime", [NR, ER])
+def test_fermi_level_average_with_an_overshoot_at_rounding(regime, t):
+    # f(0) = 1 + 2.2e-16 near t = 1e-8, which the interpolant does not repeat
+    # at x = 0: the clamp adds no edge, where the root search would close on
+    # x = 0 and never converge; the average is the ground state's
+    for measure in Measure:
+        value = average_entanglement(t, regime, measure, MuMode.FERMI_ENERGY_APPROX)
+        assert value == pytest.approx(average_entanglement(0.0, regime, measure), rel=1e-9)
+
+
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
     # f overshoots 1 near the origin and the clamp bends the integrand

@@ -30,7 +30,7 @@ from fge import (
     thermal_amplitude,
 )
 from fge import QuadratureError, reduced_occupancy
-from fge import exchange
+from fge import degenerate, exchange
 from fge.fermi import fermi_momentum_from_density, occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
@@ -91,7 +91,7 @@ def test_ground_state_and_slope_against_mpmath_below_three():
 
 def test_series_meets_closed_form_at_crossover():
     # both branches must agree through the seam
-    xs = exchange._SERIES_CROSSOVER - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
+    xs = degenerate._SERIES_CROSSOVER - np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01])
     series = ground_state(xs)
     closed = 3.0 * (np.sin(xs) - xs * np.cos(xs)) / xs ** 3
     assert np.max(np.abs(series - closed)) < 1e-13
