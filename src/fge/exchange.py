@@ -490,17 +490,15 @@ def _scan_stops(t: float) -> list[int]:
     """Where the kernel scan's calls end on ``_SCAN_X``: each call covers the grid up to its stop.
 
     The last two calls end at _SCAN_WINDOW_END and at the end of the grid.
-    At finite t a first call ends at the first grid point at or above
-    _THERMAL_WINDOW times the classical zeta sqrt(2 ln 2 / t) (where the
-    Maxwell-Boltzmann f = exp(-x^2 t/4) crosses), when that point lies
-    below _SCAN_WINDOW_END.
+    A first call ends at the first grid point at or above _THERMAL_WINDOW
+    times the classical zeta sqrt(2 ln 2 / t) (where the Maxwell-Boltzmann
+    f = exp(-x^2 t/4) crosses), when that point lies below _SCAN_WINDOW_END.
     """
     stops = [int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END)), len(_SCAN_X)]
-    if t > 0.0:
-        classical = math.sqrt(2.0 * math.log(2.0) / t)
-        thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * classical)) + 1
-        if thermal < stops[0]:
-            stops.insert(0, thermal)
+    classical = math.sqrt(2.0 * math.log(2.0) / t)
+    thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * classical)) + 1
+    if thermal < stops[0]:
+        stops.insert(0, thermal)
     return stops
 
 
@@ -516,24 +514,25 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays
     below the 1e-10 contract.
 
-    Relativistic at finite t the closed form is scanned on the whole grid
-    in one call, and the origin counts as a grid point: where f^2 < 1/2
-    already at 1e-3 (exact mu from t of about 435, fermi mu from about
+    Where f has a closed form it is scanned on the whole grid in one
+    call, and the origin counts as a grid point: at t = 0, where f is
+    f0, relativistic at finite t, and in the nonrelativistic Sommerfeld
+    series wherever its estimate over the whole grid meets
+    _ZETA_QUAD_TOL (t up to about 0.036).  Where f^2 < 1/2 already at
+    1e-3 (relativistic, exact mu from t of about 435, fermi mu from about
     2e12) the bracket is [0, 1e-3], so zeta solves at every t whose
-    f(0)^2 is finite.  So is the nonrelativistic Sommerfeld series,
-    wherever its estimate over the whole grid meets _ZETA_QUAD_TOL (t up
-    to about 0.036).
+    f(0)^2 is finite.
 
-    At t = 0 and elsewhere nonrelativistic, the scan is evaluated in batched
+    Elsewhere nonrelativistic, the scan is evaluated in batched
     amplitude calls whose kernel rules resolve only the x of their call
-    (``_scan_stops``).  At finite t the first call ends near the thermal
-    length, at the first grid point at or above 1.25 times the classical
-    zeta when that is below 1.95; the next ends at 1.9, the last at 3.
-    Each further call is made only when the calls before it hold no
-    crossing, and the crossing is looked for on the gaps of all of them,
-    so the bracket is the first sign change on the whole grid.  The first
-    call also evaluates the origin, and at finite t it skips the leading
-    grid points that the weights of its own rule prove to have f^2 > 1/2
+    (``_scan_stops``).  The first call ends near the thermal length, at
+    the first grid point at or above 1.25 times the classical zeta when
+    that is below 1.95; the next ends at 1.9, the last at 3.  Each
+    further call is made only when the calls before it hold no crossing,
+    and the crossing is looked for on the gaps of all of them, so the
+    bracket is the first sign change on the whole grid.  The first call
+    also evaluates the origin, and it skips the leading grid points that
+    the weights of its own rule prove to have f^2 > 1/2
     (``_certified_count``), all but the last of them.  When the first grid
     point scanned is 1e-3 and already has f^2 < 1/2, the crossing lies
     below the grid and the solve fails at once.  The Newton steps take f
@@ -594,17 +593,15 @@ def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
 
 
 def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The kernel scan (t = 0 or nonrelativistic): grid, and f and f^2 - 1/2 from its first point to its last call's end."""
+    """The kernel rule's scan (nonrelativistic, t > 0): grid, and f and f^2 - 1/2 from its first point to its last call's end."""
     stops = _scan_stops(t)
 
     def amplitude(xv):
         return _refined_sum(xv, float(xv[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-    first = 1
-    if t > 0.0:
-        # the level-0 rule of the first scan call, which resolves its last point
-        rule = kernel_rule(mu_tilde, t, float(_SCAN_X[stops[0] - 1]))
-        first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))
+    # the level-0 rule of the first scan call, which resolves its last point
+    rule = kernel_rule(mu_tilde, t, float(_SCAN_X[stops[0] - 1]))
+    first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))
     f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:stops[0]])))
     _require_origin(f_origin)
 
@@ -623,8 +620,9 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     """The uncached body of ``solve_zeta`` at a valid t."""
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    # nonrelativistic, the closed form is the Sommerfeld series, where it serves the whole grid
-    closed_form = t > 0.0 and (regime is GasRegime.EXTREME_RELATIVISTIC or _degenerate_branch(
+    # f0 at t = 0 is a closed form; nonrelativistic at finite t so is the
+    # Sommerfeld series, where it serves the whole grid
+    closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC or _degenerate_branch(
         mu_tilde, t, float(_SCAN_X[-1]), _ZETA_QUAD_TOL) is not None)
     if closed_form:
         grid, values, gaps = _closed_form_scan(t, regime, mu_tilde)

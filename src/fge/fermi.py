@@ -19,7 +19,6 @@ degenerate gas, and is solved on the kernel rule elsewhere.
 
 import cmath
 import math
-from bisect import bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -55,9 +54,6 @@ _KERNEL_U_MAX = (np.finfo(float).max / 4.0) ** (1.0 / 3.0)
 _PHASE_PER_PANEL = 1.0
 # most nodes one kernel rule may have (x t >> 1 needs many to resolve f0(x u))
 _MAX_KERNEL_NODES = 2 ** 20
-# most x-intervals of constant splits one (mu_tilde, t) records, over
-# all levels: with 1024 temperatures cached, at most about 20 MiB of tables
-_MAX_SPLIT_INTERVALS = 64
 # most nodes the cached kernel rules may hold together (48 MiB)
 _MAX_CACHED_NODES = 2 ** 21
 # Newton steps below this (times max(1, t)) end the chemical-potential solve
@@ -405,13 +401,16 @@ def _pole_pieces(mu_tilde: float, t: float, u_edges: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_widths(mu_tilde: float, t: float) -> tuple:
-    """Widths in u of the level-0 panels, the pieces each needs whatever x is, the panels, and the split tables.
+    """Widths in u of the level-0 panels, the pieces each needs whatever x is, the panels, and x_least and those pieces' bytes.
 
     With nodes spaced in u the least pieces are ``_pole_pieces``;
     otherwise one piece per panel suffices.  The panels are what
-    ``_kernel_panels`` returns, kept for the rules built on them.  The
-    split tables, filled by ``kernel_rule``, leave the cache with the rest
-    of the entry.
+    ``_kernel_panels`` returns, kept for the rules built on them.  Up to
+    x_least = (1 - 1e-12) min_p least_p _PHASE_PER_PANEL / w_p every
+    phase x w_p / _PHASE_PER_PANEL, rounding included, is within its
+    least pieces, so their int64 bytes are the level-0 splits of every
+    such x.  A panel of zero width bounds nothing, and x_least stays
+    finite, so that an infinite x meets the node cap.
     """
     panels = _kernel_panels(mu_tilde, t)
     _, u_edges, in_u = panels
@@ -419,29 +418,23 @@ def _kernel_widths(mu_tilde: float, t: float) -> tuple:
     least = _pole_pieces(mu_tilde, t, u_edges) if in_u else np.ones_like(widths)
     for array in (widths, least, *panels[:2]):
         array.flags.writeable = False  # every caller of the cache shares them
-    return widths, least, panels, {}
-
-
-def _level0_pieces(x, widths: np.ndarray, least: np.ndarray) -> np.ndarray:
-    """Pieces (float) of each level-0 panel at ``x`` (or a column of x), at least ``least``.
-
-    A piece spans at most _PHASE_PER_PANEL radians of f0(x u), so the
-    pieces step up where a phase x w_p / _PHASE_PER_PANEL passes a whole
-    number.
-    """
-    return np.maximum(np.ceil(x * widths / _PHASE_PER_PANEL), least)
+    with np.errstate(divide="ignore"):
+        reach = least * _PHASE_PER_PANEL / widths
+    x_least = (1.0 - 1e-12) * float(reach.min(initial=np.finfo(float).max))
+    return widths, least, panels, x_least, least.astype(np.int64).tobytes()
 
 
 def _kernel_splits(mu_tilde: float, t: float, x_max: float, level: int = 0) -> np.ndarray:
     """Pieces each level-0 panel is cut into so that the rule resolves f0(x u), x <= x_max.
 
-    ``_level0_pieces`` at x_max, each piece halved at every level.  A rule
-    of more than _MAX_KERNEL_NODES nodes raises ``QuadratureError``.
+    A piece spans at most _PHASE_PER_PANEL radians of f0(x_max u), and a
+    panel has at least its least pieces; every level halves each piece.
+    A rule of more than _MAX_KERNEL_NODES nodes raises ``QuadratureError``.
     """
-    widths, least, _, _ = _kernel_widths(mu_tilde, t)
+    widths, least = _kernel_widths(mu_tilde, t)[:2]
     # a huge x_max takes the phases, or their sum, to inf, which the node cap rejects
     with np.errstate(over="ignore"):
-        pieces = _level0_pieces(x_max, widths, least) * 2.0 ** level
+        pieces = np.maximum(np.ceil(x_max * widths / _PHASE_PER_PANEL), least) * 2.0 ** level
         nodes = float(pieces.sum()) * QK15_NODES.size
     if not (nodes <= _MAX_KERNEL_NODES):
         raise QuadratureError(
@@ -450,55 +443,6 @@ def _kernel_splits(mu_tilde: float, t: float, x_max: float, level: int = 0) -> n
             error_estimate=math.inf,
         )
     return pieces.astype(np.int64)
-
-
-def _last_phase_within(pieces: float, width: float) -> float:
-    """Largest x whose rounded phase x width / _PHASE_PER_PANEL is at most ``pieces`` (width > 0).
-
-    The quotient is within an ulp or two; the phase itself decides.
-    """
-    x = pieces * _PHASE_PER_PANEL / width
-    while x * width / _PHASE_PER_PANEL > pieces:
-        x = math.nextafter(x, -math.inf)
-    while (up := math.nextafter(x, math.inf)) * width / _PHASE_PER_PANEL <= pieces:
-        x = up
-    return x
-
-
-def _split_interval(x: float, counts: np.ndarray, widths: np.ndarray,
-                    least: np.ndarray) -> tuple[float, float]:
-    """The interval [lo, hi] of every x' >= 0 whose ``_level0_pieces`` are ``counts``, those of x.
-
-    Panel p keeps c_p pieces while its phase is at most c_p and, where c_p
-    is above its least, above c_p - 1.  The panel with the tightest bound
-    k / w_p on each side gives that end to the ulp, and the pieces of all
-    panels there confirm it or step it in towards x.  A panel of zero
-    width, or whose bound passes the float range, bounds nothing.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        spans = _PHASE_PER_PANEL / widths
-        tops = counts * spans
-        bottoms = np.where(counts > least, tops - spans, -math.inf)
-    top, bottom = int(tops.argmin()), int(bottoms.argmax())
-    lo, hi = 0.0, math.inf
-    if bottoms[bottom] > -math.inf:
-        lo = min(x, math.nextafter(
-            _last_phase_within(float(counts[bottom]) - 1.0, float(widths[bottom])), math.inf))
-    if tops[top] < math.inf:
-        hi = max(x, _last_phase_within(float(counts[top]), float(widths[top])))
-
-    def held(ends):
-        return (_level0_pieces(ends, widths, least) == counts).all(axis=-1)
-
-    # both ends in one check; x stands in for an unbounded hi
-    lo_held, hi_held = held(np.array([[lo], [hi if hi < math.inf else x]]))
-    while not lo_held:
-        lo = math.nextafter(lo, math.inf)
-        lo_held = held(lo)
-    while not hi_held:
-        hi = math.nextafter(hi, -math.inf)
-        hi_held = held(hi)
-    return lo, hi
 
 
 def _u_density(u: np.ndarray, mu_tilde: float, t: float) -> np.ndarray:
@@ -593,31 +537,17 @@ def kernel_rule(mu_tilde: float, t: float, x_max: float = 0.0, level: int = 0) -
     Level 0 has up to 28 graded panels: unit width across the kernel bump,
     whose poles sit at s = +-i pi, and widening where the kernel has
     decayed.  ``_kernel_splits`` cuts them to resolve the oscillation of
-    f0(x u), and every further level halves all pieces.  The splits are
-    constant on intervals of x.  Each (mu_tilde, t, level) keeps
-    in its ``_kernel_widths`` entry a table of those met so far (tuples
-    of lower ends, upper ends and splits' bytes, sorted), so an x inside
-    one is a bisect; only an x outside them computes its splits and
-    records their interval (``_split_interval``), up to
-    _MAX_SPLIT_INTERVALS of them over all levels.  Rules are cached, at most CACHE_SIZE
-    of them and _MAX_CACHED_NODES nodes in all; one that would exceed
+    f0(x u), and every further level halves all pieces.  At level 0 an
+    x_max up to the ``_kernel_widths`` entry's x_least needs only each
+    panel's least pieces, whose bytes that entry holds, so such a fetch
+    computes no splits; the least pieces, 35 at most, are far below the
+    node cap.  Rules are cached, at most CACHE_SIZE of them
+    and _MAX_CACHED_NODES nodes in all; one that would exceed
     _MAX_KERNEL_NODES raises ``QuadratureError``.
     """
-    widths, least, _, tables = _kernel_widths(mu_tilde, t)
-    lows, highs, keys = tables.get(level, ((), (), ()))
-    i = bisect_right(lows, x_max) - 1
-    if i >= 0 and x_max <= highs[i]:
-        key = keys[i]
-    else:
-        splits = _kernel_splits(mu_tilde, t, x_max, level)
-        key = splits.tobytes()
-        if sum(len(table[2]) for table in tables.values()) < _MAX_SPLIT_INTERVALS:
-            lo, hi = _split_interval(x_max, splits * 0.5 ** level, widths, least)
-            i = bisect_right(lows, lo)
-            # a new table, never one changed in place, so that a lookup reads
-            # its three tuples as one
-            tables[level] = tuple(seq[:i] + (end,) + seq[i:]
-                                  for seq, end in zip((lows, highs, keys), (lo, hi, key)))
+    x_least, key = _kernel_widths(mu_tilde, t)[3:]
+    if not (level == 0 and x_max <= x_least):
+        key = _kernel_splits(mu_tilde, t, x_max, level).tobytes()
     return _cached_kernel_rule(mu_tilde, t, key)
 
 
@@ -791,8 +721,8 @@ def _relativistic_terms(mu_tilde: float, t: float) -> tuple:
 def _degenerate_mu(t: float, step_tol: float) -> float | None:
     """The nonrelativistic mu as a Newton root of the Sommerfeld particle number, or None.
 
-    Newton steps on ``_sommerfeld_log_number`` from the Sommerfeld seed,
-    stopped as the kernel-rule solve's are.  None, and the kernel rule
+    Newton steps on ``_sommerfeld_log_number`` from the Sommerfeld seed
+    (``_log_number_root``), stopped as the kernel-rule solve's are.  None, and the kernel rule
     solves, where the series' estimate at x = 0 and the seed exceeds the
     tightest amplitude tolerance _TOL_MIN: the seed is within (pi t)^4 of
     the root.
@@ -800,14 +730,23 @@ def _degenerate_mu(t: float, step_tol: float) -> float | None:
     mu = _mu_seed(t, GasRegime.NONRELATIVISTIC)
     if _sommerfeld_bound(mu, t, _TOL_MIN) is None:
         return None
+    return _log_number_root(_sommerfeld_log_number, mu, t, step_tol)
+
+
+def _log_number_root(log_number, mu: float, t: float, step_tol: float) -> float:
+    """The root of log N = 0 by plain Newton steps from ``mu``; ``log_number(mu, t)`` gives log N and its mu-derivative.
+
+    The solve stops once a step is at most ``step_tol`` and returns that
+    last step applied.
+    """
     for _ in range(_MU_ITERATIONS):
-        log_number, slope = _sommerfeld_log_number(mu, t)
-        step = log_number / slope
+        value, slope = log_number(mu, t)
+        step = value / slope
         if abs(step) <= step_tol:
             return mu - step
         mu -= step
     raise SolverError(
-        f"particle-number series did not converge at reduced temperature {t!r}: "
+        f"particle-number equation did not converge at reduced temperature {t!r}: "
         f"last iterate {mu!r}"
     )
 
@@ -932,17 +871,7 @@ def _relativistic_mu(t: float, step_tol: float) -> float:
     if not math.isfinite(mu):
         raise DomainError(f"reduced temperature {t!r} is too large: the classical chemical "
                           "potential -t log(6 t^3) overflows")
-    step_tol *= max(1.0, abs(mu) / t)
-    for _ in range(_MU_ITERATIONS):
-        log_number, slope = _relativistic_number(mu, t)
-        step = log_number / slope
-        if abs(step) <= step_tol:
-            return mu - step
-        mu -= step
-    raise SolverError(
-        f"particle-number equation did not converge at reduced temperature {t!r}: "
-        f"last iterate {mu!r}"
-    )
+    return _log_number_root(_relativistic_number, mu, t, step_tol * max(1.0, abs(mu) / t))
 
 
 reduced_chemical_potential.cache_info = _reduced_chemical_potential.cache_info

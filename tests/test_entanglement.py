@@ -327,8 +327,9 @@ def test_eos_grid_solves_once_per_temperature():
 
 
 def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
-    # 100 points of one t: the kernel splits are computed once per distinct
-    # (level, splits), and every other request is a lookup in the split table
+    # 100 points of one t: a fetch at level 0 and x up to the least pieces'
+    # threshold x_least computes no splits, every other fetch computes them
+    # once, and each new (level, splits) builds one rule
     for cached in (reduced_chemical_potential, solve_zeta, fermi._cached_kernel_rule,
                    fermi._kernel_widths):
         cached.cache_clear()
@@ -358,8 +359,11 @@ def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
     *_, xs, ts = fermi.reduced_inputs(r, p, temp, NR)
     t = float(ts[0])
     mu = reduced_chemical_potential(t, NR)
+    x_least = fermi._kernel_widths(mu, t)[3]
     assert len(patterns([(mu, t, float(x), 0) for x in xs])) == 2
-    assert len(direct) == len(patterns(requested)) < len(requested) - 99
+    above = [args for args in requested if args[-1] != 0 or args[2] > x_least]
+    assert 0 < len(above) < len(requested)
+    assert direct == above
     new = patterns(requested[first:]) - patterns(requested[:first])
     assert fermi._cached_kernel_rule.cache_info().misses - misses == len(new)
 

@@ -590,68 +590,38 @@ def looked_up_splits(mu, t, x, level):
 )
 def test_split_lookup_matches_the_direct_formula(scale, mode, log_t, level, panel, phase,
                                                  ulps, others):
-    # x at, or a few ulps from, a breakpoint k phi / w_p of the splits, after
-    # a few other x have filled the table; each is looked up twice.  The
-    # scale 1/2 moves mu off the solved one, to a band bottom of other panels
+    # x at, or a few ulps from, a breakpoint k phi / w_p of the splits, and
+    # the least pieces' threshold x_least and 4 ulps either side of it,
+    # after a few other x; each is looked up twice.  The scale 1/2 moves mu
+    # off the solved one, to a band bottom of other panels
     t = 10.0 ** log_t
     mu = scale * reduced_chemical_potential(t, NR, mode)
-    widths = _kernel_widths(mu, t)[0]
+    widths, *_, x_least, _ = _kernel_widths(mu, t)
     width = float(widths[panel % len(widths)])
     x = phase * fermi._PHASE_PER_PANEL / width if width > 0.0 else float(phase)
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
-    for x_i in [*others, max(x, 0.0)] * 2:
+    near_least = [x_least]
+    for direction in (-math.inf, math.inf):
+        x_i = x_least
+        for _ in range(4):
+            x_i = math.nextafter(x_i, direction)
+            near_least.append(x_i)
+    for x_i in [*others, max(x, 0.0), *near_least] * 2:
         assert looked_up_splits(mu, t, x_i, level) == direct_splits(mu, t, x_i, level)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-@pytest.mark.parametrize("mode", [MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX])
-@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 30.0, 1e3])
-def test_recorded_split_intervals_are_whole_and_disjoint(scale, mode, t):
-    # each interval holds its splits at both ends and loses them an ulp
-    # outside, so it is the whole set of x with those splits
-    mu = scale * reduced_chemical_potential(t, NR, mode)
-    for x in np.linspace(0.0, 50.0 / max(1.0, t), 41):
-        for level in range(3):
-            looked_up_splits(mu, t, float(x), level)
-    tables = _kernel_widths(mu, t)[3]
-    assert {0, 1, 2} <= set(tables)
-    for level, (lows, highs, keys) in tables.items():
-        assert list(lows) == sorted(lows)
-        assert all(hi < lo for hi, lo in zip(highs, lows[1:]))
-        for lo, hi, key in zip(lows, highs, keys):
-            assert direct_splits(mu, t, lo, level) == key
-            assert lo == 0.0 or direct_splits(mu, t, math.nextafter(lo, -1.0), level) != key
-            if hi < math.inf:
-                assert direct_splits(mu, t, hi, level) == key
-                assert direct_splits(mu, t, math.nextafter(hi, math.inf), level) != key
-
-
-def test_zero_width_panels_bound_no_interval():
-    # at t = 1e-18 the panels next to mu = 1 collapse in u: width 0, and a
-    # bound k / 0 that must neither warn nor cut the interval
+def test_zero_width_panels_leave_the_least_pieces_threshold_finite():
+    # at t = 1e-18 the panels around mu = 1 collapse in u: width 0, and a
+    # bound k / 0 that must neither warn nor set the threshold x_least
     mu, t = 1.0, 1e-18
-    widths = _kernel_widths(mu, t)[0]
-    assert (widths == 0.0).any()
+    _kernel_widths.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (0.0, 1e3, 1e12):
+        widths, *_, x_least, _ = _kernel_widths(mu, t)
+        assert (widths == 0.0).any() and 0.0 < x_least < math.inf
+        for x in (0.0, x_least, math.nextafter(x_least, math.inf), 1e3, 1e12):
             assert looked_up_splits(mu, t, x, 0) == direct_splits(mu, t, x, 0)
-
-
-def test_split_table_records_a_bounded_number_of_intervals():
-    # the bound is on all levels of one (mu, t) together
-    mu, t = reduced_chemical_potential(1.0, NR), 1.0
-    _kernel_widths.cache_clear()
-    widths = _kernel_widths(mu, t)[0]
-    step = fermi._PHASE_PER_PANEL / float(widths.max())
-    for k in range(fermi._MAX_SPLIT_INTERVALS // 2 + 10):
-        for level in (0, 1):
-            x = (k + 0.5) * step
-            assert looked_up_splits(mu, t, x, level) == direct_splits(mu, t, x, level)
-    tables = _kernel_widths(mu, t)[3]
-    assert all(len(lows) == len(highs) == len(keys) for lows, highs, keys in tables.values())
-    assert sum(len(keys) for _, _, keys in tables.values()) == fermi._MAX_SPLIT_INTERVALS
 
 
 def test_rule_cache_is_bounded_by_nodes():
