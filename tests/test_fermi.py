@@ -611,6 +611,41 @@ def test_split_lookup_matches_the_direct_formula(scale, mode, log_t, level, pane
         assert looked_up_splits(mu, t, x_i, level) == direct_splits(mu, t, x_i, level)
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("mode", [MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX])
+@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 30.0, 1e3])
+def test_least_pieces_threshold_is_whole_and_tight(scale, mode, t):
+    # every x up to x_least has the least pieces as its level-0 splits, and
+    # an x a few 1e-12 above it has not, so the threshold gives away at most
+    # its 1e-12 margin; the other levels always take the direct formula
+    mu = scale * reduced_chemical_potential(t, NR, mode)
+    _, least, _, x_least, key = _kernel_widths(mu, t)
+    assert 0.0 < x_least < math.inf
+    assert key == least.astype(np.int64).tobytes()
+    below = [*np.linspace(0.0, x_least, 41), math.nextafter(x_least, 0.0)]
+    for x in below:
+        assert direct_splits(mu, t, float(x), 0) == key
+    assert direct_splits(mu, t, x_least * (1.0 + 3e-12), 0) != key
+    for x in [*below, *np.linspace(x_least, 3.0 * x_least, 21)]:
+        for level in range(3):
+            assert looked_up_splits(mu, t, float(x), level) == direct_splits(mu, t, float(x), level)
+
+
+def test_split_lookup_keeps_no_state_per_x():
+    # fetches at many x and levels leave the (mu, t) cache entry as it was,
+    # so what the lookup holds does not grow with the x it has seen
+    mu, t = reduced_chemical_potential(1.0, NR), 1.0
+    _kernel_widths.cache_clear()
+    entry = _kernel_widths(mu, t)
+    step = fermi._PHASE_PER_PANEL / float(entry[0].max())
+    for k in range(42):
+        for level in (0, 1):
+            x = (k + 0.5) * step
+            assert looked_up_splits(mu, t, x, level) == direct_splits(mu, t, x, level)
+    assert _kernel_widths(mu, t) is entry
+    assert _kernel_widths.cache_info().currsize == 1
+
+
 def test_zero_width_panels_leave_the_least_pieces_threshold_finite():
     # at t = 1e-18 the panels around mu = 1 collapse in u: width 0, and a
     # bound k / 0 that must neither warn nor set the threshold x_least
