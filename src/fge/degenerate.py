@@ -48,12 +48,13 @@ _SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if
 
 # terms n = 1 ... K of the series kept
 _SOMMERFELD_TERMS = 12
-# a_n = 2 (1 - 2^(1-2n)) zeta(2n) for n = 1 ... K + 1, the last for the first omitted term
+# a_n = 2 (1 - 2^(1-2n)) zeta(2n) for n = 1 ... K + 2: the terms kept, the first
+# omitted term, and the last of the Euler-Maclaurin corrections of ``matsubara``
 _SOMMERFELD_COEFFS = (
     1.6449340668482264, 1.8940656589944918, 1.9711021825948702, 1.9924660037052957,
     1.998079015196543, 1.9995153702877164, 1.9998783406919594, 1.9999695284298122,
     1.9999923757392202, 1.9999980932231631, 1.9999995232264616, 1.9999998807977848,
-    1.999999970198464,
+    1.999999970198464, 1.9999999925495069,
 )
 # the powers n of tau^2 of the terms kept
 _POWERS = np.arange(1.0, _SOMMERFELD_TERMS + 1.0)

@@ -8,9 +8,11 @@ f(x,t) = int u^3 f0(u x) (-dn/du) du.  Relativistic, where -dn/du is a
 logistic density in u, the average has a closed form at every
 temperature (``_relativistic_sum``); nonrelativistic, it is the
 Sommerfeld series of ``degenerate`` where that meets the tolerance (the
-degenerate gas, up to t of about 0.03 to 0.04), and elsewhere a sum on
-a fixed Fermi-kernel rule.  Each branch gives, over an array of x, f,
-its error estimate and, on request, the slope df/dx.
+degenerate gas, up to t of about 0.03 to 0.04), then the sum over the
+Matsubara poles of ``matsubara`` where that does (up to t of about 30
+to 300), and at the hot end left a sum on a fixed Fermi-kernel rule.
+Each branch gives, over an array of x, f, its error estimate and, on
+request, the slope df/dx.
 The distance constant zeta is the smallest x where f^2 crosses 1/2.
 """
 
@@ -32,6 +34,7 @@ from .degenerate import (
     _square_powers,
 )
 from .errors import DomainError, QuadratureError, SolverError
+from .matsubara import _matsubara_terms, _pole_estimate, _pole_floor, _pole_sum
 from .fermi import (
     CACHE_SIZE,
     GasRegime,
@@ -44,10 +47,6 @@ from .fermi import (
     kernel_rule,
     reduced_chemical_potential,
 )
-
-# f0 decreases on [0, Y], Y the first zero of j_2, and f0(Y) is its minimum
-_F0_MIN_AT, _F0_MIN = 5.76345919689455, -0.0861708941619074
-
 
 def _y_coth_y_coefficients(terms: int) -> list:
     """Coefficients c_n of y coth y = sum_n c_n y^2n, from sinh(y) (y coth y) = y cosh(y)."""
@@ -108,6 +107,23 @@ def _degenerate_branch(mu_tilde: float, t: float, x_max: float, tol: float) -> t
     terms = _degenerate_terms(mu_tilde, t)
     err = _sommerfeld_estimate(terms, x_max)
     return (terms, err) if err <= tol else None
+
+
+# the pole sum's constants, per (mu_tilde, t)
+_pole_terms = lru_cache(maxsize=CACHE_SIZE)(_matsubara_terms)
+
+
+def _pole_branch(mu_tilde: float, t: float, x_max: float, tol: float):
+    """The pole sum's constants where its estimate on [0, x_max] meets ``tol`` or its rounding floor, else None.
+
+    The floor is the kernel rule's, _ROUNDOFF times the scale f(0).  The
+    table-free ``_pole_floor`` rules out the hot gas before a table is built.
+    """
+    if _pole_floor(mu_tilde, t) > tol:
+        return None
+    terms = _pole_terms(mu_tilde, t)
+    err = _pole_estimate(terms, x_max)
+    return terms if err <= tol or err <= _ROUNDOFF * abs(terms.scale) else None
 
 
 def _validate_quad_tol(tol: float) -> None:
@@ -272,23 +288,20 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
 
     Returns (values, slopes or None, estimate).  Each branch checks its
     own window and raises a DomainError outside it.  At t = 0 the values
-    are the ground state f0(x) with estimate 0, and mu_tilde must be
-    exactly 1.  Relativistic at finite t they are the closed form of
-    ``_relativistic_sum``.  Nonrelativistic they are the Sommerfeld series
-    of ``_sommerfeld_sum``, the t = 0 branch's continuation, wherever its
-    estimate on [0, x_max] is within ``tol`` (``_degenerate_branch``).
-    Elsewhere they are ``_kernel_sum`` on the kernel rules of levels 0,
-    1, ... until the estimate, the largest gap between the rule's Kronrod
-    and Gauss sums, is within ``tol`` or, summed only when it is not,
-    QUADPACK's rounding floor _ROUNDOFF sum_j W_j0, a bound on
-    sum_j |W_j0 f0(x u_j)| as W >= 0 and |f0| <= 1; the estimate returned
-    is the gap either way.  The closed form's estimate meets the same
-    test, with its scale for sum_j W_j0, or raises.  ``x_max``, at least
-    the largest of ``xs``, is the largest x the kernel rules resolve
-    (``kernel_rule``) and the series' estimate bounds; the closed form
-    does not read it.  The callers have checked x, t, the regime and
-    ``tol``.  A call that raises leaves none of the rules it built in the
-    cache.
+    are f0(x) with estimate 0, and mu_tilde must be exactly 1;
+    relativistic at finite t, the closed form ``_relativistic_sum``.
+    Nonrelativistic, the first branch whose estimate on [0, x_max] is
+    within ``tol`` serves: the Sommerfeld series (``_degenerate_branch``),
+    the pole sum (``_pole_branch``), whose estimate returned is the one
+    over the x given, then ``_kernel_sum`` on the kernel rules of levels
+    0, 1, ... until the gap between their Kronrod and Gauss sums is.  The
+    pole sum, the closed form and the kernel rule also stop at QUADPACK's
+    rounding floor _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)|,
+    with f(0) or the closed form's scale for sum_j W_j0.  ``x_max``, at
+    least the largest of ``xs``, is the largest x the kernel rules resolve
+    and the series' and pole sum's estimates bound.  The callers have
+    checked x, t, the regime and ``tol``.  A call that raises leaves none
+    of the rules it built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
@@ -309,6 +322,9 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
     if series is not None:
         terms, err = series
         return (*_sommerfeld_sum(xs, terms, slope), err)
+    poles = _pole_branch(mu_tilde, t, x_max, tol)
+    if poles is not None:
+        return _pole_sum(xs, poles, slope)
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
@@ -350,25 +366,19 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     6 t^3 exp(-|mu_tilde|/t) and pi^2 t^2 mu_tilde, stay below e^700; a
     DomainError names the one that does not.
 
-    Nonrelativistic and degenerate, f is the Sommerfeld series
-    (``degenerate._sommerfeld_sum``) wherever its estimate on [0, max x]
-    is at most ``tol``: the first omitted of its 12 terms, bounded at
-    every x, plus mu^(3/2) (exp(-mu_tilde/t) + 16 eps) for the kernel's
-    mass below the band bottom and rounding.  At the solved mu that holds
-    for x up to 6 from t = 0 to about 0.029 at tol 1e-14, 0.035 at 1e-12
-    and 0.042 at 1e-10.
-
-    Elsewhere nonrelativistic, every x is one dot product of f0(x u_j)
-    with the weights of a Fermi-kernel rule.  The estimate is the largest gap,
-    over the x given, between the rule's 15-point Kronrod and 7-point
-    Gauss sums on the same nodes; the panels are halved until it is at
-    most ``tol`` (absolute; the amplitude is O(1)), or at most the
-    rounding floor of the sum (``_refined_sum``).  At finite t, mu_tilde
-    must be at least -2^50 t, or the kernel window's panel edges stop
-    increasing, and the window's top, u = sqrt(max(mu_tilde, 0) + 45 t),
-    at most about 3.5e102, or its weights u^3 overflow; the solved chemical
-    potential, at most 2 and at least -50 t or near the classical one,
-    lies inside.
+    Nonrelativistic, f is the first of three branches whose estimate on
+    [0, max x] is at most ``tol``: the Sommerfeld series
+    (``degenerate._sommerfeld_sum``; at the solved mu and x up to 6, t up
+    to about 0.029 at tol 1e-14, 0.035 at 1e-12 and 0.042 at 1e-10), the
+    sum over the Matsubara poles (``matsubara._pole_sum``, also at its
+    rounding floor; up to t of about 1.2, 28 and 340), and at the hot end
+    one dot product of f0(x u_j) with the weights of a Fermi-kernel rule,
+    whose estimate is the gap between its 15-point Kronrod and 7-point
+    Gauss sums, halved until it is at most ``tol`` or the sum's rounding
+    floor.  At finite t, mu_tilde must be at least -2^50 t, or the kernel
+    window's panel edges stop increasing, and the window's top,
+    u = sqrt(max(mu_tilde, 0) + 45 t), at most about 3.5e102, or its
+    weights u^3 overflow; the solved chemical potential lies inside.
     """
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
@@ -440,18 +450,9 @@ _SCAN_DECADES = 10.0 ** np.arange(-300.0, -3.0)
 # from 1e-6 to 30, both regimes and both mu modes, the largest zeta was
 # 1.866 (fermi mu, rel, t = 0.172)
 _SCAN_WINDOW_END = 1.95
-# above this multiple of the classical zeta (``_classical_zeta``) the first
-# scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
+# above this multiple of the classical zeta sqrt(2 ln 2 / t) (``_scan_stops``)
+# the first scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
 _THERMAL_WINDOW = 1.25
-# the scan's certificate: the weight fraction of the kernel rule left beyond
-# its cut node, the equal-weight blocks the weight below the cut falls into,
-# and the margin by which the bound must exceed 1/sqrt(2), a thousand times
-# the tolerance of the amplitudes of the solve
-_CERT_TAIL = 1e-3
-_CERT_BLOCKS = 16
-_CERT_MARGIN = 1e-9
-# the fractions of the certified weight at which the blocks end, the last exactly 1
-_CERT_FRACTIONS = np.arange(1, _CERT_BLOCKS + 1) / _CERT_BLOCKS
 
 
 def _first_crossing(gaps: np.ndarray) -> int | None:
@@ -459,31 +460,6 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
     signs = np.sign(gaps)
     crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
     return int(crossings[0]) if crossings.size else None
-
-
-def _certified_count(rule: KernelRule, xs: np.ndarray) -> int:
-    """How many leading entries of the increasing ``xs`` the weights of ``rule`` prove entangled.
-
-    The rule's sum is f(x) = sum_j W_j f0(x u_j) with W_j >= 0 and its
-    nodes u_j nondecreasing over the whole rule (``composite_kronrod``
-    builds them piece by piece, and the map s -> u is monotone).  The
-    weight up to 1 - _CERT_TAIL of the total is cut into _CERT_BLOCKS
-    blocks of equal weight, block b of weight W_b ending at node U_b, and
-    W_tail is the rest.  As f0 decreases on [0, Y] and never drops below
-    f0(Y), every node of block b has f0(x u_j) >= g(x U_b) with
-    g(y) = f0(min(y, Y)), so f(x) >= sum_b W_b g(x U_b) + W_tail f0(Y), a
-    bound that falls with x (with one block it is the single cut at U).
-    The count is of the leading x where it exceeds 1/sqrt(2) by
-    _CERT_MARGIN, without an amplitude evaluated.
-    """
-    below = np.cumsum(rule.weights[:, 0])
-    ends = np.searchsorted(below, (1.0 - _CERT_TAIL) * below[-1] * _CERT_FRACTIONS)
-    block_weights = below[ends]
-    block_weights[1:] -= below[ends[:-1]]
-    y = np.minimum(np.multiply.outer(xs, rule.nodes[ends]), _F0_MIN_AT)
-    bound = _f0(y) @ block_weights
-    bound += (below[-1] - below[ends[-1]]) * _F0_MIN
-    return int(np.logical_and.accumulate(bound > math.sqrt(0.5) + _CERT_MARGIN).sum())
 
 
 def _scan_stops(t: float) -> list[int]:
@@ -514,30 +490,21 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays
     below the 1e-10 contract.
 
-    Where f has a closed form it is scanned on the whole grid in one
-    call, and the origin counts as a grid point: at t = 0, where f is
-    f0, relativistic at finite t, and in the nonrelativistic Sommerfeld
-    series wherever its estimate over the whole grid meets
-    _ZETA_QUAD_TOL (t up to about 0.036).  Where f^2 < 1/2 already at
-    1e-3 (relativistic, exact mu from t of about 435, fermi mu from about
-    2e12) the bracket is [0, 1e-3], so zeta solves at every t whose
-    f(0)^2 is finite.
-
-    Elsewhere nonrelativistic, the scan is evaluated in batched
-    amplitude calls whose kernel rules resolve only the x of their call
-    (``_scan_stops``).  The first call ends near the thermal length, at
-    the first grid point at or above 1.25 times the classical zeta when
-    that is below 1.95; the next ends at 1.9, the last at 3.  Each
-    further call is made only when the calls before it hold no crossing,
-    and the crossing is looked for on the gaps of all of them, so the
-    bracket is the first sign change on the whole grid.  The first call
-    also evaluates the origin, and it skips the leading grid points that
-    the weights of its own rule prove to have f^2 > 1/2
-    (``_certified_count``), all but the last of them.  When the first grid
-    point scanned is 1e-3 and already has f^2 < 1/2, the crossing lies
-    below the grid and the solve fails at once.  The Newton steps take f
-    and df/dx from one ``_refined_sum`` call each, with the last scan
-    call's x_max, so that they sum on the cached rules of the call that
+    Where f has a closed form it is scanned on the whole grid, origin
+    included, in one call: at t = 0, relativistic, and nonrelativistic on
+    the Sommerfeld series or the pole sum wherever either's estimate over
+    the grid serves _ZETA_QUAD_TOL (t up to about 0.036, then up to about
+    28 in exact mu and 300 in fermi mu).  Where f^2 < 1/2 already at 1e-3
+    (relativistic, exact mu from t of about 435, fermi mu from about 2e12)
+    the bracket is [0, 1e-3], so zeta solves at every t whose f(0)^2 is
+    finite.  At the hot end left to the kernel rule, the scan runs in
+    calls whose rules resolve only their own x (``_scan_stops``): the
+    first, from the origin, to the first grid point at or above 1.25 times
+    the classical zeta when that is below 1.95, the next to 1.9 and the
+    last to 3, each made only while no crossing is found, so the bracket
+    is the first sign change on the whole grid; a first grid point with
+    f^2 < 1/2 fails the solve at once.  The Newton steps pass the last
+    scan call's x_max, and so sum on the cached rules of the call that
     evaluated the bracket's upper end.
 
     Results are cached per (t, regime, mu_mode), however the arguments
@@ -599,10 +566,7 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
     def amplitude(xv):
         return _refined_sum(xv, float(xv[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-    # the level-0 rule of the first scan call, which resolves its last point
-    rule = kernel_rule(mu_tilde, t, float(_SCAN_X[stops[0] - 1]))
-    first = max(1, _certified_count(rule, _SCAN_X[1:stops[0]]))
-    f_origin, *scan = amplitude(np.concatenate(([0.0], _SCAN_X[first:stops[0]])))
+    f_origin, *scan = amplitude(_SCAN_X[:stops[0]])
     _require_origin(f_origin)
 
     values = np.array(scan)
@@ -614,16 +578,18 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
                 break
             values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
             gaps = np.square(values) - 0.5
-    return _SCAN_X[first:], values, gaps
+    return _SCAN_X[1:], values, gaps
 
 
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     """The uncached body of ``solve_zeta`` at a valid t."""
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    # f0 at t = 0 is a closed form; nonrelativistic at finite t so is the
-    # Sommerfeld series, where it serves the whole grid
-    closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC or _degenerate_branch(
-        mu_tilde, t, float(_SCAN_X[-1]), _ZETA_QUAD_TOL) is not None)
+    # f0 at t = 0 is a closed form; nonrelativistic at finite t so are the
+    # Sommerfeld series and the pole sum, where either serves the whole grid
+    x_max = float(_SCAN_X[-1])
+    closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC
+                   or _degenerate_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None
+                   or _pole_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None)
     if closed_form:
         grid, values, gaps = _closed_form_scan(t, regime, mu_tilde)
         k = _first_crossing(gaps)

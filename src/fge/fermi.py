@@ -14,7 +14,8 @@ kernel variable) and the alternating sums of the relativistic closed
 form, the backbone of the exchange-amplitude module.  The relativistic
 chemical potential is the root of a closed-form identity; the
 nonrelativistic one is the root of the Sommerfeld series in the
-degenerate gas, and is solved on the kernel rule elsewhere.
+degenerate gas, then of the sum over the Matsubara poles
+(``matsubara``), and is solved on the kernel rule at the hot end left.
 """
 
 import cmath
@@ -29,6 +30,7 @@ import numpy as np
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
 from .degenerate import _TOL_MIN, _sommerfeld_bound, _sommerfeld_log_number
+from .matsubara import _pole_floor, _pole_log_number
 from .quadrature import QK15_NODES, composite_kronrod
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
@@ -722,8 +724,9 @@ def _degenerate_mu(t: float, step_tol: float) -> float | None:
     """The nonrelativistic mu as a Newton root of the Sommerfeld particle number, or None.
 
     Newton steps on ``_sommerfeld_log_number`` from the Sommerfeld seed
-    (``_log_number_root``), stopped as the kernel-rule solve's are.  None, and the kernel rule
-    solves, where the series' estimate at x = 0 and the seed exceeds the
+    (``_log_number_root``), stopped as the kernel-rule solve's are.  None,
+    and the pole sum or the kernel rule solves (``_pole_mu``), where the
+    series' estimate at x = 0 and the seed exceeds the
     tightest amplitude tolerance _TOL_MIN: the seed is within (pi t)^4 of
     the root.
     """
@@ -731,6 +734,19 @@ def _degenerate_mu(t: float, step_tol: float) -> float | None:
     if _sommerfeld_bound(mu, t, _TOL_MIN) is None:
         return None
     return _log_number_root(_sommerfeld_log_number, mu, t, step_tol)
+
+
+def _pole_mu(t: float, step_tol: float) -> float | None:
+    """The nonrelativistic mu as a Newton root of the pole sum's particle number, or None.
+
+    The evaluation at the seed also bounds the number there; None, and the
+    kernel rule solves, where that bound or its floor exceeds _TOL_MIN.
+    """
+    mu = _mu_seed(t, GasRegime.NONRELATIVISTIC)
+    if _pole_floor(mu, t) > _TOL_MIN:
+        return None
+    value, slope, err = _pole_log_number(mu, t, bound=True)
+    return None if err > _TOL_MIN else _log_number_root(_pole_log_number, mu - value / slope, t, step_tol)
 
 
 def _log_number_root(log_number, mu: float, t: float, step_tol: float) -> float:
@@ -784,20 +800,17 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
     side too (mu ~ -t log(6 t^3)), at every t whose classical mu is finite
     (up to about 8e304).
 
-    Nonrelativistic and degenerate, the number is the Sommerfeld series
-    mu^(3/2) + (pi^2 t^2/8) mu^(-1/2) + ..., 12 terms, wherever its
-    estimate at the seed (the first omitted term, exp(-mu/t) and rounding)
-    is at most 1e-14 (``_degenerate_mu``), which holds up to t of about
-    0.0305; at t = 0 mu is exactly 1, and so is the series' root below t
-    of about 1e-8.  Elsewhere the number integral and its mu-derivative
-    come from the same Fermi-kernel nodes, and every iterate uses one
-    node set: spaced in u (band bottom inside the kernel window, as at
-    every t the series leaves to the kernel rule) it is the first
-    iterate's u-grid, rebuilt only when the spacing changes or a bisection
-    step jumps.  Each iterate narrows the bracket [-50 t, 2]; a step that
-    leaves it is replaced by bisection.  From t of about 2.5e14, where the
-    classical seed falls below -50 t, the bracket's floor is the seed
-    less t, below the root as the classical mu is.
+    Nonrelativistic, the number is the first whose bound at the seed is
+    at most 1e-14: the Sommerfeld series mu^(3/2) + (pi^2 t^2/8) mu^(-1/2)
+    + ..., 12 terms (``_degenerate_mu``, up to t of about 0.0305; at t = 0
+    mu is exactly 1, and so is the series' root below t of about 1e-8),
+    the x = 0 term of the sum over the Matsubara poles (``_pole_mu``, up to
+    t of about 19), and at the hot end the kernel rule's number integral
+    and mu-derivative, on one node set for every iterate: spaced in u, the
+    first iterate's u-grid, rebuilt only when the spacing changes or a
+    bisection step jumps.  Its iterates narrow the bracket [-50 t, 2], and
+    a step that leaves it bisects; from t of about 2.5e14, where the
+    classical seed falls below -50 t, the floor is the seed less t.
 
     Results are cached per (t, regime, mode), however the arguments are
     spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -817,6 +830,8 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
     if regime is GasRegime.EXTREME_RELATIVISTIC:
         return _relativistic_mu(t, step_tol)
     mu = _degenerate_mu(t, step_tol)
+    if mu is None:
+        mu = _pole_mu(t, step_tol)
     return _kernel_mu(t, step_tol) if mu is None else mu
 
 

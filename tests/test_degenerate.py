@@ -1,5 +1,5 @@
 """The Sommerfeld series of the degenerate gas: amplitude, slope, estimate and mu against mpmath,
-against the kernel rule, across the switch to it, and the rules it does not build."""
+against the kernel rule, across the switch to the pole sum, and the rules neither builds."""
 
 import math
 import subprocess
@@ -23,7 +23,7 @@ from fge import (
     solve_zeta,
     thermal_amplitude,
 )
-from fge import degenerate, exchange, fermi
+from fge import degenerate, exchange, fermi, matsubara
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -98,11 +98,13 @@ def test_series_mu_against_mpmath(t):
 
 
 def test_tabled_sommerfeld_constants_against_mpmath():
-    # a_n = 2 (1 - 2^(1-2n)) zeta(2n), correctly rounded
+    # a_n = 2 (1 - 2^(1-2n)) zeta(2n), correctly rounded: the terms kept, the
+    # first omitted, and the last Euler-Maclaurin correction of the pole sum
     with mpmath.workdps(40):
         for n, a in enumerate(degenerate._SOMMERFELD_COEFFS, start=1):
             assert a == float(2 * (1 - mpmath.mpf(2) ** (1 - 2 * n)) * mpmath.zeta(2 * n))
-    assert len(degenerate._SOMMERFELD_COEFFS) == degenerate._SOMMERFELD_TERMS + 1
+    assert len(degenerate._SOMMERFELD_COEFFS) == degenerate._SOMMERFELD_TERMS + 2
+    assert len(degenerate._SOMMERFELD_COEFFS) == matsubara._BERNOULLI_TERMS
 
 
 @pytest.mark.parametrize("m", [1, 3, 11, 23, 25])
@@ -177,9 +179,9 @@ def zeta_scans_the_series(t):
                                        exchange._ZETA_QUAD_TOL) is not None
 
 
-def test_zeta_is_continuous_across_the_switch_to_the_kernel_scan():
+def test_zeta_is_continuous_across_the_switch_to_the_pole_sum():
     # at the last float t whose zeta solve scans the series and the next, which
-    # scans on kernel rules: f at the grid within the amplitudes' tolerance,
+    # scans the pole sum: f at the grid within the amplitudes' tolerance,
     # zeta within the root's
     below, above = last_served(zeta_scans_the_series)
     assert 0.03 < below < 0.04
@@ -194,7 +196,7 @@ def test_zeta_is_continuous_across_the_switch_to_the_kernel_scan():
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-10])
-def test_amplitude_is_continuous_across_the_switch_to_the_kernel_rule(tol):
+def test_amplitude_is_continuous_across_the_switch_to_the_pole_sum(tol):
     # f on x in [0, 6] at the last t the series serves and the next
     xs = np.linspace(0.0, 6.0, 13)
 
@@ -207,23 +209,26 @@ def test_amplitude_is_continuous_across_the_switch_to_the_kernel_rule(tol):
     assert np.abs(f_below - f_above).max() <= tol
 
 
-def test_mu_is_continuous_across_the_switch_to_the_kernel_rule():
+def test_mu_is_continuous_across_the_switch_to_the_pole_sum():
     below, above = last_served(lambda t: fermi._degenerate_mu(t, fermi._MU_STEP_TOL) is not None)
     assert 0.03 < below < 0.031
     assert abs(reduced_chemical_potential(below, NR) - reduced_chemical_potential(above, NR)) <= 1e-14
 
 
 @pytest.mark.parametrize("mode", list(MuMode))
-def test_cold_degenerate_requests_build_no_kernel_rule(mode):
-    # the zeta solve, a point of the equation of state and the average at t = 0.01
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.3, 0.8])
+def test_cold_requests_build_no_kernel_rule(t, mode):
+    # the zeta solve, a point of the equation of state and the average, on
+    # the series at t = 0.01 and on the pole sum above it
     k_f = 1e10
     reduced_chemical_potential.cache_clear()
     solve_zeta.cache_clear()
+    exchange._pole_terms.cache_clear()
     rules, widths = fermi._cached_kernel_rule.cache_info(), fermi._kernel_widths.cache_info()
-    solve_zeta(0.01, NR, mode)
-    eos_evaluate(1.3 / k_f, pressure_from_fermi_momentum(k_f, NR), 0.01 * fermi_temperature(k_f, NR),
+    solve_zeta(t, NR, mode)
+    eos_evaluate(1.3 / k_f, pressure_from_fermi_momentum(k_f, NR), t * fermi_temperature(k_f, NR),
                  NR, mode)
-    average_entanglement(0.01, NR, fge.Measure.CONCURRENCE, mode)
+    average_entanglement(t, NR, fge.Measure.CONCURRENCE, mode)
     assert fermi._cached_kernel_rule.cache_info().misses == rules.misses
     assert fermi._kernel_widths.cache_info().misses == widths.misses
 

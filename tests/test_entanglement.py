@@ -329,7 +329,9 @@ def test_eos_grid_solves_once_per_temperature():
 def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
     # 100 points of one t: a fetch at level 0 and x up to the least pieces'
     # threshold x_least computes no splits, every other fetch computes them
-    # once, and each new (level, splits) builds one rule
+    # once, and each new (level, splits) builds one rule.  At t = 1e3 the
+    # kernel rule serves (the pole sum's estimate is above 1e-10), and its
+    # x_least is 0.032
     for cached in (reduced_chemical_potential, solve_zeta, fermi._cached_kernel_rule,
                    fermi._kernel_widths):
         cached.cache_clear()
@@ -347,7 +349,7 @@ def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
     monkeypatch.setattr(fermi, "_kernel_splits", counted_splits)
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
     k_f = 1e10
-    r, p, temp = kf_point(np.linspace(0.06, 6.0, 100), 0.05, k_f, NR)
+    r, p, temp = kf_point(np.linspace(4e-4, 0.04, 100), 1e3, k_f, NR)
     eos_evaluate(float(r[0]), p, temp, NR)
     first, misses = len(requested), fermi._cached_kernel_rule.cache_info().misses
     for r_i in r[1:]:

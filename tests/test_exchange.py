@@ -599,6 +599,12 @@ def whole_grid_zeta(t, regime, mu_mode):
     return bracket, root
 
 
+def require_kernel_scan(t):
+    """Check that the exact-mu zeta(t) scans on the kernel rule: the pole sum's estimate on the grid exceeds the solve's tolerance."""
+    mu = reduced_chemical_potential(t, NR)
+    assert exchange._pole_branch(mu, t, float(exchange._SCAN_X[-1]), exchange._ZETA_QUAD_TOL) is None
+
+
 def record_amplitude_calls(monkeypatch):
     """The abscissas of every amplitude sum without slope the zeta solve makes,
     and the x of every one with slope, each of a single x."""
@@ -630,21 +636,12 @@ def record_brackets(monkeypatch):
     return brackets
 
 
-def certified_start(t, regime, mu_mode):
-    """The first grid point the scan of a cold zeta(t) evaluates."""
-    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
-    grid = exchange._SCAN_X[1:][window[1:]]
-    mu = reduced_chemical_potential(t, regime, mu_mode)
-    rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
-    return grid[max(exchange._certified_count(rule, grid), 1) - 1]
-
-
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0, 0.3, 0.7, 1.0, 2.0])
 def test_zeta_equals_a_whole_grid_scan(monkeypatch, t, regime, mu_mode):
-    # the certified scan finds the bracket a scan of the whole grid finds,
-    # and the Newton root on it is brentq's to Brent's tolerance
+    # the scan finds the bracket a scan of the whole grid finds, and the
+    # Newton root on it is brentq's to Brent's tolerance
     brackets = record_brackets(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
     bracket, reference = whole_grid_zeta(t, regime, mu_mode)
@@ -653,33 +650,34 @@ def test_zeta_equals_a_whole_grid_scan(monkeypatch, t, regime, mu_mode):
     assert result.residual < 1e-10
 
 
-@pytest.mark.parametrize("window_end", [1.0, 1.85])
+@pytest.mark.parametrize("window_end", [0.05, 0.15])
 def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, window_end):
-    # zeta(0.05) = 1.806 lies past the first window; with the end at 1.85 the
-    # crossing falls between the last point of one window and the first of the next
+    # zeta(38) = 0.1909, on the kernel rule's scan, lies past the first
+    # window; with the end at 0.15 the crossing falls between the last point
+    # of one window and the first of the next
+    require_kernel_scan(38.0)
     monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
-    bracket, reference = whole_grid_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    bracket, reference = whole_grid_zeta(38.0, NR, MuMode.EXACT_NORMALIZATION)
     brackets = record_brackets(monkeypatch)
     calls, slope_calls = record_amplitude_calls(monkeypatch)
-    result = exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
+    result = exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
     assert brackets == [bracket] and abs(result.zeta - reference) <= 1e-13
     window = exchange._SCAN_X < window_end
-    start = certified_start(0.05, NR, MuMode.EXACT_NORMALIZATION)
     first = calls[0]
-    assert first[0] == 0.0 and all(start <= x < window_end for x in first[1:])
+    assert first.tobytes() == exchange._SCAN_X[window].tobytes()
     assert calls[1].tobytes() == exchange._SCAN_X[~window].tobytes()
     assert len(calls) == 2 and len(slope_calls) <= 3
 
 
-def test_cold_zeta_scans_only_the_first_window(monkeypatch):
+def test_hot_zeta_scans_only_the_first_window(monkeypatch):
+    require_kernel_scan(38.0)
     calls, slope_calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(0.05, NR, MuMode.EXACT_NORMALIZATION)
-    start = certified_start(0.05, NR, MuMode.EXACT_NORMALIZATION)
-    # one scan call from the origin and the certified start to the window
-    # end, then at most 3 Newton evaluations
+    exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
+    # one scan call from the origin to the thermal window, then at most 3
+    # Newton evaluations
     (scan,) = calls
     assert scan.size <= 6
-    assert scan[0] == 0.0 and all(start <= x < exchange._SCAN_WINDOW_END for x in scan[1:])
+    assert scan[0] == 0.0 and all(x < exchange._SCAN_WINDOW_END for x in scan[1:])
     assert len(slope_calls) <= 3
 
 
@@ -708,63 +706,12 @@ def test_relativistic_value_does_not_depend_on_the_x_max_passed():
     assert first[2] == second[2]
 
 
-@pytest.mark.parametrize("mu_mode", list(MuMode))
-def test_certified_scan_points_are_entangled(mu_mode):
-    # every grid point the scan skips has f^2 > 1/2 on the whole-grid scan,
-    # and the rule has what the certificate assumes: Kronrod weights > 0 on
-    # nodes nondecreasing over the whole rule, with the Gauss column 0
-    # exactly at each piece's 8 Kronrod-only nodes
-    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
-    grid = exchange._SCAN_X[1:][window[1:]]
-    skipped = 0
-    for t in np.geomspace(1e-6, 3.0, 40):
-        t = float(t)
-        mu = reduced_chemical_potential(t, NR, mu_mode)
-        rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
-        kronrod_only = np.arange(len(rule.nodes)) % 15 % 2 == 0
-        assert len(rule.nodes) % 15 == 0
-        assert np.all(rule.weights[:, 0] > 0.0)
-        assert np.all(np.diff(rule.nodes) >= 0.0)
-        assert np.all(rule.weights[kronrod_only, 1] == 0.0)
-        assert np.all(rule.weights[~kronrod_only, 1] > 0.0)
-        count = exchange._certified_count(rule, grid)
-        gaps = np.square(thermal_amplitude(exchange._SCAN_X[1:], t, mu, NR,
-                                           exchange._ZETA_QUAD_TOL)[0]) - 0.5
-        assert np.all(gaps[:count] > 0.0)
-        skipped += max(count - 1, 0)
-    assert skipped > 40 * 5
-
-
-def single_cut_count(rule, xs):
-    """The certificate with one cut: f(x) >= W_A f0(x U) + W_B f0(Y) while x U <= Y."""
-    below = np.cumsum(rule.weights[:, 0])
-    cut = int(np.searchsorted(below, (1.0 - exchange._CERT_TAIL) * below[-1]))
-    y = xs * rule.nodes[cut]
-    bound = below[cut] * ground_state(y) + (below[-1] - below[cut]) * exchange._F0_MIN
-    proven = (y <= exchange._F0_MIN_AT) & (bound > math.sqrt(0.5) + exchange._CERT_MARGIN)
-    return int(np.logical_and.accumulate(proven).sum())
-
-
-@pytest.mark.parametrize("mu_mode", list(MuMode))
-def test_block_certificate_proves_at_least_the_single_cut(mu_mode):
-    window = exchange._SCAN_X < exchange._SCAN_WINDOW_END
-    grid = exchange._SCAN_X[1:][window[1:]]
-    gained = 0
-    for t in np.geomspace(1e-6, 3.0, 40):
-        t = float(t)
-        mu = reduced_chemical_potential(t, NR, mu_mode)
-        rule = fge.fermi.kernel_rule(mu, t, float(grid[-1]))
-        blocks, single = exchange._certified_count(rule, grid), single_cut_count(rule, grid)
-        assert blocks >= single
-        gained += blocks - single
-    assert gained > 40
-
-
-@pytest.mark.parametrize("t", [0.05, 0.8])
-def test_cold_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
+@pytest.mark.parametrize("t", [36.0, 40.0])
+def test_hot_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
     # the Newton steps pass the last scanned abscissa as x_max, the end of
     # the scan call that holds the bracket's upper end, and so build no rule;
-    # at t = 0.8 that call ends at the thermal window, x = 1.7
+    # that call ends at the thermal window, x = 0.3
+    require_kernel_scan(t)
     fetched, misses = [], []
     rule_of = exchange.kernel_rule
     root_in_bracket = exchange._root_in_bracket
@@ -788,8 +735,7 @@ def test_cold_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
     assert 2 <= len(slope_calls) <= 3
     assert misses[0] == misses[1]
     assert fetched and set(fetched) == {float(scan[-1])}
-    if t == 0.8:
-        assert scan[-1] == pytest.approx(1.7)
+    assert scan[-1] == pytest.approx(0.3)
 
 
 def record_rule_sizes(monkeypatch):
@@ -894,14 +840,14 @@ def test_hot_fermi_mu_zeta_between_the_refused_t_is_a_crossing_of_plus_one_over_
 
 
 def test_failed_zeta_leaves_no_rule_cached(monkeypatch):
-    # nonrel fermi mu at t = 25.93: the scan builds its rules, then refuses
-    # the bracket, a crossing of f = -1/sqrt(2)
+    # nonrel fermi mu at t = 2000, on the kernel rule: the scan builds its
+    # rules, then refuses the bracket, a crossing of f = -1/sqrt(2)
     built = []
     kernel_rule_type = fge.fermi.KernelRule
     monkeypatch.setattr(fge.fermi, "KernelRule",
                         lambda *args: built.append(kernel_rule_type(*args)) or built[-1])
     with pytest.raises(SolverError, match="-1/sqrt"):
-        exchange._solve_zeta.__wrapped__(_HOT_FERMI_MU_SKIPPED[0], NR, MuMode.FERMI_ENERGY_APPROX)
+        exchange._solve_zeta.__wrapped__(2000.0, NR, MuMode.FERMI_ENERGY_APPROX)
     cache = fge.fermi._cached_kernel_rule
     assert built and not any(rule is kept for rule in built for kept, _ in cache._rules.values())
     assert cache.cache_info().nodes <= cache.max_nodes
