@@ -57,26 +57,24 @@ def _pole_tables() -> _PoleTables:
     b = np.array([(-1) ** k * a / (2.0 * math.pi) ** (2 * k)
                   for k, a in enumerate(_SOMMERFELD_COEFFS[:_BERNOULLI_TERMS], start=1)])
     falling = np.cumprod(_MOMENT_POWERS[:, None] - np.arange(order), axis=1)  # [p, n - 1] = (p)_n
-    factorials = np.cumprod(np.arange(1.0, 2.0 * _TAYLOR_TERMS + 4.0))  # [n - 1] = n!
-    # phi = sqrt(1 + H) - 1 = sum_n (1/2)_n/n! H^n, and c[:, j] = phi^j/j!
-    phi = np.append(0.0, falling[1, :order - 1] / factorials[:order - 1])
-    c, power = np.zeros((order, order)), np.eye(1, order)[0]
-    for j in range(1, order):
-        power = np.convolve(power, phi)[:order] / j
-        c[:, j] = power
-    odd = np.arange(1, order, 2)
+    factorial = np.cumprod(np.append(1.0, np.arange(1.0, 2.0 * order)))  # [n] = n!
+    # n! C[n, j], n = 2k - 1, are the Bessel-polynomial coefficients
+    # (-1)^(n-j) (2n - j - 1)!/((j - 1)! (n - j)! 2^(2n - j)), j <= n
+    n, j = np.arange(1, order, 2)[:, None], np.arange(1, order)
+    bessel = (-1.0) ** (n - j) * factorial[2 * n - j - 1] / (
+        factorial[j - 1] * factorial[np.maximum(n - j, 0)] * 2.0 ** (2 * n - j))
     # |R| <= 2 |B_2K|/(2K)! int_M^inf |g^(2K)|, and 2 |B_2K|/(2K)! <= kernel
     kernel = 4.0 * (1.0 + 2.0 ** (1 - order)) / (2.0 * math.pi) ** order
     k = np.arange(_TAYLOR_TERMS + 1)
     # i (2m + 1) of the poles summed directly, and 2 i M of the origin nu = M
     rows = 1j * np.append(np.arange(1.0, 2.0 * _POLES, 2.0), 2.0 * _POLES).astype(np.clongdouble)
     tables = _PoleTables(
-        rows, -(b * factorials[odd - 1])[:, None] * c[odd, 1:], b * falling[:, odd - 1],
+        rows, np.where(j <= n, -b[:, None] * bessel, 0.0), b * falling[:, n[:, 0] - 1],
         np.longdouble(2.0) / (2.0 * _MOMENT_POWERS + 2.0).astype(np.longdouble),
         kernel * np.abs(falling[:, -1]) * _POLES ** (_MOMENT_POWERS + 1 - order)
         / (order - _MOMENT_POWERS - 1),
-        kernel * math.factorial(order) * _POLES ** (1 - order) / (order - 1),
-        (-1.0) ** k / factorials[2 * k], (k + 2.0) * _EPS, np.append(2.0 * k[1:-1], 0.0),
+        kernel * factorial[order] * _POLES ** (1 - order) / (order - 1),
+        (-1.0) ** k / factorial[2 * k + 1], (k + 2.0) * _EPS, np.append(2.0 * k[1:-1], 0.0),
         np.arange(-2.0, order + 1.0), _square_powers(_CROSSOVER_CANDIDATES, _TAYLOR_TERMS + 1))
     for table in tables:
         if isinstance(table, np.ndarray):

@@ -706,6 +706,23 @@ def test_relativistic_value_does_not_depend_on_the_x_max_passed():
     assert first[2] == second[2]
 
 
+@pytest.mark.parametrize("mu_mode", list(MuMode))
+def test_kernel_rule_weights_are_positive_on_nondecreasing_nodes(mu_mode):
+    # what the rounding floor _ROUNDOFF sum_j W_j0 assumes: Kronrod weights > 0
+    # on nodes nondecreasing over the whole rule, with the Gauss column 0
+    # exactly at each piece's 8 Kronrod-only nodes
+    grid = exchange._SCAN_X[1:][exchange._SCAN_X[1:] < exchange._SCAN_WINDOW_END]
+    for t in np.geomspace(1e-6, 3.0, 40):
+        t = float(t)
+        rule = fge.fermi.kernel_rule(reduced_chemical_potential(t, NR, mu_mode), t, float(grid[-1]))
+        kronrod_only = np.arange(len(rule.nodes)) % 15 % 2 == 0
+        assert len(rule.nodes) % 15 == 0
+        assert np.all(rule.weights[:, 0] > 0.0)
+        assert np.all(np.diff(rule.nodes) >= 0.0)
+        assert np.all(rule.weights[kronrod_only, 1] == 0.0)
+        assert np.all(rule.weights[~kronrod_only, 1] > 0.0)
+
+
 @pytest.mark.parametrize("t", [36.0, 40.0])
 def test_hot_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
     # the Newton steps pass the last scanned abscissa as x_max, the end of
