@@ -83,8 +83,9 @@ def test_pole_mu_against_polylog(t):
     assert abs(complex(step)) <= 1e-14 * max(1.0, t)
 
 
-def test_pole_mu_serves_from_the_series_to_the_hot_end():
-    # the pole sum solves mu from where the series stops to t of about 19
+def test_mu_is_continuous_across_the_switch_to_the_kernel_rule():
+    # the pole sum solves mu from where the series stops to t of about 19;
+    # there and at the next float t, on the kernel rule, mu agrees to a step
     below, above = last_served(lambda t: fermi._pole_mu(t, fermi._MU_STEP_TOL * max(1.0, t)) is not None,
                                1.0, 100.0)
     assert 15.0 < below < 25.0
