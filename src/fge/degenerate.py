@@ -33,18 +33,15 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 # a few eps
 _CLOSED_FORM_ROUNDING = 16.0 * np.finfo(float).eps
 
-# f0 and its derivative f0' switch from their closed forms,
-# 3(sin x - x cos x)/x^3 and 3(sin x / x - f0)/x, to their power series
-# below this point.  The closed forms lose digits to cancellation as x
-# falls (f0 up to 8e-15 on [0.25, 0.5), ~5 digits near 1e-3, and f0' a
-# further factor 1/x), while the series to x^12 has its first omitted
-# term, k = 7, at 8e-18 for f0 and 2e-16 for f0' at 0.5
+# f0 switches from its closed form 3(sin x - x cos x)/x^3 to its power
+# series below this point.  The closed form loses digits to cancellation
+# as x falls (up to 8e-15 on [0.25, 0.5), ~5 digits near 1e-3), while the
+# series to x^12 has its first omitted term, k = 7, at 8e-18 at 0.5
 _SERIES_CROSSOVER = 0.5
-# k-th series coefficient of f(x,0) in powers of x^2, and of f0'(x)/x
+# k-th series coefficient of f(x,0) in powers of x^2
 _SERIES_COEFFS = tuple(
     (-1.0) ** k * 6.0 * (k + 1) / math.factorial(2 * k + 3) for k in range(7)
 )
-_SLOPE_COEFFS = tuple(2 * k * coeff for k, coeff in enumerate(_SERIES_COEFFS) if k)
 
 # terms n = 1 ... K of the series kept
 _SOMMERFELD_TERMS = 12
@@ -60,40 +57,32 @@ _SOMMERFELD_COEFFS = (
 _POWERS = np.arange(1.0, _SOMMERFELD_TERMS + 1.0)
 
 
-def _f0(y: np.ndarray, slope: bool = False):
+def _f0(y: np.ndarray, trig: bool = False):
     """Ground-state amplitude f0(y) = 3(sin y - y cos y)/y^3 of a finite, nonnegative float array.
 
-    With ``slope`` it returns f0 and its derivative f0'(y) = -3 j_2(y)/y.
+    With ``trig`` also sin y and cos y, which ``_sommerfeld_sum`` shares.
     Above the crossover the closed form divides by y one factor at a time,
     3((sin y / y - cos y)/y)/y, so no power of y is formed and every finite
-    y stays within |f0(y)| <= 3(1 + y)/y^3 without overflow; there
-    f0' = 3(sin y / y - f0)/y shares one sin and one cos with f0.  Below it
-    both are their series 1 - y^2/10 + y^4/280 - ..., on one gather of the
-    small entries, which keeps f0 within about 2e-15 of the exact value
-    and f0' within about 1e-14 of -3 j_2(y)/y.
+    y stays within |f0(y)| <= 3(1 + y)/y^3 without overflow.  Below it f0 is
+    its series 1 - y^2/10 + y^4/280 - ..., on one gather of the small
+    entries, within about 2e-15, and sin and cos are taken at y itself.
     """
-    # the closed forms everywhere, with small y lifted to the crossover to
-    # stay clear of 0/0; the series then replace those entries
+    # the closed form everywhere, with small y lifted to the crossover to
+    # stay clear of 0/0; the series then replaces those entries
     yb = np.maximum(y, _SERIES_CROSSOVER)
-    sinc = np.sin(yb)
-    sinc /= yb
-    out = sinc - np.cos(yb)
+    sin, cos = np.sin(yb), np.cos(yb)
+    out = sin / yb
+    out -= cos
     out /= yb
     out /= yb
     out *= 3.0
-    if slope:
-        df = sinc
-        df -= out
-        df *= 3.0
-        df /= yb
     small = y < _SERIES_CROSSOVER
     if small.any():
         below = y[small]
-        y2 = below * below
-        out[small] = _even_series(y2, _SERIES_COEFFS)
-        if slope:
-            df[small] = _even_series(y2, _SLOPE_COEFFS) * below
-    return (out, df) if slope else out
+        out[small] = _even_series(below * below, _SERIES_COEFFS)
+        if trig:
+            sin[small], cos[small] = np.sin(below), np.cos(below)
+    return (out, sin, cos) if trig else out
 
 
 def _even_series(y2: np.ndarray, coeffs: tuple) -> np.ndarray:
@@ -115,38 +104,32 @@ def _square_powers(y: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
-def _sommerfeld_sum(xs: np.ndarray, terms, slope: bool) -> tuple:
-    """The nonrelativistic f(x, t) as its Sommerfeld series: (values, slopes or None).
+def _sommerfeld_sum(xs: np.ndarray, terms) -> np.ndarray:
+    """The nonrelativistic f(x, t) as its Sommerfeld series.
 
-    With y = x sqrt(mu) and P, Q, S and C the four polynomials in y^2 of
-    ``_sommerfeld_terms``, f = mu^(3/2) f0(y) + y P sin y + Q cos y and
-    df/dx = mu^2 f0'(y) + S sin y + y C cos y, the polynomials summed on
-    one table of the powers of y^2.
+    With y = x sqrt(mu) and P and Q the two polynomials in y^2 of
+    ``_sommerfeld_terms``, f = mu^(3/2) f0(y) + y P sin y + Q cos y, the
+    polynomials summed on one table of the powers of y^2 and the sine and
+    cosine those of ``_f0``.
     """
     y = xs * terms.sqrt_mu
     powers = _square_powers(y, len(terms.coeffs))
-    sin, cos = np.sin(y), np.cos(y)
-    if not slope:
-        p, q = (powers @ terms.coeffs[:, :2]).T
-        return terms.scale * _f0(y) + y * p * sin + q * cos, None
-    f0, df0 = _f0(y, True)
-    p, q, s, c = (powers @ terms.coeffs).T
-    return (terms.scale * f0 + y * p * sin + q * cos,
-            terms.slope_scale * df0 + s * sin + y * c * cos)
+    f0, sin, cos = _f0(y, trig=True)
+    p, q = (powers @ terms.coeffs).T
+    return terms.scale * f0 + y * p * sin + q * cos
 
 
 @lru_cache(maxsize=1)
 def _sommerfeld_tables() -> tuple:
     """The coefficients that depend on neither mu nor t, built on first use.
 
-    Returns a (K, 4, K) array whose [j, c, n - 1] entry is the coefficient
-    of y^2j tau^2n in (3/2) P, (3/2) Q and the slope's
-    (3/2) [(2j + 1) P_j - Q_j] and (3/2) [P_j + 2 (j + 1) Q_(j+1)]
-    (``_sommerfeld_terms``); and the coefficients in y, highest first, of
-    (3/2) a_(K+1) (y |A_(2K+1)|(y^2)/y^2 + |B_(2K+1)|(y^2)), |.| taking
-    each coefficient's absolute value (``_omitted_bound``).  The
-    coefficients of 4^m A_m and 4^m B_m are integers of one sign at each
-    power, so their recurrence never cancels and rounds to a few ulp.
+    Returns a (K, 2, K) array whose [j, c, n - 1] entry is the coefficient
+    of y^2j tau^2n in (3/2) P and (3/2) Q (``_sommerfeld_terms``); and the
+    coefficients in y, highest first, of (3/2) a_(K+1) (y |A_(2K+1)|(y^2)/y^2
+    + |B_(2K+1)|(y^2)), |.| taking each coefficient's absolute value
+    (``_omitted_bound``).  The coefficients of 4^m A_m and 4^m B_m are
+    integers of one sign at each power, so their recurrence never cancels
+    and rounds to a few ulp.
     """
     terms = _SOMMERFELD_TERMS
     # rows[m, 0 or 1, j]: the coefficient of y^2j in 4^m A_m or 4^m B_m, from
@@ -159,12 +142,8 @@ def _sommerfeld_tables() -> tuple:
     rows *= (0.25 ** np.arange(2 * terms + 2))[:, None, None]
     # the rows of the terms kept, m = 2n - 1, times (3/2) a_n, as [j, A or B, n - 1]
     kept = (rows[1:2 * terms:2] * (1.5 * np.array(_SOMMERFELD_COEFFS[:terms]))[:, None, None]).T
-    table = np.empty((terms, 4, terms))
+    table = np.empty((terms, 2, terms))
     table[:, 0], table[:, 1] = kept[1:terms + 1, 0], kept[:terms, 1]
-    j = np.arange(terms)[:, None]
-    table[:, 2] = (2 * j + 1) * table[:, 0] - table[:, 1]
-    table[:, 3] = table[:, 0]
-    table[:-1, 3] += 2 * (j[1:] * table[1:, 1])
     table.flags.writeable = False  # every caller of the cache shares it
     omitted = np.empty(2 * terms + 1)
     omitted[1::2], omitted[::2] = rows[-1, 0, 1:terms + 1], rows[-1, 1, :terms + 1]
@@ -202,27 +181,25 @@ def _sommerfeld_bound(mu_tilde: float, t: float, tol: float) -> tuple[float, flo
     return omitted_scale, floor
 
 
-_SommerfeldTerms = namedtuple("SommerfeldTerms", "sqrt_mu scale slope_scale coeffs omitted_scale floor")
+_SommerfeldTerms = namedtuple("SommerfeldTerms", "sqrt_mu scale coeffs omitted_scale floor")
 
 
 def _sommerfeld_terms(mu_tilde: float, t: float) -> _SommerfeldTerms | None:
     """The series' constants at (mu_tilde, t), or None where it cannot serve.
 
-    sqrt(mu), the scale mu^(3/2) and mu^2, the (K, 4) coefficients in y^2
-    of (3/2) mu^(3/2) P, (3/2) mu^(3/2) Q and the slope's sin y and
-    y cos y parts, (3/2) mu^2 [(2j + 1) P_j - Q_j] and
-    (3/2) mu^2 [P_j + 2 (j + 1) Q_(j+1)], and the two parts of
+    sqrt(mu), the scale mu^(3/2), the (K, 2) coefficients in y^2 of
+    (3/2) mu^(3/2) P and (3/2) mu^(3/2) Q, and the two parts of
     ``_sommerfeld_bound``.  None where the estimate exceeds the largest
     amplitude tolerance already at x = 0.
     """
     bound = _sommerfeld_bound(mu_tilde, t, _TOL_MAX)
     if bound is None:
         return None
-    scale, slope_scale = mu_tilde * math.sqrt(mu_tilde), mu_tilde * mu_tilde
+    scale = mu_tilde * math.sqrt(mu_tilde)
     coeffs = _sommerfeld_tables()[0] @ np.power((t / mu_tilde) ** 2, _POWERS)
-    coeffs *= (scale, scale, slope_scale, slope_scale)
+    coeffs *= scale
     coeffs.flags.writeable = False  # every caller of a cache of these shares them
-    return _SommerfeldTerms(math.sqrt(mu_tilde), scale, slope_scale, coeffs, *bound)
+    return _SommerfeldTerms(math.sqrt(mu_tilde), scale, coeffs, *bound)
 
 
 def _sommerfeld_estimate(terms: _SommerfeldTerms | None, x_max: float) -> float:

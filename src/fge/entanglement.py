@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
+    _lobatto_samples,
     _refined_sum,
     _root_in_bracket,
     _validate_quad_tol,
@@ -30,14 +31,7 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import (
-    barycentric,
-    chebyshev_coefficients,
-    chebyshev_derivative,
-    chebyshev_lobatto,
-    chebyshev_value,
-    composite_kronrod,
-)
+from .quadrature import barycentric, chebyshev_series, composite_kronrod
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -295,7 +289,7 @@ def _amplitude_and_zeta(xs: np.ndarray, t: float, regime: GasRegime, mu_mode: Mu
     checks are done; ``_refined_sum`` checks the window of the solved mu.
     """
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    f, _, _ = _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, tol)
+    f, _ = _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, tol)
     return f, solve_zeta(t, regime, mu_mode).zeta
 
 
@@ -374,14 +368,12 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
     if mu_mode is MuMode.FERMI_ENERGY_APPROX and samples[0] > 1.0:
         # the clamp bends the integrand where f falls through 1: an edge
-        # there, the root of the interpolant's series in y = 2 x / zeta - 1
-        series = coeffs.tolist()
-        scale = 2.0 / zeta
-        slope_series = [d * scale for d in chebyshev_derivative(series)]
+        # there, the root of the interpolant's series
+        value_and_slope = chebyshev_series(coeffs, 0.0, zeta)
 
         def excess_and_slope(x):
-            y = 2.0 * float(x) / zeta - 1.0
-            return chebyshev_value(y, series) - 1.0, chebyshev_value(y, slope_series)
+            value, slope = value_and_slope(float(x))
+            return value - 1.0, slope
 
         # an overshoot at rounding, which the series does not repeat at x = 0,
         # has its root at x = 0 itself and bends nothing
@@ -408,34 +400,9 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
 
 
 def _amplitude_samples(t: float, mu_tilde: float, regime: GasRegime, zeta: float) -> tuple:
-    """f at Chebyshev-Lobatto points on [0, zeta], enough of them to resolve it.
-
-    Returns the points, their barycentric weights, the samples and the
-    samples' Chebyshev coefficients.  Each grid doubles the one before on
-    nested points, so a doubling evaluates only the points between the old
-    ones, in one ``_refined_sum`` call.  ``average_entanglement`` has
-    checked the inputs.
-    """
+    """``_lobatto_samples`` of f on [0, zeta], whose inputs ``average_entanglement`` has checked."""
     def amplitude(xs):
         return _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
 
-    count = _AVERAGE_SAMPLES
-    unit, weights = chebyshev_lobatto(count)
-    samples = amplitude(zeta * unit)
-    while True:
-        coeffs = chebyshev_coefficients(samples)
-        tail = float(np.abs(coeffs[-2:]).max())
-        if tail <= _AVERAGE_TAIL_TOL:
-            return zeta * unit, weights, samples, coeffs
-        if count == _AVERAGE_MAX_SAMPLES:
-            raise QuadratureError(
-                f"amplitude samples on [0, zeta] stalled at tail {tail:.3e} (tolerance "
-                f"{_AVERAGE_TAIL_TOL:.3e}, {count} points) at t={t!r}",
-                error_estimate=tail,
-            )
-        count = 2 * count - 1
-        unit, weights = chebyshev_lobatto(count)
-        merged = np.empty(count)
-        merged[::2] = samples
-        merged[1::2] = amplitude(zeta * unit[1::2])
-        samples = merged
+    return _lobatto_samples(amplitude, 0.0, zeta, _AVERAGE_SAMPLES, _AVERAGE_MAX_SAMPLES,
+                            _AVERAGE_TAIL_TOL, t)

@@ -11,9 +11,9 @@ Sommerfeld series of ``degenerate`` where that meets the tolerance (the
 degenerate gas, up to t of about 0.03 to 0.04), then the sum over the
 Matsubara poles of ``matsubara`` where that does (up to t of about 30
 to 300), and at the hot end left a sum on a fixed Fermi-kernel rule.
-Each branch gives, over an array of x, f, its error estimate and, on
-request, the slope df/dx.
-The distance constant zeta is the smallest x where f^2 crosses 1/2.
+Each branch gives, over an array of x, f and its error estimate.
+The distance constant zeta is the smallest x where f^2 crosses 1/2,
+found on a Chebyshev interpolant of f.
 """
 
 import math
@@ -35,6 +35,7 @@ from .degenerate import (
 )
 from .errors import DomainError, QuadratureError, SolverError
 from .matsubara import _matsubara_terms, _pole_estimate, _pole_floor, _pole_sum
+from .quadrature import chebyshev_coefficients, chebyshev_lobatto, chebyshev_series
 from .fermi import (
     CACHE_SIZE,
     GasRegime,
@@ -60,11 +61,9 @@ def _y_coth_y_coefficients(terms: int) -> list:
 # p(y) = (1 - y coth y)/y^2 of the relativistic closed form switches to its
 # series in y^2 below this y, where 1 - y coth y cancels.  The series has
 # radius pi; 18 terms put the first omitted one at 1e-18 at the crossover,
-# where the closed form loses a factor 4 to cancellation, and p' a factor 54
+# where the closed form loses a factor 4 to cancellation
 _COTH_CROSSOVER = 1.0
 _COTH_COEFFS = -np.array(_y_coth_y_coefficients(19)[1:])
-# the series of p'(y)/y, sum_n 2 n a_n y^(2n-2), on the same powers of y^2
-_COTH_SLOPE_COEFFS = 2.0 * np.arange(1.0, len(_COTH_COEFFS)) * _COTH_COEFFS[1:]
 # the closed form's arguments x t and mu x are capped here: past it every
 # term they enter is below 1e-150 of the amplitude's scale, and the cap keeps
 # their powers finite
@@ -143,78 +142,51 @@ class ZetaResult:
     residual: float
 
 
-def _kernel_sum(xs: np.ndarray, rule: KernelRule, slope: bool = False) -> np.ndarray:
+def _kernel_sum(xs: np.ndarray, rule: KernelRule) -> np.ndarray:
     """sum_j W[j, c] f0(x u_j) for every x >= 0 of ``xs`` and weight column c of ``rule``.
 
-    With ``slope`` a last column holds d/dx of the first,
-    sum_j W[j, 0] u_j f0'(x u_j), from the same sin and cos.  f0 is
-    evaluated in blocks of at most _BLOCK entries; a sum that fits in one
-    block, one x on a rule of up to _BLOCK nodes among them, is one
+    f0 is evaluated in blocks of at most _BLOCK entries; a sum that fits in
+    one block, one x on a rule of up to _BLOCK nodes among them, is one
     product f0(x u) @ W on the broadcast x u.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(xs) * len(nodes) <= _BLOCK:
-        y = xs[:, None] * nodes
-        if not slope:
-            return _f0(y) @ weights
-        values, df = _f0(y, slope=True)
-        df *= nodes
-        # summed into zeros as in the block loop, so that a sum of -0.0 is +0.0 on both paths
-        out = np.zeros((len(xs), 3))
-        out[:, :2] += values @ weights
-        out[:, 2] += df @ weights[:, 0]
-        return out
-    out = np.zeros((len(xs), 3 if slope else 2))
-    sums, slopes = out[:, :2], (out[:, 2] if slope else None)
+        return _f0(xs[:, None] * nodes) @ weights
+    out = np.zeros((len(xs), 2))
     cols = min(len(nodes), _BLOCK)
     rows = _BLOCK // cols
     for j in range(0, len(nodes), cols):
         u, w = nodes[j:j + cols], weights[j:j + cols]
         for i in range(0, len(xs), rows):
-            y = xs[i:i + rows, None] * u
-            if slope:
-                values, df = _f0(y, slope=True)
-                df *= u
-                slopes[i:i + rows] += df @ w[:, 0]
-            else:
-                values = _f0(y)
-            sums[i:i + rows] += values @ w
+            out[i:i + rows] += _f0(xs[i:i + rows, None] * u) @ w
     return out
 
 
-def _coth_part(y: np.ndarray, y_max: float, slope: bool) -> tuple:
-    """p(y) = (1 - y coth y)/y^2 and, with ``slope``, p'(y), at every y >= 0 of ``y``, the largest ``y_max``.
+def _coth_part(y: np.ndarray, y_max: float) -> np.ndarray:
+    """p(y) = (1 - y coth y)/y^2 at every y >= 0 of ``y``, the largest ``y_max``.
 
-    Above _COTH_CROSSOVER the closed forms, coth y = 1/tanh y and
-    p' = (y coth y + y^2 (coth^2 y - 1) - 2)/y^3, on y lifted to the
-    crossover; below it the series in y^2, as products of one table of
+    Above _COTH_CROSSOVER the closed form, coth y = 1/tanh y, on y lifted
+    to the crossover; below it the series in y^2, one product of a table of
     the powers of y^2 with the coefficients, on one gather of the small
     entries when there are large ones.
     """
     if y_max < _COTH_CROSSOVER:
-        return _coth_series(y, slope)
+        return _coth_series(y)
     yb = np.maximum(y, _COTH_CROSSOVER)
-    coth = 1.0 / np.tanh(yb)
-    yb_coth = yb * coth
-    y2 = yb * yb
-    p = (1.0 - yb_coth) / y2
-    dp = (yb_coth + y2 * (coth * coth - 1.0) - 2.0) / (y2 * yb) if slope else None
+    p = (1.0 - yb * (1.0 / np.tanh(yb))) / (yb * yb)
     small = y < _COTH_CROSSOVER
     if small.any():
-        p[small], below = _coth_series(y[small], slope)
-        if slope:
-            dp[small] = below
-    return p, dp
+        p[small] = _coth_series(y[small])
+    return p
 
 
-def _coth_series(y: np.ndarray, slope: bool) -> tuple:
-    """``_coth_part`` below the crossover: p and p' (or None) from their series in y^2."""
-    powers = _square_powers(y, len(_COTH_COEFFS))
-    return powers @ _COTH_COEFFS, ((powers[:, :-1] @ _COTH_SLOPE_COEFFS) * y if slope else None)
+def _coth_series(y: np.ndarray) -> np.ndarray:
+    """``_coth_part`` below the crossover, from its series in y^2."""
+    return _square_powers(y, len(_COTH_COEFFS)) @ _COTH_COEFFS
 
 
-def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float, slope: bool) -> tuple:
-    """The relativistic f(x, t) in closed form: (values, slopes or None, estimate, scale).
+def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float) -> tuple:
+    """The relativistic f(x, t) in closed form: (values, estimate, scale).
 
     With d(u) = u, -dn/du is the logistic density of mean mu and scale t,
     and f is its expectation of g(u) = u^3 f0(u x) over u >= 0.  Over the
@@ -228,16 +200,13 @@ def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float, slope: bool) ->
     S = 6 t^3 z sum_k (-1)^(k+1) z^(k-1) k/(k^2 + xi^2)^2, summed by
     ``_alternating_weights``.  f = F + S for mu_tilde > 0, where S is
     skipped once its first term 6 t^3 z is below rounding of the cubic,
-    and f = S for mu_tilde <= 0.  The slope is
-    F' = h [pi^2 t^2 x p (G + mu^3 f0) + mu^4 f0' - 3 pi^3 t^3 mu sinc p']
-    with G the bracket above, and
-    dS/dx = -24 t^4 z xi sum_k (-1)^(k+1) z^(k-1) k/(k^2 + xi^2)^3.
-    The estimate is the sum's truncation bound, 6 t^3 z times its bound
-    (all of it where S is skipped), plus _CLOSED_FORM_ROUNDING times the
-    scale, the cubic plus 6 t^3 z, which bounds |f| at every x.  x t and
-    mu x are capped at _ARGUMENT_MAX.  Which formulas serve y/sinh y and p
-    depends on the largest of ``xs`` alone.  ``_relativistic_terms`` holds
-    the constants, and proves the scale finite or raises a DomainError.
+    and f = S for mu_tilde <= 0.  The estimate is the sum's truncation
+    bound, 6 t^3 z times its bound (all of it where S is skipped), plus
+    _CLOSED_FORM_ROUNDING times the scale, the cubic plus 6 t^3 z, which
+    bounds |f| at every x.  x t and mu x are capped at _ARGUMENT_MAX.
+    Which formulas serve y/sinh y and p depends on the largest of ``xs``
+    alone.  ``_relativistic_terms`` holds the constants, and proves the
+    scale finite or raises a DomainError.
     """
     cubic, b, series, truncation = _relativistic_terms(mu_tilde, t)
     x_cap = _ARGUMENT_MAX / max(t, mu_tilde)
@@ -246,7 +215,6 @@ def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float, slope: bool) ->
         xs = np.minimum(xs, x_cap)
         x_max = x_cap
     values = np.zeros(len(xs))
-    slopes = np.zeros(len(xs)) if slope else None
     if mu_tilde > 0.0:
         pi_t = math.pi * t
         y = np.maximum(pi_t * xs, _ARGUMENT_MIN)
@@ -256,62 +224,50 @@ def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float, slope: bool) ->
         else:
             # y/sinh y = 2 y e^-y/(1 - e^-2y), which falls to 0 without overflow
             h = 2.0 * y * np.exp(-y) / -np.expm1(-2.0 * y)
-        p, dp = _coth_part(y, y_max, slope)
         v = mu_tilde * xs
-        f0 = _f0(v, slope)
-        if slope:
-            f0, df0 = f0
         vs = np.maximum(v, _ARGUMENT_MIN)
         sinc = np.sin(vs) / vs
         spread = 3.0 * pi_t * pi_t * mu_tilde * sinc
-        cubic_f0 = mu_tilde ** 3 * f0
-        g = cubic_f0 - spread * p
-        values = h * g
-        if slope:
-            slopes = h * ((pi_t * pi_t) * xs * p * (g + cubic_f0) + mu_tilde ** 4 * df0
-                          - pi_t * spread * dp)
+        values = h * (mu_tilde ** 3 * _f0(v) - spread * _coth_part(y, y_max))
     if series is not None:
         k, k_squared, weights = series
         xi = xs * t
         d = np.add.outer(k_squared, xi * xi)
-        c = k[:, None] / (d * d)
-        values = values + b * (weights @ c)
-        if slope:
-            slopes = slopes - (4.0 * t * b) * (xi * (weights @ (c / d)))
+        values = values + b * (weights @ (k[:, None] / (d * d)))
     scale = cubic + b
-    return values, slopes, truncation + _CLOSED_FORM_ROUNDING * scale, scale
+    return values, truncation + _CLOSED_FORM_ROUNDING * scale, scale
 
 
 def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
-                 tol: float, slope: bool = False) -> tuple:
-    """f(x, t) at every x >= 0 of the flat ``xs``, with ``slope`` also df/dx, and the estimate.
+                 tol: float) -> tuple:
+    """f(x, t) at every x >= 0 of the flat ``xs``, and its estimate.
 
-    Returns (values, slopes or None, estimate).  Each branch checks its
-    own window and raises a DomainError outside it.  At t = 0 the values
-    are f0(x) with estimate 0, and mu_tilde must be exactly 1;
-    relativistic at finite t, the closed form ``_relativistic_sum``.
-    Nonrelativistic, the first branch whose estimate on [0, x_max] is
-    within ``tol`` serves: the Sommerfeld series (``_degenerate_branch``),
-    the pole sum (``_pole_branch``), whose estimate returned is the one
-    over the x given, then ``_kernel_sum`` on the kernel rules of levels
-    0, 1, ... until the gap between their Kronrod and Gauss sums is.  The
-    pole sum, the closed form and the kernel rule also stop at QUADPACK's
-    rounding floor _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)|,
-    with f(0) or the closed form's scale for sum_j W_j0.  ``x_max``, at
-    least the largest of ``xs``, is the largest x the kernel rules resolve
-    and the series' and pole sum's estimates bound.  The callers have
-    checked x, t, the regime and ``tol``.  A call that raises leaves none
-    of the rules it built in the cache.
+    Returns (values, estimate).  Each branch checks its own window and
+    raises a DomainError outside it.  At t = 0 the values are f0(x) with
+    estimate 0, and mu_tilde must be exactly 1; relativistic at finite t,
+    the closed form ``_relativistic_sum``.  Nonrelativistic, the first
+    branch whose estimate on [0, x_max] is within ``tol`` serves: the
+    Sommerfeld series (``_degenerate_branch``), the pole sum
+    (``_pole_branch``), whose estimate returned is the one over the x
+    given, then ``_kernel_sum`` on the kernel rules of levels 0, 1, ...
+    until the gap between their Kronrod and Gauss sums is.  The pole sum,
+    the closed form and the kernel rule also stop at QUADPACK's rounding
+    floor _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)|, with
+    f(0) or the closed form's scale for sum_j W_j0.  ``x_max``, at least
+    the largest of ``xs``, is the largest x the kernel rules resolve and
+    the series' and pole sum's estimates bound.  The callers have checked
+    x, t, the regime and ``tol``.  A call that raises leaves none of the
+    rules it built in the cache.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
             raise DomainError("at zero reduced temperature the reduced chemical potential "
                               f"must be exactly 1, got {mu_tilde!r}")
-        return (*_f0(xs, True), 0.0) if slope else (_f0(xs), None, 0.0)
+        return _f0(xs), 0.0
     if regime is GasRegime.EXTREME_RELATIVISTIC:
-        values, slopes, err, scale = _relativistic_sum(xs, t, mu_tilde, slope)
+        values, err, scale = _relativistic_sum(xs, t, mu_tilde)
         if err <= tol or err <= _ROUNDOFF * scale:
-            return values, slopes, err
+            return values, err
         raise QuadratureError(
             f"relativistic closed form's estimate {err:.3e} exceeds the tolerance {tol:.3e} "
             f"at t={t!r}, mu_tilde={mu_tilde!r}",
@@ -321,15 +277,15 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
     series = _degenerate_branch(mu_tilde, t, x_max, tol)
     if series is not None:
         terms, err = series
-        return (*_sommerfeld_sum(xs, terms, slope), err)
+        return _sommerfeld_sum(xs, terms), err
     poles = _pole_branch(mu_tilde, t, x_max, tol)
     if poles is not None:
-        return _pole_sum(xs, poles, slope)
+        return _pole_sum(xs, poles)
     mark = _cached_kernel_rule.mark()
     try:
         for level in range(_MAX_LEVEL + 1):
             rule = kernel_rule(mu_tilde, t, x_max, level)
-            sums = _kernel_sum(xs, rule, slope)
+            sums = _kernel_sum(xs, rule)
             err = float(np.abs(sums[:, 0] - sums[:, 1]).max(initial=0.0))
             if not math.isfinite(err):
                 raise QuadratureError(
@@ -337,7 +293,7 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
                     error_estimate=err,
                 )
             if err <= tol or err <= _ROUNDOFF * float(rule.weights[:, 0].sum()):
-                return sums[:, 0], (sums[:, 2] if slope else None), err
+                return sums[:, 0], err
         raise QuadratureError(
             f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
             f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
@@ -391,7 +347,7 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     if not math.isfinite(mu_tilde):
         raise DomainError(f"reduced chemical potential must be finite, got {mu_tilde!r}")
     _require_member("regime", regime, GasRegime)
-    value, _, err = _refined_sum(flat, x_max, t, mu_tilde, regime, tol)
+    value, err = _refined_sum(flat, x_max, t, mu_tilde, regime, tol)
     return (float(value[0]) if xs.ndim == 0 else value.reshape(xs.shape)), err
 
 
@@ -440,19 +396,28 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
     )
 
 
-# x = 0 (the origin check) followed by the scan grid of the bracket search
-_SCAN_X = np.concatenate(([0.0, 1e-3], np.arange(0.1, 3.05, 0.1)))
-# the decades below the grid, 1e-300 to 1e-4, that the relativistic scan
-# adds when f^2 < 1/2 already at 1e-3
-_SCAN_DECADES = 10.0 ** np.arange(-300.0, -3.0)
-# the bracket search scans the grid below this x, which falls between its
+# x = 0 (the origin check) followed by the scan grid of the bracket search;
+# with 1e-2 a bracket spans at most a decade, over which a hot fermi-mu
+# amplitude, about x^-4, falls by at most 1e4: its samples' rounding stays below 1e-10
+_SCAN_X = np.concatenate(([0.0, 1e-3, 1e-2], np.arange(0.1, 3.05, 0.1)))
+# the decades below the grid, 1e-307 to 1e-4, that a closed form's scan adds
+# where f^2 < 1/2 already at 1e-3, so that every bracket spans at most a decade
+_SCAN_DECADES = 10.0 ** np.arange(-307.0, -3.0)
+# the kernel scan covers the grid below this x, which falls between its
 # points 1.9 and 2.0, and the rest only if no crossing lies there.  Over t
 # from 1e-6 to 30, both regimes and both mu modes, the largest zeta was
 # 1.866 (fermi mu, rel, t = 0.172)
 _SCAN_WINDOW_END = 1.95
-# above this multiple of the classical zeta sqrt(2 ln 2 / t) (``_scan_stops``)
-# the first scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
+# above this multiple of the classical zeta (``_classical_zeta``) the first
+# kernel scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
 _THERMAL_WINDOW = 1.25
+# a closed form's scan is one interpolant of the whole grid while the classical
+# zeta is at least this (relativistic t up to 2.2, nonrelativistic up to 35)
+_CLOSED_FORM_ZETA_MIN = 0.2
+# the zeta solve's interpolants: Chebyshev-Lobatto samples, doubled until the
+# tail is at most _ZETA_TAIL_TOL or _ROUNDOFF (the kernel sums' rounding) times
+# the largest sample; 33 resolve [0, 3] at t up to 1 but rel t near 1, 65
+_ZETA_SAMPLES, _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL = 33, 257, 1e-14
 
 
 def _first_crossing(gaps: np.ndarray) -> int | None:
@@ -462,50 +427,100 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
     return int(crossings[0]) if crossings.size else None
 
 
+def _classical_zeta(t: float, regime: GasRegime) -> float:
+    """zeta of the Maxwell-Boltzmann gas at t > 0: where exp(-x^2 t/4) (nonrel) or (1 + x^2 t^2)^-2 (rel) crosses."""
+    if regime is GasRegime.NONRELATIVISTIC:
+        return math.sqrt(2.0 * math.log(2.0) / t)
+    return math.sqrt(2.0 ** 0.25 - 1.0) / t
+
+
 def _scan_stops(t: float) -> list[int]:
     """Where the kernel scan's calls end on ``_SCAN_X``: each call covers the grid up to its stop.
 
     The last two calls end at _SCAN_WINDOW_END and at the end of the grid.
     A first call ends at the first grid point at or above _THERMAL_WINDOW
-    times the classical zeta sqrt(2 ln 2 / t) (where the Maxwell-Boltzmann
-    f = exp(-x^2 t/4) crosses), when that point lies below _SCAN_WINDOW_END.
+    times the classical zeta, when that point lies below _SCAN_WINDOW_END.
     """
     stops = [int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END)), len(_SCAN_X)]
-    classical = math.sqrt(2.0 * math.log(2.0) / t)
-    thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * classical)) + 1
+    thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * _classical_zeta(
+        t, GasRegime.NONRELATIVISTIC))) + 1
     if thermal < stops[0]:
         stops.insert(0, thermal)
     return stops
 
 
+@lru_cache(maxsize=None)
+def _grid_matrix(count: int) -> np.ndarray:
+    """T_j(2 x/3 - 1), j < ``count``, at the x of ``_SCAN_X``: times coefficients on [0, 3], f on the grid."""
+    angles = np.arccos(np.clip(2.0 * _SCAN_X / _SCAN_X[-1] - 1.0, -1.0, 1.0))
+    matrix = np.cos(np.multiply.outer(angles, np.arange(count)))
+    matrix.flags.writeable = False  # every caller of the cache shares it
+    return matrix
+
+
+def _lobatto_samples(amplitude, lo: float, hi: float, count: int, max_count: int,
+                     tail_tol: float, t: float, rounding: float = 0.0) -> tuple:
+    """``amplitude`` at enough Chebyshev-Lobatto points on [lo, hi]: points, weights, samples, coefficients.
+
+    The first ``count`` points are one call; while the tail, the larger of
+    the last two coefficients, exceeds both ``tail_tol`` and ``rounding``
+    times the largest |sample|, one more call at the points between doubles
+    them, and past ``max_count`` a ``QuadratureError`` carries the tail.
+    """
+    span = hi - lo
+    unit, weights = chebyshev_lobatto(count)
+    points = lo + span * unit
+    samples = amplitude(points)
+    while True:
+        coeffs = chebyshev_coefficients(samples)
+        tail = float(np.abs(coeffs[-2:]).max())
+        tol = max(tail_tol, rounding * float(np.abs(samples).max()))
+        if tail <= tol:
+            return points, weights, samples, coeffs
+        if count == max_count:
+            raise QuadratureError(
+                f"amplitude samples on [{lo:g}, {hi:g}] stalled at tail {tail:.3e} (tolerance "
+                f"{tol:.3e}, {count} points) at t={t!r}",
+                error_estimate=tail,
+            )
+        count = 2 * count - 1
+        unit, weights = chebyshev_lobatto(count)
+        points = lo + span * unit
+        merged = np.empty(count)
+        merged[::2] = samples
+        merged[1::2] = amplitude(points[1::2])
+        samples = merged
+
+
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
-    """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed by a scan and refined by Newton steps.
+    """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed on a grid and refined on a Chebyshev interpolant.
 
-    The scan grid is x in {1e-3, 0.1, 0.2, ..., 3}, after the origin x = 0,
-    whose f^2 must exceed 1/2.  The bracket is the first sign change of
-    f^2 - 1/2 on the grid, refined by ``_root_in_bracket``, whose Newton
-    steps take f and df/dx from one evaluation.  The residual is the gap
-    at the last x evaluated.  The amplitude is evaluated at the fixed
-    tolerance _ZETA_QUAD_TOL = 1e-12, so that the returned residual stays
-    below the 1e-10 contract.
+    The bracket is the first sign change of f^2 - 1/2 on x in {1e-3, 1e-2,
+    0.1, 0.2, ..., 3}, after the origin, whose f^2 must exceed 1/2.  The
+    root is refined by ``_root_in_bracket``'s safeguarded Newton steps on a
+    Chebyshev interpolant p of f, summed in plain Python: 33
+    Chebyshev-Lobatto samples in one amplitude call, doubled on nested
+    points (up to 257), one call each, while the larger of the last two
+    coefficients exceeds 1e-14 and _ROUNDOFF times the largest sample.  The
+    residual, below 1e-10, is |p(zeta)^2 - 1/2| + E (2 |p(zeta)| + E), E the
+    last two coefficients plus _CLOSED_FORM_ROUNDING times the largest
+    sample, a bound on the gap between p and the amplitude (at the fixed
+    tolerance _ZETA_QUAD_TOL) at zeta.
 
-    Where f has a closed form it is scanned on the whole grid, origin
-    included, in one call: at t = 0, relativistic, and nonrelativistic on
-    the Sommerfeld series or the pole sum wherever either's estimate over
-    the grid serves _ZETA_QUAD_TOL (t up to about 0.036, then up to about
-    28 in exact mu and 300 in fermi mu).  Where f^2 < 1/2 already at 1e-3
-    (relativistic, exact mu from t of about 435, fermi mu from about 2e12)
-    the bracket is [0, 1e-3], so zeta solves at every t whose f(0)^2 is
-    finite.  At the hot end left to the kernel rule, the scan runs in
-    calls whose rules resolve only their own x (``_scan_stops``): the
-    first, from the origin, to the first grid point at or above 1.25 times
-    the classical zeta when that is below 1.95, the next to 1.9 and the
-    last to 3, each made only while no crossing is found, so the bracket
-    is the first sign change on the whole grid; a first grid point with
-    f^2 < 1/2 fails the solve at once.  The Newton steps pass the last
-    scan call's x_max, and so sum on the cached rules of the call that
-    evaluated the bracket's upper end.
+    Where f is a closed form (t = 0, relativistic, or nonrelativistic on
+    the Sommerfeld series or the pole sum, t up to about 0.036, then 28 in
+    exact mu and 300 in fermi mu) and the classical zeta is at least 0.2
+    (relativistic t up to 2.2, nonrelativistic 35), f on the grid is
+    read from one interpolant of [0, 3], which also gives the root: one
+    amplitude call, two where the samples double.  Above, the grid is one
+    call, and where f^2 < 1/2 already at 1e-3 (relativistic, exact mu from t
+    of about 435) one more on the decades 1e-307 to 1e-4 brackets the root
+    below the grid.  At the hot end left to the kernel rule, the scan runs
+    in calls whose rules resolve only their own x (``_scan_stops``), each
+    made only while no crossing is found; a first grid point with f^2 < 1/2
+    fails the solve at once.  A bracket that no interpolant covers is
+    sampled on its own at the last scan call's x_max, on its cached rules.
 
     Results are cached per (t, regime, mu_mode), however the arguments
     are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -527,8 +542,13 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         raise
 
 
-def _require_origin(f_origin: float) -> None:
-    """Raise a SolverError unless f(0)^2 > 1/2, the condition for any crossing."""
+def _require_origin(f_origin: float, t: float) -> None:
+    """Raise unless f(0)^2 > 1/2, the condition for any crossing, and f(0)^2 is finite."""
+    if not (f_origin <= _ORIGIN_MAX):
+        raise DomainError(
+            f"reduced temperature {t!r} is too large for a zeta solve: the amplitude at zero "
+            f"separation, {f_origin:.3g}, squares past the float range"
+        )
     if not (f_origin ** 2 > 0.5):
         raise SolverError(
             f"no root exists: the amplitude at zero separation is {f_origin!r}, "
@@ -536,49 +556,58 @@ def _require_origin(f_origin: float) -> None:
         )
 
 
-def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The closed-form scan: the grid, f and f^2 - 1/2 on all of _SCAN_X, the origin included.
-
-    Where f^2 < 1/2 already at 1e-3 the decades _SCAN_DECADES join the
-    grid between the origin and 1e-3, in one more call, so that the
-    bracket spans at most a decade above 1e-300.
-    """
+def _zeta_samples(t: float, regime: GasRegime, mu_tilde: float, lo: float, hi: float,
+                  x_max: float) -> tuple:
+    """The zeta solve's interpolant on [lo, hi]: (lo, hi, samples, coefficients), the amplitude summed to ``x_max``."""
     def amplitude(xs):
-        return _refined_sum(xs, float(xs[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+        return _refined_sum(xs, x_max, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-    grid, values = _SCAN_X, amplitude(_SCAN_X)
-    if not (values[0] <= _ORIGIN_MAX):
-        raise DomainError(
-            f"reduced temperature {t!r} is too large for a zeta solve: the amplitude at zero "
-            f"separation, {values[0]:.3g}, squares past the float range"
-        )
-    _require_origin(values[0])
+    _, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES, _ZETA_MAX_SAMPLES,
+                                             _ZETA_TAIL_TOL, t, _ROUNDOFF)
+    return lo, hi, samples, coeffs
+
+
+def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
+    """The closed form's scan: its grid, f on it, and the interpolant of the whole grid, or None.
+
+    f is read from the interpolant through one cached matrix, or, below
+    _CLOSED_FORM_ZETA_MIN, is one call at the grid; one more adds
+    _SCAN_DECADES where f^2 < 1/2 already at 1e-3.
+    """
+    x_end = float(_SCAN_X[-1])
+    window = None
+    if t == 0.0 or _classical_zeta(t, regime) >= _CLOSED_FORM_ZETA_MIN:
+        window = _zeta_samples(t, regime, mu_tilde, 0.0, x_end, x_end)
+        values = _grid_matrix(len(window[3])) @ window[3]
+    else:
+        values = _refined_sum(_SCAN_X, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+    _require_origin(float(values[0]), t)
     if values[1] ** 2 < 0.5:
-        grid = np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:]))
-        values = np.concatenate((values[:1], amplitude(_SCAN_DECADES), values[1:]))
-    return grid, values, np.square(values) - 0.5
+        decades = _refined_sum(_SCAN_DECADES, float(_SCAN_DECADES[-1]), t, mu_tilde, regime,
+                               _ZETA_QUAD_TOL)[0]
+        return (np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:])),
+                np.concatenate((values[:1], decades, values[1:])), None)
+    return _SCAN_X, values, window
 
 
 def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The kernel rule's scan (nonrelativistic, t > 0): grid, and f and f^2 - 1/2 from its first point to its last call's end."""
+    """The kernel rule's scan (nonrelativistic, t > 0): grid, f from its first point to its last call's end, and None."""
     stops = _scan_stops(t)
 
     def amplitude(xv):
         return _refined_sum(xv, float(xv[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
     f_origin, *scan = amplitude(_SCAN_X[:stops[0]])
-    _require_origin(f_origin)
+    _require_origin(f_origin, t)
 
     values = np.array(scan)
-    gaps = np.square(values) - 0.5
     # a first point already below 1/2 puts the crossing below the grid
-    if not gaps[0] < 0.0:
+    if not values[0] ** 2 < 0.5:
         for start, stop in zip(stops, stops[1:]):
-            if _first_crossing(gaps) is not None:
+            if _first_crossing(np.square(values) - 0.5) is not None:
                 break
             values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
-            gaps = np.square(values) - 0.5
-    return _SCAN_X[1:], values, gaps
+    return _SCAN_X[1:], values, None
 
 
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
@@ -590,12 +619,10 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC
                    or _degenerate_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None
                    or _pole_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None)
-    if closed_form:
-        grid, values, gaps = _closed_form_scan(t, regime, mu_tilde)
-        k = _first_crossing(gaps)
-    else:
-        grid, values, gaps = _kernel_scan(t, regime, mu_tilde)
-        k = None if gaps[0] < 0.0 else _first_crossing(gaps)
+    grid, values, window = (_closed_form_scan if closed_form else _kernel_scan)(t, regime, mu_tilde)
+    gaps = np.square(values) - 0.5
+    # the kernel scan's first point, past the origin, below 1/2 puts the crossing below the grid
+    k = None if gaps[0] < 0.0 else _first_crossing(gaps)
     if k is None:
         raise SolverError(
             f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
@@ -610,21 +637,27 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
             f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
             "the crossings of f = +1/sqrt(2) before it lie between two scan points"
         )
+    lo, hi = float(grid[k]), float(grid[k + 1])
+    g_lo, g_hi = float(gaps[k]), float(gaps[k + 1])
+    if window is None:
+        # the scan stops after the first call that holds a crossing, so that
+        # call, the last, evaluated the bracket's upper end: its x_max, the
+        # last abscissa scanned, fetches its cached kernel rules
+        window = _zeta_samples(t, regime, mu_tilde, lo, hi, float(grid[len(values) - 1]))
+        # the gaps of the interpolant itself at the bracket's ends
+        g_lo, g_hi = float(window[2][0] ** 2 - 0.5), float(window[2][-1] ** 2 - 0.5)
+    start, end, samples, coeffs = window
+    value_and_slope = chebyshev_series(coeffs, start, end)
 
-    # the scan stops after the first call that holds a crossing, so that
-    # call, the last, evaluated the bracket's upper end: its x_max, the last
-    # abscissa scanned, fetches its cached kernel rules
-    x_scan = float(grid[len(values) - 1])
+    def gap_and_slope(x):
+        f, df = value_and_slope(x)
+        return f * f - 0.5, 2.0 * f * df
 
-    def gap_and_slope(xv):
-        value, slope, _ = _refined_sum(np.array([xv]), x_scan, t, mu_tilde, regime,
-                                       _ZETA_QUAD_TOL, slope=True)
-        f = float(value[0])
-        return f * f - 0.5, 2.0 * f * float(slope[0])
-
-    root, gap = _root_in_bracket(gap_and_slope, float(grid[k]), float(grid[k + 1]),
-                                 float(gaps[k]), float(gaps[k + 1]))
-    residual = abs(gap)
+    root, gap = _root_in_bracket(gap_and_slope, lo, hi, g_lo, g_hi)
+    # a bound on the gap between the interpolant and the amplitude at the root
+    bound = (abs(float(coeffs[-2])) + abs(float(coeffs[-1]))
+             + _CLOSED_FORM_ROUNDING * float(np.abs(samples).max()))
+    residual = abs(gap) + bound * (2.0 * math.sqrt(gap + 0.5) + bound)
     if not (residual < 1e-10):
         raise SolverError(
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"

@@ -30,7 +30,7 @@ import numpy as np
 from .constants import constants
 from .errors import DomainError, QuadratureError, SolverError
 from .degenerate import _TOL_MIN, _sommerfeld_bound, _sommerfeld_log_number
-from .matsubara import _pole_floor, _pole_log_number
+from .matsubara import _pole_floor, _pole_log_number, _polynomial
 from .quadrature import QK15_NODES, composite_kronrod
 
 THREE_PI_SQ = 3.0 * math.pi ** 2
@@ -608,6 +608,11 @@ _SERIES_INV_K2 = 1.0 / _SERIES_K2
 _SERIES_INV_K3 = 1.0 / _SERIES_K ** 3
 _SERIES_SIGNS = np.where(_SERIES_K % 2.0 == 1.0, 1.0, -1.0)
 _LOG_6 = math.log(6.0)
+# the nonrelativistic seed's switch, where both err by about 6e-4; Joyce and
+# Dixon's A_4 ... A_1 of mu/t = log u + sum_m A_m u^m, u = (4/(3 sqrt(pi))) t^(-3/2)
+_SEED_SWITCH = 0.2
+_JOYCE_DIXON = (-4.42563e-6, 1.48386e-4, -4.95009e-3, 1.0 / math.sqrt(8.0))
+_LOG_CLASSICAL_NUMBER = math.log(4.0 / (3.0 * math.sqrt(math.pi)))
 # largest log of a term of the closed form (mu^3, pi^2 t^2 mu, 6 t^3 z): e^700
 # leaves their sums room below the float maximum, e^709.8
 _LOG_TERM_MAX = 700.0
@@ -727,7 +732,7 @@ def _degenerate_mu(t: float, step_tol: float) -> float | None:
     (``_log_number_root``), stopped as the kernel-rule solve's are.  None,
     and the pole sum or the kernel rule solves (``_pole_mu``), where the
     series' estimate at x = 0 and the seed exceeds the
-    tightest amplitude tolerance _TOL_MIN: the seed is within (pi t)^4 of
+    tightest amplitude tolerance _TOL_MIN: the seed is within (pi t)^6 of
     the root.
     """
     mu = _mu_seed(t, GasRegime.NONRELATIVISTIC)
@@ -768,11 +773,17 @@ def _log_number_root(log_number, mu: float, t: float, step_tol: float) -> float:
 
 
 def _mu_seed(t: float, regime: GasRegime) -> float:
-    """Sommerfeld chemical potential for t <= 1, else the classical (Boltzmann) one."""
+    """Nonrelativistic, the Sommerfeld mu to t^4 below _SEED_SWITCH, above it
+    Joyce and Dixon's series (Appl. Phys. Lett. 31, 354, 1977) of the inverse
+    Fermi-Dirac integral, within 7e-4 of the root for t in [0.031, 19];
+    relativistic, the Sommerfeld cubic for t <= 1, else the classical mu."""
     if regime is GasRegime.NONRELATIVISTIC:
-        if t <= 1.0:
-            return 1.0 - (math.pi * t) ** 2 / 12.0
-        return t * (math.log(4.0 / (3.0 * math.sqrt(math.pi))) - 1.5 * math.log(t))
+        if t < _SEED_SWITCH:
+            p = (math.pi * t) ** 2
+            return 1.0 - p / 12.0 - p * p / 80.0
+        log_u = _LOG_CLASSICAL_NUMBER - 1.5 * math.log(t)
+        u = math.exp(log_u)
+        return t * (log_u + u * _polynomial(_JOYCE_DIXON, u))
     if t <= 1.0:
         # mu^3 + pi^2 t^2 mu = 1 holds up to 6 t^3 |Li_3(-e^(-mu/t))| (DLMF 25.12)
         p = (math.pi * t) ** 2
@@ -786,7 +797,7 @@ def reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode = MuMod
 
     EXACT_NORMALIZATION solves the particle-number equation
     int u^2 n(u) du = 1/3 by Newton's method on its logarithm, from the
-    Sommerfeld (for t > 1, the classical) seed.  The solve stops once a
+    seed of ``_mu_seed``.  The solve stops once a
     Newton step is below 1e-13 max(1, t) and returns that last step
     applied, so the result is converged to rounding (quadratic
     convergence) by a rule that depends on ``t`` alone; mu is reproducible
@@ -838,8 +849,8 @@ def _reduced_chemical_potential(t: float, regime: GasRegime, mode: MuMode) -> fl
 def _kernel_mu(t: float, step_tol: float) -> float:
     """The nonrelativistic mu on the kernel rule's number integral (see ``reduced_chemical_potential``)."""
     seed = _mu_seed(t, GasRegime.NONRELATIVISTIC)
-    # the classical seed lies below the root, and from t of about 2.5e14
-    # below -50 t too: there the floor moves below the seed
+    # the seed lies below the root, and from t of about 2.5e14 below -50 t
+    # too: there the floor moves below the seed
     floor = -50.0 * t if seed >= -50.0 * t else seed - t
     lo, hi = floor, 2.0
     mu = min(max(seed, lo), hi)

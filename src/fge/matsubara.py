@@ -26,7 +26,7 @@ from .degenerate import _CLOSED_FORM_ROUNDING, _SOMMERFELD_COEFFS, _square_power
 # poles summed directly, Bernoulli corrections of the rest, and Taylor terms
 # kept, the next one bounding the Taylor side's remainder
 _POLES, _BERNOULLI_TERMS, _TAYLOR_TERMS = 8, 14, 16
-# the powers p = -1/2, 1/2, ... of the moments Z(p): the number's slope and the Taylor coefficients
+# the powers p = -1/2, 1/2, ... of the moments Z(p): the number's mu-derivative and the Taylor coefficients
 _MOMENT_POWERS = np.arange(_TAYLOR_TERMS + 2) - 0.5
 # the pole side's table: the direct poles, then the tail's powers w^j, j = -3 ... 2K - 1
 _COLUMNS = _POLES + 2 * _BERNOULLI_TERMS + 3
@@ -39,7 +39,7 @@ _TAIL_DECAY_MAX = 660.0
 _CROSSOVER_CANDIDATES = 0.05 * 80.0 ** (np.arange(25) / 24.0)
 
 _PoleTables = namedtuple("PoleTables", "rows tail moments inverse remainder pole_remainder signs "
-                                       "roundings slope_orders laurent_orders candidate_powers")
+                                       "roundings laurent_orders candidate_powers")
 
 
 @lru_cache(maxsize=1)
@@ -74,7 +74,7 @@ def _pole_tables() -> _PoleTables:
         kernel * np.abs(falling[:, -1]) * _POLES ** (_MOMENT_POWERS + 1 - order)
         / (order - _MOMENT_POWERS - 1),
         kernel * factorial[order] * _POLES ** (1 - order) / (order - 1),
-        (-1.0) ** k / factorial[2 * k + 1], (k + 2.0) * _EPS, np.append(2.0 * k[1:-1], 0.0),
+        (-1.0) ** k / factorial[2 * k + 1], (k + 2.0) * _EPS,
         np.arange(-2.0, order + 1.0), _square_powers(_CROSSOVER_CANDIDATES, _TAYLOR_TERMS + 1))
     for table in tables:
         if isinstance(table, np.ndarray):
@@ -152,7 +152,7 @@ def _matsubara_terms(mu_tilde: float, t: float) -> _PoleTerms:
     prefactor = 3.0 * math.pi * t
     factor = prefactor * tables.signs
     coeffs = factor * sums[1:].imag.astype(float)
-    taylor = np.stack((coeffs[:-1], tables.slope_orders * coeffs[1:]), axis=1)
+    taylor = coeffs[:-1]
     # the moments' errors, k + 2 roundings of c_k x^2k, and the first omitted term
     taylor_bound = np.abs(factor) * errors[1:] + tables.roundings * np.abs(coeffs)
     taylor_bound[-1] += abs(coeffs[-1])
@@ -168,19 +168,19 @@ def _matsubara_terms(mu_tilde: float, t: float) -> _PoleTerms:
 def _pole_side_terms(terms: _PoleTerms) -> _PoleSide:
     """The pole side's weights, their sizes, the crossover, the estimate's bound, Im s(M) and x_cap.
 
-    Weights [1, i s_m] on the poles, and on w^j the Laurent coefficients D_j
-    and i s(M) (D_j + (j + 1) D_(j+1)); the crossover is the candidate past
-    ``reach`` where the larger of the two sides' estimates is least.
+    Weights 1 on the poles and the Laurent coefficients D_j on w^j; their
+    sizes, and those times |s_m| or |s(M)|, by which the rounding of the
+    exponents x s_m enters; the crossover is the candidate past ``reach``
+    where the larger of the two sides' estimates is least.
     """
     poles, beta = terms.poles, terms.beta
     laurent = np.zeros(2 * _BERNOULLI_TERMS + 4, dtype=complex)  # D_j, j = -3 ... 2K
     laurent[1], laurent[2] = 2.0 / beta, -2.0 / beta
     laurent[4:-1] = (beta * (beta * beta) ** _BERNOULLI_RANGE) @ _pole_tables().tail
-    table = np.empty((_COLUMNS, 2), dtype=complex)
-    table[:_POLES, 0], table[:_POLES, 1], table[_POLES:, 0] = 1.0, poles[:-1], laurent[:-1]
-    table[_POLES:, 1] = poles[-1] * (laurent[:-1] + _pole_tables().laurent_orders * laurent[1:])
+    table = np.empty(_COLUMNS, dtype=complex)
+    table[:_POLES], table[_POLES:] = 1.0, laurent[:-1]
     sizes = np.empty((_COLUMNS, 2))
-    sizes[:, 0] = np.abs(table[:, 0])
+    sizes[:, 0] = np.abs(table)
     sizes[:_POLES, 1] = np.abs(poles[:-1])
     sizes[_POLES:, 1] = sizes[_POLES:, 0] * abs(poles[-1])
     x = _CROSSOVER_CANDIDATES[terms.reach:]
@@ -233,41 +233,37 @@ def _pole_estimate(terms: _PoleTerms, x_max: float) -> float:
     return terms.side.bound
 
 
-def _pole_sum(xs: np.ndarray, terms: _PoleTerms, slope: bool) -> tuple:
-    """f at every x >= 0 of ``xs`` and, with ``slope``, df/dx: the Taylor side below the crossover, the pole side above.
+def _pole_sum(xs: np.ndarray, terms: _PoleTerms) -> tuple:
+    """f at every x >= 0 of ``xs``: the Taylor side below the crossover, the pole side above.
 
-    Returns (values, slopes or None, estimate), the largest estimate over the x given.
+    Returns (values, estimate), the largest estimate over the x given.
     """
     x_max = float(xs.max(initial=0.0))
     if x_max < _CROSSOVER_CANDIDATES[terms.reach] or x_max < terms.side.crossover:
-        return _taylor_side(xs, x_max, terms, slope)
+        return _taylor_side(xs, x_max, terms)
     if float(xs.min(initial=x_max)) >= terms.side.crossover:
-        return _pole_side(xs, x_max, terms, slope)
+        return _pole_side(xs, x_max, terms)
     below = xs < terms.side.crossover
-    low = _taylor_side(xs[below], float(xs[below].max()), terms, slope)
-    high = _pole_side(xs[~below], x_max, terms, slope)
+    low = _taylor_side(xs[below], float(xs[below].max()), terms)
+    high = _pole_side(xs[~below], x_max, terms)
     values = np.empty(len(xs))
     values[below], values[~below] = low[0], high[0]
-    slopes = np.empty(len(xs)) if slope else None
-    if slope:
-        slopes[below], slopes[~below] = low[1], high[1]
-    return values, slopes, max(low[2], high[2])
+    return values, max(low[1], high[1])
 
 
-def _taylor_side(xs: np.ndarray, x_max: float, terms: _PoleTerms, slope: bool) -> tuple:
-    """The Taylor side at every x of ``xs``, the largest ``x_max``: (values, slopes or None, estimate)."""
-    sums = _square_powers(xs, _TAYLOR_TERMS) @ terms.taylor
-    return (sums[:, 0], sums[:, 1] * xs if slope else None,
+def _taylor_side(xs: np.ndarray, x_max: float, terms: _PoleTerms) -> tuple:
+    """The Taylor side at every x of ``xs``, the largest ``x_max``: (values, estimate)."""
+    return (_square_powers(xs, _TAYLOR_TERMS) @ terms.taylor,
             _polynomial(terms.taylor_bound, x_max * x_max))
 
 
-def _pole_side(xs: np.ndarray, x_max: float, terms: _PoleTerms, slope: bool) -> tuple:
-    """The pole side at every x > 0 of ``xs``, the largest ``x_max``: (values, slopes or None, estimate).
+def _pole_side(xs: np.ndarray, x_max: float, terms: _PoleTerms) -> tuple:
+    """The pole side at every x > 0 of ``xs``, the largest ``x_max``: (values, estimate).
 
-    One row per x: e^(i x s_m), m < M, then e^w w^j, so that S and its slope
-    are one product with the weights; f = -(3 pi t/x) Re S and
-    f' = -(3 pi t Re S' + f)/x.  Where x Im s(M) > _TAIL_DECAY_MAX the tail is
-    dropped, and x is capped where x Im s_0 is, past which every term is below 1e-280.
+    One row per x: e^(i x s_m), m < M, then e^w w^j, so that S is one
+    product with the weights, and f = -(3 pi t/x) Re S.  Where
+    x Im s(M) > _TAIL_DECAY_MAX the tail is dropped, and x is capped where
+    x Im s_0 is, past which every term is below 1e-280.
     """
     side = terms.side
     if x_max > side.x_cap:
@@ -287,7 +283,6 @@ def _pole_side(xs: np.ndarray, x_max: float, terms: _PoleTerms, slope: bool) -> 
     np.multiply.accumulate(tail, axis=1, out=tail)
     sums, sizes = table @ side.table, np.abs(table) @ side.sizes
     scale = terms.prefactor / xs
-    values = -scale * sums[:, 0].real
-    slopes = -(terms.prefactor * sums[:, 1].real + values) / xs if slope else None
+    values = -scale * sums.real
     err = scale * (_pole_tables().pole_remainder + _EPS * (sizes[:, 0] + xs * sizes[:, 1]))
-    return values, slopes, float(err.max())
+    return values, float(err.max())

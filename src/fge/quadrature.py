@@ -14,7 +14,8 @@ samples at Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
 2004), and ``chebyshev_coefficients`` gives the coefficients whose tail
 measures how well they resolve the function; ``chebyshev_value`` and
 ``chebyshev_derivative`` sum and differentiate such a series as numpy's
-chebval and chebder do, bit for bit.  Nothing here imports
+chebval and chebder do, bit for bit, and ``chebyshev_series`` gives the
+value and the derivative on any interval.  Nothing here imports
 numpy.polynomial.
 """
 
@@ -187,3 +188,15 @@ def chebyshev_value(y: float, coeffs) -> float:
     for c in coeffs[-3::-1]:
         c0, c1 = c - c1, c0 + c1 * y2
     return c0 + c1 * y
+
+
+def chebyshev_series(coeffs: np.ndarray, lo: float, hi: float):
+    """x -> (p(x), p'(x)) for p = sum_j coeffs[j] T_j(2 (x - lo)/(hi - lo) - 1), summed in plain Python."""
+    series, width = coeffs.tolist(), hi - lo
+    slopes = [d * (2.0 / width) for d in chebyshev_derivative(series)]
+
+    def value_and_slope(x: float) -> tuple[float, float]:
+        y = 2.0 * (x - lo) / width - 1.0
+        return chebyshev_value(y, series), chebyshev_value(y, slopes)
+
+    return value_and_slope

@@ -501,14 +501,13 @@ def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
 
 
 def count_amplitude_calls(monkeypatch):
-    """Record the abscissas of every amplitude call the average makes, none with a slope."""
+    """Record the abscissa count of every amplitude call the average makes."""
     calls = []
     original = entanglement._refined_sum
 
-    def counted(xs, x_max, t, mu_tilde, regime, tol, slope=False):
-        assert not slope, "the clamp edge is a root of the interpolant"
+    def counted(xs, x_max, t, mu_tilde, regime, tol):
         calls.append(np.size(xs))
-        return original(xs, x_max, t, mu_tilde, regime, tol, slope)
+        return original(xs, x_max, t, mu_tilde, regime, tol)
 
     monkeypatch.setattr(entanglement, "_refined_sum", counted)
     return calls
@@ -607,7 +606,7 @@ def test_rel_fermi_level_samples_double_twice(monkeypatch):
     # f(0) is about 200: 17 samples miss f by about 1e-3 and 33 by about
     # 1e-9, so the grid settles on 65, each doubling one call at its new points
     solve_zeta(3.0, ER, MuMode.FERMI_ENERGY_APPROX)
-    # no call asks for a slope: the clamp edge is a root of the interpolant
+    # the clamp edge is a root of the interpolant, which takes no call of its own
     calls = count_amplitude_calls(monkeypatch)
     average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
     assert calls == [17, 16, 32] == sampling_calls(65)

@@ -32,6 +32,7 @@ from fge import (
 from fge import QuadratureError, reduced_occupancy
 from fge import degenerate, exchange
 from fge.fermi import fermi_momentum_from_density, occupancy_cutoff
+from fge.quadrature import chebyshev_lobatto
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -59,34 +60,30 @@ def test_ground_state_against_spherical_bessel():
     assert np.max(np.abs(ground_state(xs) - expected)) < 5e-14
 
 
-def test_ground_state_slope_against_spherical_bessel():
-    # f0'(y) = -3 j_2(y)/y, through the series crossover at 0.5 and the
-    # earlier one of f0 at 0.25
-    ys = np.concatenate((np.geomspace(1e-4, 50.0, 2000),
-                         0.25 + np.linspace(-1e-3, 1e-3, 41),
-                         0.5 + np.linspace(-1e-3, 1e-3, 41)))
-    values, slopes = exchange._f0(ys, slope=True)
-    assert np.max(np.abs(slopes + 3.0 * spherical_jn(2, ys) / ys)) <= 1e-13
+def test_ground_state_shares_its_sine_and_cosine():
+    # f0 with its sine and cosine is f0's bits, and those are sin y and cos y
+    # of the numpy ufuncs, bit for bit above the series crossover where the
+    # closed form takes them, through the crossover at 0.5
+    ys = np.concatenate((np.geomspace(1e-4, 50.0, 2000), 0.5 + np.linspace(-1e-3, 1e-3, 41)))
+    values, sin, cos = exchange._f0(ys, trig=True)
     assert values.tobytes() == exchange._f0(ys).tobytes()
-    assert exchange._f0(np.array([0.0]), slope=True)[1][0] == 0.0
+    above = ys >= degenerate._SERIES_CROSSOVER
+    assert sin[above].tobytes() == np.sin(ys[above]).tobytes()
+    assert cos[above].tobytes() == np.cos(ys[above]).tobytes()
+    assert np.max(np.abs(sin - np.sin(ys))) <= 1e-16 and np.max(np.abs(cos - np.cos(ys))) <= 1e-16
 
 
-def test_ground_state_and_slope_against_mpmath_below_three():
+def test_ground_state_against_mpmath_below_three():
     # 3,001 points on [0, 3], through the series crossover: the series keeps
-    # f0 within 1.8e-15 (the closed form lost up to 6e-15 on [0.25, 0.5)),
-    # and f0' keeps the closed form's 8.5e-15 just above 0.5
+    # f0 within 1.8e-15 (the closed form lost up to 6e-15 on [0.25, 0.5))
     ys = np.linspace(0.0, 3.0, 3001)
-    values, slopes = exchange._f0(ys, slope=True)
+    values = exchange._f0(ys)
     with mpmath.workdps(40):
-        exact = [(mpmath.mpf(1), mpmath.mpf(0))]
+        exact = [mpmath.mpf(1)]
         for y in map(mpmath.mpf, ys[1:]):
-            sin, cos = mpmath.sin(y), mpmath.cos(y)
-            j2 = (3 / y ** 2 - 1) * sin / y - 3 * cos / y ** 2
-            exact.append((3 * (sin - y * cos) / y ** 3, -3 * j2 / y))
-        f0_err = max(abs(v - e) for v, (e, _) in zip(values, exact))
-        slope_err = max(abs(v - e) for v, (_, e) in zip(slopes, exact))
+            exact.append(3 * (mpmath.sin(y) - y * mpmath.cos(y)) / y ** 3)
+        f0_err = max(abs(v - e) for v, e in zip(values, exact))
     assert f0_err <= 1.8e-15
-    assert slope_err <= 1e-14
 
 
 def test_series_meets_closed_form_at_crossover():
@@ -328,49 +325,21 @@ def test_thermal_amplitude_batch_matches_points(regime):
     assert isinstance(scalar, float)
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-@pytest.mark.parametrize("t", [0.01, 0.3, 3.0])
-def test_thermal_slope_matches_a_centred_difference(regime, t):
-    # df/dx = sum_j W_j u_j f0'(x u_j) against the fourth-order centred
-    # difference, its four points on one rule so that it sees a smooth f
-    mu = reduced_chemical_potential(t, regime)
-    h = 5e-4
-    for x in (0.3, 1.0, 1.8, 4.0):
-        values, slopes, _ = exchange._refined_sum(np.array([x]), x, t, mu, regime, 1e-12, slope=True)
-        value, slope = float(values[0]), float(slopes[0])
-        assert value == pytest.approx(thermal_amplitude(x, t, mu, regime, 1e-12)[0], abs=1e-14)
-        f = thermal_amplitude(x + h * np.array([-2.0, -1.0, 1.0, 2.0]), t, mu, regime, 1e-12)[0]
-        difference = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-        assert abs(slope - difference) <= 1e-9
-
-
-def test_slope_sum_in_blocks_matches_one_block(monkeypatch):
-    t = 0.3
-    mu = reduced_chemical_potential(t, NR)
-    rule = fge.fermi.kernel_rule(mu, t, 4.0)
-    whole = exchange._kernel_sum(np.array([4.0]), rule, slope=True)
-    monkeypatch.setattr(exchange, "_BLOCK", 100)
-    assert len(rule.nodes) > 100
-    blocked = exchange._kernel_sum(np.array([4.0]), rule, slope=True)
-    assert np.allclose(blocked, whole, rtol=0.0, atol=1e-14)
-
-
 @pytest.mark.parametrize("split", ["nodes", "rows"])
-def test_slopes_over_many_x_match_one_x_sums(monkeypatch, split):
-    # the slope column of one kernel sum over 60 x, in blocks that split the
-    # nodes (one x a block) or the x (three whole rows a block), against the
-    # one-block sum of each x; the value columns are the value-only sum's
+def test_sums_over_many_x_in_blocks_match_one_x_sums(monkeypatch, split):
+    # one kernel sum over 60 x, in blocks that split the nodes (one x a
+    # block) or the x (three whole rows a block), against the one-block sum
+    # of each x
     t = 0.3
     mu = reduced_chemical_potential(t, NR)
     xs = np.linspace(0.0, 6.0, 60)
     rule = fge.fermi.kernel_rule(mu, t, float(xs[-1]))
-    per_x = [exchange._kernel_sum(xs[i:i + 1], rule, slope=True)[0, 2] for i in range(len(xs))]
+    per_x = np.concatenate([exchange._kernel_sum(xs[i:i + 1], rule) for i in range(len(xs))])
     block = len(rule.nodes) // 3 if split == "nodes" else 3 * len(rule.nodes)
     monkeypatch.setattr(exchange, "_BLOCK", block)
-    sums = exchange._kernel_sum(xs, rule, slope=True)
-    assert sums.shape == (len(xs), 3)
-    assert np.max(np.abs(sums[:, 2] - per_x)) <= 1e-14
-    assert sums[:, :2].tobytes() == exchange._kernel_sum(xs, rule).tobytes()
+    sums = exchange._kernel_sum(xs, rule)
+    assert sums.shape == (len(xs), 2)
+    assert np.max(np.abs(sums - per_x)) <= 1e-14
 
 
 def test_thermal_amplitude_tolerance_drives_refinement(monkeypatch):
@@ -606,21 +575,27 @@ def require_kernel_scan(t):
 
 
 def record_amplitude_calls(monkeypatch):
-    """The abscissas of every amplitude sum without slope the zeta solve makes,
-    and the x of every one with slope, each of a single x."""
-    calls, slope_calls = [], []
+    """The abscissas of every amplitude sum the zeta solve makes."""
+    calls = []
     refined_sum = exchange._refined_sum
 
-    def recorded(xs, x_max, t, mu, regime, tol, slope=False):
-        if slope:
-            (x,) = xs
-            slope_calls.append(float(x))
-        else:
-            calls.append(xs.copy())
-        return refined_sum(xs, x_max, t, mu, regime, tol, slope)
+    def recorded(xs, x_max, t, mu, regime, tol):
+        calls.append(xs.copy())
+        return refined_sum(xs, x_max, t, mu, regime, tol)
 
     monkeypatch.setattr(exchange, "_refined_sum", recorded)
-    return calls, slope_calls
+    return calls
+
+
+def lobatto_calls(lo, hi, count):
+    """The abscissas of the calls that sample [lo, hi] at ``count`` Chebyshev-Lobatto points:
+    the first 33, then the points between the old ones at each doubling."""
+    calls = [lo + (hi - lo) * chebyshev_lobatto(exchange._ZETA_SAMPLES)[0]]
+    size = exchange._ZETA_SAMPLES
+    while size < count:
+        size = 2 * size - 1
+        calls.append(lo + (hi - lo) * chebyshev_lobatto(size)[0][1::2])
+    return [call.tobytes() for call in calls]
 
 
 def record_brackets(monkeypatch):
@@ -659,39 +634,51 @@ def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, windo
     monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
     bracket, reference = whole_grid_zeta(38.0, NR, MuMode.EXACT_NORMALIZATION)
     brackets = record_brackets(monkeypatch)
-    calls, slope_calls = record_amplitude_calls(monkeypatch)
+    calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
     assert brackets == [bracket] and abs(result.zeta - reference) <= 1e-13
     window = exchange._SCAN_X < window_end
     first = calls[0]
     assert first.tobytes() == exchange._SCAN_X[window].tobytes()
     assert calls[1].tobytes() == exchange._SCAN_X[~window].tobytes()
-    assert len(calls) == 2 and len(slope_calls) <= 3
+    # then one batched call at the bracket's Chebyshev-Lobatto points
+    assert [call.tobytes() for call in calls[2:]] == lobatto_calls(*bracket, 33)
 
 
 def test_hot_zeta_scans_only_the_first_window(monkeypatch):
     require_kernel_scan(38.0)
-    calls, slope_calls = record_amplitude_calls(monkeypatch)
+    calls = record_amplitude_calls(monkeypatch)
     exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
-    # one scan call from the origin to the thermal window, then at most 3
-    # Newton evaluations
-    (scan,) = calls
+    # one scan call from the origin to the thermal window, then one batched
+    # call at the bracket's Chebyshev-Lobatto points
+    scan, bracket = calls
     assert scan.size <= 6
     assert scan[0] == 0.0 and all(x < exchange._SCAN_WINDOW_END for x in scan[1:])
-    assert len(slope_calls) <= 3
+    assert [bracket.tobytes()] == lobatto_calls(0.1, 0.2, 33)
+
+
+# the cold closed forms whose 33 samples on [0, 3] double once, to 65
+DOUBLED_COLD_SAMPLES = {(ER, MuMode.EXACT_NORMALIZATION, 1.0), (ER, MuMode.FERMI_ENERGY_APPROX, 1.0)}
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
-def test_cold_relativistic_zeta_is_one_scan_and_a_few_newton_steps(monkeypatch, mu_mode):
-    # the closed form on the whole grid, origin included, in one call, then
-    # at most 3 one-x evaluations with slope; no kernel rule is built
-    calls, slope_calls = record_amplitude_calls(monkeypatch)
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.3, 1.0])
+def test_cold_closed_form_zeta_is_one_batched_amplitude_call(monkeypatch, t, regime, mu_mode):
+    # the closed form's interpolant on the whole grid, origin included: 33
+    # Chebyshev-Lobatto samples in one call, one more at the 32 points
+    # between them where the samples double, and no call at a single x, for
+    # the bracket or the root; no kernel rule is built
+    calls = record_amplitude_calls(monkeypatch)
     sizes = record_rule_sizes(monkeypatch)
-    exchange._solve_zeta.__wrapped__(0.05, ER, mu_mode)
-    (scan,) = calls
-    assert scan.tobytes() == exchange._SCAN_X.tobytes()
-    assert 1 <= len(slope_calls) <= 3
+    result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
+    count = 65 if (regime, mu_mode, t) in DOUBLED_COLD_SAMPLES else 33
+    assert [call.tobytes() for call in calls] == lobatto_calls(0.0, float(exchange._SCAN_X[-1]), count)
     assert sizes == []
+    # the residual bounds the amplitude's own gap at zeta
+    mu = reduced_chemical_potential(t, regime, mu_mode)
+    f, _ = thermal_amplitude(result.zeta, t, mu, regime, exchange._ZETA_QUAD_TOL)
+    assert abs(f * f - 0.5) <= result.residual < 1e-10
 
 
 def test_relativistic_value_does_not_depend_on_the_x_max_passed():
@@ -699,11 +686,10 @@ def test_relativistic_value_does_not_depend_on_the_x_max_passed():
     # extent of 3 puts pi t x past the sinh cutoff and p(y)'s series
     # crossover, whose other formulas differ by 1 ulp at this x
     x = 1.7487973639896006e-4
-    first, second = (exchange._refined_sum(np.array([x]), x_max, 80.0, 1.0, ER, 1e-12, True)
+    first, second = (exchange._refined_sum(np.array([x]), x_max, 80.0, 1.0, ER, 1e-12)
                      for x_max in (x, 3.0))
     assert first[0].tobytes() == second[0].tobytes()
-    assert first[1].tobytes() == second[1].tobytes()
-    assert first[2] == second[2]
+    assert first[1] == second[1]
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
@@ -724,32 +710,34 @@ def test_kernel_rule_weights_are_positive_on_nondecreasing_nodes(mu_mode):
 
 
 @pytest.mark.parametrize("t", [36.0, 40.0])
-def test_hot_zeta_newton_steps_reuse_the_last_scan_rules(monkeypatch, t):
-    # the Newton steps pass the last scanned abscissa as x_max, the end of
-    # the scan call that holds the bracket's upper end, and so build no rule;
-    # that call ends at the thermal window, x = 0.3
+def test_hot_zeta_bracket_call_reuses_the_last_scan_rules(monkeypatch, t):
+    # the bracket's samples pass the last scanned abscissa as x_max, the end
+    # of the scan call that holds the bracket's upper end, and so build no
+    # rule; that call ends at the thermal window, x = 0.3.  The root is
+    # refined on their interpolant, with no further amplitude call
     require_kernel_scan(t)
     fetched, misses = [], []
     rule_of = exchange.kernel_rule
-    root_in_bracket = exchange._root_in_bracket
+    zeta_samples = exchange._zeta_samples
 
     def recorded_rule(mu, t, x_max=0.0, level=0):
         if misses:
             fetched.append(x_max)
         return rule_of(mu, t, x_max, level)
 
-    def newton_phase(*args):
+    def bracket_phase(*args):
         misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
-        root = root_in_bracket(*args)
+        window = zeta_samples(*args)
         misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
-        return root
+        return window
 
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
-    monkeypatch.setattr(exchange, "_root_in_bracket", newton_phase)
-    calls, slope_calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
-    (scan,) = calls
-    assert 2 <= len(slope_calls) <= 3
+    monkeypatch.setattr(exchange, "_zeta_samples", bracket_phase)
+    calls = record_amplitude_calls(monkeypatch)
+    result = exchange._solve_zeta.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
+    scan, bracket = calls
+    lo = float(exchange._SCAN_X[np.searchsorted(exchange._SCAN_X, result.zeta) - 1])
+    assert [bracket.tobytes()] == lobatto_calls(lo, lo + 0.1, 33)
     assert misses[0] == misses[1]
     assert fetched and set(fetched) == {float(scan[-1])}
     assert scan[-1] == pytest.approx(0.3)
