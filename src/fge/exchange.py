@@ -17,6 +17,7 @@ found on a Chebyshev interpolant of f.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -354,15 +355,13 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
 def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
     """Root of g on [lo, hi], given g(lo) = g_lo and g(hi) = g_hi of opposite signs, and g there.
 
-    ``fn(x)`` returns g(x) and g'(x).  The first iterate is the secant
-    point of the bracket, and each further one a Newton step, kept inside
-    the bracket that the signs of g shrink; a step that would leave it, or
-    that is not below half the step before, is replaced by bisection (the
-    ``rtsafe`` scheme of Numerical Recipes, section 9.4).  Converged once a
-    step is at most (_ROOT_XTOL min(1, |hi|) + _ROOT_RTOL |x|)/2, the rule
-    of Brent's method with its absolute part scaled down by a bracket that
-    has shrunk below 1, so that a root far below _ROOT_XTOL is still found
-    to _ROOT_RTOL; the x returned is the last one evaluated, with its g.
+    ``fn(x)`` returns g(x) and g'(x).  From the secant point of the
+    bracket, Newton steps kept inside the bracket that the signs of g
+    shrink, bisecting instead of a step that would leave it or is not below
+    half the one before (``rtsafe``, Numerical Recipes 9.4).  Converged once
+    a step is at most (_ROOT_XTOL min(1, |hi|) + _ROOT_RTOL |x|)/2, Brent's
+    rule with its absolute part scaled down by a bracket below 1; the x
+    returned is the last one evaluated, with its g.
     """
     if g_lo == 0.0:
         return lo, g_lo
@@ -396,17 +395,13 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
     )
 
 
-# x = 0 (the origin check) followed by the scan grid of the bracket search;
-# with 1e-2 a bracket spans at most a decade, over which a hot fermi-mu
-# amplitude, about x^-4, falls by at most 1e4: its samples' rounding stays below 1e-10
+# x = 0 (the origin check), then the scan grid, on which a bracket spans at most a decade
 _SCAN_X = np.concatenate(([0.0, 1e-3, 1e-2], np.arange(0.1, 3.05, 0.1)))
 # the decades below the grid, 1e-307 to 1e-4, that a closed form's scan adds
 # where f^2 < 1/2 already at 1e-3, so that every bracket spans at most a decade
 _SCAN_DECADES = 10.0 ** np.arange(-307.0, -3.0)
-# the kernel scan covers the grid below this x, which falls between its
-# points 1.9 and 2.0, and the rest only if no crossing lies there.  Over t
-# from 1e-6 to 30, both regimes and both mu modes, the largest zeta was
-# 1.866 (fermi mu, rel, t = 0.172)
+# the kernel scan covers the grid below this x, and the rest only if no
+# crossing lies there; over t in [1e-6, 30] the largest zeta was 1.866 (fermi mu, rel)
 _SCAN_WINDOW_END = 1.95
 # above this multiple of the classical zeta (``_classical_zeta``) the first
 # kernel scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
@@ -414,17 +409,11 @@ _THERMAL_WINDOW = 1.25
 # a closed form's scan is one interpolant of the whole grid while the classical
 # zeta is at least this (relativistic t up to 2.2, nonrelativistic up to 35)
 _CLOSED_FORM_ZETA_MIN = 0.2
-# the zeta solve's interpolants: Chebyshev-Lobatto samples, doubled until the
-# tail is at most _ZETA_TAIL_TOL or _ROUNDOFF (the kernel sums' rounding) times
-# the largest sample; 33 resolve [0, 3] at t up to 1 but rel t near 1, 65
+# the zeta solve's Chebyshev-Lobatto samples (``_lobatto_samples``): 33
+# resolve [0, 3] at t up to 1 but rel t near 1, 65
 _ZETA_SAMPLES, _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL = 33, 257, 1e-14
-
-
-def _first_crossing(gaps: np.ndarray) -> int | None:
-    """Index of the first grid gap that is 0 or changes sign to the next, if any."""
-    signs = np.sign(gaps)
-    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
-    return int(crossings[0]) if crossings.size else None
+# a kernel scan's bracket [lo, hi] is narrowed on lo (hi/lo)^(j/8), j = 0 ... 8
+_NARROWING = np.arange(9) / 8.0
 
 
 def _classical_zeta(t: float, regime: GasRegime) -> float:
@@ -464,18 +453,20 @@ def _lobatto_samples(amplitude, lo: float, hi: float, count: int, max_count: int
 
     The first ``count`` points are one call; while the tail, the larger of
     the last two coefficients, exceeds both ``tail_tol`` and ``rounding``
-    times the largest |sample|, one more call at the points between doubles
-    them, and past ``max_count`` a ``QuadratureError`` carries the tail.
+    times the largest |sample| (and, given a ``rounding``, the last doubling
+    halved it, else it is the samples' noise), one more call at the points
+    between doubles them; past ``max_count`` a ``QuadratureError`` carries it.
     """
     span = hi - lo
     unit, weights = chebyshev_lobatto(count)
     points = lo + span * unit
     samples = amplitude(points)
+    tail = math.inf
     while True:
         coeffs = chebyshev_coefficients(samples)
-        tail = float(np.abs(coeffs[-2:]).max())
+        last, tail = tail, float(np.abs(coeffs[-2:]).max())
         tol = max(tail_tol, rounding * float(np.abs(samples).max()))
-        if tail <= tol:
+        if tail <= tol or (rounding > 0.0 and tail > 0.5 * last):
             return points, weights, samples, coeffs
         if count == max_count:
             raise QuadratureError(
@@ -497,30 +488,24 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed on a grid and refined on a Chebyshev interpolant.
 
     The bracket is the first sign change of f^2 - 1/2 on x in {1e-3, 1e-2,
-    0.1, 0.2, ..., 3}, after the origin, whose f^2 must exceed 1/2.  The
-    root is refined by ``_root_in_bracket``'s safeguarded Newton steps on a
-    Chebyshev interpolant p of f, summed in plain Python: 33
-    Chebyshev-Lobatto samples in one amplitude call, doubled on nested
-    points (up to 257), one call each, while the larger of the last two
-    coefficients exceeds 1e-14 and _ROUNDOFF times the largest sample.  The
-    residual, below 1e-10, is |p(zeta)^2 - 1/2| + E (2 |p(zeta)| + E), E the
-    last two coefficients plus _CLOSED_FORM_ROUNDING times the largest
-    sample, a bound on the gap between p and the amplitude (at the fixed
-    tolerance _ZETA_QUAD_TOL) at zeta.
+    0.1, 0.2, ..., 3}, after the origin, whose f^2 must exceed 1/2; one
+    where f = -1/sqrt(2) fails the solve.  Where f is a closed form and
+    the classical zeta is at least 0.2 (relativistic t up to 2.2,
+    nonrelativistic 35), f on the grid is read from one interpolant of
+    [0, 3]; above, the grid is one call, plus one on the decades 1e-307 to
+    1e-4 where f^2 < 1/2 already at 1e-3.  On the kernel rule the scan's
+    calls resolve only their own x (``_scan_stops``), and one more narrows
+    the bracket to an eighth: over a bracket a hot fermi-mu f falls by
+    decades, and the samples' rounding, relative to the largest, with it.
 
-    Where f is a closed form (t = 0, relativistic, or nonrelativistic on
-    the Sommerfeld series or the pole sum, t up to about 0.036, then 28 in
-    exact mu and 300 in fermi mu) and the classical zeta is at least 0.2
-    (relativistic t up to 2.2, nonrelativistic 35), f on the grid is
-    read from one interpolant of [0, 3], which also gives the root: one
-    amplitude call, two where the samples double.  Above, the grid is one
-    call, and where f^2 < 1/2 already at 1e-3 (relativistic, exact mu from t
-    of about 435) one more on the decades 1e-307 to 1e-4 brackets the root
-    below the grid.  At the hot end left to the kernel rule, the scan runs
-    in calls whose rules resolve only their own x (``_scan_stops``), each
-    made only while no crossing is found; a first grid point with f^2 < 1/2
-    fails the solve at once.  A bracket that no interpolant covers is
-    sampled on its own at the last scan call's x_max, on its cached rules.
+    The root is refined by ``_root_in_bracket``'s Newton steps on the
+    Chebyshev interpolant p (``_lobatto_samples``) of the grid or the
+    bracket.  A root where p < 0, or past a sample with f^2 < 1/2, is not
+    the first crossing and fails the solve.  The residual, below 1e-10, is
+    |p(zeta)^2 - 1/2| + E (2 |p(zeta)| + E), E the last two coefficients
+    plus _CLOSED_FORM_ROUNDING times the largest sample: an estimate, not a
+    bound, of the gap to the amplitude (at the fixed tolerance
+    _ZETA_QUAD_TOL), which leaves out the samples' own error.
 
     Results are cached per (t, regime, mu_mode), however the arguments
     are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -558,27 +543,22 @@ def _require_origin(f_origin: float, t: float) -> None:
 
 def _zeta_samples(t: float, regime: GasRegime, mu_tilde: float, lo: float, hi: float,
                   x_max: float) -> tuple:
-    """The zeta solve's interpolant on [lo, hi]: (lo, hi, samples, coefficients), the amplitude summed to ``x_max``."""
+    """The zeta solve's interpolant on [lo, hi]: (lo, hi, points, samples, coefficients), the amplitude summed to ``x_max``."""
     def amplitude(xs):
         return _refined_sum(xs, x_max, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
-    _, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES, _ZETA_MAX_SAMPLES,
-                                             _ZETA_TAIL_TOL, t, _ROUNDOFF)
-    return lo, hi, samples, coeffs
+    points, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES,
+                                                  _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL, t, _ROUNDOFF)
+    return lo, hi, points, samples, coeffs
 
 
 def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The closed form's scan: its grid, f on it, and the interpolant of the whole grid, or None.
-
-    f is read from the interpolant through one cached matrix, or, below
-    _CLOSED_FORM_ZETA_MIN, is one call at the grid; one more adds
-    _SCAN_DECADES where f^2 < 1/2 already at 1e-3.
-    """
+    """The closed form's scan (see ``solve_zeta``): its grid, f on it, and the interpolant of the whole grid, or None."""
     x_end = float(_SCAN_X[-1])
     window = None
     if t == 0.0 or _classical_zeta(t, regime) >= _CLOSED_FORM_ZETA_MIN:
         window = _zeta_samples(t, regime, mu_tilde, 0.0, x_end, x_end)
-        values = _grid_matrix(len(window[3])) @ window[3]
+        values = _grid_matrix(len(window[4])) @ window[4]
     else:
         values = _refined_sum(_SCAN_X, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
     _require_origin(float(values[0]), t)
@@ -591,7 +571,7 @@ def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
 
 
 def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The kernel rule's scan (nonrelativistic, t > 0): grid, f from its first point to its last call's end, and None."""
+    """The kernel rule's scan (nonrelativistic, t > 0): its grid, and f from its first point to its last call's end."""
     stops = _scan_stops(t)
 
     def amplitude(xv):
@@ -604,10 +584,32 @@ def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
     # a first point already below 1/2 puts the crossing below the grid
     if not values[0] ** 2 < 0.5:
         for start, stop in zip(stops, stops[1:]):
-            if _first_crossing(np.square(values) - 0.5) is not None:
+            if np.any(np.square(values) <= 0.5):
                 break
             values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
-    return _SCAN_X[1:], values, None
+    return _SCAN_X[1:], values
+
+
+def _first_bracket(grid: np.ndarray, values: np.ndarray, t: float, mu_mode: MuMode) -> int:
+    """Index k of the first sign change of f^2 - 1/2 on [grid[k], grid[k + 1]], given f on the grid."""
+    signs = np.sign(np.square(values) - 0.5)
+    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
+    if signs[0] < 0.0 or not crossings.size:
+        raise SolverError(
+            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
+            f"at t={t!r}: the crossing either sits below the scan window "
+            "(bracket too small) or the amplitude never reaches 1/2"
+        )
+    k = int(crossings[0])
+    if values[k] < 0.0:
+        # f fell through +1/sqrt(2) and back between two scan points: this
+        # crossing, where f = -1/sqrt(2), is not the first
+        raise SolverError(
+            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
+            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
+            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
+        )
+    return k
 
 
 def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
@@ -619,34 +621,26 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC
                    or _degenerate_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None
                    or _pole_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None)
-    grid, values, window = (_closed_form_scan if closed_form else _kernel_scan)(t, regime, mu_tilde)
-    gaps = np.square(values) - 0.5
-    # the kernel scan's first point, past the origin, below 1/2 puts the crossing below the grid
-    k = None if gaps[0] < 0.0 else _first_crossing(gaps)
-    if k is None:
-        raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
-            f"at t={t!r}: the crossing either sits below the scan window "
-            "(bracket too small) or the amplitude never reaches 1/2"
-        )
-    if values[k] < 0.0:
-        # f fell through +1/sqrt(2) and back between two scan points: this
-        # crossing, where f = -1/sqrt(2), is not the first
-        raise SolverError(
-            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
-            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
-            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
-        )
+    window = None
+    if closed_form:
+        grid, values, window = _closed_form_scan(t, regime, mu_tilde)
+    else:
+        grid, values = _kernel_scan(t, regime, mu_tilde)
+    k = _first_bracket(grid, values, t, mu_mode)
     lo, hi = float(grid[k]), float(grid[k + 1])
-    g_lo, g_hi = float(gaps[k]), float(gaps[k + 1])
     if window is None:
-        # the scan stops after the first call that holds a crossing, so that
-        # call, the last, evaluated the bracket's upper end: its x_max, the
-        # last abscissa scanned, fetches its cached kernel rules
-        window = _zeta_samples(t, regime, mu_tilde, lo, hi, float(grid[len(values) - 1]))
-        # the gaps of the interpolant itself at the bracket's ends
-        g_lo, g_hi = float(window[2][0] ** 2 - 0.5), float(window[2][-1] ** 2 - 0.5)
-    start, end, samples, coeffs = window
+        # the last scan call holds the bracket and evaluated its upper end:
+        # its x_max, the last abscissa scanned, fetches its cached kernel rules
+        x_scan = float(grid[len(values) - 1])
+        if not closed_form:
+            grid = lo * (hi / lo) ** _NARROWING
+            values = _refined_sum(grid, x_scan, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+            k = _first_bracket(grid, values, t, mu_mode)
+            lo, hi = float(grid[k]), float(grid[k + 1])
+        window = _zeta_samples(t, regime, mu_tilde, lo, hi, x_scan)
+        values, k = window[3][[0, -1]], 0  # the interpolant's own ends
+    start, end, points, samples, coeffs = window
+    g_lo, g_hi = float(values[k] ** 2 - 0.5), float(values[k + 1] ** 2 - 0.5)
     value_and_slope = chebyshev_series(coeffs, start, end)
 
     def gap_and_slope(x):
@@ -654,10 +648,19 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         return f * f - 0.5, 2.0 * f * df
 
     root, gap = _root_in_bracket(gap_and_slope, lo, hi, g_lo, g_hi)
-    # a bound on the gap between the interpolant and the amplitude at the root
-    bound = (abs(float(coeffs[-2])) + abs(float(coeffs[-1]))
-             + _CLOSED_FORM_ROUNDING * float(np.abs(samples).max()))
-    residual = abs(gap) + bound * (2.0 * math.sqrt(gap + 0.5) + bound)
+    # f^2 > 1/2 at lo: a root where p < 0, or a sample before the root with
+    # f^2 < 1/2, puts a crossing of f = +1/sqrt(2) before the root
+    before = samples[bisect_right(points, lo):bisect_left(points, root)].tolist()
+    if value_and_slope(root)[0] < 0.0 or any(f * f < 0.5 for f in before):
+        raise SolverError(
+            f"the crossing found on [{lo:g}, {hi:g}] at t={t!r} ({mu_mode.value} mu) "
+            f"is not the first: f^2 falls below 1/2 between {lo:g} and {root!r}"
+        )
+    # an estimate of the gap between the interpolant and the amplitude at the
+    # root: the interpolant's tail and the samples' rounding
+    estimate = (abs(float(coeffs[-2])) + abs(float(coeffs[-1]))
+                + _CLOSED_FORM_ROUNDING * float(np.abs(samples).max()))
+    residual = abs(gap) + estimate * (2.0 * math.sqrt(gap + 0.5) + estimate)
     if not (residual < 1e-10):
         raise SolverError(
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"

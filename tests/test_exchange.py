@@ -598,6 +598,13 @@ def lobatto_calls(lo, hi, count):
     return [call.tobytes() for call in calls]
 
 
+def narrowed_bracket(lo, hi, zeta):
+    """The kernel scan's narrowing points on [lo, hi], and the eighth of [lo, hi] between them that holds ``zeta``."""
+    points = lo * (hi / lo) ** exchange._NARROWING
+    j = int(np.searchsorted(points, zeta)) - 1
+    return points, (float(points[j]), float(points[j + 1]))
+
+
 def record_brackets(monkeypatch):
     """The (lo, hi) of every bracket the root refinement is given."""
     brackets = []
@@ -633,28 +640,34 @@ def test_zeta_scans_the_rest_of_the_grid_past_an_empty_window(monkeypatch, windo
     require_kernel_scan(38.0)
     monkeypatch.setattr(exchange, "_SCAN_WINDOW_END", window_end)
     bracket, reference = whole_grid_zeta(38.0, NR, MuMode.EXACT_NORMALIZATION)
+    points, part = narrowed_bracket(*bracket, reference)
     brackets = record_brackets(monkeypatch)
     calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
-    assert brackets == [bracket] and abs(result.zeta - reference) <= 1e-13
+    assert brackets == [part] and abs(result.zeta - reference) <= 1e-13
     window = exchange._SCAN_X < window_end
     first = calls[0]
     assert first.tobytes() == exchange._SCAN_X[window].tobytes()
     assert calls[1].tobytes() == exchange._SCAN_X[~window].tobytes()
-    # then one batched call at the bracket's Chebyshev-Lobatto points
-    assert [call.tobytes() for call in calls[2:]] == lobatto_calls(*bracket, 33)
+    # then one call that narrows the bracket, and one batched call at the
+    # Chebyshev-Lobatto points of the part that holds the crossing
+    assert calls[2].tobytes() == points.tobytes()
+    assert [call.tobytes() for call in calls[3:]] == lobatto_calls(*part, 33)
 
 
 def test_hot_zeta_scans_only_the_first_window(monkeypatch):
     require_kernel_scan(38.0)
     calls = record_amplitude_calls(monkeypatch)
-    exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
-    # one scan call from the origin to the thermal window, then one batched
-    # call at the bracket's Chebyshev-Lobatto points
-    scan, bracket = calls
+    result = exchange._solve_zeta.__wrapped__(38.0, NR, MuMode.EXACT_NORMALIZATION)
+    # one scan call from the origin to the thermal window, one that narrows
+    # the bracket, then one batched call at the Chebyshev-Lobatto points of
+    # the part that holds the crossing
+    scan, narrowing, samples = calls
     assert scan.size <= 6
     assert scan[0] == 0.0 and all(x < exchange._SCAN_WINDOW_END for x in scan[1:])
-    assert [bracket.tobytes()] == lobatto_calls(0.1, 0.2, 33)
+    points, part = narrowed_bracket(0.1, 0.2, result.zeta)
+    assert narrowing.tobytes() == points.tobytes()
+    assert [samples.tobytes()] == lobatto_calls(*part, 33)
 
 
 # the cold closed forms whose 33 samples on [0, 3] double once, to 65
@@ -710,35 +723,36 @@ def test_kernel_rule_weights_are_positive_on_nondecreasing_nodes(mu_mode):
 
 
 @pytest.mark.parametrize("t", [36.0, 40.0])
-def test_hot_zeta_bracket_call_reuses_the_last_scan_rules(monkeypatch, t):
-    # the bracket's samples pass the last scanned abscissa as x_max, the end
-    # of the scan call that holds the bracket's upper end, and so build no
-    # rule; that call ends at the thermal window, x = 0.3.  The root is
-    # refined on their interpolant, with no further amplitude call
+def test_hot_zeta_bracket_calls_reuse_the_last_scan_rules(monkeypatch, t):
+    # the calls that narrow and sample the bracket pass the last scanned
+    # abscissa as x_max, the end of the scan call that holds the bracket's
+    # upper end, and so build no rule; that call ends at the thermal window,
+    # x = 0.3.  The root is refined on the samples' interpolant, with no
+    # further amplitude call
     require_kernel_scan(t)
-    fetched, misses = [], []
+    fetched, calls, misses = [], [], []
     rule_of = exchange.kernel_rule
-    zeta_samples = exchange._zeta_samples
+    refined_sum = exchange._refined_sum
 
     def recorded_rule(mu, t, x_max=0.0, level=0):
-        if misses:
+        if len(calls) > 1:
             fetched.append(x_max)
         return rule_of(mu, t, x_max, level)
 
-    def bracket_phase(*args):
+    def recorded_sum(xs, x_max, t, mu, regime, tol):
+        calls.append(xs.copy())
         misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
-        window = zeta_samples(*args)
-        misses.append(fge.fermi._cached_kernel_rule.cache_info().misses)
-        return window
+        return refined_sum(xs, x_max, t, mu, regime, tol)
 
     monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
-    monkeypatch.setattr(exchange, "_zeta_samples", bracket_phase)
-    calls = record_amplitude_calls(monkeypatch)
+    monkeypatch.setattr(exchange, "_refined_sum", recorded_sum)
     result = exchange._solve_zeta.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
-    scan, bracket = calls
+    scan, narrowing, samples = calls
     lo = float(exchange._SCAN_X[np.searchsorted(exchange._SCAN_X, result.zeta) - 1])
-    assert [bracket.tobytes()] == lobatto_calls(lo, lo + 0.1, 33)
-    assert misses[0] == misses[1]
+    points, part = narrowed_bracket(lo, lo + 0.1, result.zeta)
+    assert narrowing.tobytes() == points.tobytes()
+    assert [samples.tobytes()] == lobatto_calls(*part, 33)
+    assert misses[1] == misses[2] == fge.fermi._cached_kernel_rule.cache_info().misses
     assert fetched and set(fetched) == {float(scan[-1])}
     assert scan[-1] == pytest.approx(0.3)
 
@@ -842,6 +856,100 @@ def test_hot_fermi_mu_zeta_between_the_refused_t_is_a_crossing_of_plus_one_over_
     result = solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
     f, _ = thermal_amplitude(result.zeta, t, 1.0, NR, 1e-12)
     assert f == pytest.approx(math.sqrt(0.5), abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [5e4, 9e4])
+def test_hot_fermi_mu_kernel_zeta_is_a_crossing_on_a_narrowed_bracket(t):
+    # the kernel scan's bracket is [0.01, 0.1], over which f falls from about
+    # 1e5; on the eighth of it that holds the first crossing the samples'
+    # interpolant gets down to the kernel sums' rounding.  The crossing is
+    # one of f = +1/sqrt(2), but not the first: f dips below -1/sqrt(2)
+    # between grid points nearer the origin (ROADMAP, defect 2)
+    result = solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
+    assert 0.01 < result.zeta < 0.1 and result.residual < 1e-10
+    f, _ = thermal_amplitude(result.zeta, t, 1.0, NR, exchange._ZETA_QUAD_TOL)
+    assert f == pytest.approx(math.sqrt(0.5), abs=1e-10)
+
+
+@pytest.mark.parametrize("t, bracket", [(4e3, (0.1, 0.2)), (1e5, (0.01, 0.1))])
+def test_hot_fermi_mu_kernel_zeta_refuses_a_crossing_of_minus_one_over_sqrt2_inside_its_bracket(t, bracket):
+    # the scan's bracket holds a crossing of f = +1/sqrt(2); the part of it
+    # that holds the first crossing is one of f = -1/sqrt(2), so a crossing
+    # of +1/sqrt(2) lies before it, and a root found past it is not the first
+    with pytest.raises(SolverError, match=r"f = -1/sqrt\(2\)") as refusal:
+        solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
+    points, _ = narrowed_bracket(*bracket, bracket[0])
+    named = [k for k in range(len(points) - 1)
+             if f"on [{points[k]:g}, {points[k + 1]:g}]" in str(refusal.value)]
+    assert len(named) == 1 and named[0] > 0
+    f, _ = thermal_amplitude(float(points[named[0]]), t, 1.0, NR, exchange._ZETA_QUAD_TOL)
+    assert f < -math.sqrt(0.5)
+
+
+def test_hot_fermi_mu_kernel_zeta_refuses_a_root_past_a_dip_of_its_samples():
+    # the first part of the bracket [0.01, 0.1] whose ends change sign starts
+    # above 1/sqrt(2), but f^2 falls below 1/2 at a sample between its lower
+    # end and the interpolant's root: that root is not the first crossing
+    with pytest.raises(SolverError, match=r"on \[0\.0749894, 0\.1\] at t=13000\.0 \(fermi mu\) "
+                                          r"is not the first"):
+        solve_zeta(1.3e4, NR, MuMode.FERMI_ENERGY_APPROX)
+
+
+@pytest.mark.parametrize("rounding", [0.0, 1e-16])
+def test_lobatto_samples_stop_on_noise_only_given_a_rounding(rounding):
+    # cos x with a deterministic 1e-9 ripple: past 33 points the tail is the
+    # ripple's and no doubling halves it.  The zeta solve passes a rounding
+    # and takes the samples there, its residual weighing the tail; the
+    # average passes none, and its samples still stall with the tail
+    counts = []
+
+    def amplitude(xs):
+        counts.append(xs.size)
+        return np.cos(xs) + 1e-9 * np.sin(1e6 * xs)
+
+    if rounding:
+        points, _, samples, coeffs = exchange._lobatto_samples(amplitude, 0.0, 3.0, 33, 257, 1e-14,
+                                                               1.0, rounding)
+        assert counts == [33, 32] and points.size == samples.size == 65
+        assert np.abs(coeffs[-2:]).max() > 1e-12
+    else:
+        with pytest.raises(QuadratureError, match="stalled") as refusal:
+            exchange._lobatto_samples(amplitude, 0.0, 3.0, 33, 257, 1e-14, 1.0, rounding)
+        assert counts == [33, 32, 64, 128] and refusal.value.error_estimate > 1e-12
+
+
+# the t at which the classical zeta is _CLOSED_FORM_ZETA_MIN: below it a
+# closed form's scan reads f on the grid from one interpolant of [0, 3]
+CLOSED_FORM_SWITCH = {ER: math.sqrt(2.0 ** 0.25 - 1.0) / exchange._CLOSED_FORM_ZETA_MIN,
+                      NR: 2.0 * math.log(2.0) / exchange._CLOSED_FORM_ZETA_MIN ** 2}
+
+
+@pytest.mark.parametrize("side", [0.99, 1.01])
+@pytest.mark.parametrize("regime, mu_mode", [(ER, MuMode.EXACT_NORMALIZATION),
+                                             (ER, MuMode.FERMI_ENERGY_APPROX),
+                                             (NR, MuMode.FERMI_ENERGY_APPROX)])
+def test_closed_form_zeta_on_either_side_of_the_whole_grid_interpolant(monkeypatch, side, regime,
+                                                                       mu_mode):
+    # below the switch every call samples [0, 3]; above it the first call is
+    # the grid.  Nonrel exact mu leaves the closed forms for the kernel rule
+    # at t of about 28, below the switch; nonrel fermi mu refuses a crossing
+    # of f = -1/sqrt(2) on both sides
+    t = side * CLOSED_FORM_SWITCH[regime]
+    if regime is NR:
+        calls = record_amplitude_calls(monkeypatch)
+        with pytest.raises(SolverError, match=r"on \[0\.8, 0\.9\].*f = -1/sqrt\(2\)"):
+            exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
+    else:
+        _, reference = whole_grid_zeta(t, regime, mu_mode)
+        calls = record_amplitude_calls(monkeypatch)
+        result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
+        assert abs(result.zeta - reference) <= 1e-13 and result.residual < 1e-10
+    x_end = float(exchange._SCAN_X[-1])
+    if side < 1.0:
+        count = sum(len(call) for call in calls)
+        assert [call.tobytes() for call in calls] == lobatto_calls(0.0, x_end, count)
+    else:
+        assert calls[0].tobytes() == exchange._SCAN_X.tobytes()
 
 
 def test_failed_zeta_leaves_no_rule_cached(monkeypatch):
