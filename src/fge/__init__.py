@@ -1,11 +1,14 @@
 """Pairwise electron entanglement in a degenerate Fermi gas.
 
 Library layout: ``constants`` (SI data), ``degenerate`` (the ground-state
-amplitude and its Sommerfeld series), ``fermi`` (conversions, reduced
-occupancy and chemical potential, kernel rules), ``exchange``
-(``thermal_amplitude``, the one amplitude entry point, and the distance
-constant), ``entanglement`` (measures and oracles), ``whitedwarf``
-(astrophysical application), ``cli`` (command-line front end).
+amplitude and its Sommerfeld series), ``matsubara`` (the amplitude as its
+sum over the Matsubara poles), ``fermi`` (conversions, reduced occupancy
+and chemical potential, the alternating sums of the relativistic closed
+form and the Boltzmann series), ``exchange`` (``thermal_amplitude``, the
+one amplitude entry point, and the distance constant), ``quadrature``
+(the average's Kronrod rule and Chebyshev interpolation),
+``entanglement`` (measures and oracles), ``whitedwarf`` (astrophysical
+application), ``cli`` (command-line front end).
 """
 
 from .constants import PhysicalConstants, constants

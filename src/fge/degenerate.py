@@ -55,6 +55,9 @@ _SOMMERFELD_COEFFS = (
 )
 # the powers n of tau^2 of the terms kept
 _POWERS = np.arange(1.0, _SOMMERFELD_TERMS + 1.0)
+# y = x sqrt(mu) is capped here: past it, wherever the series serves, f is
+# below 1e-24 of the scale, and the powers y^2j, j < K, stay finite
+_Y_MAX = 1e13
 
 
 def _f0(y: np.ndarray, trig: bool = False):
@@ -110,9 +113,9 @@ def _sommerfeld_sum(xs: np.ndarray, terms) -> np.ndarray:
     With y = x sqrt(mu) and P and Q the two polynomials in y^2 of
     ``_sommerfeld_terms``, f = mu^(3/2) f0(y) + y P sin y + Q cos y, the
     polynomials summed on one table of the powers of y^2 and the sine and
-    cosine those of ``_f0``.
+    cosine those of ``_f0``; y is capped at _Y_MAX.
     """
-    y = xs * terms.sqrt_mu
+    y = np.minimum(xs * terms.sqrt_mu, _Y_MAX)
     powers = _square_powers(y, len(terms.coeffs))
     f0, sin, cos = _f0(y, trig=True)
     p, q = (powers @ terms.coeffs).T
@@ -126,10 +129,10 @@ def _sommerfeld_tables() -> tuple:
     Returns a (K, 2, K) array whose [j, c, n - 1] entry is the coefficient
     of y^2j tau^2n in (3/2) P and (3/2) Q (``_sommerfeld_terms``); and the
     coefficients in y, highest first, of (3/2) a_(K+1) (y |A_(2K+1)|(y^2)/y^2
-    + |B_(2K+1)|(y^2)), |.| taking each coefficient's absolute value
-    (``_omitted_bound``).  The coefficients of 4^m A_m and 4^m B_m are
-    integers of one sign at each power, so their recurrence never cancels
-    and rounds to a few ulp.
+    + |B_(2K+1)|(y^2)), |.| taking each coefficient's absolute value: the
+    first omitted term's bound over mu^(3/2) tau^(2K+2).  The coefficients
+    of 4^m A_m and 4^m B_m are integers of one sign at each power, so their
+    recurrence never cancels and rounds to a few ulp.
     """
     terms = _SOMMERFELD_TERMS
     # rows[m, 0 or 1, j]: the coefficient of y^2j in 4^m A_m or 4^m B_m, from
@@ -166,31 +169,38 @@ def _sommerfeld_floor(mu_tilde: float, t: float) -> float:
     return mu_tilde * math.sqrt(mu_tilde) * (math.exp(-mu_tilde / t) + _CLOSED_FORM_ROUNDING)
 
 
-def _sommerfeld_bound(mu_tilde: float, t: float, tol: float) -> tuple[float, float] | None:
+def _sommerfeld_bound(mu_tilde: float, t: float, tol: float) -> tuple[tuple, float] | None:
     """The estimate's two parts at (mu_tilde, t), or None unless, at x = 0, it meets ``tol``.
 
-    The factor mu^(3/2) tau^(2K+2) of the first omitted term's bound
-    (``_omitted_bound``) and ``_sommerfeld_floor``.
+    The first omitted term's bound (``_sommerfeld_tables``) times
+    mu^(3/2) tau^(2K+2), as coefficients, highest first, of a polynomial
+    in w = tau y = x t/sqrt(mu): a_j mu^(3/2) tau^(2K+2-j) at w^j, each
+    power of y carrying one of tau, so that neither overflows where the
+    other underflows; and ``_sommerfeld_floor``.
     """
     floor = _sommerfeld_floor(mu_tilde, t)
     if floor > tol:
         return None
-    omitted_scale = mu_tilde * math.sqrt(mu_tilde) * (t / mu_tilde) ** (2 * _SOMMERFELD_TERMS + 2)
-    if _omitted_bound(0.0) * omitted_scale + floor > tol:
+    tau = t / mu_tilde
+    power, omitted = mu_tilde * math.sqrt(mu_tilde) * tau * tau, []
+    for coeff in _sommerfeld_tables()[1]:
+        omitted.append(coeff * power)
+        power *= tau
+    if omitted[-1] + floor > tol:
         return None
-    return omitted_scale, floor
+    return tuple(omitted), floor
 
 
-_SommerfeldTerms = namedtuple("SommerfeldTerms", "sqrt_mu scale coeffs omitted_scale floor")
+_SommerfeldTerms = namedtuple("SommerfeldTerms", "sqrt_mu scale coeffs slope omitted floor")
 
 
 def _sommerfeld_terms(mu_tilde: float, t: float) -> _SommerfeldTerms | None:
     """The series' constants at (mu_tilde, t), or None where it cannot serve.
 
     sqrt(mu), the scale mu^(3/2), the (K, 2) coefficients in y^2 of
-    (3/2) mu^(3/2) P and (3/2) mu^(3/2) Q, and the two parts of
-    ``_sommerfeld_bound``.  None where the estimate exceeds the largest
-    amplitude tolerance already at x = 0.
+    (3/2) mu^(3/2) P and (3/2) mu^(3/2) Q, w/x = t/sqrt(mu), and the two
+    parts of ``_sommerfeld_bound``.  None where the estimate exceeds the
+    largest amplitude tolerance already at x = 0.
     """
     bound = _sommerfeld_bound(mu_tilde, t, _TOL_MAX)
     if bound is None:
@@ -199,29 +209,30 @@ def _sommerfeld_terms(mu_tilde: float, t: float) -> _SommerfeldTerms | None:
     coeffs = _sommerfeld_tables()[0] @ np.power((t / mu_tilde) ** 2, _POWERS)
     coeffs *= scale
     coeffs.flags.writeable = False  # every caller of a cache of these shares them
-    return _SommerfeldTerms(math.sqrt(mu_tilde), scale, coeffs, *bound)
+    return _SommerfeldTerms(math.sqrt(mu_tilde), scale, coeffs, t / math.sqrt(mu_tilde), *bound)
 
 
 def _sommerfeld_estimate(terms: _SommerfeldTerms | None, x_max: float) -> float:
     """The series' error bound at every x in [0, x_max], inf where ``terms`` is None.
 
-    The first omitted term's bound, a polynomial in y = x sqrt(mu) with
+    The first omitted term's bound, a polynomial in w = x t/sqrt(mu) with
     nonnegative coefficients and so largest at x_max, plus the floor.
     """
     if terms is None:
         return math.inf
-    return _omitted_bound(x_max * terms.sqrt_mu) * terms.omitted_scale + terms.floor
+    return _polynomial(terms.omitted, x_max * terms.slope) + terms.floor
 
 
-def _omitted_bound(y: float) -> float:
-    """The first omitted term's bound at every x with x sqrt(mu) <= y, over mu^(3/2) tau^(2K+2).
+def _polynomial(coeffs: tuple, y: float) -> float:
+    """The polynomial of ``coeffs``, highest first, at y, by Horner's rule.
 
-    A polynomial in y with nonnegative coefficients, by Horner's rule.
+    The sum starts at the first coefficient, not at 0 y, so that an
+    infinite y gives an infinite bound rather than a NaN.
     """
-    bound = 0.0
-    for coeff in _sommerfeld_tables()[1]:
-        bound = bound * y + coeff
-    return bound
+    out = coeffs[0]
+    for coeff in coeffs[1:]:
+        out = out * y + coeff
+    return out
 
 
 def _sommerfeld_log_number(mu_tilde: float, t: float) -> tuple[float, float]:

@@ -9,9 +9,11 @@ logistic density in u, the average has a closed form at every
 temperature (``_relativistic_sum``); nonrelativistic, it is the
 Sommerfeld series of ``degenerate`` where that meets the tolerance (the
 degenerate gas, up to t of about 0.03 to 0.04), then the sum over the
-Matsubara poles of ``matsubara`` where that does (up to t of about 30
-to 300), and at the hot end left a sum on a fixed Fermi-kernel rule.
-Each branch gives, over an array of x, f and its error estimate.
+Matsubara poles of ``matsubara`` where that does (up to t of about 1 to
+340), and at the hot end left, where mu_tilde <= 0, the Boltzmann series
+in z = exp(mu_tilde/t) (``_boltzmann_sum``).  Each branch gives, over an
+array of x, f and its error estimate; no branch serves a hot gas with
+mu_tilde > 0 past the pole sum's reach.
 The distance constant zeta is the smallest x where f^2 crosses 1/2,
 found on a Chebyshev interpolant of f.
 """
@@ -40,13 +42,10 @@ from .quadrature import chebyshev_coefficients, chebyshev_lobatto, chebyshev_ser
 from .fermi import (
     CACHE_SIZE,
     GasRegime,
-    KernelRule,
     MuMode,
-    _cached_kernel_rule,
+    _boltzmann_terms,
     _relativistic_terms,
-    _require_kernel_window,
     _require_member,
-    kernel_rule,
     reduced_chemical_potential,
 )
 
@@ -65,9 +64,9 @@ def _y_coth_y_coefficients(terms: int) -> list:
 # where the closed form loses a factor 4 to cancellation
 _COTH_CROSSOVER = 1.0
 _COTH_COEFFS = -np.array(_y_coth_y_coefficients(19)[1:])
-# the closed form's arguments x t and mu x are capped here: past it every
-# term they enter is below 1e-150 of the amplitude's scale, and the cap keeps
-# their powers finite
+# the closed forms' arguments x t and mu x (relativistic) and x sqrt(t)
+# (Boltzmann) are capped here: past it every term they enter is below 1e-150
+# of the amplitude's scale, and the cap keeps their powers finite
 _ARGUMENT_MAX = 1e75
 # positive floor of y = pi t x and of mu x, where y/sinh(y) and sin(v)/v are 1
 _ARGUMENT_MIN = 1e-300
@@ -78,13 +77,9 @@ _ORIGIN_MAX = 1e150
 
 # tolerance of an amplitude request that names none
 _DEFAULT_TOL = 1e-10
-# kernel-rule refinement levels tried before the thermal amplitude gives up
-_MAX_LEVEL = 6
-# a kernel sum's estimate at most this times its scale is rounding: the
-# floor of QUADPACK's qk15, 50 eps times the sum of |integrand| weights
+# a branch's estimate at most this times its scale, a bound of |f| at every
+# x, is rounding, and the branch serves whatever the tolerance
 _ROUNDOFF = 50.0 * np.finfo(float).eps
-# f0(x u) entries evaluated per block of a kernel sum, to bound peak memory
-_BLOCK = 8192
 # root refinement (zeta and the average's clamp kink): absolute and
 # relative x tolerances, iteration cap
 _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
@@ -116,8 +111,8 @@ _pole_terms = lru_cache(maxsize=CACHE_SIZE)(_matsubara_terms)
 def _pole_branch(mu_tilde: float, t: float, x_max: float, tol: float):
     """The pole sum's constants where its estimate on [0, x_max] meets ``tol`` or its rounding floor, else None.
 
-    The floor is the kernel rule's, _ROUNDOFF times the scale f(0).  The
-    table-free ``_pole_floor`` rules out the hot gas before a table is built.
+    The floor is _ROUNDOFF times the scale f(0).  The table-free
+    ``_pole_floor`` rules out the hot gas before a table is built.
     """
     if _pole_floor(mu_tilde, t) > tol:
         return None
@@ -141,26 +136,6 @@ class ZetaResult:
     t: float
     regime: GasRegime
     residual: float
-
-
-def _kernel_sum(xs: np.ndarray, rule: KernelRule) -> np.ndarray:
-    """sum_j W[j, c] f0(x u_j) for every x >= 0 of ``xs`` and weight column c of ``rule``.
-
-    f0 is evaluated in blocks of at most _BLOCK entries; a sum that fits in
-    one block, one x on a rule of up to _BLOCK nodes among them, is one
-    product f0(x u) @ W on the broadcast x u.
-    """
-    nodes, weights = rule.nodes, rule.weights
-    if len(xs) * len(nodes) <= _BLOCK:
-        return _f0(xs[:, None] * nodes) @ weights
-    out = np.zeros((len(xs), 2))
-    cols = min(len(nodes), _BLOCK)
-    rows = _BLOCK // cols
-    for j in range(0, len(nodes), cols):
-        u, w = nodes[j:j + cols], weights[j:j + cols]
-        for i in range(0, len(xs), rows):
-            out[i:i + rows] += _f0(xs[i:i + rows, None] * u) @ w
-    return out
 
 
 def _coth_part(y: np.ndarray, y_max: float) -> np.ndarray:
@@ -239,26 +214,45 @@ def _relativistic_sum(xs: np.ndarray, t: float, mu_tilde: float) -> tuple:
     return values, truncation + _CLOSED_FORM_ROUNDING * scale, scale
 
 
+def _boltzmann_sum(xs: np.ndarray, t: float, mu_tilde: float) -> tuple:
+    """The nonrelativistic f(x, t) at mu_tilde <= 0 as its Boltzmann series: (values, estimate, scale).
+
+    Each term z^k exp(-k u^2/t) of the occupancy gives a Gaussian integral,
+    so f = b sum_k (-1)^(k+1) z^(k-1) k^(-3/2) exp(-x^2 t/(4k)), with
+    b = (3 sqrt(pi)/4) z t^(3/2) (``fermi._boltzmann_terms``).  With
+    w = exp(-u^2/t), the k-th term is b times the (k-1)-th moment of a
+    signed measure on w in [0, z] whose total variation is at most 1 at
+    every x, so the bound of ``_alternating_weights`` holds at every x, and
+    b bounds |f|.  The estimate is b times that bound plus
+    _CLOSED_FORM_ROUNDING times the scale b.  x sqrt(t) is capped at
+    _ARGUMENT_MAX, past which every term is 0.
+    """
+    b, quarter, weights, truncation = _boltzmann_terms(mu_tilde, t)
+    root_t = math.sqrt(t)
+    y = np.minimum(xs, _ARGUMENT_MAX / root_t) * root_t
+    values = b * (np.exp(-np.multiply.outer(y * y, quarter)) @ weights)
+    return values, truncation + _CLOSED_FORM_ROUNDING * b, b
+
+
 def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime: GasRegime,
                  tol: float) -> tuple:
     """f(x, t) at every x >= 0 of the flat ``xs``, and its estimate.
 
-    Returns (values, estimate).  Each branch checks its own window and
-    raises a DomainError outside it.  At t = 0 the values are f0(x) with
+    Returns (values, estimate).  At t = 0 the values are f0(x) with
     estimate 0, and mu_tilde must be exactly 1; relativistic at finite t,
     the closed form ``_relativistic_sum``.  Nonrelativistic, the first
     branch whose estimate on [0, x_max] is within ``tol`` serves: the
     Sommerfeld series (``_degenerate_branch``), the pole sum
     (``_pole_branch``), whose estimate returned is the one over the x
-    given, then ``_kernel_sum`` on the kernel rules of levels 0, 1, ...
-    until the gap between their Kronrod and Gauss sums is.  The pole sum,
-    the closed form and the kernel rule also stop at QUADPACK's rounding
-    floor _ROUNDOFF sum_j W_j0, a bound on sum_j |W_j0 f0(x u_j)|, with
-    f(0) or the closed form's scale for sum_j W_j0.  ``x_max``, at least
-    the largest of ``xs``, is the largest x the kernel rules resolve and
-    the series' and pole sum's estimates bound.  The callers have checked
-    x, t, the regime and ``tol``.  A call that raises leaves none of the
-    rules it built in the cache.
+    given, then at mu_tilde <= 0 the Boltzmann series
+    (``_boltzmann_sum``).  The closed forms also serve at the rounding
+    floor _ROUNDOFF times their scale, which the Boltzmann series always
+    meets.  At mu_tilde > 0 past the pole sum a ``QuadratureError`` names
+    t, mu_tilde and the pole sum's estimate.  ``x_max``, at least the
+    largest of ``xs``, is the largest x the series' and pole sum's
+    estimates bound.  The callers have checked x, t, the regime and
+    ``tol``; each closed form raises a DomainError where its scale would
+    overflow.
     """
     if t == 0.0:
         if mu_tilde != 1.0:
@@ -267,42 +261,32 @@ def _refined_sum(xs: np.ndarray, x_max: float, t: float, mu_tilde: float, regime
         return _f0(xs), 0.0
     if regime is GasRegime.EXTREME_RELATIVISTIC:
         values, err, scale = _relativistic_sum(xs, t, mu_tilde)
-        if err <= tol or err <= _ROUNDOFF * scale:
-            return values, err
-        raise QuadratureError(
-            f"relativistic closed form's estimate {err:.3e} exceeds the tolerance {tol:.3e} "
-            f"at t={t!r}, mu_tilde={mu_tilde!r}",
-            error_estimate=err,
-        )
-    _require_kernel_window(mu_tilde, t)
-    series = _degenerate_branch(mu_tilde, t, x_max, tol)
-    if series is not None:
-        terms, err = series
-        return _sommerfeld_sum(xs, terms), err
-    poles = _pole_branch(mu_tilde, t, x_max, tol)
-    if poles is not None:
-        return _pole_sum(xs, poles)
-    mark = _cached_kernel_rule.mark()
-    try:
-        for level in range(_MAX_LEVEL + 1):
-            rule = kernel_rule(mu_tilde, t, x_max, level)
-            sums = _kernel_sum(xs, rule)
-            err = float(np.abs(sums[:, 0] - sums[:, 1]).max(initial=0.0))
-            if not math.isfinite(err):
-                raise QuadratureError(
-                    f"thermal amplitude is not finite at t={t!r}, mu_tilde={mu_tilde!r}",
-                    error_estimate=err,
-                )
-            if err <= tol or err <= _ROUNDOFF * float(rule.weights[:, 0].sum()):
-                return sums[:, 0], err
-        raise QuadratureError(
-            f"kernel rule stalled at estimate {err:.3e} (tolerance {tol:.3e}, "
-            f"{len(rule.nodes)} nodes) at t={t!r}, x up to {x_max!r}",
-            error_estimate=err,
-        )
-    except Exception:
-        _cached_kernel_rule.drop_since(mark)
-        raise
+    else:
+        series = _degenerate_branch(mu_tilde, t, x_max, tol)
+        if series is not None:
+            terms, err = series
+            return _sommerfeld_sum(xs, terms), err
+        poles = _pole_branch(mu_tilde, t, x_max, tol)
+        if poles is not None:
+            return _pole_sum(xs, poles)
+        if mu_tilde > 0.0:
+            err = _pole_floor(mu_tilde, t)
+            if err <= tol:
+                err = _pole_estimate(_pole_terms(mu_tilde, t), x_max)
+            raise QuadratureError(
+                f"no nonrelativistic closed form serves t={t!r}, mu_tilde={mu_tilde!r} at the "
+                f"tolerance {tol:.3e}: the pole sum's estimate is {err:.3e}, and the Boltzmann "
+                "series needs mu_tilde <= 0",
+                error_estimate=err,
+            )
+        values, err, scale = _boltzmann_sum(xs, t, mu_tilde)
+    if err <= tol or err <= _ROUNDOFF * scale:
+        return values, err
+    raise QuadratureError(
+        f"closed form's estimate {err:.3e} exceeds the tolerance {tol:.3e} "
+        f"at t={t!r}, mu_tilde={mu_tilde!r}",
+        error_estimate=err,
+    )
 
 
 def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
@@ -315,7 +299,7 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     equals 1 when mu_tilde solves the particle-number equation.  At t = 0
     it is the ground state f0(x) with estimate 0, and mu_tilde must be
     exactly 1.  The inputs are checked here, and ``_refined_sum``
-    evaluates f, each branch checking its own window of (mu_tilde, t).
+    evaluates f.
 
     Relativistic, f is a closed form at every t and x
     (``_relativistic_sum``), and the estimate bounds its truncation and
@@ -328,14 +312,11 @@ def thermal_amplitude(x, t: float, mu_tilde: float, regime: GasRegime,
     (``degenerate._sommerfeld_sum``; at the solved mu and x up to 6, t up
     to about 0.029 at tol 1e-14, 0.035 at 1e-12 and 0.042 at 1e-10), the
     sum over the Matsubara poles (``matsubara._pole_sum``, also at its
-    rounding floor; up to t of about 1.2, 28 and 340), and at the hot end
-    one dot product of f0(x u_j) with the weights of a Fermi-kernel rule,
-    whose estimate is the gap between its 15-point Kronrod and 7-point
-    Gauss sums, halved until it is at most ``tol`` or the sum's rounding
-    floor.  At finite t, mu_tilde must be at least -2^50 t, or the kernel
-    window's panel edges stop increasing, and the window's top,
-    u = sqrt(max(mu_tilde, 0) + 45 t), at most about 3.5e102, or its
-    weights u^3 overflow; the solved chemical potential lies inside.
+    rounding floor; up to t of about 1.2, 28 and 340), and, where
+    mu_tilde <= 0, the Boltzmann series (``_boltzmann_sum``), at every t
+    whose (3 sqrt(pi)/4) exp(mu_tilde/t) t^(3/2) stays below e^700.  With
+    mu pinned at the Fermi energy no branch serves from t of about 40,
+    300 and 340-356 at those tolerances, and a ``QuadratureError`` names t.
     """
     _validate_quad_tol(tol)
     xs = np.asarray(x, dtype=float)
@@ -397,22 +378,18 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
 
 # x = 0 (the origin check), then the scan grid, on which a bracket spans at most a decade
 _SCAN_X = np.concatenate(([0.0, 1e-3, 1e-2], np.arange(0.1, 3.05, 0.1)))
-# the decades below the grid, 1e-307 to 1e-4, that a closed form's scan adds
-# where f^2 < 1/2 already at 1e-3, so that every bracket spans at most a decade
+# the decades below the grid, 1e-307 to 1e-4, that the scan adds where
+# f^2 < 1/2 already at 1e-3, so that every bracket spans at most a decade
 _SCAN_DECADES = 10.0 ** np.arange(-307.0, -3.0)
-# the kernel scan covers the grid below this x, and the rest only if no
-# crossing lies there; over t in [1e-6, 30] the largest zeta was 1.866 (fermi mu, rel)
-_SCAN_WINDOW_END = 1.95
-# above this multiple of the classical zeta (``_classical_zeta``) the first
-# kernel scan call stops; exact-mu zeta stays below 0.9996 of it for t in [1e-3, 3]
-_THERMAL_WINDOW = 1.25
-# a closed form's scan is one interpolant of the whole grid while the classical
-# zeta is at least this (relativistic t up to 2.2, nonrelativistic up to 35)
+# the scan is one interpolant of the whole grid while the classical zeta is
+# at least this (relativistic t up to 2.2, nonrelativistic up to 35)
 _CLOSED_FORM_ZETA_MIN = 0.2
 # the zeta solve's Chebyshev-Lobatto samples (``_lobatto_samples``): 33
 # resolve [0, 3] at t up to 1 but rel t near 1, 65
 _ZETA_SAMPLES, _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL = 33, 257, 1e-14
-# a kernel scan's bracket [lo, hi] is narrowed on lo (hi/lo)^(j/8), j = 0 ... 8
+# a bracket [lo, hi] of the scan grid is narrowed on lo (hi/lo)^(j/8), j = 0 ... 8,
+# before it is sampled: over a hot bracket f falls by decades, and the
+# samples' rounding, relative to the largest, with it
 _NARROWING = np.arange(9) / 8.0
 
 
@@ -421,21 +398,6 @@ def _classical_zeta(t: float, regime: GasRegime) -> float:
     if regime is GasRegime.NONRELATIVISTIC:
         return math.sqrt(2.0 * math.log(2.0) / t)
     return math.sqrt(2.0 ** 0.25 - 1.0) / t
-
-
-def _scan_stops(t: float) -> list[int]:
-    """Where the kernel scan's calls end on ``_SCAN_X``: each call covers the grid up to its stop.
-
-    The last two calls end at _SCAN_WINDOW_END and at the end of the grid.
-    A first call ends at the first grid point at or above _THERMAL_WINDOW
-    times the classical zeta, when that point lies below _SCAN_WINDOW_END.
-    """
-    stops = [int(np.searchsorted(_SCAN_X, _SCAN_WINDOW_END)), len(_SCAN_X)]
-    thermal = int(np.searchsorted(_SCAN_X, _THERMAL_WINDOW * _classical_zeta(
-        t, GasRegime.NONRELATIVISTIC))) + 1
-    if thermal < stops[0]:
-        stops.insert(0, thermal)
-    return stops
 
 
 @lru_cache(maxsize=None)
@@ -489,14 +451,13 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
 
     The bracket is the first sign change of f^2 - 1/2 on x in {1e-3, 1e-2,
     0.1, 0.2, ..., 3}, after the origin, whose f^2 must exceed 1/2; one
-    where f = -1/sqrt(2) fails the solve.  Where f is a closed form and
-    the classical zeta is at least 0.2 (relativistic t up to 2.2,
-    nonrelativistic 35), f on the grid is read from one interpolant of
-    [0, 3]; above, the grid is one call, plus one on the decades 1e-307 to
-    1e-4 where f^2 < 1/2 already at 1e-3.  On the kernel rule the scan's
-    calls resolve only their own x (``_scan_stops``), and one more narrows
-    the bracket to an eighth: over a bracket a hot fermi-mu f falls by
-    decades, and the samples' rounding, relative to the largest, with it.
+    where f = -1/sqrt(2) fails the solve.  Every branch of f is a closed
+    form.  Where the classical zeta is at least 0.2 (relativistic t up to
+    2.2, nonrelativistic 35), f on the grid is read from one interpolant
+    of [0, 3]; above, the grid is one call, plus one on the decades 1e-307
+    to 1e-4 where f^2 < 1/2 already at 1e-3, and one more narrows the
+    bracket to an eighth: over a hot bracket f falls by decades, and the
+    samples' rounding, relative to the largest, with it.
 
     The root is refined by ``_root_in_bracket``'s Newton steps on the
     Chebyshev interpolant p (``_lobatto_samples``) of the grid or the
@@ -519,125 +480,17 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
 def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
-    mark = _cached_kernel_rule.mark()
-    try:
-        return _zeta_from_scan(t, regime, mu_mode)
-    except Exception:
-        _cached_kernel_rule.drop_since(mark)  # a failed solve's rules serve no one
-        raise
-
-
-def _require_origin(f_origin: float, t: float) -> None:
-    """Raise unless f(0)^2 > 1/2, the condition for any crossing, and f(0)^2 is finite."""
-    if not (f_origin <= _ORIGIN_MAX):
-        raise DomainError(
-            f"reduced temperature {t!r} is too large for a zeta solve: the amplitude at zero "
-            f"separation, {f_origin:.3g}, squares past the float range"
-        )
-    if not (f_origin ** 2 > 0.5):
-        raise SolverError(
-            f"no root exists: the amplitude at zero separation is {f_origin!r}, "
-            "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
-        )
-
-
-def _zeta_samples(t: float, regime: GasRegime, mu_tilde: float, lo: float, hi: float,
-                  x_max: float) -> tuple:
-    """The zeta solve's interpolant on [lo, hi]: (lo, hi, points, samples, coefficients), the amplitude summed to ``x_max``."""
-    def amplitude(xs):
-        return _refined_sum(xs, x_max, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-
-    points, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES,
-                                                  _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL, t, _ROUNDOFF)
-    return lo, hi, points, samples, coeffs
-
-
-def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The closed form's scan (see ``solve_zeta``): its grid, f on it, and the interpolant of the whole grid, or None."""
-    x_end = float(_SCAN_X[-1])
-    window = None
-    if t == 0.0 or _classical_zeta(t, regime) >= _CLOSED_FORM_ZETA_MIN:
-        window = _zeta_samples(t, regime, mu_tilde, 0.0, x_end, x_end)
-        values = _grid_matrix(len(window[4])) @ window[4]
-    else:
-        values = _refined_sum(_SCAN_X, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-    _require_origin(float(values[0]), t)
-    if values[1] ** 2 < 0.5:
-        decades = _refined_sum(_SCAN_DECADES, float(_SCAN_DECADES[-1]), t, mu_tilde, regime,
-                               _ZETA_QUAD_TOL)[0]
-        return (np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:])),
-                np.concatenate((values[:1], decades, values[1:])), None)
-    return _SCAN_X, values, window
-
-
-def _kernel_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The kernel rule's scan (nonrelativistic, t > 0): its grid, and f from its first point to its last call's end."""
-    stops = _scan_stops(t)
-
-    def amplitude(xv):
-        return _refined_sum(xv, float(xv[-1]), t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-
-    f_origin, *scan = amplitude(_SCAN_X[:stops[0]])
-    _require_origin(f_origin, t)
-
-    values = np.array(scan)
-    # a first point already below 1/2 puts the crossing below the grid
-    if not values[0] ** 2 < 0.5:
-        for start, stop in zip(stops, stops[1:]):
-            if np.any(np.square(values) <= 0.5):
-                break
-            values = np.concatenate((values, amplitude(_SCAN_X[start:stop])))
-    return _SCAN_X[1:], values
-
-
-def _first_bracket(grid: np.ndarray, values: np.ndarray, t: float, mu_mode: MuMode) -> int:
-    """Index k of the first sign change of f^2 - 1/2 on [grid[k], grid[k + 1]], given f on the grid."""
-    signs = np.sign(np.square(values) - 0.5)
-    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
-    if signs[0] < 0.0 or not crossings.size:
-        raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
-            f"at t={t!r}: the crossing either sits below the scan window "
-            "(bracket too small) or the amplitude never reaches 1/2"
-        )
-    k = int(crossings[0])
-    if values[k] < 0.0:
-        # f fell through +1/sqrt(2) and back between two scan points: this
-        # crossing, where f = -1/sqrt(2), is not the first
-        raise SolverError(
-            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
-            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
-            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
-        )
-    return k
-
-
-def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
-    """The uncached body of ``solve_zeta`` at a valid t."""
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    # f0 at t = 0 is a closed form; nonrelativistic at finite t so are the
-    # Sommerfeld series and the pole sum, where either serves the whole grid
-    x_max = float(_SCAN_X[-1])
-    closed_form = (t == 0.0 or regime is GasRegime.EXTREME_RELATIVISTIC
-                   or _degenerate_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None
-                   or _pole_branch(mu_tilde, t, x_max, _ZETA_QUAD_TOL) is not None)
-    window = None
-    if closed_form:
-        grid, values, window = _closed_form_scan(t, regime, mu_tilde)
-    else:
-        grid, values = _kernel_scan(t, regime, mu_tilde)
+    grid, values, window = _closed_form_scan(t, regime, mu_tilde)
     k = _first_bracket(grid, values, t, mu_mode)
     lo, hi = float(grid[k]), float(grid[k + 1])
     if window is None:
-        # the last scan call holds the bracket and evaluated its upper end:
-        # its x_max, the last abscissa scanned, fetches its cached kernel rules
-        x_scan = float(grid[len(values) - 1])
-        if not closed_form:
-            grid = lo * (hi / lo) ** _NARROWING
-            values = _refined_sum(grid, x_scan, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-            k = _first_bracket(grid, values, t, mu_mode)
-            lo, hi = float(grid[k]), float(grid[k + 1])
-        window = _zeta_samples(t, regime, mu_tilde, lo, hi, x_scan)
+        x_end = float(_SCAN_X[-1])
+        grid = lo * (hi / lo) ** _NARROWING
+        values = _refined_sum(grid, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+        k = _first_bracket(grid, values, t, mu_mode)
+        lo, hi = float(grid[k]), float(grid[k + 1])
+        window = _zeta_samples(t, regime, mu_tilde, lo, hi, x_end)
         values, k = window[3][[0, -1]], 0  # the interpolant's own ends
     start, end, points, samples, coeffs = window
     g_lo, g_hi = float(values[k] ** 2 - 0.5), float(values[k + 1] ** 2 - 0.5)
@@ -666,6 +519,71 @@ def _zeta_from_scan(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"
         )
     return ZetaResult(zeta=root, t=float(t), regime=regime, residual=residual)
+
+
+def _require_origin(f_origin: float, t: float) -> None:
+    """Raise unless f(0)^2 > 1/2, the condition for any crossing, and f(0)^2 is finite."""
+    if not (f_origin <= _ORIGIN_MAX):
+        raise DomainError(
+            f"reduced temperature {t!r} is too large for a zeta solve: the amplitude at zero "
+            f"separation, {f_origin:.3g}, squares past the float range"
+        )
+    if not (f_origin ** 2 > 0.5):
+        raise SolverError(
+            f"no root exists: the amplitude at zero separation is {f_origin!r}, "
+            "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
+        )
+
+
+def _zeta_samples(t: float, regime: GasRegime, mu_tilde: float, lo: float, hi: float,
+                  x_max: float) -> tuple:
+    """The zeta solve's interpolant on [lo, hi]: (lo, hi, points, samples, coefficients), the amplitude summed to ``x_max``."""
+    def amplitude(xs):
+        return _refined_sum(xs, x_max, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+
+    points, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES,
+                                                  _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL, t, _ROUNDOFF)
+    return lo, hi, points, samples, coeffs
+
+
+def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
+    """The zeta solve's scan (see ``solve_zeta``): its grid, f on it, and the interpolant of the whole grid, or None."""
+    x_end = float(_SCAN_X[-1])
+    window = None
+    if t == 0.0 or _classical_zeta(t, regime) >= _CLOSED_FORM_ZETA_MIN:
+        window = _zeta_samples(t, regime, mu_tilde, 0.0, x_end, x_end)
+        values = _grid_matrix(len(window[4])) @ window[4]
+    else:
+        values = _refined_sum(_SCAN_X, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+    _require_origin(float(values[0]), t)
+    if values[1] ** 2 < 0.5:
+        decades = _refined_sum(_SCAN_DECADES, float(_SCAN_DECADES[-1]), t, mu_tilde, regime,
+                               _ZETA_QUAD_TOL)[0]
+        return (np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:])),
+                np.concatenate((values[:1], decades, values[1:])), None)
+    return _SCAN_X, values, window
+
+
+def _first_bracket(grid: np.ndarray, values: np.ndarray, t: float, mu_mode: MuMode) -> int:
+    """Index k of the first sign change of f^2 - 1/2 on [grid[k], grid[k + 1]], given f on the grid."""
+    signs = np.sign(np.square(values) - 0.5)
+    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
+    if signs[0] < 0.0 or not crossings.size:
+        raise SolverError(
+            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
+            f"at t={t!r}: the crossing either sits below the scan window "
+            "(bracket too small) or the amplitude never reaches 1/2"
+        )
+    k = int(crossings[0])
+    if values[k] < 0.0:
+        # f fell through +1/sqrt(2) and back between two scan points: this
+        # crossing, where f = -1/sqrt(2), is not the first
+        raise SolverError(
+            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
+            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
+            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
+        )
+    return k
 
 
 solve_zeta.cache_info = _solve_zeta.cache_info

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .degenerate import _CLOSED_FORM_ROUNDING, _SOMMERFELD_COEFFS, _square_powers
+from .degenerate import _CLOSED_FORM_ROUNDING, _SOMMERFELD_COEFFS, _polynomial, _square_powers
 
 # poles summed directly, Bernoulli corrections of the rest, and Taylor terms
 # kept, the next one bounding the Taylor side's remainder
@@ -35,6 +35,14 @@ _LONG_PI = np.longdouble(math.pi)
 _BERNOULLI_RANGE = np.arange(_BERNOULLI_TERMS)
 # beyond this decay exp(-x Im s(M)) the tail is below 1e-280 and is dropped
 _TAIL_DECAY_MAX = 660.0
+# the tail is dropped, too, beyond this |w| = x |s(M)|, where its powers w^j
+# would overflow; that happens only at t/mu below about 1e-7, where the tail
+# is about 3 |s(M)|^3/|w|^2, below 1e-19 of the scale
+_TAIL_POWER_MAX = 1e10
+# the pole sum needs |1/beta| = |c(M)|/(2 pi t) in double precision up to
+# this, and |c(M)| at least the least size, so that the tail's e^w w^-3 stays
+# finite from the smallest crossover candidate, x = 0.05, on
+_INVERSE_BETA_MAX, _POLE_SIZE_MIN = 1e300, 1e-180
 # the candidates for the crossover between the Taylor and the pole side
 _CROSSOVER_CANDIDATES = 0.05 * 80.0 ** (np.arange(25) / 24.0)
 
@@ -120,7 +128,7 @@ def _pole_log_number(mu_tilde: float, t: float, bound: bool = False) -> tuple:
     return (*log_number, 3.0 * math.pi * t * float(out[3][1])) if bound else log_number
 
 
-_PoleSide = namedtuple("PoleSide", "table sizes crossover bound decay x_cap")
+_PoleSide = namedtuple("PoleSide", "table sizes crossover bound x_tail x_cap")
 
 
 @dataclass(eq=False)
@@ -166,7 +174,7 @@ def _matsubara_terms(mu_tilde: float, t: float) -> _PoleTerms:
 
 
 def _pole_side_terms(terms: _PoleTerms) -> _PoleSide:
-    """The pole side's weights, their sizes, the crossover, the estimate's bound, Im s(M) and x_cap.
+    """The pole side's weights, their sizes, the crossover, the estimate's bound, x_tail and x_cap.
 
     Weights 1 on the poles and the Laurent coefficients D_j on w^j; their
     sizes, and those times |s_m| or |s(M)|, by which the rounding of the
@@ -189,7 +197,8 @@ def _pole_side_terms(terms: _PoleTerms) -> _PoleSide:
     best = int(np.argmin(estimates))
     for array in (table, sizes):
         array.flags.writeable = False  # every caller of a cache of these shares them
-    return _PoleSide(table, sizes, float(x[best]), float(estimates[best]), float(-poles[-1].real),
+    x_tail = min(_TAIL_DECAY_MAX / float(-poles[-1].real), _TAIL_POWER_MAX / float(abs(poles[-1])))
+    return _PoleSide(table, sizes, float(x[best]), float(estimates[best]), x_tail,
                      _TAIL_DECAY_MAX / float(-poles[0].real))
 
 
@@ -200,30 +209,34 @@ def _pole_side_bound(x_low: np.ndarray, s: np.ndarray, sizes: np.ndarray,
     Each size e^(-x a) (1 + x |s|), a = Im s, and e^(-x a) (x |s|)^j (1 + x |s|)
     on the tail, is at most its parts' maxima over x >= x_low, where
     (x |s|)^j e^(-x a) peaks at x = j/a; 3 pi t/x is at most 3 pi t/x_low.
+    The tail's log sizes log |D_j| join the exponent, so that a tiny D_j
+    offsets a huge peak in a cold gas.
     """
     a, x = s.imag, x_low[:, None]
     orders = np.append(_pole_tables().laurent_orders, 2.0 * _BERNOULLI_TERMS + 1.0) - 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_sizes = np.log(sizes[_POLES:, 0])
         peak = np.maximum(orders / a[-1], x)
-        tail = np.exp(orders * np.log(peak * abs(s[-1])) - peak * a[-1])
+        log_tail = orders * np.log(peak * abs(s[-1])) - peak * a[-1]
         peak = np.maximum(1.0 / a[:-1], x)
         direct = np.exp(-x * a[:-1]) + sizes[:_POLES, 1] * peak * np.exp(-peak * a[:-1])
-        size = direct.sum(axis=1) + (tail[:, :-1] + tail[:, 1:]) @ sizes[_POLES:, 0]
+        tail = np.exp(log_tail[:, :-1] + log_sizes) + np.exp(log_tail[:, 1:] + log_sizes)
+        size = direct.sum(axis=1) + tail.sum(axis=1)
         bound = prefactor / x_low * (_pole_tables().pole_remainder + _EPS * size)
     return np.where(bound >= 0.0, bound, math.inf)
 
 
 def _pole_floor(mu_tilde: float, t: float) -> float:
-    """The rounding of the number's integral term, _LONG_EPS |c(M)|^(3/2): a table-free floor of the estimate."""
+    """The rounding of the number's integral term, _LONG_EPS |c(M)|^(3/2): a table-free floor of the estimate.
+
+    inf where |1/beta| = |c(M)|/(2 pi t) passes _INVERSE_BETA_MAX (t below
+    about 1e-300), whose long double would not fit a double, or |c(M)| is
+    below _POLE_SIZE_MIN.
+    """
     size = abs(complex(mu_tilde, 2.0 * math.pi * t * _POLES))
+    if not (_POLE_SIZE_MIN <= size <= _INVERSE_BETA_MAX * 2.0 * math.pi * t):
+        return math.inf
     return _LONG_EPS * size * math.sqrt(size)
-
-
-def _polynomial(coeffs: tuple, y: float) -> float:
-    out = 0.0
-    for coeff in coeffs:
-        out = out * y + coeff
-    return out
 
 
 def _pole_estimate(terms: _PoleTerms, x_max: float) -> float:
@@ -261,9 +274,10 @@ def _pole_side(xs: np.ndarray, x_max: float, terms: _PoleTerms) -> tuple:
     """The pole side at every x > 0 of ``xs``, the largest ``x_max``: (values, estimate).
 
     One row per x: e^(i x s_m), m < M, then e^w w^j, so that S is one
-    product with the weights, and f = -(3 pi t/x) Re S.  Where
-    x Im s(M) > _TAIL_DECAY_MAX the tail is dropped, and x is capped where
-    x Im s_0 is, past which every term is below 1e-280.
+    product with the weights, and f = -(3 pi t/x) Re S.  Past x_tail,
+    where x Im s(M) > _TAIL_DECAY_MAX or x |s(M)| > _TAIL_POWER_MAX, the
+    tail is dropped, and x is capped where x Im s_0 is _TAIL_DECAY_MAX,
+    past which every term is below 1e-280.
     """
     side = terms.side
     if x_max > side.x_cap:
@@ -272,8 +286,8 @@ def _pole_side(xs: np.ndarray, x_max: float, terms: _PoleTerms) -> tuple:
     table = np.empty((len(xs), _COLUMNS), dtype=complex)
     np.exp(z[:, :-1], out=table[:, :_POLES])
     w, near = z[:, -1], None
-    if x_max * side.decay > _TAIL_DECAY_MAX:
-        near = xs * side.decay <= _TAIL_DECAY_MAX
+    if x_max > side.x_tail:
+        near = xs <= side.x_tail
         w = np.where(near, w, 1.0)
     tail = table[:, _POLES:]
     tail[:, 0] = np.exp(w) / (w * w * w)

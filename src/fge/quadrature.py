@@ -1,14 +1,12 @@
 """Composite Gauss-Kronrod rules on panel edges, and Chebyshev interpolation.
 
-Every integral of the package is the one composite rule built here,
-QUADPACK's 15-point Kronrod rule with its 7-point Gauss rule on every
-second node (``composite_kronrod``), so the error estimate, the gap
-between the two, costs no abscissa of its own: the thermal integrals over
-momentum on the Fermi-kernel panels (see ``fermi.kernel_rule``), and the
-outer average over separations on a geometric cascade toward the
-distance constant (see ``entanglement.average_entanglement``).  Each
-caller halves the panels itself when the estimate misses its tolerance.
-The average takes its integrand's amplitude at those abscissas from
+The one integral of the package that is not a closed form, the average
+over separations on a geometric cascade toward the distance constant
+(see ``entanglement.average_entanglement``), is the composite rule built
+here, QUADPACK's 15-point Kronrod rule with its 7-point Gauss rule on
+every second node (``composite_kronrod``), so the error estimate, the gap
+between the two, costs no abscissa of its own.  The caller halves the
+panels itself when the estimate misses its tolerance.  The average takes its integrand's amplitude at those abscissas from
 samples at Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
 ``barycentric`` interpolates them (Berrut and Trefethen, SIAM Review 46,
 2004), and ``chebyshev_coefficients`` gives the coefficients whose tail

@@ -275,7 +275,7 @@ def test_csv_rows_match_point_evaluations(argv, tmp_path, capsys):
 
 def test_thermal_pressure_sweep_against_dense_oracle(tmp_path, capsys):
     # every point of a pressure sweep at fixed (r, T) has its own t, hence its
-    # own mu and kernel rule; each must meet the 1e-8 bound of a dense
+    # own mu and amplitude branch; each must meet the 1e-8 bound of a dense
     # midpoint integration of (3/x) int u n(u) sin(ux) du
     out_csv = tmp_path / "thermal.csv"
     k_lo, k_hi = 4e9, 1e10

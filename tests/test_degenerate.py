@@ -1,29 +1,27 @@
-"""The Sommerfeld series of the degenerate gas: amplitude, estimate and mu against mpmath,
-against the kernel rule, across the switch to the pole sum, and the rules neither builds."""
+"""The Sommerfeld series of the degenerate gas: amplitude, estimate and mu against mpmath and
+QUADPACK, across the switch to the pole sum, and the cold corner of huge x and tiny t."""
 
 import math
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
-import fge
 from fge import (
     GasRegime,
     MuMode,
-    average_entanglement,
-    eos_evaluate,
-    fermi_temperature,
-    pressure_from_fermi_momentum,
     reduced_chemical_potential,
     solve_zeta,
     thermal_amplitude,
 )
-from fge import degenerate, exchange, fermi, matsubara
+from fge import degenerate, exchange, fermi, matsubara, reduced_occupancy
+from fge.fermi import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -121,18 +119,42 @@ def test_derivative_tables_against_mpmath(m):
             b_m = table[:, 1, n - 1] @ (powers / (y * y)) / a
             assert a_m * math.sin(y) + y * b_m * math.cos(y) == pytest.approx(exact, rel=1e-12)
         else:
-            bound = degenerate._omitted_bound(y) / a
+            bound = degenerate._polynomial(omitted, y) / a
             assert bound * y >= abs(exact)
             assert bound * y <= 1e3 * abs(exact)
+
+
+def quadpack_amplitude(x, t, mu):
+    """f by QUADPACK: (3/x) int u n(u) sin(ux) du by its Fourier-weighted rule, 3 int u^2 n sinc(ux) du below x = 1e-3.
+
+    The range is cut at u = sqrt(mu) + m t/(2 sqrt(mu)), |m| in {1, 4, 12,
+    40}, so that every piece resolves the edge of the occupancy, however
+    sharp; on those pieces the rule is within a few 1e-16 of f here.
+    """
+    top = occupancy_cutoff(mu, t, NR)
+    edge, width = math.sqrt(mu), t / (2.0 * math.sqrt(mu))
+    cuts = [0.0, *(u for u in (edge + m * width for m in (-40, -12, -4, -1, 0, 1, 4, 12, 40))
+                   if 0.0 < u < top), top]
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(cuts, cuts[1:]):
+            if x < 1e-3:
+                total += quad(lambda u: u * u * reduced_occupancy(u, mu, t, NR) * np.sinc(u * x / math.pi),
+                              a, b, epsabs=1e-17, epsrel=1e-15, limit=200)[0]
+            else:
+                total += quad(lambda u: u * reduced_occupancy(u, mu, t, NR), a, b, weight="sin",
+                              wvar=x, epsabs=1e-17, epsrel=1e-15, limit=200)[0]
+    return 3.0 * total if x < 1e-3 else 3.0 / x * total
 
 
 @settings(max_examples=40, deadline=None)
 @given(log_t=st.floats(math.log10(1e-4), math.log10(0.045)), x_max=st.floats(0.0, 6.0),
        mode=st.sampled_from(list(MuMode)))
-def test_series_agrees_with_the_kernel_rule(log_t, x_max, mode):
-    # wherever the series serves the default tolerance, the kernel rule at
-    # level 1 (its level-0 gap is at most 2e-15 here) is within the
-    # series' estimate, and within 1e-13 where that serves the zeta solve
+def test_series_agrees_with_sine_weighted_quadpack(log_t, x_max, mode):
+    # wherever the series serves the default tolerance, QUADPACK on pieces
+    # across the occupancy's edge is within the series' estimate, and within
+    # 1e-13 where that serves the zeta solve
     t = 10.0 ** log_t
     mu = reduced_chemical_potential(t, NR, mode)
     terms = exchange._degenerate_terms(mu, t)
@@ -140,21 +162,28 @@ def test_series_agrees_with_the_kernel_rule(log_t, x_max, mode):
     assume(estimate <= exchange._DEFAULT_TOL)
     xs = np.linspace(0.0, x_max, 7)
     series = degenerate._sommerfeld_sum(xs, terms)
-    kernel = exchange._kernel_sum(xs, fermi.kernel_rule(mu, t, x_max, 1))[:, 0]
-    gap = float(np.abs(series - kernel).max())
+    reference = np.array([quadpack_amplitude(float(x), t, mu) for x in xs])
+    gap = float(np.abs(series - reference).max())
     assert gap <= estimate + 1e-15
     if estimate <= exchange._ZETA_QUAD_TOL:
         assert gap <= 1e-13
 
 
+def polylog_newton_step(mu, t):
+    """One Newton step on N - 1 at 30 digits, N = -(3 sqrt(pi)/4) t^(3/2) Li_(3/2)(-e^(mu/t)):
+    the distance from mu to the root, to rounding."""
+    with mpmath.workdps(30):
+        z, scale = -mpmath.exp(mpmath.mpf(mu) / t), -3 * mpmath.sqrt(mpmath.pi) / 4 * mpmath.sqrt(t)
+        return float(mpmath.re((scale * t * mpmath.polylog(1.5, z) - 1) / (scale * mpmath.polylog(0.5, z))))
+
+
 @settings(max_examples=30, deadline=None)
 @given(log_t=st.floats(math.log10(1e-6), math.log10(0.04)))
-def test_series_mu_agrees_with_the_kernel_rule(log_t):
+def test_series_mu_agrees_with_the_polylog_root(log_t):
     t = 10.0 ** log_t
-    step_tol = fermi._MU_STEP_TOL
-    mu = fermi._degenerate_mu(t, step_tol)
+    mu = fermi._degenerate_mu(t, fermi._MU_STEP_TOL)
     assume(mu is not None)
-    assert abs(mu - fermi._kernel_mu(t, step_tol)) <= 1e-14
+    assert abs(polylog_newton_step(mu, t)) <= 1e-14
 
 
 def last_served(serves, lo=1e-3, hi=0.1):
@@ -210,24 +239,6 @@ def test_mu_is_continuous_across_the_switch_to_the_pole_sum():
     assert abs(reduced_chemical_potential(below, NR) - reduced_chemical_potential(above, NR)) <= 1e-14
 
 
-@pytest.mark.parametrize("mode", list(MuMode))
-@pytest.mark.parametrize("t", [0.01, 0.05, 0.3, 0.8])
-def test_cold_requests_build_no_kernel_rule(t, mode):
-    # the zeta solve, a point of the equation of state and the average, on
-    # the series at t = 0.01 and on the pole sum above it
-    k_f = 1e10
-    reduced_chemical_potential.cache_clear()
-    solve_zeta.cache_clear()
-    exchange._pole_terms.cache_clear()
-    rules, widths = fermi._cached_kernel_rule.cache_info(), fermi._kernel_widths.cache_info()
-    solve_zeta(t, NR, mode)
-    eos_evaluate(1.3 / k_f, pressure_from_fermi_momentum(k_f, NR), t * fermi_temperature(k_f, NR),
-                 NR, mode)
-    average_entanglement(t, NR, fge.Measure.CONCURRENCE, mode)
-    assert fermi._cached_kernel_rule.cache_info().misses == rules.misses
-    assert fermi._kernel_widths.cache_info().misses == widths.misses
-
-
 @pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-12, 1e-9])
 def test_mu_is_exactly_one_far_below_degeneracy(t):
     # the series' root, and the relativistic closed form's, round to 1 there;
@@ -239,6 +250,34 @@ def test_mu_is_exactly_one_far_below_degeneracy(t):
         ground = thermal_amplitude(xs, 0.0, 1.0, NR)[0]
         assert thermal_amplitude(xs, t, 1.0, NR)[0].tobytes() == ground.tobytes()
         assert solve_zeta(t, NR).zeta == solve_zeta(0.0, NR).zeta
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-315, 1e-310, 1e-308])
+@pytest.mark.parametrize("x_max", [1.0, 1e200])
+def test_subnormal_temperature_is_the_ground_state(t, x_max):
+    # the pole sum refuses t whose 1/beta leaves the double range, and the
+    # series serves, its y = x sqrt(mu) capped where f0 has decayed
+    xs = np.concatenate(([0.0], np.geomspace(1e-3, x_max, 60)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, err = thermal_amplitude(xs, t, 1.0, NR, 1e-14)
+    assert np.isfinite(values).all() and err <= 1e-14
+    assert np.abs(values - thermal_amplitude(xs, 0.0, 1.0, NR)[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mode", list(MuMode))
+@pytest.mark.parametrize("t, x_max", [(t, x) for t in (1e-300, 1e-100, 1e-30, 1e-15)
+                                      for x in (1e15, 1e50, 1e200)] + [(1e-12, 1e15)])
+def test_cold_corner_is_served_at_every_x(mode, t, x_max):
+    # huge x in a degenerate gas: the series where x t stays small, the pole
+    # sum elsewhere, each within 1e-15 of the ground state, with no warning
+    xs = np.concatenate(([0.0], np.geomspace(1e-3, x_max, 60)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (1e-14, 1e-10):
+            values, err = thermal_amplitude(xs, t, reduced_chemical_potential(t, NR, mode), NR, tol)
+            assert np.isfinite(values).all() and err <= tol
+            assert np.abs(values - thermal_amplitude(xs, 0.0, 1.0, NR)[0]).max() <= 1e-15
 
 
 def test_cached_terms_are_bounded():

@@ -33,7 +33,7 @@ from fge import (
     werner_state_from_f,
     wootters_concurrence,
 )
-from fge import entanglement, exchange, fermi, quadrature
+from fge import entanglement, quadrature
 from fge.exchange import thermal_amplitude
 
 NR = GasRegime.NONRELATIVISTIC
@@ -326,50 +326,6 @@ def test_eos_grid_solves_once_per_temperature():
     assert reduced_chemical_potential.cache_info().misses - before == len(temps)
 
 
-def test_warm_curve_computes_each_split_pattern_once(monkeypatch):
-    # 100 points of one t: a fetch at level 0 and x up to the least pieces'
-    # threshold x_least computes no splits, every other fetch computes them
-    # once, and each new (level, splits) builds one rule.  At t = 1e3 the
-    # kernel rule serves (the pole sum's estimate is above 1e-10), and its
-    # x_least is 0.032
-    for cached in (reduced_chemical_potential, solve_zeta, fermi._cached_kernel_rule,
-                   fermi._kernel_widths):
-        cached.cache_clear()
-    direct, requested = [], []
-    kernel_splits, kernel_rule = fermi._kernel_splits, exchange.kernel_rule
-
-    def counted_splits(*args):
-        direct.append(args)
-        return kernel_splits(*args)
-
-    def recorded_rule(mu, t, x_max=0.0, level=0):
-        requested.append((mu, t, x_max, level))
-        return kernel_rule(mu, t, x_max, level)
-
-    monkeypatch.setattr(fermi, "_kernel_splits", counted_splits)
-    monkeypatch.setattr(exchange, "kernel_rule", recorded_rule)
-    k_f = 1e10
-    r, p, temp = kf_point(np.linspace(4e-4, 0.04, 100), 1e3, k_f, NR)
-    eos_evaluate(float(r[0]), p, temp, NR)
-    first, misses = len(requested), fermi._cached_kernel_rule.cache_info().misses
-    for r_i in r[1:]:
-        eos_evaluate(float(r_i), p, temp, NR)
-
-    def patterns(calls):
-        return {(args[-1], kernel_splits(*args).tobytes()) for args in calls}
-
-    *_, xs, ts = fermi.reduced_inputs(r, p, temp, NR)
-    t = float(ts[0])
-    mu = reduced_chemical_potential(t, NR)
-    x_least = fermi._kernel_widths(mu, t)[3]
-    assert len(patterns([(mu, t, float(x), 0) for x in xs])) == 2
-    above = [args for args in requested if args[-1] != 0 or args[2] > x_least]
-    assert 0 < len(above) < len(requested)
-    assert direct == above
-    new = patterns(requested[first:]) - patterns(requested[:first])
-    assert fermi._cached_kernel_rule.cache_info().misses - misses == len(new)
-
-
 @pytest.mark.parametrize("position, fragment", [
     (0, "separation"), (1, "pressure"), (2, "temperature"),
 ])
@@ -423,7 +379,7 @@ def test_average_entanglement_thermal():
 
 
 def test_average_entanglement_vanishing_temperature():
-    # the kernel rule stays exact as t -> 0: the average meets the ground state
+    # the amplitude stays exact as t -> 0: the average meets the ground state
     for regime in (NR, GasRegime.EXTREME_RELATIVISTIC):
         value = average_entanglement(1e-9, regime, Measure.CONCURRENCE)
         assert value == pytest.approx(0.57068737010830709, rel=1e-9)

@@ -15,7 +15,6 @@ from fge import (
     DomainError,
     GasRegime,
     MuMode,
-    QuadratureError,
     density_from_fermi_momentum,
     density_from_pressure,
     entanglement_distance,
@@ -32,15 +31,11 @@ from fge import fermi
 from fge.exchange import solve_zeta
 from fge.fermi import (
     CACHE_SIZE,
-    _cached_kernel_rule,
-    _kernel_widths,
-    _number_and_slope,
     _validity_from_ratios,
     ideality_threshold_density,
     occupancy_cutoff,
     reduced_inputs,
 )
-from fge.quadrature import composite_kronrod
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -358,11 +353,11 @@ def test_reduced_chemical_potential_shortcuts():
 
 
 def test_normalization_reinserted():
-    # the solved potential must reproduce the particle number: on the kernel
-    # rule nonrelativistic, in closed form (its logarithm) relativistic
+    # the solved potential must reproduce the particle number: by the polylog
+    # identity nonrelativistic, in closed form (its logarithm) relativistic
     for t in (0.01, 0.05, 0.3):
         mu = reduced_chemical_potential(t, NR)
-        assert _number_and_slope(mu, t)[0] == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert number_integral(mu, t, NR) == pytest.approx(1.0, rel=1e-9)
         mu = reduced_chemical_potential(t, ER)
         assert abs(fermi._relativistic_number(mu, t)[0]) <= 1e-15
 
@@ -406,8 +401,8 @@ def test_relativistic_chemical_potential_against_polylog(t):
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [1e4, 4e6])
 def test_chemical_potential_far_above_degeneracy(regime, t):
-    # mu/t ~ -1.5 ln t: the classical seed and the safeguarded Newton steps
-    # must land inside the bracket [-50 t, 2] and converge there
+    # mu/t ~ -1.5 ln t: from the classical seed the Newton steps on the
+    # Boltzmann side converge to a root inside [-50 t, 0]
     mu = reduced_chemical_potential(t, regime)
     assert -50.0 * t < mu < 0.0
     assert abs(number_integral(mu, t, regime) - 1.0) < 1e-13
@@ -416,7 +411,7 @@ def test_chemical_potential_far_above_degeneracy(regime, t):
 @pytest.mark.parametrize("t", [5e14, 1e15, 1e20])
 def test_nonrelativistic_chemical_potential_below_minus_fifty_t(t):
     # from t of about 2.5e14 the classical root t (ln(4/(3 sqrt pi)) - 1.5 ln t)
-    # lies below -50 t, and the bracket's floor moves below the seed
+    # lies below -50 t, which bounds no solve
     mu = reduced_chemical_potential(t, NR)
     assert mu < -50.0 * t
     assert abs(number_integral(mu, t, NR) - 1.0) < 1e-13
@@ -429,10 +424,9 @@ def test_reduced_chemical_potential_rejects_bad_temperature(bad):
 
 
 def test_per_temperature_caches_are_bounded():
-    for cached in (reduced_chemical_potential, solve_zeta, _cached_kernel_rule, _kernel_widths,
-                   fermi._relativistic_terms):
+    for cached in (reduced_chemical_potential, solve_zeta, fermi._relativistic_terms,
+                   fermi._boltzmann_terms):
         assert cached.cache_info().maxsize == CACHE_SIZE
-    # a hundred temperatures, each with a few kernel rules, fit without eviction
     assert CACHE_SIZE > 300
     for t in np.linspace(0.01, 0.5, CACHE_SIZE + 5):
         reduced_chemical_potential(float(t), ER)
@@ -450,106 +444,6 @@ def test_equivalent_mu_calls_share_one_cache_entry():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
-def test_cold_mu_solves_build_no_kernel_rule(monkeypatch):
-    # relativistic solves use no kernel rule at all
-    # every Newton iterate is a new mu: nothing of its rule is worth caching
-    built = []
-    monkeypatch.setattr(fermi, "KernelRule", lambda *args: built.append(args))
-    reduced_chemical_potential.cache_clear()
-    before = _kernel_widths.cache_info()
-    for regime in (NR, ER):
-        for t in (0.011, 0.23, 0.77):
-            reduced_chemical_potential(t, regime)
-    assert reduced_chemical_potential.cache_info().misses == 6
-    assert _kernel_widths.cache_info() == before
-    assert built == []
-
-
-def composite_kronrod_nodes(mu, t, splits):
-    """The nodes and weight columns of a kernel rule as composite_kronrod builds them on its panels."""
-    s_edges, u_edges, in_u = fermi._kernel_panels(mu, t)
-    z, dz = composite_kronrod(u_edges if in_u else s_edges, splits)
-    if in_u:
-        density = fermi._kernel_density((z * z - mu) / t) * (2.0 * z / t) * z ** 3
-        return z, dz * density[:, None]
-    u = fermi._kernel_u(mu + t * z)
-    return u, dz * fermi._kernel_density(z)[:, None] * (u ** 3)[:, None]
-
-
-@pytest.mark.parametrize("mode", list(MuMode))
-@pytest.mark.parametrize("t", [1e-9, 1e-3, 0.05, 0.5, 20.0])
-def test_kernel_rule_is_byte_identical_to_one_composite_kronrod_rule(mode, t):
-    mu = reduced_chemical_potential(t, NR, mode)
-    for x_max in (0.0, 1.8, 3.0, 12.0):
-        for level in range(3):
-            splits = fermi._kernel_splits(mu, t, x_max, level)
-            nodes, weights = composite_kronrod_nodes(mu, t, splits)
-            rule = _cached_kernel_rule.__wrapped__(mu, t, splits.tobytes())
-            assert rule.nodes.tobytes() == nodes.tobytes()
-            assert rule.weights.tobytes() == weights.tobytes()
-
-
-def rebuilt_per_iterate(t, monkeypatch):
-    """Nonrelativistic mu solved with the level-0 rule rebuilt at every Newton iterate."""
-    number_and_slope = fermi._number_and_slope
-    with monkeypatch.context() as patch:
-        patch.setattr(fermi, "_number_and_slope",
-                      lambda mu, t, grid=None: number_and_slope(mu, t))
-        return fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
-
-
-def test_mu_from_one_node_set_matches_a_rebuild_per_iterate(monkeypatch):
-    # the kept u-grid moves mu by rounding only; the scale is max(|mu|, t),
-    # because mu crosses 0 near t = 1, where |mu| alone is no scale
-    for t in np.geomspace(1e-6, 1e4, 300):
-        t = float(t)
-        mu = fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
-        reference = rebuilt_per_iterate(t, monkeypatch)
-        assert abs(mu - reference) <= 2e-15 * max(abs(reference), t)
-
-
-def record_composite_kronrod(monkeypatch):
-    calls = []
-
-    def recorded(*args):
-        calls.append(args)
-        return composite_kronrod(*args)
-
-    monkeypatch.setattr(fermi, "composite_kronrod", recorded)
-    return calls
-
-
-@pytest.mark.parametrize("regime, t", [(NR, 0.011), (NR, 1e-3), (ER, 0.011), (ER, 0.23), (ER, 0.5)])
-def test_cold_mu_spaced_in_s_builds_no_rule(regime, t, monkeypatch):
-    # where the band bottom lies below the kernel window the nonrelativistic
-    # solve is the Sommerfeld series, and the relativistic one the closed
-    # form: neither builds a rule
-    calls = record_composite_kronrod(monkeypatch)
-    mu = fermi._reduced_chemical_potential.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
-    assert calls == [] and mu > 0.0
-
-
-@pytest.mark.parametrize("t", [30.0, 300.0, 1e3, 1e4, 100.0])
-def test_hot_mu_spaced_in_u_builds_one_rule(t, monkeypatch):
-    # above the pole sum's reach (t of about 19) the kernel rule solves,
-    # and the first iterate's u-grid serves every later one
-    calls = record_composite_kronrod(monkeypatch)
-    fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("x, t, mu, regime", [
-    (1e307, 1e4, 1.0, NR),   # x w overflows
-    (1e300, 1e10, 0.0, NR),  # x w overflows
-    (1e306, 1e3, 1.0, NR),   # the sum of the pieces overflows
-])
-def test_huge_x_meets_the_node_cap_without_a_warning(x, t, mu, regime):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match="nodes"):
-            fge.thermal_amplitude(x, t, mu, regime)
-
-
 @pytest.mark.parametrize("x, t, mu", [(1e307, 10.0, 1.0), (1e300, 1e10, 0.0)])
 def test_huge_x_is_finite_in_the_relativistic_closed_form(x, t, mu):
     # the closed form has no node cap: x t and mu x are capped instead, past
@@ -558,127 +452,6 @@ def test_huge_x_is_finite_in_the_relativistic_closed_form(x, t, mu):
         warnings.simplefilter("error")
         value, err = fge.thermal_amplitude(np.array([x, 0.0]), t, mu, ER)
     assert abs(value[0]) <= 1e-150 * value[1] and err <= 1e-10 * value[1]
-
-
-def direct_splits(mu, t, x, level):
-    """``_kernel_splits`` as bytes, or the QuadratureError of the node cap."""
-    try:
-        return fermi._kernel_splits(mu, t, x, level).tobytes()
-    except QuadratureError:
-        return QuadratureError
-
-
-def looked_up_splits(mu, t, x, level):
-    """The splits' bytes that ``kernel_rule`` asks the rule cache for, or the QuadratureError."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fermi, "_cached_kernel_rule", lambda mu, t, splits: splits)
-        try:
-            return fermi.kernel_rule(mu, t, x, level)
-        except QuadratureError:
-            return QuadratureError
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    scale=st.sampled_from([1.0, 0.5]),
-    mode=st.sampled_from([MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX]),
-    log_t=st.floats(-3.0, 3.0),
-    level=st.integers(0, 2),
-    panel=st.integers(0, 27),
-    phase=st.integers(0, 400),
-    ulps=st.integers(-4, 4),
-    others=st.lists(st.floats(0.0, 40.0), max_size=6),
-)
-def test_split_lookup_matches_the_direct_formula(scale, mode, log_t, level, panel, phase,
-                                                 ulps, others):
-    # x at, or a few ulps from, a breakpoint k phi / w_p of the splits, and
-    # the least pieces' threshold x_least and 4 ulps either side of it,
-    # after a few other x; each is looked up twice.  The scale 1/2 moves mu
-    # off the solved one, to a band bottom of other panels
-    t = 10.0 ** log_t
-    mu = scale * reduced_chemical_potential(t, NR, mode)
-    widths, *_, x_least, _ = _kernel_widths(mu, t)
-    width = float(widths[panel % len(widths)])
-    x = phase * fermi._PHASE_PER_PANEL / width if width > 0.0 else float(phase)
-    for _ in range(abs(ulps)):
-        x = math.nextafter(x, math.copysign(math.inf, ulps))
-    near_least = [x_least]
-    for direction in (-math.inf, math.inf):
-        x_i = x_least
-        for _ in range(4):
-            x_i = math.nextafter(x_i, direction)
-            near_least.append(x_i)
-    for x_i in [*others, max(x, 0.0), *near_least] * 2:
-        assert looked_up_splits(mu, t, x_i, level) == direct_splits(mu, t, x_i, level)
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-@pytest.mark.parametrize("mode", [MuMode.EXACT_NORMALIZATION, MuMode.FERMI_ENERGY_APPROX])
-@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 30.0, 1e3])
-def test_least_pieces_threshold_is_whole_and_tight(scale, mode, t):
-    # every x up to x_least has the least pieces as its level-0 splits, and
-    # an x a few 1e-12 above it has not, so the threshold gives away at most
-    # its 1e-12 margin; the other levels always take the direct formula
-    mu = scale * reduced_chemical_potential(t, NR, mode)
-    _, least, _, x_least, key = _kernel_widths(mu, t)
-    assert 0.0 < x_least < math.inf
-    assert key == least.astype(np.int64).tobytes()
-    below = [*np.linspace(0.0, x_least, 41), math.nextafter(x_least, 0.0)]
-    for x in below:
-        assert direct_splits(mu, t, float(x), 0) == key
-    assert direct_splits(mu, t, x_least * (1.0 + 3e-12), 0) != key
-    for x in [*below, *np.linspace(x_least, 3.0 * x_least, 21)]:
-        for level in range(3):
-            assert looked_up_splits(mu, t, float(x), level) == direct_splits(mu, t, float(x), level)
-
-
-def test_split_lookup_keeps_no_state_per_x():
-    # fetches at many x and levels leave the (mu, t) cache entry as it was,
-    # so what the lookup holds does not grow with the x it has seen
-    mu, t = reduced_chemical_potential(1.0, NR), 1.0
-    _kernel_widths.cache_clear()
-    entry = _kernel_widths(mu, t)
-    step = fermi._PHASE_PER_PANEL / float(entry[0].max())
-    for k in range(42):
-        for level in (0, 1):
-            x = (k + 0.5) * step
-            assert looked_up_splits(mu, t, x, level) == direct_splits(mu, t, x, level)
-    assert _kernel_widths(mu, t) is entry
-    assert _kernel_widths.cache_info().currsize == 1
-
-
-def test_zero_width_panels_leave_the_least_pieces_threshold_finite():
-    # at t = 1e-18 the panels around mu = 1 collapse in u: width 0, and a
-    # bound k / 0 that must neither warn nor set the threshold x_least
-    mu, t = 1.0, 1e-18
-    _kernel_widths.cache_clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        widths, *_, x_least, _ = _kernel_widths(mu, t)
-        assert (widths == 0.0).any() and 0.0 < x_least < math.inf
-        for x in (0.0, x_least, math.nextafter(x_least, math.inf), 1e3, 1e12):
-            assert looked_up_splits(mu, t, x, 0) == direct_splits(mu, t, x, 0)
-
-
-def test_rule_cache_is_bounded_by_nodes():
-    def build(mu, t, splits):
-        return fermi.KernelRule(np.zeros(len(splits)), np.zeros((len(splits), 2)))
-
-    cache = fermi._RuleCache(build, maxsize=10, max_nodes=100)
-    first = cache(0.0, 1.0, b"x" * 40)
-    cache(0.0, 2.0, b"x" * 40)
-    assert cache(0.0, 1.0, b"x" * 40) is first  # now the most recently used
-    cache(0.0, 3.0, b"x" * 40)  # 120 nodes: the least recently used goes
-    info = cache.cache_info()
-    assert (info.hits, info.misses, info.currsize, info.nodes) == (1, 3, 2, 80)
-    assert cache(0.0, 1.0, b"x" * 40) is first
-    mark = cache.mark()
-    cache(0.0, 4.0, b"x" * 10)
-    cache.drop_since(mark)
-    assert cache.cache_info()[2:5] == (10, 2, 80)
-    cache.cache_clear()
-    assert cache.cache_info()[:5] == (0, 0, 10, 0, 0)
-    assert fermi._cached_kernel_rule.cache_info().max_nodes == 2 ** 21
 
 
 # === validity ===

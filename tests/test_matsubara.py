@@ -1,5 +1,5 @@
-"""The sum over the Matsubara poles: amplitude, estimate and mu against mpmath, across its
-switch to the kernel rule at the hot end, and the rules it does not build."""
+"""The sum over the Matsubara poles: amplitude, estimate and mu against mpmath, and across its
+switch to the Boltzmann series at the hot end."""
 
 import math
 import subprocess
@@ -101,14 +101,15 @@ def test_pole_mu_against_polylog(t):
     assert abs(complex(step)) <= 1e-14 * max(1.0, t)
 
 
-def test_mu_is_continuous_across_the_switch_to_the_kernel_rule():
+def test_mu_is_continuous_across_the_switch_to_the_boltzmann_series():
     # the pole sum solves mu from where the series stops to t of about 19;
-    # there and at the next float t, on the kernel rule, mu agrees to a step
+    # there and at the next float t, on the Boltzmann series, mu agrees to a step
     below, above = last_served(lambda t: fermi._pole_mu(t, fermi._MU_STEP_TOL * max(1.0, t)) is not None,
                                1.0, 100.0)
     assert 15.0 < below < 25.0
     step_tol = fermi._MU_STEP_TOL * above
-    assert abs(reduced_chemical_potential(below, NR) - fermi._kernel_mu(below, step_tol)) <= step_tol
+    boltzmann = fermi._closed_form_mu(fermi._boltzmann_number, below, NR, step_tol)
+    assert abs(reduced_chemical_potential(below, NR) - boltzmann) <= step_tol
     assert abs(reduced_chemical_potential(below, NR) - reduced_chemical_potential(above, NR)) <= step_tol
 
 
@@ -119,8 +120,8 @@ def pole_serves(tol, x_max, mode=MuMode.EXACT_NORMALIZATION):
     return serves
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-10])
-def test_amplitude_is_continuous_across_the_switch_to_the_kernel_rule(tol):
+@pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-10])
+def test_amplitude_is_continuous_across_the_switch_to_the_boltzmann_series(tol):
     # f on x in [0, 6] at the last t the pole sum serves and the next
     xs = np.linspace(0.0, 6.0, 13)
     below, above = last_served(pole_serves(tol, 6.0), 1.0, 1e3)
@@ -129,9 +130,9 @@ def test_amplitude_is_continuous_across_the_switch_to_the_kernel_rule(tol):
     assert np.abs(f_below - f_above).max() <= tol
 
 
-def test_zeta_is_continuous_across_the_switch_to_the_kernel_scan():
+def test_zeta_is_continuous_across_the_switch_to_the_boltzmann_series():
     # at the last float t whose zeta solve scans the pole sum and the next,
-    # which scans on kernel rules: f at the grid within the amplitudes'
+    # which scans the Boltzmann series: f at the grid within the amplitudes'
     # tolerance, zeta within the root's
     below, above = last_served(pole_serves(exchange._ZETA_QUAD_TOL, float(exchange._SCAN_X[-1])),
                                1.0, 1e3)
@@ -163,9 +164,18 @@ def test_pole_sum_declines_cleanly_or_serves(t):
                     assert 0.0 <= err <= max(tol, exchange._ROUNDOFF * abs(terms.scale))
 
 
-@pytest.mark.parametrize("t", [1e200, 1e300])
-def test_hot_mu_past_the_poles_names_the_overflow(t):
-    # the pole sum's floor rules the hot gas out without an overflow of its own
+@pytest.mark.parametrize("t", [1e200, 1e300, 1e305])
+def test_hot_mu_past_the_poles_is_the_boltzmann_root(t):
+    # the pole sum's floor rules the hot gas out without an overflow of its
+    # own, and the Boltzmann series solves in logs: mu/t = ln(4/(3 sqrt(pi)))
+    # - (3/2) ln t up to z/2^(3/2), here below rounding
+    mu = fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
+    assert mu / t == pytest.approx(math.log(4.0 / (3.0 * math.sqrt(math.pi))) - 1.5 * math.log(t),
+                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e306, 1.7e308])
+def test_hot_mu_past_the_float_range_names_the_overflow(t):
     with pytest.raises(fge.DomainError, match="too large"):
         fermi._reduced_chemical_potential.__wrapped__(t, NR, MuMode.EXACT_NORMALIZATION)
 
