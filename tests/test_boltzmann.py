@@ -1,6 +1,6 @@
 """The nonrelativistic Boltzmann series at mu_tilde <= 0: amplitude and estimate against QUADPACK
-and mpmath, mu against the polylog root, x up to the float maximum, and the hot Fermi-mu gas it
-cannot serve."""
+and mpmath, mu against the polylog root, the classical Gaussian limit, x up to the float maximum,
+and the hot Fermi-mu gas it cannot serve."""
 
 import warnings
 
@@ -40,7 +40,7 @@ def test_series_against_sine_weighted_quadpack_and_mpmath(t):
         assert abs(value - mp_amplitude(x, t, mu)) <= estimate
 
 
-@pytest.mark.parametrize("t", [1.0, 3.0, 1e3, 1e6])
+@pytest.mark.parametrize("t", [1.0, 3.0, 30.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e12])
 def test_series_mu_against_polylog(t):
     # the root of -(3 sqrt(pi)/4) t^(3/2) Li_(3/2)(-e^(mu/t)) = 1 at 40 digits,
     # and the particle number f(0) = 1 there
@@ -68,6 +68,28 @@ def test_series_is_finite_without_warnings_up_to_the_float_maximum(t):
     assert np.isfinite(values).all() and np.isfinite(served).all()
     assert values[0] == pytest.approx(scale, rel=0.5) and np.all(values[2:] == 0.0)
     assert err <= 1e-14 * scale and served_err <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1e6, 1e12, 1e100])
+def test_classical_limit_is_the_maxwell_boltzmann_gaussian(t):
+    # f = exp(-y^2/4), y = x sqrt(t), up to the first quantum correction
+    # z 2^(-3/2) (exp(-y^2/4) - exp(-y^2/8)), below z/2 at every y, and the estimate
+    mu = reduced_chemical_potential(t, NR)
+    z = np.exp(mu / t)
+    ys = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    values, err = thermal_amplitude(ys / np.sqrt(t), t, mu, NR, 1e-14)
+    assert 0.0 < z < 1e-8 and err <= 1e-14
+    assert np.abs(values - np.exp(-ys * ys / 4.0)).max() <= 0.5 * z + err
+
+
+@pytest.mark.parametrize("x, t", [(1e307, 1e4), (1e306, 1e3)])
+def test_hot_fermi_mu_refusal_at_huge_x_raises_no_warning(x, t):
+    # the pole sum's estimate at x_max = 1e306 or more stays finite and silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=rf"t={t!r}, mu_tilde=1\.0 ") as refusal:
+            thermal_amplitude(np.array([0.0, x]), t, 1.0, NR)
+    assert refusal.value.error_estimate > 1e-10
 
 
 @pytest.mark.parametrize("t, tol", [(50.0, 1e-14), (320.0, 1e-12), (400.0, 1e-10), (1e6, 1e-10)])

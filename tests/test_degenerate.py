@@ -1,5 +1,6 @@
 """The Sommerfeld series of the degenerate gas: amplitude, estimate and mu against mpmath and
-QUADPACK, across the switch to the pole sum, and the cold corner of huge x and tiny t."""
+QUADPACK, across the switch to the pole sum, the cold corner of huge x and tiny t, and the cold
+requests that never reach the Boltzmann series."""
 
 import math
 import subprocess
@@ -15,7 +16,12 @@ from scipy.integrate import IntegrationWarning, quad
 
 from fge import (
     GasRegime,
+    Measure,
     MuMode,
+    average_entanglement,
+    eos_evaluate,
+    fermi_temperature,
+    pressure_from_fermi_momentum,
     reduced_chemical_potential,
     solve_zeta,
     thermal_amplitude,
@@ -278,6 +284,27 @@ def test_cold_corner_is_served_at_every_x(mode, t, x_max):
             values, err = thermal_amplitude(xs, t, reduced_chemical_potential(t, NR, mode), NR, tol)
             assert np.isfinite(values).all() and err <= tol
             assert np.abs(values - thermal_amplitude(xs, 0.0, 1.0, NR)[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mode", list(MuMode))
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.3, 0.8])
+def test_cold_requests_never_reach_the_boltzmann_series(t, mode, monkeypatch):
+    # the zeta solve, a point of the equation of state and the average, on
+    # the series at t = 0.01 and on the pole sum above it: mu_tilde > 0, so
+    # neither the amplitude nor the mu solve falls through to the Boltzmann series
+    def refused(*args):
+        raise AssertionError(f"Boltzmann series reached at {args[-2:]!r}")
+
+    monkeypatch.setattr(exchange, "_boltzmann_sum", refused)
+    monkeypatch.setattr(fermi, "_boltzmann_number", refused)
+    k_f = 1e10
+    reduced_chemical_potential.cache_clear()
+    solve_zeta.cache_clear()
+    exchange._pole_terms.cache_clear()
+    assert solve_zeta(t, NR, mode).residual < 1e-10
+    eos_evaluate(1.3 / k_f, pressure_from_fermi_momentum(k_f, NR), t * fermi_temperature(k_f, NR),
+                 NR, mode)
+    average_entanglement(t, NR, Measure.CONCURRENCE, mode)
 
 
 def test_cached_terms_are_bounded():
