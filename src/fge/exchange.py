@@ -14,12 +14,12 @@ Matsubara poles of ``matsubara`` where that does (up to t of about 1 to
 in z = exp(mu_tilde/t) (``_boltzmann_sum``).  Each branch gives, over an
 array of x, f and its error estimate; no branch serves a hot gas with
 mu_tilde > 0 past the pole sum's reach.
-The distance constant zeta is the smallest x where f^2 crosses 1/2,
-found on a Chebyshev interpolant of f.
+The distance constant zeta is the smallest x where f^2 crosses 1/2:
+the first crossing of a Chebyshev interpolant of f, proven first on a
+chain of windows.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -376,21 +376,14 @@ def _root_in_bracket(fn, lo: float, hi: float, g_lo: float, g_hi: float) -> tupl
     )
 
 
-# x = 0 (the origin check), then the scan grid, on which a bracket spans at most a decade
-_SCAN_X = np.concatenate(([0.0, 1e-3, 1e-2], np.arange(0.1, 3.05, 0.1)))
-# the decades below the grid, 1e-307 to 1e-4, that the scan adds where
-# f^2 < 1/2 already at 1e-3, so that every bracket spans at most a decade
-_SCAN_DECADES = 10.0 ** np.arange(-307.0, -3.0)
-# the scan is one interpolant of the whole grid while the classical zeta is
-# at least this (relativistic t up to 2.2, nonrelativistic up to 35)
-_CLOSED_FORM_ZETA_MIN = 0.2
-# the zeta solve's Chebyshev-Lobatto samples (``_lobatto_samples``): 33
-# resolve [0, 3] at t up to 1 but rel t near 1, 65
+# every window of the zeta solve lies in [0, _ZETA_X_MAX], and every amplitude
+# it evaluates is summed to it, so that every window takes one branch
+_ZETA_X_MAX = 3.0
+# the zeta solve's Chebyshev-Lobatto samples of a window (``_lobatto_samples``)
 _ZETA_SAMPLES, _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL = 33, 257, 1e-14
-# a bracket [lo, hi] of the scan grid is narrowed on lo (hi/lo)^(j/8), j = 0 ... 8,
-# before it is sampled: over a hot bracket f falls by decades, and the
-# samples' rounding, relative to the largest, with it
-_NARROWING = np.arange(9) / 8.0
+# dense points per sample interval on which the first crossing is certified
+_DENSE_PER_SAMPLE = 4
+_CROSSING = math.sqrt(0.5)
 
 
 def _classical_zeta(t: float, regime: GasRegime) -> float:
@@ -401,12 +394,67 @@ def _classical_zeta(t: float, regime: GasRegime) -> float:
 
 
 @lru_cache(maxsize=None)
-def _grid_matrix(count: int) -> np.ndarray:
-    """T_j(2 x/3 - 1), j < ``count``, at the x of ``_SCAN_X``: times coefficients on [0, 3], f on the grid."""
-    angles = np.arccos(np.clip(2.0 * _SCAN_X / _SCAN_X[-1] - 1.0, -1.0, 1.0))
-    matrix = np.cos(np.multiply.outer(angles, np.arange(count)))
-    matrix.flags.writeable = False  # every caller of the cache shares it
-    return matrix
+def _dense_tables(count: int) -> tuple:
+    """What certifies a crossing of a ``count``-term Chebyshev series: (values, slopes, steps, curvature).
+
+    At the m + 1 = 4 (count - 1) + 1 Chebyshev-Lobatto points y of [-1, 1],
+    increasing, ``values`` and ``slopes`` hold T_j(y) and T_j'(y), j <
+    ``count``: times the coefficients, p and p' there.  With y = cos(phi),
+    T_j = cos(j phi) and T_j' = j sin(j phi)/sin(phi), j^2 (+-1)^(j+1) at
+    y = +-1, and j phi is reduced modulo 2 pi first, as in
+    ``chebyshev_coefficients``.  ``steps`` are the gaps between the points,
+    and curvature[j] = j^2 (j^2 - 1)/3 is max |T_j''| on [-1, 1].
+    """
+    m = _DENSE_PER_SAMPLE * (count - 1)
+    i = np.arange(m, -1, -1)  # phi = i pi/m, so that y rises
+    j = np.arange(count)
+    angles = np.outer(i, j) % (2 * m) * (math.pi / m)
+    slopes = np.empty(angles.shape)
+    slopes[1:-1] = j * np.sin(angles[1:-1]) / np.sin(i[1:-1] * (math.pi / m))[:, None]
+    slopes[0] = j * j * np.where(j % 2, 1.0, -1.0)
+    slopes[-1] = j * j
+    tables = (np.cos(angles), slopes, 2.0 * np.diff(chebyshev_lobatto(m + 1)[0]),
+              j * j * (j * j - 1.0) / 3.0)
+    for table in tables:
+        table.flags.writeable = False  # every caller of the cache shares them
+    return tables
+
+
+def _first_crossing(coeffs: np.ndarray, lo: float, hi: float, t: float):
+    """The dense step of [lo, hi] where the interpolant p first falls through c = 1/sqrt(2), or None.
+
+    Returns (x_lo, x_hi, p(x_lo) - c, p(x_hi) - c) of the step, or None
+    where p > c on the whole window.  On the dense points of
+    ``_dense_tables``, in y, with B = sum_j |c_j| j^2 (j^2 - 1)/3 >= |p''|,
+    every step of width d before the first point with p <= c is proven
+    free of a crossing: both its ends exceed c by more than B d^2/8, the
+    most p can dip below its chord, or p falls throughout it,
+    max(p'_lo, p'_hi) + B d/2 < 0.  The step that reaches that point must
+    fall throughout, so that it holds one crossing.  p' is formed only at
+    the ends of the steps that need it.  A step that is not proven, or a
+    window that starts at p <= c, raises a SolverError naming t and the
+    window.
+    """
+    values, slopes, steps, curvature = _dense_tables(len(coeffs))
+    excess = values @ coeffs - _CROSSING
+    points = lo + (hi - lo) * chebyshev_lobatto(len(excess))[0]
+    below = np.flatnonzero(excess <= 0.0)
+    # the steps that must hold no crossing: all of them, or those before the crossing's
+    clear = max(int(below[0]) - 1, 0) if below.size else len(steps)
+    bound = float(curvature @ np.abs(coeffs))
+    doubtful = np.flatnonzero(~(np.minimum(excess[:clear], excess[1:clear + 1])
+                                > 0.125 * bound * np.square(steps[:clear]))).tolist()
+    # a step no chord clears, and the crossing's, must fall throughout
+    for i in doubtful + [clear] if below.size else doubtful:
+        rise = max((slopes[i:i + 2] @ coeffs).tolist()) + 0.5 * bound * steps[i]
+        if not (rise < 0.0 and excess[0] > 0.0):
+            raise SolverError(
+                f"the first crossing of f^2 = 1/2 on [{lo:g}, {hi:g}] at t={t!r} is not certified: the "
+                f"interpolant may reach 1/sqrt(2) unseen between {points[i]:g} and {points[i + 1]:g}"
+            )
+    if not below.size:
+        return None
+    return float(points[clear]), float(points[clear + 1]), float(excess[clear]), float(excess[clear + 1])
 
 
 def _lobatto_samples(amplitude, lo: float, hi: float, count: int, max_count: int,
@@ -447,26 +495,24 @@ def _lobatto_samples(amplitude, lo: float, hi: float, count: int, max_count: int
 
 def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
                mu_mode: MuMode = MuMode.EXACT_NORMALIZATION) -> ZetaResult:
-    """Smallest x > 0 with f(x,t)^2 = 1/2, bracketed on a grid and refined on a Chebyshev interpolant.
+    """Smallest x > 0 with f(x,t)^2 = 1/2: the first crossing, certified on a chain of Chebyshev windows.
 
-    The bracket is the first sign change of f^2 - 1/2 on x in {1e-3, 1e-2,
-    0.1, 0.2, ..., 3}, after the origin, whose f^2 must exceed 1/2; one
-    where f = -1/sqrt(2) fails the solve.  Every branch of f is a closed
-    form.  Where the classical zeta is at least 0.2 (relativistic t up to
-    2.2, nonrelativistic 35), f on the grid is read from one interpolant
-    of [0, 3]; above, the grid is one call, plus one on the decades 1e-307
-    to 1e-4 where f^2 < 1/2 already at 1e-3, and one more narrows the
-    bracket to an eighth: over a hot bracket f falls by decades, and the
-    samples' rounding, relative to the largest, with it.
+    Each window [lo, hi] is sampled once by ``_lobatto_samples`` (33
+    Chebyshev-Lobatto points, doubled while the tail asks), every amplitude
+    summed to x = 3 at the fixed tolerance _ZETA_QUAD_TOL.  The first
+    window is [0, 3] at t = 0, else [0, min(3, 1.01 zeta_cl)], zeta_cl the
+    classical gas's zeta, which holds the exact-mu crossing at every t;
+    f(0)^2 must exceed 1/2 there.  ``_first_crossing`` finds the first
+    dense step of the window's interpolant p where p falls through
+    1/sqrt(2), and proves that no crossing hides before it; a window with
+    none is followed by [hi, min(3, 2 hi)], and none by x = 3 fails the
+    solve.
 
-    The root is refined by ``_root_in_bracket``'s Newton steps on the
-    Chebyshev interpolant p (``_lobatto_samples``) of the grid or the
-    bracket.  A root where p < 0, or past a sample with f^2 < 1/2, is not
-    the first crossing and fails the solve.  The residual, below 1e-10, is
-    |p(zeta)^2 - 1/2| + E (2 |p(zeta)| + E), E the last two coefficients
-    plus _CLOSED_FORM_ROUNDING times the largest sample: an estimate, not a
-    bound, of the gap to the amplitude (at the fixed tolerance
-    _ZETA_QUAD_TOL), which leaves out the samples' own error.
+    The root is refined by ``_root_in_bracket``'s Newton steps on p.  The
+    residual, below 1e-10, is |p(zeta)^2 - 1/2| + E (2 |p(zeta)| + E), E
+    the last two coefficients plus _CLOSED_FORM_ROUNDING times the largest
+    sample: an estimate, not a bound, of the gap to the amplitude, which
+    leaves out the samples' own error.
 
     Results are cached per (t, regime, mu_mode), however the arguments
     are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
@@ -481,39 +527,35 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    grid, values, window = _closed_form_scan(t, regime, mu_tilde)
-    k = _first_bracket(grid, values, t, mu_mode)
-    lo, hi = float(grid[k]), float(grid[k + 1])
-    if window is None:
-        x_end = float(_SCAN_X[-1])
-        grid = lo * (hi / lo) ** _NARROWING
-        values = _refined_sum(grid, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-        k = _first_bracket(grid, values, t, mu_mode)
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        window = _zeta_samples(t, regime, mu_tilde, lo, hi, x_end)
-        values, k = window[3][[0, -1]], 0  # the interpolant's own ends
-    start, end, points, samples, coeffs = window
-    g_lo, g_hi = float(values[k] ** 2 - 0.5), float(values[k + 1] ** 2 - 0.5)
-    value_and_slope = chebyshev_series(coeffs, start, end)
 
-    def gap_and_slope(x):
+    def amplitude(xs):
+        return _refined_sum(xs, _ZETA_X_MAX, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
+
+    lo, hi = 0.0, _ZETA_X_MAX if t == 0.0 else min(_ZETA_X_MAX, 1.01 * _classical_zeta(t, regime))
+    while True:
+        _, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES, _ZETA_MAX_SAMPLES,
+                                                 _ZETA_TAIL_TOL, t, _ROUNDOFF)
+        if lo == 0.0:
+            _require_origin(float(samples[0]), t)
+        bracket = _first_crossing(coeffs, lo, hi, t)
+        if bracket is not None:
+            break
+        if hi == _ZETA_X_MAX:
+            raise SolverError(f"no crossing of f^2 = 1/2 on [0, {_ZETA_X_MAX:g}] at t={t!r}")
+        lo, hi = hi, min(_ZETA_X_MAX, 2.0 * hi)
+    value_and_slope = chebyshev_series(coeffs, lo, hi)
+
+    def excess_and_slope(x):
         f, df = value_and_slope(x)
-        return f * f - 0.5, 2.0 * f * df
+        return f - _CROSSING, df
 
-    root, gap = _root_in_bracket(gap_and_slope, lo, hi, g_lo, g_hi)
-    # f^2 > 1/2 at lo: a root where p < 0, or a sample before the root with
-    # f^2 < 1/2, puts a crossing of f = +1/sqrt(2) before the root
-    before = samples[bisect_right(points, lo):bisect_left(points, root)].tolist()
-    if value_and_slope(root)[0] < 0.0 or any(f * f < 0.5 for f in before):
-        raise SolverError(
-            f"the crossing found on [{lo:g}, {hi:g}] at t={t!r} ({mu_mode.value} mu) "
-            f"is not the first: f^2 falls below 1/2 between {lo:g} and {root!r}"
-        )
+    root, excess = _root_in_bracket(excess_and_slope, *bracket)
     # an estimate of the gap between the interpolant and the amplitude at the
     # root: the interpolant's tail and the samples' rounding
     estimate = (abs(float(coeffs[-2])) + abs(float(coeffs[-1]))
                 + _CLOSED_FORM_ROUNDING * float(np.abs(samples).max()))
-    residual = abs(gap) + estimate * (2.0 * math.sqrt(gap + 0.5) + estimate)
+    f = excess + _CROSSING
+    residual = abs(excess * (f + _CROSSING)) + estimate * (2.0 * f + estimate)
     if not (residual < 1e-10):
         raise SolverError(
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"
@@ -533,57 +575,6 @@ def _require_origin(f_origin: float, t: float) -> None:
             f"no root exists: the amplitude at zero separation is {f_origin!r}, "
             "which does not exceed 1/sqrt(2), so f^2 = 1/2 has no crossing"
         )
-
-
-def _zeta_samples(t: float, regime: GasRegime, mu_tilde: float, lo: float, hi: float,
-                  x_max: float) -> tuple:
-    """The zeta solve's interpolant on [lo, hi]: (lo, hi, points, samples, coefficients), the amplitude summed to ``x_max``."""
-    def amplitude(xs):
-        return _refined_sum(xs, x_max, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-
-    points, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES,
-                                                  _ZETA_MAX_SAMPLES, _ZETA_TAIL_TOL, t, _ROUNDOFF)
-    return lo, hi, points, samples, coeffs
-
-
-def _closed_form_scan(t: float, regime: GasRegime, mu_tilde: float) -> tuple:
-    """The zeta solve's scan (see ``solve_zeta``): its grid, f on it, and the interpolant of the whole grid, or None."""
-    x_end = float(_SCAN_X[-1])
-    window = None
-    if t == 0.0 or _classical_zeta(t, regime) >= _CLOSED_FORM_ZETA_MIN:
-        window = _zeta_samples(t, regime, mu_tilde, 0.0, x_end, x_end)
-        values = _grid_matrix(len(window[4])) @ window[4]
-    else:
-        values = _refined_sum(_SCAN_X, x_end, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
-    _require_origin(float(values[0]), t)
-    if values[1] ** 2 < 0.5:
-        decades = _refined_sum(_SCAN_DECADES, float(_SCAN_DECADES[-1]), t, mu_tilde, regime,
-                               _ZETA_QUAD_TOL)[0]
-        return (np.concatenate((_SCAN_X[:1], _SCAN_DECADES, _SCAN_X[1:])),
-                np.concatenate((values[:1], decades, values[1:])), None)
-    return _SCAN_X, values, window
-
-
-def _first_bracket(grid: np.ndarray, values: np.ndarray, t: float, mu_mode: MuMode) -> int:
-    """Index k of the first sign change of f^2 - 1/2 on [grid[k], grid[k + 1]], given f on the grid."""
-    signs = np.sign(np.square(values) - 0.5)
-    crossings = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
-    if signs[0] < 0.0 or not crossings.size:
-        raise SolverError(
-            f"no sign change of f^2 - 1/2 on [{grid[0]:g}, {grid[-1]:g}] "
-            f"at t={t!r}: the crossing either sits below the scan window "
-            "(bracket too small) or the amplitude never reaches 1/2"
-        )
-    k = int(crossings[0])
-    if values[k] < 0.0:
-        # f fell through +1/sqrt(2) and back between two scan points: this
-        # crossing, where f = -1/sqrt(2), is not the first
-        raise SolverError(
-            f"the scan's first sign change of f^2 - 1/2, on [{grid[k]:g}, {grid[k + 1]:g}] "
-            f"at t={t!r} ({mu_mode.value} mu), is a crossing of f = -1/sqrt(2): "
-            "the crossings of f = +1/sqrt(2) before it lie between two scan points"
-        )
-    return k
 
 
 solve_zeta.cache_info = _solve_zeta.cache_info

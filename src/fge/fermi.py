@@ -34,8 +34,6 @@ THREE_PI_SQ = 3.0 * math.pi ** 2
 # maxsize of every per-temperature cache: chemical potential, distance
 # constant and the closed forms' constants
 CACHE_SIZE = 1024
-# e-foldings of occupancy decay kept before the integration range is truncated
-_THERMAL_DECADES = 45.0
 # Newton steps below this (times max(1, t)) end the chemical-potential solve
 _MU_STEP_TOL = 1e-13
 _MU_ITERATIONS = 100
@@ -276,14 +274,6 @@ def reduced_occupancy(u, mu_tilde: float, t: float, regime: GasRegime):
         if t == 0.0:
             return np.where(d < mu_tilde, 1.0, np.where(d == mu_tilde, 0.5, 0.0))
         return _stable_fermi_factor((d - mu_tilde) / t)
-
-
-def occupancy_cutoff(mu_tilde: float, t: float, regime: GasRegime) -> float:
-    """Reduced wavevector beyond which the occupancy has decayed below ~3e-20."""
-    d_max = max(max(mu_tilde, 0.0) + _THERMAL_DECADES * t, 1e-12)
-    if regime is GasRegime.NONRELATIVISTIC:
-        return math.sqrt(d_max)
-    return d_max
 
 
 # === alternating sums in z: the relativistic closed form, the Boltzmann series ===

@@ -40,8 +40,8 @@ from fge import (
     wootters_concurrence,
 )
 from fge.cli import main
-from fge.fermi import occupancy_cutoff
 from fge.whitedwarf import critical_mass_re_equals_R, dwarf_report
+from thermal_range import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC

@@ -11,8 +11,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from fge import GasRegime, QuadratureError, reduced_chemical_potential, reduced_occupancy
 from fge import exchange, fermi, thermal_amplitude
-from fge.fermi import occupancy_cutoff
 from test_matsubara import mp_amplitude
+from thermal_range import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 

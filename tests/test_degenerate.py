@@ -27,7 +27,7 @@ from fge import (
     thermal_amplitude,
 )
 from fge import degenerate, exchange, fermi, matsubara, reduced_occupancy
-from fge.fermi import occupancy_cutoff
+from thermal_range import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -205,13 +205,13 @@ def last_served(serves, lo=1e-3, hi=0.1):
 
 def zeta_scans_the_series(t):
     mu = reduced_chemical_potential(t, NR)
-    return exchange._degenerate_branch(mu, t, float(exchange._SCAN_X[-1]),
+    return exchange._degenerate_branch(mu, t, exchange._ZETA_X_MAX,
                                        exchange._ZETA_QUAD_TOL) is not None
 
 
 def test_zeta_is_continuous_across_the_switch_to_the_pole_sum():
-    # at the last float t whose zeta solve scans the series and the next, which
-    # scans the pole sum: f at the grid within the amplitudes' tolerance,
+    # at the last float t whose zeta solve samples the series and the next, which
+    # samples the pole sum: f at three x within the amplitudes' tolerance,
     # zeta within the root's
     below, above = last_served(zeta_scans_the_series)
     assert 0.03 < below < 0.04

@@ -456,6 +456,17 @@ def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
                 expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("t", [50.0, 100.0])
+def test_hot_nonrelativistic_fermi_level_average_against_quadpack(t, measure):
+    # f(0) is 365 at t = 50, and f falls from above 1/sqrt(2) to below
+    # -1/sqrt(2) within 0.1 of zeta, the first crossing: the average over
+    # [0, zeta] within its own tolerance, 1e-8
+    mode = MuMode.FERMI_ENERGY_APPROX
+    expected = average_oracle(t, NR, measure, mode)
+    assert average_entanglement(t, NR, measure, mode) == pytest.approx(expected, rel=1e-8)
+
+
 def count_amplitude_calls(monkeypatch):
     """Record the abscissa count of every amplitude call the average makes."""
     calls = []

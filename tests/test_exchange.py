@@ -29,8 +29,9 @@ from fge import (
 )
 from fge import QuadratureError, reduced_occupancy
 from fge import degenerate, exchange
-from fge.fermi import fermi_momentum_from_density, occupancy_cutoff
+from fge.fermi import fermi_momentum_from_density
 from fge.quadrature import chebyshev_lobatto
+from thermal_range import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC
@@ -470,31 +471,13 @@ def test_zeta_stays_below_the_classical_limit(log_t, regime):
     assert solve_zeta(t, regime, MuMode.EXACT_NORMALIZATION).zeta <= classical_zeta(t, regime)
 
 
-@pytest.mark.parametrize("regime", [NR, ER])
-@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5])
-def test_zeta_brent_matches_scipy(t, regime):
-    # the Newton refinement against scipy's brentq on the same bracket and
-    # amplitude, with the same tolerances
-    if t == 0.0:
-        amplitude = ground_state
-    else:
-        mu = reduced_chemical_potential(t, regime)
-
-        def amplitude(x):
-            return thermal_amplitude(x, t, mu, regime, 1e-12)[0]
-    def gap(x):
-        return amplitude(x) ** 2 - 0.5
-
-    grid = exchange._SCAN_X[1:]
-    gaps = np.square(amplitude(grid)) - 0.5
-    k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
-    lo, hi = float(grid[k]), float(grid[k + 1])
-    reference = brentq(gap, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-    assert abs(solve_zeta(t, regime).zeta - reference) <= 1e-13
+# a bracketing grid for the brentq reference: a crossing at x >= 1e-3 lies
+# in a decade or a 0.1-wide interval of it
+BRENT_GRID = np.concatenate(([1e-3, 1e-2], np.arange(0.1, 3.05, 0.1)))
 
 
-def whole_grid_zeta(t, regime, mu_mode):
-    """The bracket a scan of the whole grid in one call gives, and brentq's root on it."""
+def brent_zeta(t, regime, mu_mode=MuMode.EXACT_NORMALIZATION):
+    """brentq's root of f^2 - 1/2 on the first sign change of BRENT_GRID, with the solve's tolerances."""
     if t == 0.0:
         amplitude = ground_state
     else:
@@ -505,13 +488,18 @@ def whole_grid_zeta(t, regime, mu_mode):
     def gap(x):
         return amplitude(x) ** 2 - 0.5
 
-    grid = exchange._SCAN_X[1:]
-    gaps = np.square(amplitude(grid)) - 0.5
+    gaps = np.square(amplitude(BRENT_GRID)) - 0.5
     k = int(np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)[0])
-    bracket = (float(grid[k]), float(grid[k + 1]))
-    root = brentq(gap, *bracket, xtol=exchange._ROOT_XTOL, rtol=exchange._ROOT_RTOL,
-                  maxiter=exchange._ROOT_MAXITER)
-    return bracket, root
+    return brentq(gap, float(BRENT_GRID[k]), float(BRENT_GRID[k + 1]), xtol=exchange._ROOT_XTOL,
+                  rtol=exchange._ROOT_RTOL, maxiter=exchange._ROOT_MAXITER)
+
+
+@pytest.mark.parametrize("regime", [NR, ER])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5])
+def test_zeta_brent_matches_scipy(t, regime):
+    # the Newton refinement against scipy's brentq on the same amplitude,
+    # with the same tolerances
+    assert abs(solve_zeta(t, regime).zeta - brent_zeta(t, regime)) <= 1e-13
 
 
 def record_amplitude_calls(monkeypatch):
@@ -538,60 +526,50 @@ def lobatto_calls(lo, hi, count):
     return [call.tobytes() for call in calls]
 
 
-def narrowed_bracket(lo, hi, zeta):
-    """The scan's narrowing points on [lo, hi], and the eighth of [lo, hi] between them that holds ``zeta``."""
-    points = lo * (hi / lo) ** exchange._NARROWING
-    j = int(np.searchsorted(points, zeta)) - 1
-    return points, (float(points[j]), float(points[j + 1]))
+def first_window_end(t, regime):
+    """The end of the zeta solve's first window [0, h]: 3 at t = 0, else min(3, 1.01 zeta_cl)."""
+    return 3.0 if t == 0.0 else min(3.0, 1.01 * classical_zeta(t, regime))
 
 
-def record_brackets(monkeypatch):
-    """The (lo, hi) of every bracket the root refinement is given."""
-    brackets = []
-    root_in_bracket = exchange._root_in_bracket
-
-    def recorded(fn, lo, hi, *ends):
-        brackets.append((lo, hi))
-        return root_in_bracket(fn, lo, hi, *ends)
-
-    monkeypatch.setattr(exchange, "_root_in_bracket", recorded)
-    return brackets
+def window_calls(t, regime, windows):
+    """The abscissas of the calls that sample the first ``windows`` windows at 33 points each:
+    [0, h], then [h, min(3, 2 h)] and so on."""
+    lo, hi = 0.0, first_window_end(t, regime)
+    calls = lobatto_calls(lo, hi, 33)
+    for _ in range(windows - 1):
+        lo, hi = hi, min(3.0, 2.0 * hi)
+        calls += lobatto_calls(lo, hi, 33)
+    return calls
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.1, 0.5, 3.0, 0.3, 0.7, 1.0, 2.0])
-def test_zeta_equals_a_whole_grid_scan(monkeypatch, t, regime, mu_mode):
-    # the scan finds the bracket a scan of the whole grid finds, and the
-    # Newton root on it is brentq's to Brent's tolerance.  Below the
-    # classical zeta 0.2 (rel t = 3 here) the root is refined on the eighth
-    # of that bracket that holds it
-    brackets = record_brackets(monkeypatch)
+def test_zeta_equals_a_whole_grid_scan(t, regime, mu_mode):
+    # the certified first crossing is brentq's root on the first sign change
+    # of a grid scan, to Brent's tolerance
     result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
-    bracket, reference = whole_grid_zeta(t, regime, mu_mode)
-    if t > 0.0 and exchange._classical_zeta(t, regime) < exchange._CLOSED_FORM_ZETA_MIN:
-        bracket = narrowed_bracket(*bracket, reference)[1]
-    assert brackets == [bracket]
-    assert abs(result.zeta - reference) <= 1e-13
+    assert abs(result.zeta - brent_zeta(t, regime, mu_mode)) <= 1e-13
     assert result.residual < 1e-10
 
 
-# the cold closed forms whose 33 samples on [0, 3] double once, to 65
-DOUBLED_COLD_SAMPLES = {(ER, MuMode.EXACT_NORMALIZATION, 1.0), (ER, MuMode.FERMI_ENERGY_APPROX, 1.0)}
+# the windows the Fermi-mu solve samples where its crossing lies past the first
+FERMI_MU_COLD_WINDOWS = {(ER, 0.3): 2, (ER, 1.0): 3, (NR, 1.0): 2}
 
 
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.3, 1.0])
 def test_cold_closed_form_zeta_is_one_batched_amplitude_call(monkeypatch, t, regime, mu_mode):
-    # the closed form's interpolant on the whole grid, origin included: 33
-    # Chebyshev-Lobatto samples in one call, one more at the 32 points
-    # between them where the samples double, and no call at a single x, for
-    # the bracket or the root
+    # the interpolant of the first window, origin included: 33
+    # Chebyshev-Lobatto samples in one call, and no call at a single x, for
+    # the bracket or the root.  Fermi mu crosses past 1.01 zeta_cl at rel
+    # t = 0.3 and 1 and nonrel t = 1: one such call on each window up to the
+    # one that holds the crossing
     calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
-    count = 65 if (regime, mu_mode, t) in DOUBLED_COLD_SAMPLES else 33
-    assert [call.tobytes() for call in calls] == lobatto_calls(0.0, float(exchange._SCAN_X[-1]), count)
+    windows = FERMI_MU_COLD_WINDOWS.get((regime, t), 1) if mu_mode is MuMode.FERMI_ENERGY_APPROX else 1
+    assert [call.tobytes() for call in calls] == window_calls(t, regime, windows)
     # the residual bounds the amplitude's own gap at zeta
     mu = reduced_chemical_potential(t, regime, mu_mode)
     f, _ = thermal_amplitude(result.zeta, t, mu, regime, exchange._ZETA_QUAD_TOL)
@@ -611,19 +589,12 @@ def test_relativistic_value_does_not_depend_on_the_x_max_passed():
 
 @pytest.mark.parametrize("t, regime", [(4e6, NR), (1e4, ER)])
 def test_zeta_solves_below_the_scan_grid(t, regime, monkeypatch):
-    # f^2 < 1/2 already at x = 1e-3: the closed forms bracket on the decades
-    # below the grid, narrow the bracket and sample its part once
+    # a crossing below x = 1e-3 lies in the first window [0, 1.01 zeta_cl]
+    # like any other exact-mu crossing: one call of 33 samples
     calls = record_amplitude_calls(monkeypatch)
     result = exchange._solve_zeta.__wrapped__(t, regime, MuMode.EXACT_NORMALIZATION)
     assert result.zeta < 1e-3 and result.residual < 1e-10
-    scan, decades, narrowing, samples = calls
-    assert scan.tobytes() == exchange._SCAN_X.tobytes()
-    assert decades.tobytes() == exchange._SCAN_DECADES.tobytes()
-    grid = np.concatenate((exchange._SCAN_DECADES, exchange._SCAN_X[1:]))
-    k = int(np.searchsorted(grid, result.zeta)) - 1
-    points, part = narrowed_bracket(float(grid[k]), float(grid[k + 1]), result.zeta)
-    assert narrowing.tobytes() == points.tobytes()
-    assert [samples.tobytes()] == lobatto_calls(*part, 33)
+    assert [call.tobytes() for call in calls] == window_calls(t, regime, 1)
 
 
 # log10 of the highest t of the monotonicity property, and of the highest t
@@ -652,15 +623,9 @@ def test_zeta_stays_below_the_classical_limit_up_to_the_classical_gas(where, reg
     assert solve_zeta(t, regime, MuMode.EXACT_NORMALIZATION).zeta <= classical_zeta(t, regime)
 
 
-@pytest.mark.parametrize("t, regime", [(t, ER) for t in np.geomspace(3.0, 50.0, 61).tolist()])
-def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t, regime):
-    # mu pinned at the Fermi energy, where f(0) grows to 1e3-1e4: the root
-    # of the closed form against QUADPACK's Fourier-weighted rule on
-    # (3/x) int u n(u) sin(ux) du.  Rel t = 316.2 and 681.29 are checked
-    # against mpmath instead (test_relativistic.py), where this rule
-    # itself stops at rounding
-    result = solve_zeta(t, regime, MuMode.FERMI_ENERGY_APPROX)
-    x = result.zeta
+def sine_weighted_gap(x, t, regime):
+    """f(x)^2 - 1/2 at mu pinned at the Fermi energy by QUADPACK's Fourier-weighted rule on
+    (3/x) int u n(u) sin(ux) du, and the rule's error estimate."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         integral, abserr = quad(
@@ -668,29 +633,56 @@ def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t, regime):
             0.0, occupancy_cutoff(1.0, t, regime),
             weight="sin", wvar=x, epsabs=1e-12, epsrel=1e-12, limit=400,
         )
+    return (3.0 / x * integral) ** 2 - 0.5, abserr
+
+
+@pytest.mark.parametrize("t, regime", [(t, ER) for t in np.geomspace(3.0, 50.0, 61).tolist()])
+def test_hot_fermi_mu_zeta_against_sine_weighted_quadpack(t, regime):
+    # mu pinned at the Fermi energy, where f(0) grows to 1e3-1e4: the root
+    # of the closed form against QUADPACK's Fourier-weighted rule.  Rel
+    # t = 316.2 and 681.29 are checked against mpmath instead
+    # (test_relativistic.py), where this rule itself stops at rounding
+    result = solve_zeta(t, regime, MuMode.FERMI_ENERGY_APPROX)
+    gap, abserr = sine_weighted_gap(result.zeta, t, regime)
     assert abserr < 1e-11
-    assert abs((3.0 / x * integral) ** 2 - 0.5) < 1e-9
+    assert abs(gap) < 1e-9
     assert result.residual < 1e-10
 
 
 # nonrel t of np.geomspace(3, 50, 61) where, with mu pinned at the Fermi
-# energy, f^2 dips below 1/2 and back between two scan points, so that the
-# first sign change of f^2 - 1/2 on the scan grid is a crossing of f = -1/sqrt(2)
-_HOT_FERMI_MU_SKIPPED = np.geomspace(3.0, 50.0, 61)[[46, 51, 52, 53, 57, 58, 59, 60]].tolist()
+# energy, f falls from above 1/sqrt(2) to below -1/sqrt(2) within 0.1 of x,
+# then hotter t up to the pole sum's reach.  The rel roots are checked the
+# same way against mpmath (test_relativistic.py)
+FIRST_CROSSING_T = (np.geomspace(3.0, 50.0, 61)[[46, 51, 52, 53, 57, 58, 59, 60]].tolist()
+                    + [100.0, 178.0])
 
 
-@pytest.mark.parametrize("t", _HOT_FERMI_MU_SKIPPED)
-def test_fermi_mu_zeta_refuses_a_crossing_of_minus_one_over_sqrt2(t):
-    message = rf"on \[0\.\d, (0\.\d|1)\] at t={t!r} \(fermi mu\).*f = -1/sqrt\(2\)"
-    with pytest.raises(SolverError, match=message):
-        solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
-    # exact mu has no such dip and solves at every one of these t
-    result = solve_zeta(t, NR, MuMode.EXACT_NORMALIZATION)
-    assert result.residual < 1e-10
+@pytest.mark.parametrize("t", FIRST_CROSSING_T)
+def test_fermi_mu_zeta_is_the_first_crossing(t):
+    # the root against QUADPACK's Fourier-weighted rule, and f^2 > 1/2 at
+    # 20000 points before it
+    result = solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
+    assert abs(sine_weighted_gap(result.zeta, t, NR)[0]) < 1e-9
+    xs = np.linspace(0.0, result.zeta, 20000, endpoint=False)
+    f, _ = thermal_amplitude(xs, t, 1.0, NR, exchange._ZETA_QUAD_TOL)
+    assert np.square(f).min() > 0.5
+
+
+def test_zeta_refuses_a_dip_it_cannot_certify(monkeypatch):
+    # a smooth amplitude whose minimum, 1/sqrt(2) + 1e-9 at x = 1, falls
+    # between two dense points: no dense point is at or below 1/sqrt(2),
+    # but neither the chord nor the slope proves the step around x = 1
+    # free of a crossing
+    def dipping(xs, x_max, t, mu, regime, tol):
+        return math.sqrt(0.5) + 1e-9 + 0.5 * (xs - 1.0) ** 2, 0.0
+
+    monkeypatch.setattr(exchange, "_refined_sum", dipping)
+    with pytest.raises(SolverError, match=r"at t=0\.5 is not certified.* between 0\.9\d* and 1\.0\d*"):
+        exchange._solve_zeta.__wrapped__(0.5, NR, MuMode.EXACT_NORMALIZATION)
 
 
 @pytest.mark.parametrize("t", [25.0, 30.0])
-def test_hot_fermi_mu_zeta_between_the_refused_t_is_a_crossing_of_plus_one_over_sqrt2(t):
+def test_hot_fermi_mu_zeta_is_a_crossing_of_plus_one_over_sqrt2(t):
     result = solve_zeta(t, NR, MuMode.FERMI_ENERGY_APPROX)
     f, _ = thermal_amplitude(result.zeta, t, 1.0, NR, 1e-12)
     assert f == pytest.approx(math.sqrt(0.5), abs=1e-10)
@@ -719,54 +711,21 @@ def test_lobatto_samples_stop_on_noise_only_given_a_rounding(rounding):
         assert counts == [33, 32, 64, 128] and refusal.value.error_estimate > 1e-12
 
 
-# the t at which the classical zeta is _CLOSED_FORM_ZETA_MIN: below it a
-# closed form's scan reads f on the grid from one interpolant of [0, 3]
-CLOSED_FORM_SWITCH = {ER: math.sqrt(2.0 ** 0.25 - 1.0) / exchange._CLOSED_FORM_ZETA_MIN,
-                      NR: 2.0 * math.log(2.0) / exchange._CLOSED_FORM_ZETA_MIN ** 2}
-
-
-@pytest.mark.parametrize("side", [0.99, 1.01])
-@pytest.mark.parametrize("regime, mu_mode", [(ER, MuMode.EXACT_NORMALIZATION),
-                                             (ER, MuMode.FERMI_ENERGY_APPROX),
-                                             (NR, MuMode.FERMI_ENERGY_APPROX)])
-def test_closed_form_zeta_on_either_side_of_the_whole_grid_interpolant(monkeypatch, side, regime,
-                                                                       mu_mode):
-    # below the switch every call samples [0, 3]; above it the first call is
-    # the grid.  Nonrel fermi mu refuses a crossing of f = -1/sqrt(2) on both
-    # sides
-    t = side * CLOSED_FORM_SWITCH[regime]
-    if regime is NR:
-        calls = record_amplitude_calls(monkeypatch)
-        with pytest.raises(SolverError, match=r"on \[0\.8, 0\.9\].*f = -1/sqrt\(2\)"):
-            exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
-    else:
-        _, reference = whole_grid_zeta(t, regime, mu_mode)
-        calls = record_amplitude_calls(monkeypatch)
-        result = exchange._solve_zeta.__wrapped__(t, regime, mu_mode)
-        assert abs(result.zeta - reference) <= 1e-13 and result.residual < 1e-10
-    x_end = float(exchange._SCAN_X[-1])
-    if side < 1.0:
-        count = sum(len(call) for call in calls)
-        assert [call.tobytes() for call in calls] == lobatto_calls(0.0, x_end, count)
-    else:
-        assert calls[0].tobytes() == exchange._SCAN_X.tobytes()
-
-
 @pytest.mark.parametrize("t", [317.0, 1e3, 1.3e4, 5e4, 1e5])
 def test_hot_fermi_mu_zeta_names_the_temperature_no_closed_form_serves(t):
     # nonrel mu pinned at the Fermi energy past the pole sum's reach at the
     # solve's tolerance (t of about 300): the Boltzmann series needs
-    # mu_tilde <= 0, and no branch serves the scan
+    # mu_tilde <= 0, and no branch serves the first window
     with pytest.raises(QuadratureError, match=rf"t={t!r}, mu_tilde=1\.0") as refusal:
         exchange._solve_zeta.__wrapped__(t, NR, MuMode.FERMI_ENERGY_APPROX)
     assert refusal.value.error_estimate > exchange._ZETA_QUAD_TOL
 
 
 @pytest.mark.parametrize("t", [2.4e4, 3e4, 3.7e4])
-def test_hot_fermi_mu_relativistic_zeta_on_a_narrowed_bracket(t):
-    # over the grid's bracket [0.01, 0.1] f falls from 4e3-6e3; on the
-    # eighth that holds the crossing the samples' rounding, relative to the
-    # largest, leaves a residual far below the solve's 1e-10
+def test_hot_fermi_mu_relativistic_zeta_on_its_window(t):
+    # f falls from 4e3-6e3 at x = 0.01 to 1/sqrt(2) near x = 0.09, past 13
+    # windows; on the 14th, where f starts at 2-7, the samples' rounding,
+    # relative to the largest, leaves a residual far below the solve's 1e-10
     assert exchange._solve_zeta.__wrapped__(t, ER, MuMode.FERMI_ENERGY_APPROX).residual < 1e-12
 
 

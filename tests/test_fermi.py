@@ -33,9 +33,9 @@ from fge.fermi import (
     CACHE_SIZE,
     _validity_from_ratios,
     ideality_threshold_density,
-    occupancy_cutoff,
     reduced_inputs,
 )
+from thermal_range import occupancy_cutoff
 
 NR = GasRegime.NONRELATIVISTIC
 ER = GasRegime.EXTREME_RELATIVISTIC

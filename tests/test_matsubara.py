@@ -131,10 +131,10 @@ def test_amplitude_is_continuous_across_the_switch_to_the_boltzmann_series(tol):
 
 
 def test_zeta_is_continuous_across_the_switch_to_the_boltzmann_series():
-    # at the last float t whose zeta solve scans the pole sum and the next,
-    # which scans the Boltzmann series: f at the grid within the amplitudes'
+    # at the last float t whose zeta solve samples the pole sum and the next,
+    # which samples the Boltzmann series: f at three x within the amplitudes'
     # tolerance, zeta within the root's
-    below, above = last_served(pole_serves(exchange._ZETA_QUAD_TOL, float(exchange._SCAN_X[-1])),
+    below, above = last_served(pole_serves(exchange._ZETA_QUAD_TOL, exchange._ZETA_X_MAX),
                                1.0, 1e3)
     assert 10.0 < below < 100.0
     for x in (0.05, 0.15, 0.3):

@@ -151,27 +151,30 @@ def test_unmet_tolerance_raises(monkeypatch):
 
 @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 1e6, 1e12])
 def test_relativistic_zeta_solves_far_above_degeneracy(t):
-    # below the scan grid (zeta < 1e-3 from t ~ 435) the closed form
-    # brackets below 1e-3, from t ~ 544 on the decades under it; zeta t
-    # tends to the classical value
+    # zeta < 1e-3 from t ~ 435, in the first window [0, 1.01 zeta_cl] like
+    # every exact-mu crossing; zeta t tends to the classical value
     result = exchange._solve_zeta.__wrapped__(t, ER, MuMode.EXACT_NORMALIZATION)
     assert result.residual < 1e-10
     assert abs(result.zeta * t - CLASSICAL_ZETA_T) <= 1e-6
 
 
-@pytest.mark.parametrize("t", [316.2, 681.29])
+@pytest.mark.parametrize("t", [10.0, 316.2, 681.29, 1e3, 3e4])
 def test_hot_fermi_mu_relativistic_zeta_against_mpmath(t):
     # f(zeta)^2 - 1/2 at 24 digits, where QUADPACK's sine-weighted rule stops
-    # at its own rounding (it read -2e-9 at t = 681.29)
+    # at its own rounding (it read -2e-9 at t = 681.29, 1.8e-6 at 3e4), and
+    # the first crossing: f^2 > 1/2 at 20000 points before it
     result = solve_zeta(t, ER, MuMode.FERMI_ENERGY_APPROX)
     value = mp_amplitude(result.zeta, t, 1.0)
     assert abs(float(value ** 2 - 0.5)) < 1e-12
     assert result.residual < 1e-10
+    xs = np.linspace(0.0, result.zeta, 20000, endpoint=False)
+    f, _ = thermal_amplitude(xs, t, 1.0, ER, exchange._ZETA_QUAD_TOL)
+    assert np.square(f).min() > 0.5
 
 
 def test_zeta_below_the_grid_keeps_going_past_the_float_range_of_t_cubed():
     # t^3 overflows past t ~ 6e102, but the exact-mu Boltzmann side never forms it;
-    # at 5e304 zeta, 8.7e-306, lies in the decade [1e-306, 1e-305] of the grid
+    # at 5e304 zeta, 8.7e-306, lies in the first window [0, 1.01 zeta_cl]
     for t in (1e103, 1e200, 1e300, 5e304):
         result = solve_zeta(t, ER)
         assert result.residual < 1e-10 and abs(result.zeta * t - CLASSICAL_ZETA_T) <= 1e-6
