@@ -31,7 +31,7 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 # the rounding bound of a closed form or series, in units of its scale (the
 # amplitude at x = 0 or above): f0's series and the sums' terms each round to
 # a few eps
-_CLOSED_FORM_ROUNDING = 16.0 * np.finfo(float).eps
+_CLOSED_FORM_ROUNDING = 16.0 * float(np.finfo(float).eps)
 
 # f0 switches from its closed form 3(sin x - x cos x)/x^3 to its power
 # series below this point.  The closed form loses digits to cancellation

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exchange import (
     _DEFAULT_TOL,
-    _lobatto_samples,
     _refined_sum,
     _root_in_bracket,
+    _solve_zeta,
     _validate_quad_tol,
     solve_zeta,
 )
@@ -31,7 +31,8 @@ from .fermi import (
     reduced_chemical_potential,
     reduced_inputs,
 )
-from .quadrature import barycentric, chebyshev_series, composite_kronrod
+from .quadrature import (barycentric, chebyshev_coefficients, chebyshev_lobatto, chebyshev_series,
+                         composite_kronrod)
 
 _SWAP = np.array(
     [[1, 0, 0, 0],
@@ -58,27 +59,12 @@ _STATE_TOL = 1e-10
 # Kronrod rule resolves.  The level-0 estimate is then at most ~6e-13, nearly
 # all of it the 7-point rule's error on the first panel, [0, zeta/2] (11 or 12
 # panels give the same), against 4e-12 with 9 panels and an absolute floor of
-# 1e-12.  The Kronrod abscissas, 150 at level 0, take the amplitude from its
-# interpolant, so the panel count and the levels cost no amplitude evaluation
+# 1e-12.  The Kronrod abscissas, 150 at level 0, take the amplitude from the
+# zeta solve's interpolant, so the panel count and the levels cost no
+# amplitude evaluation
 _CASCADE_PANELS = 10
 _AVERAGE_MAX_LEVEL = 4
 _AVERAGE_TOL_ABS = 1e-12
-# the amplitude's samples: Chebyshev-Lobatto points on [0, zeta], first
-# _AVERAGE_SAMPLES of them, doubled on nested points up to
-# _AVERAGE_MAX_SAMPLES until the tail of the Chebyshev coefficients is at most
-# _AVERAGE_TAIL_TOL; the tolerance of each sample; both absolute, as the
-# amplitude's own test is.  17 samples resolve every exact-mu amplitude to a
-# tail below 2e-14; the fermi-mu amplitude, 10^2 to 10^4 at the origin for t
-# of a few, takes up to 129 for t in [3, 50], whose tail there meets its
-# rounding at 1e-12 to 4e-12 when f(0) is 10^4.  The interpolant's error runs
-# at about half the tail, and a tail of 1e-10 would let 33 samples through
-# at rel fermi-mu t = 2 (tail 1.7e-11), whose interpolant is off by 1.3e-12
-# where f < 1 and moves the average by 4e-14 of itself
-_AVERAGE_SAMPLES = 17
-_AVERAGE_MAX_SAMPLES = 257
-_AVERAGE_TAIL_TOL = 1e-11
-_AVERAGE_AMPLITUDE_TOL = 1e-10
-
 
 class Measure(Enum):
     """Entanglement measures available for averaging."""
@@ -327,16 +313,13 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     """Mean of the chosen measure over separations x in [0, zeta(t)].
 
     The amplitude is smooth on [0, zeta] (an entire function of x), and
-    only the measure is not, so the two are handled apart.  The amplitude
-    is sampled at 17 Chebyshev-Lobatto points on [0, zeta], x = 0 and
-    zeta among them, in one batched amplitude call; while the
-    larger of the last two Chebyshev coefficients of the samples (the
-    tail) exceeds 1e-11, the grid doubles on nested points (33, 65, 129,
-    257), one more call at the new points each time, and past 257 points
-    a ``QuadratureError`` carries the tail.  Elsewhere f is the
-    barycentric interpolant of the samples, within the samples' own
-    estimate (1e-10) times the Lebesgue constant (at most 4.1 for 129
-    points, 4.6 for 257) plus the tail.  The measure is averaged by one
+    only the measure is not, so the two are handled apart.  The zeta solve
+    has already sampled f on a chain of windows from x = 0 past zeta
+    (``exchange._solve_zeta``, at the amplitude tolerance 1e-12, each
+    window's Chebyshev tail at most 1e-14 or at the samples' rounding),
+    and f at every abscissa is the barycentric interpolant of the window
+    that holds it (``_interpolated_amplitude``): the average makes no
+    amplitude call of its own.  The measure is averaged by one
     fixed composite rule: the 15-point Kronrod rule on a geometric
     cascade of 10 panels toward the upper endpoint, edges
     zeta (1 - 2^-k), where the entropy of formation has a mild C^2 log C
@@ -348,42 +331,43 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     As in ``eos_grid``, the amplitude is clamped into [-1, 1] before the
     measure.  In the approximate-mu mode f overshoots 1 near the origin,
     and the point where the interpolant falls through 1 is one more panel
-    edge: its root on [0, zeta], refined by the zeta solve's safeguarded
-    Newton steps on the interpolant's value and derivative.  Every panel
-    is halved until the estimate is at most max(1e-12, tol |integral|),
-    each level on the same samples, and after a few levels a
-    ``QuadratureError`` carries the estimate.  ``tol`` must lie in the
-    quadrature tolerance range.
+    edge: the root of the series of the first window whose last sample is
+    below 1 (or of the last window) on [lo, min(hi, zeta)], refined by the
+    zeta solve's safeguarded Newton steps on the series' value and
+    derivative.  Every panel is halved until the estimate is at most
+    max(1e-12, tol |integral|), each level on the same samples, and after
+    a few levels a ``QuadratureError`` carries the estimate.  ``tol`` must
+    lie in the quadrature tolerance range.
     """
     _require_member("regime", regime, GasRegime)
     _require_member("mu_mode", mu_mode, MuMode)
     if measure not in _MEASURE_MAPS:
         raise DomainError(f"unknown entanglement measure {measure!r}")
     _validate_quad_tol(tol)
-    zeta = solve_zeta(t, regime, mu_mode).zeta
+    result, windows = _solve_zeta(t, regime, mu_mode)
+    zeta = result.zeta
     measure_of = _MEASURE_MAPS[measure]
-    mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    points, weights, samples, coeffs = _amplitude_samples(t, mu_tilde, regime, zeta)
 
     edges = np.append(zeta * (1.0 - 0.5 ** np.arange(_CASCADE_PANELS)), zeta)
-    if mu_mode is MuMode.FERMI_ENERGY_APPROX and samples[0] > 1.0:
+    if mu_mode is MuMode.FERMI_ENERGY_APPROX and windows[0][2][0] > 1.0:
         # the clamp bends the integrand where f falls through 1: an edge
-        # there, the root of the interpolant's series
-        value_and_slope = chebyshev_series(coeffs, 0.0, zeta)
+        # there, the root of the series of the window where f does
+        lo, hi, samples = next((window for window in windows if window[2][-1] < 1.0), windows[-1])
+        value_and_slope = chebyshev_series(chebyshev_coefficients(samples), lo, hi)
 
         def excess_and_slope(x):
             value, slope = value_and_slope(float(x))
             return value - 1.0, slope
 
-        # an overshoot at rounding, which the series does not repeat at x = 0,
-        # has its root at x = 0 itself and bends nothing
-        if excess_and_slope(0.0)[0] > 0.0:
-            kink, _ = _root_in_bracket(excess_and_slope, 0.0, zeta, samples[0] - 1.0,
-                                       samples[-1] - 1.0)
-            edges = np.union1d(edges, kink)
+        # an overshoot at rounding, which the series does not repeat at lo,
+        # puts the kink at lo itself, at x = 0 an edge already
+        excess, top = excess_and_slope(lo)[0], min(hi, zeta)
+        kink = lo if excess <= 0.0 else _root_in_bracket(
+            excess_and_slope, lo, top, excess, excess_and_slope(top)[0])[0]
+        edges = np.union1d(edges, kink)
     for level in range(_AVERAGE_MAX_LEVEL + 1):
         nodes, rule = composite_kronrod(edges, 2 ** level)
-        f = barycentric(nodes, points, weights, samples)
+        f = _interpolated_amplitude(windows, nodes)
         terms = measure_of(np.minimum(np.maximum(f, -1.0), 1.0))[:, None] * rule
         # the integral over each piece by the Kronrod and the Gauss rule
         kronrod, gauss = terms.reshape(-1, 15, 2).sum(axis=1).T
@@ -399,10 +383,14 @@ def average_entanglement(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC
     )
 
 
-def _amplitude_samples(t: float, mu_tilde: float, regime: GasRegime, zeta: float) -> tuple:
-    """``_lobatto_samples`` of f on [0, zeta], whose inputs ``average_entanglement`` has checked."""
-    def amplitude(xs):
-        return _refined_sum(xs, float(xs.max()), t, mu_tilde, regime, _AVERAGE_AMPLITUDE_TOL)[0]
-
-    return _lobatto_samples(amplitude, 0.0, zeta, _AVERAGE_SAMPLES, _AVERAGE_MAX_SAMPLES,
-                            _AVERAGE_TAIL_TOL, t)
+def _interpolated_amplitude(windows: tuple, nodes: np.ndarray) -> np.ndarray:
+    """f at the increasing ``nodes``, each from the interpolant of the first of the zeta solve's ``windows`` that holds it."""
+    f = np.empty(nodes.size)
+    start = 0
+    for lo, hi, samples in windows:
+        stop = np.searchsorted(nodes, hi, side="right")
+        if stop > start:
+            unit, weights = chebyshev_lobatto(samples.size)
+            f[start:stop] = barycentric(nodes[start:stop], lo + (hi - lo) * unit, weights, samples)
+            start = stop
+    return f

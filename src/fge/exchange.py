@@ -16,7 +16,8 @@ array of x, f and its error estimate; no branch serves a hot gas with
 mu_tilde > 0 past the pole sum's reach.
 The distance constant zeta is the smallest x where f^2 crosses 1/2:
 the first crossing of a Chebyshev interpolant of f, proven first on a
-chain of windows.
+chain of windows, whose samples also give the average over [0, zeta]
+its amplitude.
 """
 
 import math
@@ -79,7 +80,7 @@ _ORIGIN_MAX = 1e150
 _DEFAULT_TOL = 1e-10
 # a branch's estimate at most this times its scale, a bound of |f| at every
 # x, is rounding, and the branch serves whatever the tolerance
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # root refinement (zeta and the average's clamp kink): absolute and
 # relative x tolerances, iteration cap
 _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-13, 4.0 * np.finfo(float).eps, 200
@@ -457,39 +458,34 @@ def _first_crossing(coeffs: np.ndarray, lo: float, hi: float, t: float):
     return float(points[clear]), float(points[clear + 1]), float(excess[clear]), float(excess[clear + 1])
 
 
-def _lobatto_samples(amplitude, lo: float, hi: float, count: int, max_count: int,
-                     tail_tol: float, t: float, rounding: float = 0.0) -> tuple:
-    """``amplitude`` at enough Chebyshev-Lobatto points on [lo, hi]: points, weights, samples, coefficients.
+def _lobatto_samples(amplitude, lo: float, hi: float, t: float) -> tuple:
+    """``amplitude`` at enough Chebyshev-Lobatto points on [lo, hi]: the samples and their coefficients.
 
-    The first ``count`` points are one call; while the tail, the larger of
-    the last two coefficients, exceeds both ``tail_tol`` and ``rounding``
-    times the largest |sample| (and, given a ``rounding``, the last doubling
-    halved it, else it is the samples' noise), one more call at the points
-    between doubles them; past ``max_count`` a ``QuadratureError`` carries it.
+    The first _ZETA_SAMPLES points are one call; while the tail, the larger
+    of the last two coefficients, exceeds both _ZETA_TAIL_TOL and _ROUNDOFF
+    times the largest |sample|, and the last doubling halved it (else it is
+    the samples' noise), one more call at the points between doubles them;
+    past _ZETA_MAX_SAMPLES a ``QuadratureError`` carries it.
     """
-    span = hi - lo
-    unit, weights = chebyshev_lobatto(count)
-    points = lo + span * unit
-    samples = amplitude(points)
+    count = _ZETA_SAMPLES
+    samples = amplitude(lo + (hi - lo) * chebyshev_lobatto(count)[0])
     tail = math.inf
     while True:
         coeffs = chebyshev_coefficients(samples)
         last, tail = tail, float(np.abs(coeffs[-2:]).max())
-        tol = max(tail_tol, rounding * float(np.abs(samples).max()))
-        if tail <= tol or (rounding > 0.0 and tail > 0.5 * last):
-            return points, weights, samples, coeffs
-        if count == max_count:
+        tol = max(_ZETA_TAIL_TOL, _ROUNDOFF * float(np.abs(samples).max()))
+        if tail <= tol or tail > 0.5 * last:
+            return samples, coeffs
+        if count == _ZETA_MAX_SAMPLES:
             raise QuadratureError(
                 f"amplitude samples on [{lo:g}, {hi:g}] stalled at tail {tail:.3e} (tolerance "
                 f"{tol:.3e}, {count} points) at t={t!r}",
                 error_estimate=tail,
             )
         count = 2 * count - 1
-        unit, weights = chebyshev_lobatto(count)
-        points = lo + span * unit
         merged = np.empty(count)
         merged[::2] = samples
-        merged[1::2] = amplitude(points[1::2])
+        merged[1::2] = amplitude(lo + (hi - lo) * chebyshev_lobatto(count)[0][1::2])
         samples = merged
 
 
@@ -515,15 +511,23 @@ def solve_zeta(t: float, regime: GasRegime = GasRegime.NONRELATIVISTIC,
     leaves out the samples' own error.
 
     Results are cached per (t, regime, mu_mode), however the arguments
-    are spelled; ``cache_info`` and ``cache_clear`` reach that cache.
+    are spelled, with the windows sampled (``_solve_zeta``);
+    ``cache_info`` and ``cache_clear`` reach that cache.
     """
     _require_member("regime", regime, GasRegime)
     _require_member("mu_mode", mu_mode, MuMode)
-    return _solve_zeta(t, regime, mu_mode)
+    return _solve_zeta(t, regime, mu_mode)[0]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
+def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> tuple:
+    """``solve_zeta``'s result and the windows it sampled, a tuple of (lo, hi, samples).
+
+    The samples, read-only, are the amplitude at the window's
+    ``chebyshev_lobatto`` points, and the windows run from x = 0 past
+    zeta: ``entanglement.average_entanglement`` interpolates f on
+    [0, zeta] from them.
+    """
     if not (0 <= t < math.inf):
         raise DomainError(f"reduced temperature must be finite and nonnegative, got {t!r}")
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
@@ -532,9 +536,11 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         return _refined_sum(xs, _ZETA_X_MAX, t, mu_tilde, regime, _ZETA_QUAD_TOL)[0]
 
     lo, hi = 0.0, _ZETA_X_MAX if t == 0.0 else min(_ZETA_X_MAX, 1.01 * _classical_zeta(t, regime))
+    windows = []
     while True:
-        _, _, samples, coeffs = _lobatto_samples(amplitude, lo, hi, _ZETA_SAMPLES, _ZETA_MAX_SAMPLES,
-                                                 _ZETA_TAIL_TOL, t, _ROUNDOFF)
+        samples, coeffs = _lobatto_samples(amplitude, lo, hi, t)
+        samples.flags.writeable = False  # the cache entry shares them
+        windows.append((lo, hi, samples))
         if lo == 0.0:
             _require_origin(float(samples[0]), t)
         bracket = _first_crossing(coeffs, lo, hi, t)
@@ -560,7 +566,7 @@ def _solve_zeta(t: float, regime: GasRegime, mu_mode: MuMode) -> ZetaResult:
         raise SolverError(
             f"root refinement stalled: residual {residual:.3e} at x={root!r}, t={t!r}"
         )
-    return ZetaResult(zeta=root, t=float(t), regime=regime, residual=residual)
+    return ZetaResult(zeta=root, t=float(t), regime=regime, residual=residual), tuple(windows)
 
 
 def _require_origin(f_origin: float, t: float) -> None:

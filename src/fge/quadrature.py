@@ -6,7 +6,8 @@ over separations on a geometric cascade toward the distance constant
 here, QUADPACK's 15-point Kronrod rule with its 7-point Gauss rule on
 every second node (``composite_kronrod``), so the error estimate, the gap
 between the two, costs no abscissa of its own.  The caller halves the
-panels itself when the estimate misses its tolerance.  The average takes its integrand's amplitude at those abscissas from
+panels itself when the estimate misses its tolerance.  The average takes
+its integrand's amplitude at those abscissas from the zeta solve's
 samples at Chebyshev-Lobatto points: ``chebyshev_lobatto`` places them,
 ``barycentric`` interpolates them (Berrut and Trefethen, SIAM Review 46,
 2004), and ``chebyshev_coefficients`` gives the coefficients whose tail

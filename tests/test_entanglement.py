@@ -33,7 +33,7 @@ from fge import (
     werner_state_from_f,
     wootters_concurrence,
 )
-from fge import entanglement, quadrature
+from fge import entanglement, exchange, quadrature
 from fge.exchange import thermal_amplitude
 
 NR = GasRegime.NONRELATIVISTIC
@@ -447,7 +447,8 @@ def test_fermi_level_average_with_an_overshoot_at_rounding(regime, t):
 @pytest.mark.parametrize("regime", [NR, ER])
 def test_average_entanglement_fermi_level_mode_against_quadpack(regime):
     # f overshoots 1 near the origin and the clamp bends the integrand
-    # there; at rel t = 3, f(0) is about 200 and the samples double twice
+    # there; at rel t = 3, f(0) is about 200, and f falls through 1 on the
+    # fourth of the zeta solve's windows, the one that holds zeta
     mode = MuMode.FERMI_ENERGY_APPROX
     for t in (0.07, 3.0):
         for measure in Measure:
@@ -468,34 +469,26 @@ def test_hot_nonrelativistic_fermi_level_average_against_quadpack(t, measure):
 
 
 def count_amplitude_calls(monkeypatch):
-    """Record the abscissa count of every amplitude call the average makes."""
+    """Record the abscissa count of every amplitude sum, made here or by the zeta solve."""
     calls = []
-    original = entanglement._refined_sum
+    original = exchange._refined_sum
 
     def counted(xs, x_max, t, mu_tilde, regime, tol):
         calls.append(np.size(xs))
         return original(xs, x_max, t, mu_tilde, regime, tol)
 
-    monkeypatch.setattr(entanglement, "_refined_sum", counted)
-    return calls
-
-
-def sampling_calls(count):
-    """The amplitude calls that sample ``count`` points: the first grid, then each doubling."""
-    calls = [entanglement._AVERAGE_SAMPLES]
-    while sum(calls) < count:
-        calls.append(sum(calls) - 1)
-    assert sum(calls) == count
+    for module in (entanglement, exchange):
+        monkeypatch.setattr(module, "_refined_sum", counted)
     return calls
 
 
 @pytest.mark.parametrize("t", [0.0, 0.05])
-def test_average_entanglement_is_one_amplitude_call(monkeypatch, t):
-    solve_zeta(t, NR)  # zeta's own amplitudes are not the average's
+def test_average_entanglement_makes_no_amplitude_call(monkeypatch, t):
+    solve_zeta(t, NR)
     calls = count_amplitude_calls(monkeypatch)
     average_entanglement(t, NR, Measure.ENTROPY_OF_FORMATION)
-    # the 17 Chebyshev-Lobatto samples; every Kronrod abscissa is interpolated
-    assert calls == [17]
+    # every Kronrod abscissa is interpolated from the zeta solve's samples
+    assert calls == []
 
 
 def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
@@ -515,14 +508,13 @@ def test_average_entanglement_refines_to_relative_tolerance(monkeypatch):
     monkeypatch.setattr(entanglement, "composite_kronrod", counted)
     levels = []
     for tol in (1e-6, 1e-8):
-        calls.clear()
         rules.clear()
         value = average_entanglement(0.05, NR, eof, tol=tol)
         assert value == pytest.approx(reference, rel=tol)
         assert rules == [2 ** level for level in range(len(rules))]
-        # a refinement level costs no amplitude evaluation
-        assert calls == [17]
         levels.append(len(rules) - 1)
+    # a refinement level costs no amplitude evaluation
+    assert calls == []
     # refinement engaged, and the tighter tolerance took more levels
     assert 0 < levels[0] < levels[1]
 
@@ -534,19 +526,6 @@ def test_average_entanglement_exhausted_levels_raise_with_estimate(monkeypatch):
     assert 0.0 < excinfo.value.error_estimate < math.inf
 
 
-def test_average_entanglement_unresolved_samples_raise_with_the_tail(monkeypatch):
-    # rel fermi-mu t = 3 needs 65 samples: capped at 33, the tail is the estimate
-    monkeypatch.setattr(entanglement, "_AVERAGE_MAX_SAMPLES", 33)
-    with pytest.raises(QuadratureError, match="samples .* stalled") as excinfo:
-        average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
-    assert entanglement._AVERAGE_TAIL_TOL < excinfo.value.error_estimate < math.inf
-
-
-# the samples the tail test settles on where f(0) is well above 1
-SETTLED_SAMPLES = {(ER, MuMode.FERMI_ENERGY_APPROX, 0.5): 33,
-                   (ER, MuMode.FERMI_ENERGY_APPROX, 2.0): 65}
-
-
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.5, 2.0])
 @pytest.mark.parametrize("mu_mode", list(MuMode))
 @pytest.mark.parametrize("regime", [NR, ER])
@@ -554,60 +533,55 @@ def test_average_on_the_short_cascade_matches_the_long_one(monkeypatch, regime, 
     # panels beyond the tenth lie within zeta 2^-9 of zeta, where the
     # measure carries O(h^3) on a panel of width h: the 31-panel cascade
     # is the reference, and 10 panels still meet the budget at level 0
-    solve_zeta(t, regime, mu_mode)  # zeta's own amplitudes are not the average's
-    count = SETTLED_SAMPLES.get((regime, mu_mode, t), 17)
     for measure in Measure:
         for tol in (1e-8, 1e-14):
             with monkeypatch.context() as long:
                 long.setattr(entanglement, "_CASCADE_PANELS", 31)
                 reference = average_entanglement(t, regime, measure, mu_mode, tol)
-            with monkeypatch.context() as counted:
-                calls = count_amplitude_calls(counted)
-                value = average_entanglement(t, regime, measure, mu_mode, tol)
+            value = average_entanglement(t, regime, measure, mu_mode, tol)
             assert abs(value - reference) <= 2e-15 * abs(reference)
-            # the sampling grids alone, the origin among the first
-            assert calls == sampling_calls(count)
 
 
-def test_rel_fermi_level_samples_double_twice(monkeypatch):
-    # f(0) is about 200: 17 samples miss f by about 1e-3 and 33 by about
-    # 1e-9, so the grid settles on 65, each doubling one call at its new points
-    solve_zeta(3.0, ER, MuMode.FERMI_ENERGY_APPROX)
-    # the clamp edge is a root of the interpolant, which takes no call of its own
-    calls = count_amplitude_calls(monkeypatch)
-    average_entanglement(3.0, ER, Measure.CONCURRENCE, MuMode.FERMI_ENERGY_APPROX)
-    assert calls == [17, 16, 32] == sampling_calls(65)
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("t", [100.0, 1e3, 1e6])
+def test_hot_relativistic_fermi_level_average_against_quadpack(t, measure):
+    # f(0) is about 5 t^3 and the zeta solve's windows reach zeta on the
+    # 8th to 18th: the average reads their samples, whatever the amplitude
+    # at the origin
+    mode = MuMode.FERMI_ENERGY_APPROX
+    expected = average_oracle(t, ER, measure, mode)
+    assert average_entanglement(t, ER, measure, mode) == pytest.approx(expected, rel=1e-10)
 
 
 def interpolation_cases():
-    """regime x mu mode x t, where zeta solves (rel fermi-mu zeta fails at t = 30)."""
+    """regime x mu mode x t, where zeta solves (no nonrel closed form serves fermi mu at t = 1e3)."""
     for regime in (NR, ER):
         for mu_mode in MuMode:
-            for t in (0.0, 1e-3, 0.05, 0.5, 3.0, 30.0):
-                if not (regime is ER and mu_mode is MuMode.FERMI_ENERGY_APPROX and t == 30.0):
+            for t in (0.0, 1e-3, 0.05, 0.5, 3.0, 30.0, 100.0, 1e3):
+                if not (regime is NR and mu_mode is MuMode.FERMI_ENERGY_APPROX and t == 1e3):
                     yield regime, mu_mode, t
 
 
 @pytest.mark.parametrize("regime, mu_mode, t", list(interpolation_cases()))
 def test_interpolated_amplitude_matches_the_direct_one(regime, mu_mode, t):
-    # at the Kronrod abscissas of levels 0 and 1, the barycentric
-    # interpolant of the samples against the amplitude evaluated there
-    zeta = solve_zeta(t, regime, mu_mode).zeta
+    # at the Kronrod abscissas of levels 0 and 1, the zeta solve's window
+    # interpolants against the amplitude evaluated there at the solve's tolerance
+    result, windows = exchange._solve_zeta(t, regime, mu_mode)
     mu_tilde = reduced_chemical_potential(t, regime, mu_mode)
-    points, weights, samples, _ = entanglement._amplitude_samples(t, mu_tilde, regime, zeta)
-    edges = np.append(zeta * (1.0 - 0.5 ** np.arange(entanglement._CASCADE_PANELS)), zeta)
+    edges = np.append(result.zeta * (1.0 - 0.5 ** np.arange(entanglement._CASCADE_PANELS)),
+                      result.zeta)
     for level in (0, 1):
         nodes, _ = quadrature.composite_kronrod(edges, 2 ** level)
-        direct, _ = thermal_amplitude(nodes, t, mu_tilde, regime, 1e-10)
-        interpolated = quadrature.barycentric(nodes, points, weights, samples)
+        direct, _ = thermal_amplitude(nodes, t, mu_tilde, regime, exchange._ZETA_QUAD_TOL)
+        interpolated = entanglement._interpolated_amplitude(windows, nodes)
         bound = 1e-12 * max(1.0, np.abs(direct).max())
         assert np.abs(interpolated - direct).max() <= bound
 
 
 def test_an_abscissa_on_a_sample_returns_the_sample():
-    zeta = solve_zeta(0.05, NR).zeta
-    points, weights, samples, _ = entanglement._amplitude_samples(
-        0.05, reduced_chemical_potential(0.05, NR), NR, zeta)
+    lo, hi, samples = exchange._solve_zeta(0.05, NR, MuMode.EXACT_NORMALIZATION)[1][0]
+    unit, weights = quadrature.chebyshev_lobatto(samples.size)
+    points = lo + (hi - lo) * unit
     x = np.concatenate((points, 0.5 * (points[:-1] + points[1:])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -218,8 +218,9 @@ def test_barycentric_reproduces_a_polynomial_on_any_interval():
 
 @pytest.mark.parametrize("count", [17, 33, 65, 129, 257])
 def test_chebyshev_value_and_derivative_are_numpys_bits(count):
-    # every length the average's samples take: the kink of the clamp is
-    # found on these, and must land where chebval and chebder put it
+    # every length the zeta solve's window samples take, and 17: zeta and
+    # the kink of the clamp are found on these series, and must land where
+    # chebval and chebder put them
     rng = np.random.default_rng(count)
     coeffs = rng.standard_normal(count) * 0.8 ** np.arange(count)
     derivative = chebyshev_derivative(coeffs)

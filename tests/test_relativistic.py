@@ -153,7 +153,7 @@ def test_unmet_tolerance_raises(monkeypatch):
 def test_relativistic_zeta_solves_far_above_degeneracy(t):
     # zeta < 1e-3 from t ~ 435, in the first window [0, 1.01 zeta_cl] like
     # every exact-mu crossing; zeta t tends to the classical value
-    result = exchange._solve_zeta.__wrapped__(t, ER, MuMode.EXACT_NORMALIZATION)
+    result = exchange._solve_zeta.__wrapped__(t, ER, MuMode.EXACT_NORMALIZATION)[0]
     assert result.residual < 1e-10
     assert abs(result.zeta * t - CLASSICAL_ZETA_T) <= 1e-6
 
